@@ -7,6 +7,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -17,7 +18,7 @@ import (
 	"repro/internal/crossbar"
 	"repro/internal/multistage"
 	"repro/internal/schedule"
-	"repro/internal/sim"
+	"repro/internal/traffic"
 	"repro/internal/wdm"
 	"repro/internal/workload"
 )
@@ -146,25 +147,16 @@ func BenchmarkBlockingVsM(b *testing.B) {
 		{"m=bound", suffM},
 	} {
 		b.Run(frac.name, func(b *testing.B) {
+			off := traffic.Offline{Base: base, Engine: traffic.Config{Arrivals: 600, Erlangs: 10, MaxFanout: 8}}
 			var p float64
 			for i := 0; i < b.N; i++ {
-				params := base
-				params.M = frac.m
-				net, err := multistage.New(params)
+				s, err := off.Run(frac.m, int64(i))
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := sim.Run(net, sim.Config{
-					Seed: int64(i), Model: wdm.MSW, Dim: wdm.Dim{N: 16, K: 2},
-					Requests: 600, Load: 10, MaxFanout: 8,
-					IsBlocked: multistage.IsBlocked,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				p = res.BlockingProbability()
-				if frac.m == suffM && res.Blocked != 0 {
-					b.Fatalf("blocked %d requests at the sufficient bound", res.Blocked)
+				p = s.PBlock()
+				if frac.m == suffM && s.Blocked != 0 {
+					b.Fatalf("blocked %d requests at the sufficient bound", s.Blocked)
 				}
 			}
 			b.ReportMetric(float64(frac.m), "m")
@@ -297,6 +289,10 @@ func BenchmarkFabricScale(b *testing.B) {
 	}
 }
 
+// ablationLoad is the heavy dynamic traffic the empirical-min-m
+// benchmarks scan m under.
+var ablationLoad = traffic.Config{Arrivals: 1200, Erlangs: 10, MaxFanout: 8}
+
 // BenchmarkAblationRoutingStrategy compares the certified greedy
 // minimum-intersection middle-module selection (Lemma 4/5) against naive
 // first-fit: the metric is the smallest m at which each strategy routes
@@ -304,17 +300,17 @@ func BenchmarkFabricScale(b *testing.B) {
 // ablation 2: the greedy order is what lets m stay at the theorem bound.
 func BenchmarkAblationRoutingStrategy(b *testing.B) {
 	seeds := []int64{1, 2, 3}
-	cfg := sim.Config{Requests: 1200, Load: 10, MaxFanout: 8}
 	suffM, _ := multistage.SufficientMinM(multistage.MSWDominant, wdm.MSW, 4, 4, 2)
 	for _, strat := range []multistage.Strategy{multistage.GreedyMinIntersection, multistage.FirstFit} {
 		b.Run(strat.String(), func(b *testing.B) {
 			var minM int
 			for i := 0; i < b.N; i++ {
-				base := multistage.Params{
-					N: 16, K: 2, R: 4, Model: wdm.MSW, Strategy: strat, Lite: true,
+				off := traffic.Offline{
+					Base:   multistage.Params{N: 16, K: 2, R: 4, Model: wdm.MSW, Strategy: strat},
+					Engine: ablationLoad,
 				}
 				var err error
-				minM, err = sim.FindMinBlockFreeM(base, cfg, seeds, 1, 2*suffM)
+				minM, err = off.MinBlockFreeM(seeds, 1, 2*suffM)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -332,7 +328,6 @@ func BenchmarkAblationRoutingStrategy(b *testing.B) {
 // machinery is what keeps the middle stage small when k > 1.
 func BenchmarkAblationLinkSemantics(b *testing.B) {
 	seeds := []int64{1, 2, 3}
-	cfg := sim.Config{Requests: 1200, Load: 10, MaxFanout: 8}
 	suffM, _ := multistage.SufficientMinM(multistage.MAWDominant, wdm.MAW, 4, 4, 4)
 	for _, conservative := range []bool{false, true} {
 		name := "multiset"
@@ -342,13 +337,16 @@ func BenchmarkAblationLinkSemantics(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var minM int
 			for i := 0; i < b.N; i++ {
-				base := multistage.Params{
-					N: 16, K: 4, R: 4, Model: wdm.MAW,
-					Construction:      multistage.MAWDominant,
-					ConservativeLinks: conservative, Lite: true,
+				off := traffic.Offline{
+					Base: multistage.Params{
+						N: 16, K: 4, R: 4, Model: wdm.MAW,
+						Construction:      multistage.MAWDominant,
+						ConservativeLinks: conservative,
+					},
+					Engine: ablationLoad,
 				}
 				var err error
-				minM, err = sim.FindMinBlockFreeM(base, cfg, seeds, 1, 6*suffM)
+				minM, err = off.MinBlockFreeM(seeds, 1, 6*suffM)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -461,22 +459,40 @@ func BenchmarkLeeVsSimulation(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := sim.Run(net, sim.Config{
-					Seed: 5, Model: wdm.MSW, Dim: wdm.Dim{N: 16, K: 2},
-					Requests: 4000, Load: 8, MaxFanout: 1, // unicast: Lee's setting
-					IsBlocked: multistage.IsBlocked,
+				sink := &occupancySink{Sink: traffic.NewNetworkSink(net, net.Params()), net: net}
+				eng, err := traffic.NewEngine(traffic.Config{
+					Sink: sink, Seed: 5, Arrivals: 4000, Erlangs: 8,
+					MaxFanout: 1, // unicast: Lee's setting
 				})
 				if err != nil {
 					b.Fatal(err)
 				}
-				measured = res.BlockingProbability()
-				u := net.Utilization()
-				lee = analytic.LeeBlocking(u.InLinkBusy, u.OutLinkBusy, m)
+				rep, err := eng.Run(context.Background())
+				if err != nil {
+					b.Fatal(err)
+				}
+				measured = rep.Stats.PBlock()
+				lee = analytic.LeeBlocking(sink.u.InLinkBusy, sink.u.OutLinkBusy, m)
 			}
 			b.ReportMetric(measured, "pblock-sim")
 			b.ReportMetric(lee, "pblock-lee")
 		})
 	}
+}
+
+// occupancySink samples the network's link occupancy after every
+// connect, so the sample left at the end of a run is the occupancy the
+// last arrival saw (the run itself goes on to drain the network).
+type occupancySink struct {
+	traffic.Sink
+	net *multistage.Network
+	u   multistage.Utilization
+}
+
+func (s *occupancySink) Connect(ctx context.Context, fabric int, c wdm.Connection) (traffic.Reply, error) {
+	r, err := s.Sink.Connect(ctx, fabric, c)
+	s.u = s.net.Utilization()
+	return r, err
 }
 
 // BenchmarkRecursiveDepthCost evaluates Section 3's recursive
@@ -524,10 +540,13 @@ func BenchmarkRepack(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var minM int
 			for i := 0; i < b.N; i++ {
-				base := multistage.Params{N: 16, K: 2, R: 4, Model: wdm.MSW, Lite: true}
-				cfg := sim.Config{Requests: 1200, Load: 10, MaxFanout: 8, Repack: repack}
+				off := traffic.Offline{
+					Base:   multistage.Params{N: 16, K: 2, R: 4, Model: wdm.MSW},
+					Engine: ablationLoad,
+					Repack: repack,
+				}
 				var err error
-				minM, err = sim.FindMinBlockFreeM(base, cfg, seeds, 1, 2*suffM)
+				minM, err = off.MinBlockFreeM(seeds, 1, 2*suffM)
 				if err != nil {
 					b.Fatal(err)
 				}

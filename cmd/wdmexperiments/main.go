@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"repro/internal/benes"
@@ -26,7 +25,7 @@ import (
 	"repro/internal/multistage"
 	"repro/internal/report"
 	"repro/internal/schedule"
-	"repro/internal/sim"
+	"repro/internal/traffic"
 	"repro/internal/wdm"
 )
 
@@ -257,21 +256,19 @@ func (r *runner) blockingSeries(requests int, seed int64) {
 	for m := 1; m <= norm.M+3; m++ {
 		ms = append(ms, m)
 	}
-	points, err := sim.SweepMParallel(base, ms, sim.Config{
-		Seed: seed, Requests: requests, Load: 10, MaxFanout: 8,
-	})
+	off := traffic.Offline{Base: base, Engine: traffic.Config{Seed: seed, Arrivals: requests, Erlangs: 10, MaxFanout: 8}}
+	points, err := off.SweepM(ms)
 	if err != nil {
 		r.fail("blocking series", err)
 		return
 	}
-	sort.Slice(points, func(a, b int) bool { return points[a].M < points[b].M })
 	t := report.New("", "m", "offered", "blocked", "p_block", "at_bound")
 	for _, pt := range points {
-		if pt.AtBound && pt.Result.Blocked != 0 {
+		if pt.AtBound && pt.Stats.Blocked != 0 {
 			r.fail("blocking series", fmt.Errorf("blocking at the sufficient bound m=%d", pt.M))
 		}
-		t.AddRow(report.Int(pt.M), report.Int(pt.Result.Offered), report.Int(pt.Result.Blocked),
-			fmt.Sprintf("%.6f", pt.Result.BlockingProbability()), fmt.Sprintf("%v", pt.AtBound))
+		t.AddRow(report.Int(pt.M), report.Int(pt.Stats.Connects), report.Int(pt.Stats.Blocked),
+			fmt.Sprintf("%.6f", pt.Stats.PBlock()), fmt.Sprintf("%v", pt.AtBound))
 	}
 	var b strings.Builder
 	if err := t.FprintCSV(&b); err != nil {

@@ -69,8 +69,9 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	cl := client.New(*target)
 	ecfg := traffic.Config{
-		Client:           client.New(*target),
+		Sink:             traffic.NewClientSink(cl),
 		Seed:             *seed,
 		Arrivals:         *arrivals,
 		WorkersPerFabric: *workers,
@@ -110,7 +111,7 @@ func main() {
 		}
 		runSweep(ctx, traffic.SweepConfig{Engine: ecfg, Points: pts, Z: *z, Logf: logf}, *out, *strict)
 	case "steady":
-		runSteady(ctx, ecfg, *erlangs, *timescale)
+		runSteady(ctx, cl, ecfg, *erlangs, *timescale)
 	case "replay":
 		runReplay(ctx, ecfg, *replayPath, *out, *z, *strict)
 	default:
@@ -138,7 +139,7 @@ func runSweep(ctx context.Context, cfg traffic.SweepConfig, out string, strict b
 
 // runSteady holds one load point until the arrival budget is spent or
 // the process is interrupted, printing a rollup at the end.
-func runSteady(ctx context.Context, ecfg traffic.Config, erlangs float64, timescale time.Duration) {
+func runSteady(ctx context.Context, cl *client.Client, ecfg traffic.Config, erlangs float64, timescale time.Duration) {
 	ecfg.Erlangs = erlangs
 	ecfg.TimeScale = timescale
 	eng, err := traffic.NewEngine(ecfg)
@@ -149,7 +150,7 @@ func runSteady(ctx context.Context, ecfg traffic.Config, erlangs float64, timesc
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		traffic.ReportLoop(repCtx, ecfg.Client, eng.Progress(), erlangs)
+		traffic.ReportLoop(repCtx, cl, eng.Progress(), erlangs)
 	}()
 	rep, err := eng.Run(ctx)
 	stopReport()

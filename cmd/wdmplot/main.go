@@ -38,7 +38,6 @@ import (
 	"repro/internal/multistage"
 	"repro/internal/obs/tsdb"
 	"repro/internal/report"
-	"repro/internal/sim"
 	"repro/internal/switchd/client"
 	"repro/internal/traffic"
 	"repro/internal/wdm"
@@ -166,31 +165,19 @@ func loadSeries(model wdm.Model, n, r, k, requests int, seed int64) {
 	if err != nil {
 		fatal(err)
 	}
-	loads := []float64{1, 2, 4, 6, 8, 12, 16, 24}
 	t := report.New("", "m", "load", "offered", "blocked", "p_block")
-	for _, m := range []int{maxInt(1, norm.M/4), maxInt(1, norm.M/2), norm.M} {
-		p := base
-		p.M = m
-		points, err := sim.SweepLoad(p, loads, sim.Config{
-			Seed: seed, Requests: requests, MaxFanout: n / 2,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		for _, pt := range points {
-			t.AddRow(report.Int(m), fmt.Sprintf("%.1f", pt.Load),
-				report.Int(pt.Result.Offered), report.Int(pt.Result.Blocked),
-				fmt.Sprintf("%.6f", pt.Result.BlockingProbability()))
+	for _, m := range []int{max(1, norm.M/4), max(1, norm.M/2), norm.M} {
+		for _, load := range []float64{1, 2, 4, 6, 8, 12, 16, 24} {
+			off := traffic.Offline{Base: base, Engine: traffic.Config{Arrivals: requests, Erlangs: load, MaxFanout: n / 2}}
+			s, err := off.Run(m, seed)
+			if err != nil {
+				fatal(err)
+			}
+			t.AddRow(report.Int(m), fmt.Sprintf("%.1f", load),
+				report.Int(s.Connects), report.Int(s.Blocked), fmt.Sprintf("%.6f", s.PBlock()))
 		}
 	}
 	emit(t)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func costSeries(k int) {
@@ -227,17 +214,15 @@ func blockingSeries(model wdm.Model, n, r, k, requests int, seed int64) {
 	for m := 1; m <= norm.M+norm.M/4+1; m++ {
 		ms = append(ms, m)
 	}
-	points, err := sim.SweepMParallel(base, ms, sim.Config{
-		Seed: seed, Requests: requests, Load: 10, MaxFanout: n / 2,
-	})
+	off := traffic.Offline{Base: base, Engine: traffic.Config{Seed: seed, Arrivals: requests, Erlangs: 10, MaxFanout: n / 2}}
+	points, err := off.SweepM(ms)
 	if err != nil {
 		fatal(err)
 	}
-	sort.Slice(points, func(a, b int) bool { return points[a].M < points[b].M })
 	t := report.New("", "m", "offered", "blocked", "p_block")
 	for _, pt := range points {
-		t.AddRow(report.Int(pt.M), report.Int(pt.Result.Offered), report.Int(pt.Result.Blocked),
-			fmt.Sprintf("%.6f", pt.Result.BlockingProbability()))
+		t.AddRow(report.Int(pt.M), report.Int(pt.Stats.Connects), report.Int(pt.Stats.Blocked),
+			fmt.Sprintf("%.6f", pt.Stats.PBlock()))
 	}
 	emit(t)
 }

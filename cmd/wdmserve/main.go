@@ -81,8 +81,7 @@ func main() {
 	k := flag.Int("k", 2, "wavelengths per fiber")
 	r := flag.Int("r", 4, "outer-stage module count (must divide N)")
 	modelName := flag.String("model", "msw", "multicast model: msw, msdw, maw")
-	fabricName := flag.String("fabric", "", "fabric backend: "+strings.Join(backend.Names(), ", ")+" (empty = derive from -construction)")
-	constrName := flag.String("construction", "", "deprecated alias of -fabric (kept for pre-backend command lines)")
+	fabricName := flag.String("fabric", "msw", "fabric backend: "+strings.Join(backend.Names(), ", "))
 	m := flag.Int("m", 0, "middle-stage module count (0 = the backend's sufficient nonblocking bound)")
 	x := flag.Int("x", 0, "split limit (0 = construction default)")
 	replicas := flag.Int("replicas", 4, "independent fabric replicas (planes)")
@@ -148,16 +147,9 @@ func main() {
 	if err != nil {
 		fatal(logger, err)
 	}
-	// -fabric wins; -construction is the pre-backend spelling of the
-	// same choice. Validation is the registry's: any registered backend
-	// name is legal, and the error message enumerates them.
+	// Validation is the registry's: any registered backend name is
+	// legal, and the error message enumerates them.
 	fabName := *fabricName
-	if fabName == "" {
-		fabName = *constrName
-	}
-	if fabName == "" {
-		fabName = "msw"
-	}
 	if _, err := backend.Get(fabName); err != nil {
 		fatal(logger, fmt.Errorf("-fabric: %w", err))
 	}

@@ -2,7 +2,8 @@
 // multicast networks and prints blocking probability as a function of the
 // middle-stage module count m — the executable counterpart of Theorems 1
 // and 2 (there is no empirical section in the paper; this regenerates the
-// repository's validation series documented in EXPERIMENTS.md).
+// repository's validation series documented in EXPERIMENTS.md). The
+// simulation is the traffic engine run in process (traffic.Offline).
 //
 // Usage:
 //
@@ -19,7 +20,7 @@ import (
 
 	"repro/internal/multistage"
 	"repro/internal/report"
-	"repro/internal/sim"
+	"repro/internal/traffic"
 	"repro/internal/wdm"
 )
 
@@ -34,7 +35,6 @@ func main() {
 	maxFanout := flag.Int("fanout", 0, "max fanout (0 = N)")
 	seed := flag.Int64("seed", 1, "PRNG seed")
 	repack := flag.Bool("repack", false, "rearrangeable operation: retry blocked requests with repacking")
-	parallel := flag.Bool("parallel", false, "run the sweep points concurrently")
 	byFanout := flag.Bool("by-fanout", false, "also print blocking stratified by fanout (largest m only)")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of the table")
 	nSeeds := flag.Int("seeds", 1, "seeds per point (seed, seed+1, ...); >1 adds per-point aggregates")
@@ -57,41 +57,29 @@ func main() {
 	}
 
 	base := multistage.Params{N: *n, K: *k, R: *r, Model: model, Construction: constr, Lite: true}
-	ms := sim.DefaultMs(constr, base)
-	sort.Ints(ms)
-
-	cfg := sim.Config{
-		Seed: *seed, Requests: *requests, Load: *load, MaxFanout: *maxFanout,
+	off := traffic.Offline{
+		Base:   base,
+		Engine: traffic.Config{Seed: *seed, Arrivals: *requests, Erlangs: *load, MaxFanout: *maxFanout},
 		Repack: *repack,
 	}
-	sweep := sim.SweepM
-	if *parallel {
-		sweep = sim.SweepMParallel
-	}
-	points, err := sweep(base, ms, cfg)
+	ms := off.DefaultMs()
+	sort.Ints(ms)
+	points, err := off.SweepM(ms)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "wdmsim:", err)
 		os.Exit(1)
 	}
 
-	// Per-point multi-seed aggregates (satellite of the serving-mode PR:
-	// lets scripts diff server-vs-offline blocking numbers with spread).
-	var aggs []*sim.Aggregate
+	// Per-point multi-seed aggregates: lets scripts diff server-vs-offline
+	// blocking numbers with spread.
+	var aggs []*traffic.Aggregate
 	if *nSeeds > 1 {
-		norm0, _ := base.Normalize()
 		seedList := make([]int64, *nSeeds)
 		for i := range seedList {
 			seedList[i] = *seed + int64(i)
 		}
 		for _, pt := range points {
-			p := base
-			p.M = pt.M
-			p.Lite = true
-			acfg := cfg
-			acfg.Dim = wdm.Dim{N: norm0.N, K: norm0.K}
-			acfg.Model = norm0.Model
-			acfg.IsBlocked = multistage.IsBlocked
-			agg, err := sim.RunSeeds(func() (sim.Network, error) { return multistage.New(p) }, acfg, seedList)
+			agg, err := off.Seeds(pt.M, seedList)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "wdmsim:", err)
 				os.Exit(1)
@@ -101,7 +89,7 @@ func main() {
 	}
 
 	if *jsonOut {
-		emitJSON(base, points, aggs, cfg, *nSeeds, *repack)
+		emitJSON(off, points, aggs, *nSeeds)
 		return
 	}
 
@@ -124,10 +112,10 @@ func main() {
 			}
 			note += "sufficient bound"
 		}
+		s := pt.Stats
 		t.AddRow(report.Int(pt.M),
-			report.Int(pt.Result.Offered), report.Int(pt.Result.Routed), report.Int(pt.Result.Blocked),
-			report.Int(pt.Result.Repacked),
-			report.Float(pt.Result.BlockingProbability(), 4), note)
+			report.Int(s.Connects), report.Int(s.Routed), report.Int(s.Blocked), report.Int(s.Repacked),
+			report.Float(s.PBlock(), 4), note)
 	}
 	t.Footnote = fmt.Sprintf("n=%d per module; x=%d; expectation: P_block = 0 at and above the sufficient bound",
 		norm.N/norm.R, norm.X)
@@ -150,15 +138,15 @@ func main() {
 		fmt.Println()
 		ft := report.New(fmt.Sprintf("Blocking by fanout at m=%d", last.M),
 			"fanout", "offered", "blocked", "P_block")
-		fanouts := make([]int, 0, len(last.Result.ByFanout))
-		for f := range last.Result.ByFanout {
+		fanouts := make([]int, 0, len(last.Stats.ByFanout))
+		for f := range last.Stats.ByFanout {
 			fanouts = append(fanouts, f)
 		}
 		sort.Ints(fanouts)
 		for _, f := range fanouts {
-			s := last.Result.ByFanout[f]
+			s := last.Stats.ByFanout[f]
 			ft.AddRow(report.Int(f), report.Int(s.Offered), report.Int(s.Blocked),
-				report.Float(last.Result.BlockingProbabilityAtFanout(f), 4))
+				report.Float(float64(s.Blocked)/float64(s.Offered), 4))
 		}
 		ft.Fprint(os.Stdout)
 	}
@@ -169,8 +157,45 @@ type jsonPoint struct {
 	M         int            `json:"m"`
 	AtBound   bool           `json:"at_bound"`
 	PaperMinM int            `json:"paper_min_m"`
-	Result    sim.Result     `json:"result"`
-	Aggregate *sim.Aggregate `json:"aggregate,omitempty"`
+	Result    jsonResult     `json:"result"`
+	Aggregate *jsonAggregate `json:"aggregate,omitempty"`
+}
+
+// jsonResult is one run in -json output; the field names are the
+// document's keys.
+type jsonResult struct {
+	Offered       int // admissible requests presented
+	Routed        int
+	Blocked       int
+	Starved       int // arrivals no admissible request could be built for
+	MaxConcurrent int
+	MeanFanout    float64
+	TotalFanout   int
+	Repacked      int
+	ByFanout      map[int]traffic.FanoutStats
+}
+
+func toJSON(s traffic.Stats) jsonResult {
+	r := jsonResult{
+		Offered: s.Connects, Routed: s.Routed, Blocked: s.Blocked, Starved: s.Unoffered,
+		MaxConcurrent: s.PeakLive, TotalFanout: s.TotalFanout, Repacked: s.Repacked,
+	}
+	if s.Connects > 0 {
+		r.MeanFanout = float64(s.TotalFanout) / float64(s.Connects)
+		r.ByFanout = s.ByFanout
+	}
+	return r
+}
+
+// jsonAggregate is a point's multi-seed summary in -json output.
+type jsonAggregate struct {
+	Runs    []jsonResult
+	Seeds   []int64
+	MeanP   float64
+	MaxP    float64
+	StddevP float64
+	Blocked int
+	Offered int
 }
 
 // jsonDoc is the -json document: enough configuration to rebuild the
@@ -193,8 +218,8 @@ type jsonDoc struct {
 	Points       []jsonPoint `json:"points"`
 }
 
-func emitJSON(base multistage.Params, points []sim.SweepPoint, aggs []*sim.Aggregate, cfg sim.Config, nSeeds int, repack bool) {
-	norm, err := base.Normalize()
+func emitJSON(off traffic.Offline, points []traffic.MPoint, aggs []*traffic.Aggregate, nSeeds int) {
+	norm, err := off.Base.Normalize()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "wdmsim:", err)
 		os.Exit(1)
@@ -205,17 +230,22 @@ func emitJSON(base multistage.Params, points []sim.SweepPoint, aggs []*sim.Aggre
 		X:            norm.X,
 		Model:        norm.Model.String(),
 		Construction: norm.Construction.String(),
-		Requests:     cfg.Requests,
-		Load:         cfg.Load,
-		MaxFanout:    cfg.MaxFanout,
-		Seed:         cfg.Seed,
+		Requests:     off.Engine.Arrivals,
+		Load:         off.Engine.Erlangs,
+		MaxFanout:    off.Engine.MaxFanout,
+		Seed:         off.Engine.Seed,
 		Seeds:        nSeeds,
-		Rearrange:    repack,
+		Rearrange:    off.Repack,
 	}
 	for i, pt := range points {
-		jp := jsonPoint{M: pt.M, AtBound: pt.AtBound, PaperMinM: pt.PaperMin, Result: pt.Result}
+		jp := jsonPoint{M: pt.M, AtBound: pt.AtBound, PaperMinM: pt.PaperMin, Result: toJSON(pt.Stats)}
 		if i < len(aggs) {
-			jp.Aggregate = aggs[i]
+			a := aggs[i]
+			ja := &jsonAggregate{Seeds: a.Seeds, MeanP: a.MeanP, MaxP: a.MaxP, StddevP: a.StddevP, Blocked: a.Blocked, Offered: a.Offered}
+			for _, r := range a.Runs {
+				ja.Runs = append(ja.Runs, toJSON(r))
+			}
+			jp.Aggregate = ja
 		}
 		doc.Points = append(doc.Points, jp)
 	}

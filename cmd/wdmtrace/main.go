@@ -6,8 +6,9 @@
 //	wdmtrace -replay incident.trace -n 16 -k 2 -r 4 -m 13
 //	wdmtrace -replay incident.trace -fabric mesh -n 12 -k 4 -r 3
 //
-// Recording runs a seeded dynamic workload against the given network and
-// emits the full interface history (adds with outcomes, releases).
+// Recording runs the traffic engine in process against the given network
+// (-requests Poisson arrivals at 10 Erlangs, fanout up to N/2) and emits
+// the full interface history (adds with outcomes, releases).
 // Replaying drives the same requests against a possibly different
 // configuration and reports every outcome divergence — e.g. which
 // recorded blocks disappear at a larger middle-stage count, or how the
@@ -15,17 +16,17 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"strings"
 
 	"repro/internal/fabric/backend"
 	"repro/internal/multistage"
 	"repro/internal/trace"
+	"repro/internal/traffic"
 	"repro/internal/wdm"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -37,8 +38,7 @@ func main() {
 	m := flag.Int("m", 0, "middle modules (0 = sufficient bound)")
 	x := flag.Int("x", 0, "split limit (0 = backend default)")
 	modelName := flag.String("model", "msw", "multicast model")
-	fabricName := flag.String("fabric", "", "fabric backend: "+strings.Join(backend.Names(), ", ")+" (empty = derive from -construction)")
-	constrName := flag.String("construction", "", "deprecated alias of -fabric (kept for traces recorded before backends existed)")
+	fabricName := flag.String("fabric", "msw", "fabric backend: "+strings.Join(backend.Names(), ", "))
 	requests := flag.Int("requests", 500, "arrivals to record")
 	seed := flag.Int64("seed", 1, "workload seed")
 	flag.Parse()
@@ -47,14 +47,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fabName := *fabricName
-	if fabName == "" {
-		fabName = *constrName
-	}
-	if fabName == "" {
-		fabName = "msw"
-	}
-	desc, err := backend.Get(fabName)
+	desc, err := backend.Get(*fabricName)
 	if err != nil {
 		fatal(err)
 	}
@@ -72,7 +65,7 @@ func main() {
 
 	switch {
 	case *record:
-		doRecord(net, model, *n, *k, *requests, *seed)
+		doRecord(net, norm, *requests, *seed)
 	case *replay != "":
 		doReplay(net, *replay)
 	default:
@@ -81,43 +74,17 @@ func main() {
 	}
 }
 
-func doRecord(net backend.Backend, model wdm.Model, n, k, requests int, seed int64) {
+func doRecord(net backend.Backend, norm multistage.Params, requests int, seed int64) {
 	rec := trace.NewRecorder(net, multistage.IsBlocked)
-	gen := workload.NewGenerator(seed, model, wdm.Dim{N: n, K: k})
-	rng := rand.New(rand.NewSource(seed + 1))
-
-	srcBusyInit()
-	type live struct {
-		id   int
-		conn wdm.Connection
+	eng, err := traffic.NewEngine(traffic.Config{
+		Sink: traffic.NewNetworkSink(rec, norm),
+		Seed: seed, Arrivals: requests, Erlangs: 10, MaxFanout: norm.N / 2,
+	})
+	if err != nil {
+		fatal(err)
 	}
-	var held []live
-	for i := 0; i < requests; i++ {
-		if len(held) > 0 && rng.Intn(3) == 0 {
-			v := held[0]
-			held = held[1:]
-			if err := rec.Release(v.id); err != nil {
-				fatal(err)
-			}
-			delete(srcBusy, v.conn.Source)
-			for _, d := range v.conn.Dests {
-				delete(dstBusy, d)
-			}
-		}
-		src, dst := freeSlots(n, k)
-		c, ok := gen.Connection(src, dst, gen.Fanout(n/2))
-		if !ok {
-			continue
-		}
-		id, err := rec.Add(c)
-		if err != nil {
-			continue // blocked or rejected: recorded, slots unchanged
-		}
-		held = append(held, live{id: id, conn: c})
-		srcBusy[c.Source] = true
-		for _, d := range c.Dests {
-			dstBusy[d] = true
-		}
+	if _, err := eng.Run(context.Background()); err != nil {
+		fatal(err)
 	}
 	if err := rec.Trace().Write(os.Stdout); err != nil {
 		fatal(err)
@@ -125,31 +92,6 @@ func doRecord(net backend.Backend, model wdm.Model, n, k, requests int, seed int
 	ok, blocked := net.Stats()
 	fmt.Fprintf(os.Stderr, "recorded %d events (%d routed, %d blocked)\n",
 		len(rec.Trace().Events), ok, blocked)
-}
-
-var (
-	srcBusy map[wdm.PortWave]bool
-	dstBusy map[wdm.PortWave]bool
-)
-
-func srcBusyInit() {
-	srcBusy = make(map[wdm.PortWave]bool)
-	dstBusy = make(map[wdm.PortWave]bool)
-}
-
-func freeSlots(n, k int) (src, dst []wdm.PortWave) {
-	for p := 0; p < n; p++ {
-		for w := 0; w < k; w++ {
-			slot := wdm.PortWave{Port: wdm.Port(p), Wave: wdm.Wavelength(w)}
-			if !srcBusy[slot] {
-				src = append(src, slot)
-			}
-			if !dstBusy[slot] {
-				dst = append(dst, slot)
-			}
-		}
-	}
-	return
 }
 
 func doReplay(net backend.Backend, path string) {

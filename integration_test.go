@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -9,8 +10,8 @@ import (
 	"repro/internal/crossbar"
 	"repro/internal/multistage"
 	"repro/internal/schedule"
-	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/traffic"
 	"repro/internal/wdm"
 	"repro/internal/workload"
 )
@@ -99,8 +100,9 @@ func TestBenesAgreesWithCrossbar(t *testing.T) {
 }
 
 // TestIncidentWorkflow drives the full operational loop: a design from
-// core, dynamic traffic from sim recorded by trace, and a replay of the
-// incident on an upgraded network showing the blocks vanish.
+// core, dynamic traffic from the in-process traffic engine recorded by
+// trace, and a replay of the incident on an upgraded network showing
+// the blocks vanish.
 func TestIncidentWorkflow(t *testing.T) {
 	build := func(m int) *multistage.Network {
 		net, err := multistage.New(multistage.Params{
@@ -114,14 +116,18 @@ func TestIncidentWorkflow(t *testing.T) {
 	}
 	undersized := build(3)
 	rec := trace.NewRecorder(undersized, multistage.IsBlocked)
-	res, err := sim.Run(rec, sim.Config{
-		Seed: 33, Model: wdm.MAW, Dim: wdm.Dim{N: 16, K: 2},
-		Requests: 1200, Load: 10, MaxFanout: 6,
-		IsBlocked: multistage.IsBlocked,
+	eng, err := traffic.NewEngine(traffic.Config{
+		Sink: traffic.NewNetworkSink(rec, undersized.Params()),
+		Seed: 33, Arrivals: 1200, Erlangs: 10, MaxFanout: 6,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	run, err := eng.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := run.Stats
 	if res.Blocked == 0 {
 		t.Fatal("undersized network never blocked; workflow test needs an incident")
 	}

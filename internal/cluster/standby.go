@@ -26,10 +26,6 @@ import (
 const (
 	DefaultDialTimeout = 2 * time.Second
 	DefaultReconnect   = 250 * time.Millisecond
-	// standbyAckBatch caps how many records apply before the standby
-	// fsyncs and acknowledges even while the stream stays busy, so the
-	// primary's semi-sync barrier never waits a full catch-up.
-	standbyAckBatch = 256
 )
 
 // StandbyConfig configures a warm shard standby.
@@ -341,7 +337,6 @@ func (s *Standby) followOnce() error {
 	s.cfg.Logger.Info("following primary",
 		"shard", s.cfg.Shard, "primary", s.cfg.Primary, "have_seq", hs.HaveSeq)
 
-	pendingAcks := 0
 	for {
 		typ, payload, err := readFrame(br)
 		if err != nil {
@@ -370,18 +365,19 @@ func (s *Standby) followOnce() error {
 				sp.End()
 				return err
 			}
-			pendingAcks++
-			// Acknowledge when the stream drains or the batch cap hits:
-			// coalesced fsyncs under load, immediate ack for a lone
-			// record.
-			if br.Buffered() == 0 || pendingAcks >= standbyAckBatch {
-				if err := s.ackUpTo(bw, rec.Seq, sp); err != nil {
-					sp.End()
-					return err
-				}
-				pendingAcks = 0
-			}
+			// Every record is acknowledged with its own seq, so no frame
+			// queued behind it (a heartbeat) can hold its ack back. The
+			// fsync runs under the apply span, and the span ends before
+			// the ack publishes the seq: whoever sees AppliedSeq reach a
+			// record also finds its trace.
+			err := s.syncUpTo(rec.Seq, sp)
 			sp.End()
+			if err != nil {
+				return err
+			}
+			if err := s.ack(bw, rec.Seq); err != nil {
+				return err
+			}
 		case frameSnapshot:
 			var snap durable.Snapshot
 			if err := json.Unmarshal(payload, &snap); err != nil {
@@ -392,17 +388,19 @@ func (s *Standby) followOnce() error {
 				return err
 			}
 			s.snapshots.Add(1)
-			if err := s.ackUpTo(bw, snap.LastSeq, nil); err != nil {
+			if err := s.syncUpTo(snap.LastSeq, nil); err != nil {
 				return err
 			}
-			pendingAcks = 0
+			if err := s.ack(bw, snap.LastSeq); err != nil {
+				return err
+			}
 		case frameHeartbeat:
 			var hb heartbeatMsg
 			if err := json.Unmarshal(payload, &hb); err != nil {
 				return fmt.Errorf("cluster: decode heartbeat: %w", err)
 			}
 			s.primarySynced.Store(hb.SyncedSeq)
-			if err := s.ackUpTo(bw, s.appliedSeq.Load(), nil); err != nil {
+			if err := s.ack(bw, s.appliedSeq.Load()); err != nil {
 				return err
 			}
 		case frameReject:
@@ -414,12 +412,12 @@ func (s *Standby) followOnce() error {
 	}
 }
 
-// ackUpTo makes everything up to seq durable on the standby, then
-// acknowledges it. The fsync-before-ack order is the zero-loss
-// contract: the primary only releases acknowledged clients on
-// sequences the standby cannot lose. parent, when active, gets a
-// repl.fsync child span covering the durability barrier.
-func (s *Standby) ackUpTo(bw *bufio.Writer, seq uint64, parent *span.Span) error {
+// syncUpTo makes everything up to seq durable on the standby. It must
+// precede ack: the fsync-before-ack order is the zero-loss contract,
+// since the primary only releases acknowledged clients on sequences
+// the standby cannot lose. parent, when active, gets a repl.fsync child
+// span covering the durability barrier.
+func (s *Standby) syncUpTo(seq uint64, parent *span.Span) error {
 	s.mu.Lock()
 	plane := s.plane
 	s.mu.Unlock()
@@ -432,8 +430,13 @@ func (s *Standby) ackUpTo(bw *bufio.Writer, seq uint64, parent *span.Span) error
 	fs.End()
 	if err != nil {
 		s.setFatal(fmt.Errorf("cluster: standby fsync: %w", err))
-		return err
 	}
+	return err
+}
+
+// ack publishes seq as the durable high-water mark (it never moves
+// back) and acknowledges it to the primary.
+func (s *Standby) ack(bw *bufio.Writer, seq uint64) error {
 	if seq > s.appliedSeq.Load() {
 		s.appliedSeq.Store(seq)
 	}

@@ -1,0 +1,86 @@
+package cluster
+
+import (
+	"bufio"
+	"encoding/json"
+	"net"
+	"testing"
+	"time"
+
+	"repro/internal/durable"
+)
+
+// TestStandbyAcksRecordQueuedBeforeHeartbeat is the semi-sync stall
+// regression: a fake primary delivers one record and one heartbeat in
+// a single flush, then goes quiet. The standby must still acknowledge
+// the record's own seq — an ack of the stale high-water mark (the
+// heartbeat's) would leave the primary's Commit waiting out its whole
+// SyncTimeout.
+func TestStandbyAcksRecordQueuedBeforeHeartbeat(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	defer ln.Close()
+
+	sb, err := NewStandby(StandbyConfig{
+		Shard:     0,
+		Primary:   ln.Addr().String(),
+		DataDir:   t.TempDir(),
+		Serving:   standbyServing(),
+		Reconnect: time.Hour, // one connection: the fake serves it once
+		Logger:    quietLogger(),
+	})
+	if err != nil {
+		t.Fatalf("NewStandby: %v", err)
+	}
+	sb.Start()
+	defer sb.Close()
+
+	c, err := ln.Accept()
+	if err != nil {
+		t.Fatalf("accept: %v", err)
+	}
+	defer c.Close()
+	br, bw := bufio.NewReader(c), bufio.NewWriter(c)
+	typ, payload, err := readFrame(br)
+	if err != nil || typ != frameHandshake {
+		t.Fatalf("handshake frame: type %d, err %v", typ, err)
+	}
+	var hs handshakeMsg
+	if err := json.Unmarshal(payload, &hs); err != nil {
+		t.Fatalf("decoding handshake: %v", err)
+	}
+
+	seq := hs.HaveSeq + 1
+	if err := writeFrame(bw, frameRecord, durable.Record{Seq: seq, Op: durable.OpDisconnect, Session: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFrame(bw, frameHeartbeat, heartbeatMsg{SyncedSeq: seq, SentUnixNs: time.Now().UnixNano()}); err != nil {
+		t.Fatal(err)
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Nothing else is sent; the acks must reach seq on their own.
+	c.SetReadDeadline(time.Now().Add(3 * time.Second))
+	var acked uint64
+	for acked < seq {
+		typ, payload, err := readFrame(br)
+		if err != nil {
+			t.Fatalf("standby acked up to %d, want %d (then: %v)", acked, seq, err)
+		}
+		if typ != frameAck {
+			continue
+		}
+		var ack ackMsg
+		if err := json.Unmarshal(payload, &ack); err != nil {
+			t.Fatalf("decoding ack: %v", err)
+		}
+		acked = max(acked, ack.AppliedSeq)
+	}
+	if got := sb.AppliedSeq(); got != seq {
+		t.Errorf("AppliedSeq() = %d, want %d", got, seq)
+	}
+}

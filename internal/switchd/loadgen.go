@@ -20,7 +20,7 @@ import (
 // Each worker owns a disjoint slice of the port space of one fabric
 // replica and only offers connections whose endpoints are free in its
 // slice, so every `blocked` from the server is a genuine blocking
-// event, exactly as in the offline simulator.
+// event, exactly as in the engine's in-process runs.
 //
 // A chaos schedule (ChaosEvent, parsed from "-chaos" syntax by
 // ParseChaos) fires fail/repair calls against the target's failure
@@ -235,7 +235,7 @@ func Attack(cfg AttackConfig) (AttackReport, error) {
 	cl := client.New(cfg.BaseURL, opts...)
 
 	eng, err := traffic.NewEngine(traffic.Config{
-		Client:           cl,
+		Sink:             traffic.NewClientSink(cl),
 		Seed:             cfg.Seed,
 		Arrivals:         cfg.Requests,
 		WorkersPerFabric: cfg.WorkersPerFabric,

@@ -9,8 +9,8 @@
 //	add 1.0>2.0 blocked
 //	release 1
 //
-// Traces make blocking incidents reproducible: the dynamic simulator can
-// record its run, the failing prefix replays against any network
+// Traces make blocking incidents reproducible: the traffic engine can
+// record an in-process run, the failing prefix replays against any network
 // configuration (different m, different construction, different
 // strategy), and the outcome comparison shows exactly where behaviours
 // diverge. The repository's regression corpus for the Theorem 1 gap is
@@ -74,8 +74,9 @@ type Recorder struct {
 	nextID int
 }
 
-// Network is the recorded/replayed device interface (same shape as
-// sim.Network).
+// Network is a routing network as the recorder, the replayer and the
+// traffic engine's in-process sink drive it; backend.Backend,
+// *multistage.Network and *crossbar.Switch all satisfy it.
 type Network interface {
 	Add(wdm.Connection) (int, error)
 	Release(int) error

@@ -1,25 +1,27 @@
-// Package traffic is the closed-loop dynamic workload engine of the
-// serving plane: pluggable arrival processes (Poisson, bursty MMPP,
-// diurnal rate modulation), heavy-tail holding times, multicast fanout
+// Package traffic is the repository's one dynamic workload engine:
+// pluggable arrival processes (Poisson, bursty MMPP, diurnal rate
+// modulation), heavy-tail holding times, multicast fanout
 // distributions, hotspot destination skew (after "Multicast Capacity
 // of Optical WDM Packet Ring for Hotspot Traffic", arXiv 0804.3215)
-// and session-churn dynamics, all driven through the typed
-// internal/switchd/client against a live switchd on any fabric
-// backend.
+// and session-churn dynamics. Its request loop drives a Sink: a live
+// switchd on any fabric backend through the typed
+// internal/switchd/client, or a routing network in process.
 //
 // Everything is seeded and deterministic: the engine runs on a
 // virtual-time event queue per worker (arrivals, departures, churn),
 // so the same seed produces a byte-identical request stream regardless
-// of wall-clock scheduling, and requests are built from the engine's
-// own free-slot bookkeeping via internal/workload's admissibility
-// machinery — every rejection the server returns is a genuine blocking
-// event, never an inadmissible request.
+// of wall-clock scheduling or sink, and requests are built from the
+// engine's own free-slot bookkeeping via internal/workload's
+// admissibility machinery — every rejection the target returns is a
+// genuine blocking event, never an inadmissible request.
 //
 // On top of the engine, Sweep drives offered load in Erlang steps and
 // records per-load-point blocking probability with Wilson confidence
 // intervals plus the server's own phase attribution — the measured
 // P_block-vs-load curve whose shape the paper's Theorems 1 and 2 pin
-// at zero for m >= bound and release below it.
+// at zero for m >= bound and release below it. Offline runs the
+// in-process experiments: blocking vs m, seed spreads and the
+// empirical minimal m.
 package traffic
 
 import (

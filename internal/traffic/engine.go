@@ -11,9 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/obs/span"
 	"repro/internal/switchd/api"
-	"repro/internal/switchd/client"
 	"repro/internal/wdm"
 	"repro/internal/workload"
 )
@@ -47,8 +45,9 @@ type ChurnConfig struct {
 // max-rate closed loop (the legacy -attack behavior) paced by
 // TargetLive.
 type Config struct {
-	// Client is the typed /v1 client aimed at the target server.
-	Client *client.Client
+	// Sink is the target: a live server (NewClientSink) or a routing
+	// network in process (NewNetworkSink).
+	Sink Sink
 	// Seed drives every per-worker PRNG.
 	Seed int64
 	// Arrivals is the total connect-arrival budget across all workers
@@ -132,8 +131,8 @@ type Engine struct {
 // NewEngine validates the config, applies defaults, and returns a
 // runnable engine.
 func NewEngine(cfg Config) (*Engine, error) {
-	if cfg.Client == nil {
-		return nil, fmt.Errorf("traffic: Config.Client is required")
+	if cfg.Sink == nil {
+		return nil, fmt.Errorf("traffic: Config.Sink is required")
 	}
 	if cfg.Arrivals <= 0 {
 		cfg.Arrivals = 10000
@@ -175,7 +174,7 @@ func (e *Engine) Progress() *Progress { return &e.prog }
 // spent and every live session has been torn down.
 func (e *Engine) Run(ctx context.Context) (Report, error) {
 	cfg := e.cfg
-	status, err := cfg.Client.Status(ctx)
+	status, err := cfg.Sink.Shape(ctx)
 	if err != nil {
 		return Report{}, fmt.Errorf("traffic: fetching target status: %w", err)
 	}
@@ -256,7 +255,7 @@ type liveSession struct {
 // own PRNG, arrival process, and free-slot bookkeeping.
 type worker struct {
 	cfg    *Config
-	cl     *client.Client
+	sink   Sink
 	prog   *Progress
 	stats  Stats
 	log    *streamBuffer
@@ -275,12 +274,12 @@ type worker struct {
 func newWorker(cfg *Config, status api.Status, model wdm.Model, id int, lg *streamBuffer, prog *Progress) *worker {
 	w := &worker{
 		cfg:    cfg,
-		cl:     cfg.Client,
+		sink:   cfg.Sink,
 		prog:   prog,
 		stats:  newStats(),
 		log:    lg,
 		fabric: id / cfg.WorkersPerFabric,
-		rng:    rand.New(rand.NewSource(cfg.Seed + int64(id)*7919 + 1)),
+		rng:    rand.New(rand.NewSource(cfg.Seed + int64(id)*7919)),
 		model:  model,
 	}
 	part := id % cfg.WorkersPerFabric
@@ -289,7 +288,7 @@ func newWorker(cfg *Config, status api.Status, model wdm.Model, id int, lg *stre
 	}
 	w.freeSrc = NewSlotPool(w.ports, status.K)
 	w.freeDst = NewSlotPool(w.ports, status.K)
-	w.gen = workload.NewGenerator(cfg.Seed+int64(id)*7919, model, wdm.Dim{N: status.N, K: status.K})
+	w.gen = workload.NewGenerator(cfg.Seed+int64(id)*7919+1, model, wdm.Dim{N: status.N, K: status.K})
 	w.gen.SetFanout(cfg.Fanout)
 	if cfg.Hotspot.Fraction > 0 {
 		w.hot = make(map[wdm.Port]bool, cfg.Hotspot.Ports)
@@ -341,9 +340,9 @@ const (
 )
 
 // offer is the single request-generation path shared by every mode:
-// build one admissible connect from the worker's free slots, send it
-// with a traceparent, and account the answer. On success the session's
-// slots are taken and the session returned.
+// build one admissible connect from the worker's free slots, offer it
+// to the sink, and account the answer. On success the session's slots
+// are taken and the session returned.
 func (w *worker) offer(ctx context.Context) (offerOutcome, liveSession) {
 	conn, ok := w.gen.Connection(w.freeSrc.Slots(), w.destCandidates(), w.gen.Fanout(w.maxFanout()))
 	if !ok {
@@ -352,11 +351,14 @@ func (w *worker) offer(ctx context.Context) (offerOutcome, liveSession) {
 	}
 	w.stats.Connects++
 	w.stats.TotalFanout += len(conn.Dests)
+	stratum := w.stats.ByFanout[len(conn.Dests)]
+	stratum.Offered++
+	w.stats.ByFanout[len(conn.Dests)] = stratum
 	outcome, sess, fatal := w.admitConnection(ctx, conn, "connect")
 	switch {
 	case fatal:
 		return offerError, liveSession{}
-	case outcome == "ok":
+	case outcome == OK:
 		return offerRouted, sess
 	case outcome == api.CodeAdmissionFull:
 		w.stats.Rejected++
@@ -365,6 +367,8 @@ func (w *worker) offer(ctx context.Context) (offerOutcome, liveSession) {
 		return offerFailed, liveSession{}
 	case IsBlockedCode(outcome):
 		w.stats.Blocked++
+		stratum.Blocked++
+		w.stats.ByFanout[len(conn.Dests)] = stratum
 		return offerBlocked, liveSession{}
 	default:
 		w.stats.Err = fmt.Errorf("traffic: connect %s: unexpected error code %s", wdm.FormatConnection(conn), outcome)
@@ -372,51 +376,46 @@ func (w *worker) offer(ctx context.Context) (offerOutcome, liveSession) {
 	}
 }
 
-// admitConnection performs one traced connect-class request (a fresh
-// connect or a shrink re-admit), logs it under the given verb, and on
-// success takes the session's slots. It returns the outcome code and,
-// for "ok", the routed session; fatal means stats.Err is set.
+// admitConnection performs one connect-class request (a fresh connect
+// or a shrink re-admit), logs it under the given verb, and on success
+// takes the session's slots. It returns the outcome code and, for OK,
+// the routed session; fatal means stats.Err is set.
 func (w *worker) admitConnection(ctx context.Context, conn wdm.Connection, verb string) (outcome string, sess liveSession, fatal bool) {
-	tid := span.NewTraceID()
-	traceparent := span.FormatTraceparent(tid, span.NewSpanID(), span.FlagSampled)
 	connStr := wdm.FormatConnection(conn)
-	reqCtx := client.ContextWithTraceparent(ctx, traceparent)
-	var serverTiming string
-	reqCtx = client.ContextWithServerTiming(reqCtx, &serverTiming)
 	start := time.Now()
-	cr, err := w.cl.Connect(reqCtx, connStr, w.fabric)
+	r, err := w.sink.Connect(ctx, w.fabric, conn)
 	rtt := time.Since(start)
 	w.stats.Latencies = append(w.stats.Latencies, rtt)
-	if serverTiming != "" {
-		ParseServerTiming(serverTiming, w.stats.PhaseMs, w.stats.PhaseN)
+	if r.ServerTiming != "" {
+		ParseServerTiming(r.ServerTiming, w.stats.PhaseMs, w.stats.PhaseN)
 	}
-	outcome = "ok"
 	if err != nil {
-		if outcome = api.CodeOf(err); outcome == "" {
-			w.stats.Err = fmt.Errorf("traffic: %s %s: %w", verb, connStr, err)
-			return "", liveSession{}, true
-		}
+		w.stats.Err = fmt.Errorf("traffic: %s %s: %w", verb, connStr, err)
+		return "", liveSession{}, true
 	}
 	w.stats.Traces = append(w.stats.Traces, TraceRef{
-		TraceID: tid.String(), Outcome: outcome,
+		TraceID: r.TraceID, Outcome: r.Code,
 		Micros: rtt.Microseconds(), Conn: connStr,
 	})
-	w.stats.Outcomes[outcome]++
+	w.stats.Outcomes[r.Code]++
 	w.prog.offered.Add(1)
-	w.logf("%s %s -> %s\n", verb, connStr, outcome)
-	if outcome == "ok" {
+	w.logf("%s %s -> %s\n", verb, connStr, r.Code)
+	if r.Code == OK {
 		w.stats.Routed++
+		if r.Repacked {
+			w.stats.Repacked++
+		}
 		w.prog.routed.Add(1)
 		w.freeSrc.Take(conn.Source)
 		for _, d := range conn.Dests {
 			w.freeDst.Take(d)
 		}
-		return outcome, liveSession{id: cr.Session, conn: conn}, false
+		return OK, liveSession{id: r.Session, conn: conn}, false
 	}
-	if IsBlockedCode(outcome) {
+	if IsBlockedCode(r.Code) {
 		w.prog.blocked.Add(1)
 	}
-	return outcome, liveSession{}, false
+	return r.Code, liveSession{}, false
 }
 
 // IsBlockedCode reports whether a stable code is the fabric's blocked
@@ -433,22 +432,34 @@ func IsBlockedCode(code string) bool {
 // disconnect tears one session down and frees its slots. not_found
 // means chaos dropped it server-side; the slots are free either way.
 func (w *worker) disconnect(ctx context.Context, s liveSession) bool {
-	_, err := w.cl.Disconnect(ctx, s.id)
+	code, err := w.sink.Disconnect(ctx, s.id)
 	switch {
-	case err == nil:
+	case err != nil:
+		w.stats.Err = fmt.Errorf("traffic: disconnect session %d: %w", s.id, err)
+		return false
+	case code == OK:
 		w.stats.Disconnects++
-	case api.IsCode(err, api.CodeNotFound):
+	case code == api.CodeNotFound:
 		w.stats.Lost++
 	default:
-		w.stats.Err = fmt.Errorf("traffic: disconnect session %d: %w", s.id, err)
+		w.stats.Err = fmt.Errorf("traffic: disconnect session %d: unexpected error code %s", s.id, code)
 		return false
 	}
 	w.freeSrc.Put(s.conn.Source)
 	for _, d := range s.conn.Dests {
 		w.freeDst.Put(d)
 	}
-	w.logf("disconnect %s\n", wdm.FormatConnection(s.conn))
+	if w.log != nil {
+		w.logf("disconnect %s\n", wdm.FormatConnection(s.conn))
+	}
 	return true
+}
+
+// noteLive records the worker's live-session count after an admit.
+func (w *worker) noteLive(n int) {
+	if n > w.stats.PeakLive {
+		w.stats.PeakLive = n
+	}
 }
 
 func (w *worker) logf(format string, args ...any) {
@@ -479,6 +490,7 @@ func (w *worker) runMaxRate(ctx context.Context, attempts int) {
 		switch outcome {
 		case offerRouted:
 			live = append(live, sess)
+			w.noteLive(len(live))
 		case offerBlocked:
 			// Counted; the closed loop simply moves on.
 		case offerStarved:
@@ -580,6 +592,7 @@ func (w *worker) runErlang(ctx context.Context, arrivals int) {
 		key := nextKey
 		nextKey++
 		live[key] = sess
+		w.noteLive(len(live))
 		push(now+hold.Sample(w.rng), evDeparture, key)
 		scheduleChurn(key, now)
 	}
@@ -678,32 +691,28 @@ func (w *worker) churnGrow(ctx context.Context, sess liveSession, now float64) (
 	}
 	w.stats.Branches++
 	w.prog.offered.Add(1)
-	_, err := w.cl.Branch(ctx, sess.id, wdm.FormatSlot(slot))
+	code, err := w.sink.Branch(ctx, sess.id, slot)
 	switch {
-	case err == nil:
+	case err != nil:
+		w.stats.Err = fmt.Errorf("traffic: branch session %d: %w", sess.id, err)
+		return sess, true
+	case code == OK:
 		w.prog.routed.Add(1)
 		w.freeDst.Take(slot)
 		sess.conn.Dests = append(sess.conn.Dests, slot)
 		sess.conn = sess.conn.Normalize()
 		w.logf("t=%.6f branch %s += %s -> ok\n", now, wdm.FormatConnection(sess.conn), wdm.FormatSlot(slot))
-		return sess, false
-	case client.IsBlocked(err):
+	case IsBlockedCode(code):
 		w.stats.BranchBlocked++
 		w.prog.blocked.Add(1)
-		w.logf("t=%.6f branch %s += %s -> %s\n", now, wdm.FormatConnection(sess.conn), wdm.FormatSlot(slot), api.CodeOf(err))
-		return sess, false
-	case api.IsCode(err, api.CodeNotFound):
+		w.logf("t=%.6f branch %s += %s -> %s\n", now, wdm.FormatConnection(sess.conn), wdm.FormatSlot(slot), code)
+	case code == api.CodeNotFound:
 		w.stats.Lost++
-		return sess, false
 	default:
-		if code := api.CodeOf(err); code != "" {
-			// Transient server-side refusal (draining, storage): skip.
-			w.logf("t=%.6f branch %s -> %s\n", now, wdm.FormatConnection(sess.conn), code)
-			return sess, false
-		}
-		w.stats.Err = fmt.Errorf("traffic: branch session %d: %w", sess.id, err)
-		return sess, true
+		// Transient server-side refusal (draining, storage): skip.
+		w.logf("t=%.6f branch %s -> %s\n", now, wdm.FormatConnection(sess.conn), code)
 	}
+	return sess, false
 }
 
 // churnShrink partially tears a session down: disconnect, then

@@ -52,7 +52,7 @@ func newTestServer(t *testing.T, m, x, replicas int) (*switchd.Controller, *http
 func TestErlangModeAtBound(t *testing.T) {
 	ctl, srv := newTestServer(t, 0, 0, 1)
 	eng, err := traffic.NewEngine(traffic.Config{
-		Client:           client.New(srv.URL, client.WithHTTPClient(srv.Client())),
+		Sink:             traffic.NewClientSink(client.New(srv.URL, client.WithHTTPClient(srv.Client()))),
 		Seed:             7,
 		Arrivals:         1200,
 		WorkersPerFabric: 2,
@@ -96,7 +96,7 @@ func TestErlangModeAtBound(t *testing.T) {
 func TestMaxRateModeAtBound(t *testing.T) {
 	ctl, srv := newTestServer(t, 0, 0, 1)
 	eng, err := traffic.NewEngine(traffic.Config{
-		Client:           client.New(srv.URL, client.WithHTTPClient(srv.Client())),
+		Sink:             traffic.NewClientSink(client.New(srv.URL, client.WithHTTPClient(srv.Client()))),
 		Seed:             11,
 		Arrivals:         500,
 		WorkersPerFabric: 2,
@@ -128,7 +128,7 @@ func TestMaxRateModeAtBound(t *testing.T) {
 func TestBlockingBelowBound(t *testing.T) {
 	_, srv := newTestServer(t, 3, 1, 1)
 	eng, err := traffic.NewEngine(traffic.Config{
-		Client:           client.New(srv.URL, client.WithHTTPClient(srv.Client())),
+		Sink:             traffic.NewClientSink(client.New(srv.URL, client.WithHTTPClient(srv.Client()))),
 		Seed:             7,
 		Arrivals:         2000,
 		WorkersPerFabric: 2,
@@ -171,7 +171,7 @@ func TestDeterministicStream(t *testing.T) {
 		_, srv := newTestServer(t, 0, 0, 1)
 		var buf bytes.Buffer
 		eng, err := traffic.NewEngine(traffic.Config{
-			Client:           client.New(srv.URL, client.WithHTTPClient(srv.Client())),
+			Sink:             traffic.NewClientSink(client.New(srv.URL, client.WithHTTPClient(srv.Client()))),
 			Seed:             42,
 			Arrivals:         400,
 			WorkersPerFabric: 2,
@@ -217,7 +217,7 @@ func TestSweepAtBound(t *testing.T) {
 	_, srv := newTestServer(t, 0, 0, 1)
 	curves, err := traffic.Sweep(context.Background(), traffic.SweepConfig{
 		Engine: traffic.Config{
-			Client:           client.New(srv.URL, client.WithHTTPClient(srv.Client())),
+			Sink:             traffic.NewClientSink(client.New(srv.URL, client.WithHTTPClient(srv.Client()))),
 			Seed:             7,
 			Arrivals:         600,
 			WorkersPerFabric: 2,
@@ -275,5 +275,46 @@ func TestSweepAtBound(t *testing.T) {
 	}
 	if curves.Hotspot.Fraction != 0.2 || curves.Hotspot.Ports != 2 {
 		t.Errorf("recorded hotspot %+v, want {0.2 2}", curves.Hotspot)
+	}
+}
+
+// TestSinksAgree: one engine, two sinks. The same one-worker Erlang
+// run against a live server and against a bare network of the same
+// parameters must offer the same stream and draw the same answers —
+// the HTTP path adds latency, never a different outcome.
+func TestSinksAgree(t *testing.T) {
+	for _, m := range []int{3, 0} {
+		_, srv := newTestServer(t, m, 1, 1)
+		p := multistage.Params{N: 16, K: 2, R: 4, M: m, X: 1, Model: wdm.MSW, Construction: multistage.MSWDominant, Lite: true}
+		net, err := multistage.New(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(sink traffic.Sink) (traffic.Stats, string) {
+			var log bytes.Buffer
+			eng, err := traffic.NewEngine(traffic.Config{
+				Sink: sink, Seed: 3, Arrivals: 600, Erlangs: 8, MaxFanout: 8,
+				Churn: traffic.ChurnConfig{Rate: 0.3}, StreamLog: &log,
+			})
+			if err != nil {
+				t.Fatalf("NewEngine: %v", err)
+			}
+			rep, err := eng.Run(context.Background())
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			return rep.Stats, log.String()
+		}
+		live, liveLog := run(traffic.NewClientSink(client.New(srv.URL, client.WithHTTPClient(srv.Client()))))
+		local, localLog := run(traffic.NewNetworkSink(net, net.Params()))
+		if liveLog != localLog {
+			t.Fatalf("m=%d: the sinks drew different streams (%d vs %d bytes)", m, len(liveLog), len(localLog))
+		}
+		if live.Offered() != local.Offered() || live.BlockedTotal() != local.BlockedTotal() || live.Routed != local.Routed {
+			t.Errorf("m=%d: live %d/%d blocked, in process %d/%d", m, live.BlockedTotal(), live.Offered(), local.BlockedTotal(), local.Offered())
+		}
+		if m == 3 && local.BlockedTotal() == 0 {
+			t.Errorf("m=3 run never blocked; the comparison is vacuous")
+		}
 	}
 }

@@ -6,8 +6,8 @@ import (
 	"repro/internal/wdm"
 )
 
-// SlotPool is a worker-local free-slot pool: the loadgen twin of the
-// simulator's slot bookkeeping, over a port subset. Take and Put are
+// SlotPool is a worker-local free-slot pool over a port subset: the
+// engine's only record of which slots its requests hold. Take and Put are
 // O(1) (swap-delete against a position index) and panic on double
 // take/free — a pool inconsistency means the closed loop lost track of
 // a session, which would silently turn admissible requests into

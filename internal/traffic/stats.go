@@ -72,8 +72,16 @@ type Stats struct {
 	Lost int `json:"lost,omitempty"`
 
 	// TotalFanout sums offered connect fanouts (mean = TotalFanout /
-	// Connects).
-	TotalFanout int `json:"total_fanout,omitempty"`
+	// Connects); ByFanout splits the offered and blocked connects by
+	// fanout, since wide multicasts block first.
+	TotalFanout int                 `json:"total_fanout,omitempty"`
+	ByFanout    map[int]FanoutStats `json:"by_fanout,omitempty"`
+
+	// PeakLive is the most sessions one worker held at once; Repacked
+	// counts connects the target admitted only by rearranging live
+	// sessions (NewRepackSink).
+	PeakLive int `json:"peak_live,omitempty"`
+	Repacked int `json:"repacked,omitempty"`
 
 	// Outcomes tallies every connect-class request by result: "ok" or
 	// the stable api error code.
@@ -92,8 +100,15 @@ type Stats struct {
 	Err error `json:"-"`
 }
 
+// FanoutStats is one fanout's slice of a run's connects.
+type FanoutStats struct {
+	Offered int
+	Blocked int
+}
+
 func newStats() Stats {
 	return Stats{
+		ByFanout: map[int]FanoutStats{},
 		Outcomes: map[string]int{},
 		PhaseMs:  map[string]float64{},
 		PhaseN:   map[string]int{},
@@ -129,6 +144,14 @@ func (s *Stats) merge(src Stats) {
 	s.Unoffered += src.Unoffered
 	s.Lost += src.Lost
 	s.TotalFanout += src.TotalFanout
+	for f, fs := range src.ByFanout {
+		acc := s.ByFanout[f]
+		acc.Offered += fs.Offered
+		acc.Blocked += fs.Blocked
+		s.ByFanout[f] = acc
+	}
+	s.PeakLive = max(s.PeakLive, src.PeakLive)
+	s.Repacked += src.Repacked
 	for code, n := range src.Outcomes {
 		s.Outcomes[code] += n
 	}
@@ -195,10 +218,12 @@ func WilsonInterval(successes, n int, z float64) (lo, hi float64) {
 	center := (p + z*z/(2*nf)) / denom
 	half := z * math.Sqrt(p*(1-p)/nf+z*z/(4*nf*nf)) / denom
 	lo, hi = center-half, center+half
-	if lo < 0 {
+	// At p = 0 (p = 1) the bound is exactly 0 (1); center and half agree
+	// only to rounding there.
+	if lo < 0 || successes == 0 {
 		lo = 0
 	}
-	if hi > 1 {
+	if hi > 1 || successes == n {
 		hi = 1
 	}
 	return lo, hi

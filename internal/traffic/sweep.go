@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/analytic"
 	"repro/internal/switchd/api"
-	"repro/internal/switchd/client"
 )
 
 // SweepConfig drives offered load through a sequence of Erlang steps.
@@ -118,10 +117,10 @@ func (c Curves) MaxPBlock() float64 {
 
 // Sweep runs the engine once per load point and assembles the curve.
 // Between points every session has been torn down (the engine drains),
-// so points are independent measurements. While each point runs, a
-// self-reporter posts the offered Erlangs and running block rate to
-// the target once a second, so the sweep is visible in the server's
-// gauges and in wdmtop's fleet view.
+// so points are independent measurements. While each point runs
+// against a live target, a self-reporter posts the offered Erlangs and
+// running block rate to it once a second, so the sweep is visible in
+// the server's gauges and in wdmtop's fleet view.
 func Sweep(ctx context.Context, cfg SweepConfig) (Curves, error) {
 	if len(cfg.Points) == 0 {
 		return Curves{}, fmt.Errorf("traffic: sweep needs at least one load point")
@@ -167,7 +166,9 @@ func Sweep(ctx context.Context, cfg SweepConfig) (Curves, error) {
 		repDone := make(chan struct{})
 		go func() {
 			defer close(repDone)
-			ReportLoop(repCtx, ecfg.Client, eng.Progress(), erl)
+			if r, ok := ecfg.Sink.(LoadReporter); ok {
+				ReportLoop(repCtx, r, eng.Progress(), erl)
+			}
 		}()
 		rep, err := eng.Run(ctx)
 		stopReport()
@@ -210,13 +211,19 @@ func Sweep(ctx context.Context, cfg SweepConfig) (Curves, error) {
 	return curves, nil
 }
 
-// ReportLoop posts the generator's live rates to the target (POST
-// /v1/loadgen) once a second until ctx is done: offered/achieved
-// requests per second over the last tick, plus the configured offered
-// Erlangs and the cumulative block rate. Report failures are ignored —
-// the target may be unreachable mid-chaos, and result accounting never
-// depends on the reports landing.
-func ReportLoop(ctx context.Context, cl *client.Client, prog *Progress, erlangs float64) {
+// LoadReporter is a target that takes the generator's live rates (POST
+// /v1/loadgen): the typed client and the client sink.
+type LoadReporter interface {
+	ReportLoad(ctx context.Context, rep api.LoadgenReport) error
+}
+
+// ReportLoop posts the generator's live rates to the target once a
+// second until ctx is done: offered/achieved requests per second over
+// the last tick, plus the configured offered Erlangs and the cumulative
+// block rate. Report failures are ignored — the target may be
+// unreachable mid-chaos, and result accounting never depends on the
+// reports landing.
+func ReportLoop(ctx context.Context, cl LoadReporter, prog *Progress, erlangs float64) {
 	tick := time.NewTicker(time.Second)
 	defer tick.Stop()
 	lastOffered, lastRouted := int64(0), int64(0)
