@@ -196,8 +196,30 @@ func BenchmarkCrossbarRouting(b *testing.B) {
 
 // BenchmarkMultistageRouting measures end-to-end three-stage routing
 // throughput (greedy Lemma 4 middle-stage selection included) for both
-// constructions.
+// constructions. Into an empty network the first candidate middle
+// always covers every destination module, so the loaded sub-benchmark
+// routes into one at the ladder's multicast-bound shape (N=1024, k=4,
+// r=32, MSW at the Theorem 1 bound, ~60% of output slots busy), where
+// the greedy cover scans and rejects real candidates.
 func BenchmarkMultistageRouting(b *testing.B) {
+	b.Run("loaded", func(b *testing.B) {
+		fanouts := make([]int, 64)
+		for i := range fanouts {
+			fanouts[i] = 1 + i%32
+		}
+		net, probes := loadedMulticastBound(b, fanouts...)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			id, err := net.Add(probes[i%len(probes)])
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := net.Release(id); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	for _, constr := range []multistage.Construction{multistage.MSWDominant, multistage.MAWDominant} {
 		b.Run(constr.String(), func(b *testing.B) {
 			net, err := multistage.New(multistage.Params{
@@ -225,6 +247,56 @@ func BenchmarkMultistageRouting(b *testing.B) {
 			}
 		})
 	}
+}
+
+// loadedMulticastBound fills about 60% of the output slots of a
+// multicast-bound-shaped network (N=1024, k=4, r=32, MSW at the
+// Theorem 1 bound) with seeded multicasts of fanout 1..32 and returns it
+// with one free multicast per entry of fanouts, each routable from that
+// state. Their destinations come in random order, as clients send them.
+func loadedMulticastBound(tb testing.TB, fanouts ...int) (*multistage.Network, []wdm.Connection) {
+	tb.Helper()
+	const n, k, r = 1024, 4, 32
+	net, err := multistage.New(multistage.Params{N: n, K: k, R: r, Model: wdm.MSW, Lite: true})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	srcBusy, dstBusy := make([]bool, n*k), make([]bool, n*k)
+	draw := func(fanout int) wdm.Connection {
+		for {
+			src := wdm.PortWave{Port: wdm.Port(rng.Intn(n)), Wave: wdm.Wavelength(rng.Intn(k))}
+			if srcBusy[src.Index(k)] {
+				continue
+			}
+			c := wdm.Connection{Source: src}
+			seen := map[wdm.Port]bool{}
+			for len(c.Dests) < fanout {
+				d := wdm.PortWave{Port: wdm.Port(rng.Intn(n)), Wave: src.Wave}
+				if !seen[d.Port] && !dstBusy[d.Index(k)] {
+					seen[d.Port] = true
+					c.Dests = append(c.Dests, d)
+				}
+			}
+			return c
+		}
+	}
+	for busy := 0; busy < n*k*6/10; {
+		c := draw(1 + rng.Intn(32))
+		if _, err := net.Add(c); err != nil {
+			tb.Fatalf("preload at the bound: %v", err)
+		}
+		srcBusy[c.Source.Index(k)] = true
+		for _, d := range c.Dests {
+			dstBusy[d.Index(k)] = true
+		}
+		busy += c.Fanout()
+	}
+	probes := make([]wdm.Connection, len(fanouts))
+	for i, f := range fanouts {
+		probes[i] = draw(f)
+	}
+	return net, probes
 }
 
 // BenchmarkOpticalPropagation measures signal propagation through a fully

@@ -1,10 +1,6 @@
 package multistage
 
-import (
-	"fmt"
-
-	"repro/internal/wdm"
-)
+import "repro/internal/wdm"
 
 // AWG-Clos routing (arXiv 1308.4477's passive-crosspoint construction,
 // adapted to this repository's module geometry). The middle stage is
@@ -31,111 +27,15 @@ import (
 // the generic blocked class: the conflict is the AWG constraint at
 // work, and clients distinguishing the two can respond differently
 // (e.g. re-request under a different source slot).
+//
+// The middle search for this construction is coverAWG (route.go), which
+// Add and Explain share with the greedy cover.
 
 // awgWave returns the class wavelength the passive middle stage forces
 // for the (input module a, output module p) pair.
 func (net *Network) awgWave(a, p int) wdm.Wavelength {
 	k := net.params.K
 	return wdm.Wavelength(((p-a)%k + k) % k)
-}
-
-// addAWG routes a connection under the AWG-Clos construction: one
-// middle per destination module, each leg on its forced class
-// wavelength. Called by Add with the admissibility checks done.
-func (net *Network) addAWG(c wdm.Connection, srcMod int, srcLocal wdm.Port,
-	destsByMod map[int][]wdm.PortWave, fanMods []int) (int, error) {
-
-	if len(fanMods) > net.params.X {
-		net.blockedCount++
-		return 0, &BlockedError{
-			Detail: fmt.Sprintf("AWG-Clos: %d destination modules need %d middles, split limit x=%d",
-				len(fanMods), len(fanMods), net.params.X),
-			Report: net.blockReport("add", c, srcMod, -1, nil, fanMods, 0),
-		}
-	}
-
-	assign := make(map[int][]int, len(fanMods))
-	plan := &wavePlan{
-		in:  make(map[int]wdm.Wavelength, len(fanMods)),
-		out: make(map[[2]int]wdm.Wavelength, len(fanMods)),
-	}
-	for i, p := range fanMods {
-		w := net.awgWave(srcMod, p)
-		found := -1
-		for j := range net.midMods {
-			if net.failedMid[j] {
-				continue
-			}
-			if _, taken := assign[j]; taken {
-				continue // already carries another leg of this connection
-			}
-			if net.inLink[srcMod][j][w] != freeLink || net.outLink[j][p][w] != freeLink {
-				continue
-			}
-			found = j
-			break
-		}
-		if found < 0 {
-			net.blockedCount++
-			return 0, &BlockedError{
-				Code: CodeWavelengthConflict,
-				Detail: fmt.Sprintf("AWG-Clos: no middle with class wavelength λ%d free on both %d->mid and mid->%d (λ = (dest-src) mod k)",
-					w, srcMod, p),
-				Report: net.blockReport("add", c, srcMod, w, assign, fanMods[i:], i),
-			}
-		}
-		net.observeSelected(i, found, int(w), []int{p})
-		assign[found] = []int{p}
-		plan.in[found] = w
-		plan.out[[2]int{found, p}] = w
-	}
-
-	id, err := net.commit(c, srcMod, srcLocal, destsByMod, assign, -1, plan)
-	if err != nil {
-		net.blockedCount++
-		return 0, err
-	}
-	net.routedCount++
-	return id, nil
-}
-
-// explainAWG mirrors addAWG's per-destination middle scan for Explain's
-// dry run: one round per destination module, the class wavelength as
-// the only candidate on both hops.
-func (net *Network) explainAWG(ex *Explanation) {
-	for j := range net.midMods {
-		if net.failedMid[j] {
-			ex.Unavailable = append(ex.Unavailable, j)
-		} else {
-			ex.Available = append(ex.Available, j)
-		}
-	}
-	taken := make(map[int]bool, len(ex.DestMods))
-	for _, p := range ex.DestMods {
-		if len(ex.Rounds) >= net.params.X {
-			ex.Residual = append(ex.Residual, p)
-			continue
-		}
-		w := net.awgWave(ex.SourceMod, p)
-		found := -1
-		for j := range net.midMods {
-			if net.failedMid[j] || taken[j] {
-				continue
-			}
-			if net.inLink[ex.SourceMod][j][w] != freeLink || net.outLink[j][p][w] != freeLink {
-				continue
-			}
-			found = j
-			break
-		}
-		if found < 0 {
-			ex.Residual = append(ex.Residual, p)
-			continue
-		}
-		taken[found] = true
-		ex.Rounds = append(ex.Rounds, Candidate{Middle: found, Serves: []int{p}, Chosen: true})
-	}
-	ex.Routable = len(ex.Residual) == 0
 }
 
 // diagnoseAWGMiddle classifies middle module j for a blocked AWG-Clos
@@ -149,8 +49,8 @@ func (net *Network) diagnoseAWGMiddle(md MiddleDiag, srcMod int, uncovered []int
 	inBusyAll := true
 	for _, p := range uncovered {
 		w := net.awgWave(srcMod, p)
-		inBusy := net.inLink[srcMod][j][w] != freeLink
-		outBusy := net.outLink[j][p][w] != freeLink
+		inBusy := net.inLink.link(srcMod, j)[w] != freeLink
+		outBusy := net.outLink.link(j, p)[w] != freeLink
 		if inBusy {
 			md.WavesTried = append(md.WavesTried, int(w))
 		}

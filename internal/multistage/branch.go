@@ -3,7 +3,7 @@ package multistage
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/wdm"
 )
@@ -26,11 +26,11 @@ import (
 // re-added with the enlarged destination set. When the grow fails, the
 // original connection is restored by replaying its recorded route — the
 // exact middle modules, link wavelengths and module sub-connections it
-// held before the release — rather than by re-routing it. Replay does
-// not consult the router, so restoration cannot block no matter how the
-// rest of the network has churned since the connection first routed,
-// how far m sits below the sufficient bound, or which middle modules
-// have since failed.
+// held before the release, which Release leaves in the record — rather
+// than by re-routing it. Replay does not consult the router, so
+// restoration cannot block no matter how the rest of the network has
+// churned since the connection first routed, how far m sits below the
+// sufficient bound, or which middle modules have since failed.
 func (net *Network) AddBranch(id int, dests ...wdm.PortWave) error {
 	rc, ok := net.conns[id]
 	if !ok {
@@ -39,10 +39,7 @@ func (net *Network) AddBranch(id int, dests ...wdm.PortWave) error {
 	if len(dests) == 0 {
 		return nil
 	}
-	old := rc.snapshot()
-	grown := rc.conn.Clone()
-	grown.Dests = append(grown.Dests, dests...)
-	grown = grown.Normalize()
+	grown := wdm.Connection{Source: rc.conn.Source, Dests: append(slices.Clip(rc.conn.Dests), dests...)}.Normalize()
 
 	// Reject inadmissible grows before touching any routing state.
 	// Shape.CheckConnection covers range, duplicate output ports (both
@@ -52,10 +49,8 @@ func (net *Network) AddBranch(id int, dests ...wdm.PortWave) error {
 	if err := net.Shape().CheckConnection(net.params.Model, grown); err != nil {
 		return err
 	}
-	for _, d := range dests {
-		if owner, busy := net.dstBusy[d]; busy {
-			return fmt.Errorf("multistage: destination slot %v already used by connection %d", d, owner)
-		}
+	if err := net.destsFree(dests); err != nil {
+		return err
 	}
 
 	// Stats() counts logical operations: a successful grow is not a new
@@ -73,7 +68,7 @@ func (net *Network) AddBranch(id int, dests ...wdm.PortWave) error {
 		net.routedCount, net.blockedCount = routed0, blocked0
 		return nil
 	}
-	if rerr := net.reinstall(id, old); rerr != nil {
+	if rerr := net.reinstall(id, rc); rerr != nil {
 		// Unreachable by construction: the release just freed every
 		// resource the replay claims. Surface the corruption instead of
 		// leaving the caller without its connection silently.
@@ -89,148 +84,34 @@ func (net *Network) AddBranch(id int, dests ...wdm.PortWave) error {
 	return err
 }
 
-// snapshot deep-copies a connection's routing record so it can be
-// replayed after a release. Module-level sub-connection ids are not
-// copied: they die with the release and reinstall assigns fresh ones.
-func (rc *routed) snapshot() *routed {
-	cp := &routed{
-		conn:     rc.conn.Clone(),
-		srcMod:   rc.srcMod,
-		inConnID: -1,
-		midConn:  make(map[int]int, len(rc.midConn)),
-		outConn:  make(map[int]int, len(rc.outConn)),
-		inWave:   make(map[int]wdm.Wavelength, len(rc.inWave)),
-		outWave:  make(map[[2]int]wdm.Wavelength, len(rc.outWave)),
-	}
-	for j, w := range rc.inWave {
-		cp.inWave[j] = w
-	}
-	for jp, w := range rc.outWave {
-		cp.outWave[jp] = w
-	}
-	return cp
-}
-
 // reinstall re-materializes a released route exactly as recorded,
 // registering it under the given id: same middle modules, same link
 // wavelengths, same per-module sub-connections. Unlike Add it performs
 // no routing search, so it succeeds whenever the recorded resources are
 // free — which they are immediately after the route is released,
 // regardless of network churn or middle-module failures since the
-// original routing. It is AddBranch's restore path.
+// original routing. It is AddBranch's restore path and Reinstall's.
 func (net *Network) reinstall(id int, rc *routed) error {
 	if _, clash := net.conns[id]; clash {
 		return fmt.Errorf("multistage: reinstall: id %d already live", id)
 	}
-	srcMod := rc.srcMod
-	_, srcLocal := net.splitPort(rc.conn.Source.Port)
-
 	// Every recorded link claim must be free before anything is touched;
 	// a conflict means the route was never fully released.
-	for j, w := range rc.inWave {
-		if net.inLink[srcMod][j][w] != freeLink {
-			return fmt.Errorf("multistage: reinstall: link %d->mid%d λ%d not free", srcMod, j, w)
+	for _, leg := range rc.legs {
+		if net.inLink.link(rc.srcMod, leg.Middle)[leg.Wave] != freeLink {
+			return fmt.Errorf("multistage: reinstall: link %d->mid%d λ%d not free", rc.srcMod, leg.Middle, leg.Wave)
 		}
 	}
-	for jp, w := range rc.outWave {
-		if net.outLink[jp[0]][jp[1]][w] != freeLink {
-			return fmt.Errorf("multistage: reinstall: link mid%d->%d λ%d not free", jp[0], jp[1], w)
+	for _, hop := range rc.hops {
+		if net.outLink.link(hop.Middle, hop.Out)[hop.Wave] != freeLink {
+			return fmt.Errorf("multistage: reinstall: link mid%d->%d λ%d not free", hop.Middle, hop.Out, hop.Wave)
 		}
 	}
-
-	middles := make([]int, 0, len(rc.inWave))
-	for j := range rc.inWave {
-		middles = append(middles, j)
+	for _, leg := range rc.legs {
+		net.claim(net.inLink.link(rc.srcMod, leg.Middle), leg.Wave, id)
 	}
-	sort.Ints(middles)
-
-	serve := make(map[int][]int, len(middles)) // middle j -> output modules
-	for jp := range rc.outWave {
-		serve[jp[0]] = append(serve[jp[0]], jp[1])
+	for _, hop := range rc.hops {
+		net.claim(net.outLink.link(hop.Middle, hop.Out), hop.Wave, id)
 	}
-	for j := range serve {
-		sort.Ints(serve[j])
-	}
-
-	destsByMod := make(map[int][]wdm.PortWave)
-	for _, d := range rc.conn.Dests {
-		p, local := net.splitPort(d.Port)
-		destsByMod[p] = append(destsByMod[p], wdm.PortWave{Port: local, Wave: d.Wave})
-	}
-
-	rollback := func() {
-		if rc.inConnID >= 0 {
-			_ = net.inMods[srcMod].Release(rc.inConnID)
-			rc.inConnID = -1
-		}
-		for j, cid := range rc.midConn {
-			_ = net.midMods[j].Release(cid)
-			delete(rc.midConn, j)
-		}
-		for p, cid := range rc.outConn {
-			_ = net.outMods[p].Release(cid)
-			delete(rc.outConn, p)
-		}
-		for j, w := range rc.inWave {
-			net.free(net.inLink[srcMod][j], w)
-		}
-		for jp, w := range rc.outWave {
-			net.free(net.outLink[jp[0]][jp[1]], w)
-		}
-	}
-
-	// Re-claim the recorded link wavelengths, then re-install the module
-	// sub-connections they carried.
-	for j, w := range rc.inWave {
-		net.claim(net.inLink[srcMod][j], w, id)
-	}
-	for jp, w := range rc.outWave {
-		net.claim(net.outLink[jp[0]][jp[1]], w, id)
-	}
-
-	inConn := wdm.Connection{Source: wdm.PortWave{Port: srcLocal, Wave: rc.conn.Source.Wave}}
-	for _, j := range middles {
-		inConn.Dests = append(inConn.Dests, wdm.PortWave{Port: wdm.Port(j), Wave: rc.inWave[j]})
-	}
-	cid, err := net.inMods[srcMod].Add(inConn)
-	if err != nil {
-		rollback()
-		return fmt.Errorf("multistage: reinstall: input module %d rejected %v: %w", srcMod, inConn, err)
-	}
-	rc.inConnID = cid
-
-	for _, j := range middles {
-		mc := wdm.Connection{Source: wdm.PortWave{Port: wdm.Port(srcMod), Wave: rc.inWave[j]}}
-		for _, p := range serve[j] {
-			mc.Dests = append(mc.Dests, wdm.PortWave{Port: wdm.Port(p), Wave: rc.outWave[[2]int{j, p}]})
-		}
-		cid, err := net.midMods[j].Add(mc)
-		if err != nil {
-			rollback()
-			return fmt.Errorf("multistage: reinstall: middle module %d rejected %v: %w", j, mc, err)
-		}
-		rc.midConn[j] = cid
-	}
-
-	for _, j := range middles {
-		for _, p := range serve[j] {
-			oc := wdm.Connection{
-				Source: wdm.PortWave{Port: wdm.Port(j), Wave: rc.outWave[[2]int{j, p}]},
-				Dests:  destsByMod[p],
-			}
-			cid, err := net.outMods[p].Add(oc)
-			if err != nil {
-				rollback()
-				return fmt.Errorf("multistage: reinstall: output module %d rejected %v: %w", p, oc, err)
-			}
-			rc.outConn[p] = cid
-		}
-	}
-
-	net.conns[id] = rc
-	net.srcBusy[rc.conn.Source] = id
-	for _, d := range rc.conn.Dests {
-		net.dstBusy[d] = id
-	}
-	return nil
+	return net.install(id, rc, "reinstall")
 }

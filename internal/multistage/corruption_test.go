@@ -24,11 +24,11 @@ func corruptibleNetwork(t *testing.T) *Network {
 func TestVerifyDetectsLeakedLink(t *testing.T) {
 	net := corruptibleNetwork(t)
 	// Mark an unused link wavelength as held by a phantom connection.
-	for j := range net.outLink {
-		for p := range net.outLink[j] {
-			for w, v := range net.outLink[j][p] {
+	for j := range net.outLink.xs {
+		for p := range net.outLink.ys {
+			for w, v := range net.outLink.link(j, p) {
 				if v == freeLink {
-					net.outLink[j][p][w] = 999
+					net.outLink.link(j, p)[w] = 999
 					err := net.Verify()
 					if err == nil || !strings.Contains(err.Error(), "leaked") {
 						t.Fatalf("leaked link not detected: %v", err)
@@ -44,11 +44,11 @@ func TestVerifyDetectsLeakedLink(t *testing.T) {
 func TestVerifyDetectsStolenLink(t *testing.T) {
 	net := corruptibleNetwork(t)
 	// Reassign a held link wavelength to the wrong connection id.
-	for j := range net.outLink {
-		for p := range net.outLink[j] {
-			for w, v := range net.outLink[j][p] {
+	for j := range net.outLink.xs {
+		for p := range net.outLink.ys {
+			for w, v := range net.outLink.link(j, p) {
 				if v != freeLink {
-					net.outLink[j][p][w] = v + 1000
+					net.outLink.link(j, p)[w] = v + 1000
 					err := net.Verify()
 					if err == nil || !strings.Contains(err.Error(), "holds") {
 						t.Fatalf("stolen link not detected: %v", err)
@@ -59,6 +59,22 @@ func TestVerifyDetectsStolenLink(t *testing.T) {
 		}
 	}
 	t.Fatal("no held link found to corrupt")
+}
+
+func TestVerifyDetectsLeakedSlot(t *testing.T) {
+	net := corruptibleNetwork(t)
+	// Mark a free destination slot as held by a phantom connection.
+	for slot, id := range net.dstBusy {
+		if id == freeSlot {
+			net.dstBusy[slot] = 999
+			err := net.Verify()
+			if err == nil || !strings.Contains(err.Error(), "leaked") {
+				t.Fatalf("leaked slot not detected: %v", err)
+			}
+			return
+		}
+	}
+	t.Fatal("no free slot found to corrupt")
 }
 
 func TestVerifyDetectsModuleFault(t *testing.T) {
@@ -113,8 +129,8 @@ func TestVerifyDetectsLostSubConnection(t *testing.T) {
 	net := corruptibleNetwork(t)
 	// Release a middle-module sub-connection behind the router's back.
 	for id, rc := range net.conns {
-		for j, cid := range rc.midConn {
-			if err := net.midMods[j].Release(cid); err != nil {
+		for i, cid := range rc.midConn {
+			if err := net.midMods[rc.legs[i].Middle].Release(cid); err != nil {
 				t.Fatal(err)
 			}
 			err := net.Verify()

@@ -22,13 +22,13 @@ func (net *Network) DumpState(w io.Writer) error {
 	if failed := net.FailedMiddles(); len(failed) > 0 {
 		fmt.Fprintf(w, "failed middles: %v\n", failed)
 	}
-	dumpLinks := func(title, rowLabel string, links [][][]int) {
+	dumpLinks := func(title, rowLabel string, l links) {
 		fmt.Fprintf(w, "%s (rows: %s, cols: far end; cell: one char per wavelength)\n", title, rowLabel)
-		for a := range links {
+		for a := range l.xs {
 			var b strings.Builder
 			fmt.Fprintf(&b, "  %2d: ", a)
-			for j := range links[a] {
-				for _, v := range links[a][j] {
+			for j := range l.ys {
+				for _, v := range l.link(a, j) {
 					if v == freeLink {
 						b.WriteByte('.')
 					} else {
@@ -51,11 +51,7 @@ func (net *Network) DumpState(w io.Writer) error {
 	fmt.Fprintf(w, "live connections (%d):\n", len(ids))
 	for _, id := range ids {
 		rc := net.conns[id]
-		mids := make([]int, 0, len(rc.midConn))
-		for j := range rc.midConn {
-			mids = append(mids, j)
-		}
-		sort.Ints(mids)
+		mids, _ := net.MiddlesUsed(id)
 		fmt.Fprintf(w, "  %3d: %v via middles %v\n", id, rc.conn, mids)
 	}
 	u := net.Utilization()
@@ -101,14 +97,14 @@ func (net *Network) WriteDOT(w io.Writer) error {
 		}
 		return n
 	}
-	for a := range net.inLink {
-		for j := range net.inLink[a] {
-			fmt.Fprintf(w, "  in%d -> mid%d [label=\"%d/%d\"];\n", a, j, busy(net.inLink[a][j]), p.K)
+	for a := range net.inLink.xs {
+		for j := range net.inLink.ys {
+			fmt.Fprintf(w, "  in%d -> mid%d [label=\"%d/%d\"];\n", a, j, busy(net.inLink.link(a, j)), p.K)
 		}
 	}
-	for j := range net.outLink {
-		for pOut := range net.outLink[j] {
-			fmt.Fprintf(w, "  mid%d -> out%d [label=\"%d/%d\"];\n", j, pOut, busy(net.outLink[j][pOut]), p.K)
+	for j := range net.outLink.xs {
+		for pOut := range net.outLink.ys {
+			fmt.Fprintf(w, "  mid%d -> out%d [label=\"%d/%d\"];\n", j, pOut, busy(net.outLink.link(j, pOut)), p.K)
 		}
 	}
 	_, err := fmt.Fprintln(w, "}")

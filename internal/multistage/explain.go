@@ -2,7 +2,7 @@ package multistage
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/wdm"
@@ -12,7 +12,7 @@ import (
 // selection loop for a particular request.
 type Candidate struct {
 	Middle  int
-	Blocked []int // requested output modules this middle cannot reach
+	Blocked []int // modules of the round's residual this middle cannot reach: those left uncovered after it
 	Serves  []int // modules it was assigned (empty if not chosen)
 	Chosen  bool
 }
@@ -38,98 +38,46 @@ type Explanation struct {
 // against the current network state. The request is not installed. It
 // returns an error only for inadmissible requests (model violation or
 // busy slots); a blocked request yields Routable=false with the
-// uncovered modules listed.
+// uncovered modules listed. The search is the one Add runs
+// (selectMiddles), so the rounds and residual are Add's.
 func (net *Network) Explain(c wdm.Connection) (*Explanation, error) {
-	if err := net.Shape().CheckConnection(net.params.Model, c); err != nil {
+	if err := net.admit(c); err != nil {
 		return nil, err
-	}
-	if id, busy := net.srcBusy[c.Source]; busy {
-		return nil, fmt.Errorf("multistage: source slot %v already used by connection %d", c.Source, id)
-	}
-	for _, d := range c.Dests {
-		if id, busy := net.dstBusy[d]; busy {
-			return nil, fmt.Errorf("multistage: destination slot %v already used by connection %d", d, id)
-		}
 	}
 	c = c.Normalize()
 	srcMod, _ := net.splitPort(c.Source.Port)
-
-	destMods := map[int]bool{}
-	for _, d := range c.Dests {
-		p, _ := net.splitPort(d.Port)
-		destMods[p] = true
-	}
+	fanMods := net.destModules(c)
 	ex := &Explanation{
 		Request:     c,
 		SourceMod:   srcMod,
-		LastHopWave: -1,
+		DestMods:    slices.Clone(fanMods),
+		LastHopWave: net.lastHopWave(c.Source.Wave),
 	}
-	for p := range destMods {
-		ex.DestMods = append(ex.DestMods, p)
-	}
-	sort.Ints(ex.DestMods)
-	if net.params.Construction == MSWDominant || net.params.Model == wdm.MSW {
-		ex.LastHopWave = c.Source.Wave
-	}
-	if net.params.Construction == AWGClos {
-		net.explainAWG(ex)
-		return ex, nil
-	}
+	cv := net.selectMiddles(srcMod, c.Source.Wave, ex.LastHopWave, fanMods)
 
-	ex.Available = net.availableMiddles(srcMod, c.Source.Wave)
-	availSet := map[int]bool{}
-	for _, j := range ex.Available {
-		availSet[j] = true
+	// The search removes each chosen middle from the available list;
+	// put them back to report what was available at the start.
+	ex.Available = append([]int(nil), cv.avail...)
+	residual := ex.DestMods
+	for _, rd := range cv.rounds {
+		cand := Candidate{Middle: rd.middle, Serves: slices.Clone(rd.serves), Chosen: true}
+		for _, p := range residual {
+			if !slices.Contains(rd.serves, p) {
+				cand.Blocked = append(cand.Blocked, p)
+			}
+		}
+		residual = cand.Blocked
+		ex.Rounds = append(ex.Rounds, cand)
+		ex.Available = append(ex.Available, rd.middle)
 	}
+	slices.Sort(ex.Available)
 	for j := range net.midMods {
-		if !availSet[j] {
+		if !slices.Contains(ex.Available, j) {
 			ex.Unavailable = append(ex.Unavailable, j)
 		}
 	}
-
-	// Mirror Add's selection loop (kept in sync by
-	// TestExplainMatchesAdd), recording every candidate examined.
-	avail := append([]int(nil), ex.Available...)
-	residual := append([]int(nil), ex.DestMods...)
-	used := 0
-	for len(residual) > 0 && used < net.params.X && len(avail) > 0 {
-		bestIdx := -1
-		var bestCand Candidate
-		var bestResidual []int
-		for idx, j := range avail {
-			cand := Candidate{Middle: j}
-			var serve []int
-			for _, p := range residual {
-				if net.middleBlocked(j, p, ex.LastHopWave) {
-					cand.Blocked = append(cand.Blocked, p)
-				} else {
-					serve = append(serve, p)
-				}
-			}
-			if net.params.Strategy == FirstFit {
-				if len(serve) > 0 {
-					bestIdx, bestCand, bestResidual = idx, cand, cand.Blocked
-					bestCand.Serves = serve
-					break
-				}
-				continue
-			}
-			if bestIdx == -1 || len(cand.Blocked) < len(bestResidual) {
-				bestIdx, bestCand, bestResidual = idx, cand, cand.Blocked
-				bestCand.Serves = serve
-			}
-		}
-		if bestIdx == -1 || len(bestCand.Serves) == 0 {
-			break
-		}
-		bestCand.Chosen = true
-		ex.Rounds = append(ex.Rounds, bestCand)
-		residual = bestResidual
-		avail = append(avail[:bestIdx], avail[bestIdx+1:]...)
-		used++
-	}
-	ex.Routable = len(residual) == 0
-	ex.Residual = residual
+	ex.Residual = append([]int(nil), cv.residual...)
+	ex.Routable = len(cv.residual) == 0
 	return ex, nil
 }
 

@@ -2,6 +2,7 @@ package multistage
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,15 +12,32 @@ import (
 
 // TestExplainMatchesAdd is the drift guard between the dry-run
 // explanation and the real router: on a long random workload against an
-// undersized network, Explain's verdict must always agree with what Add
-// then does, and for routable requests the chosen middles must carry the
-// connection exactly as predicted.
+// undersized network of each Clos construction, Explain's verdict must
+// always agree with what Add then does. For routable requests the
+// chosen middles must carry the connection exactly as predicted; for
+// blocked ones the rounds and residual must be those of Add's report.
 func TestExplainMatchesAdd(t *testing.T) {
-	net := mustNetwork(t, Params{
-		N: 16, K: 2, R: 4, M: 4, X: 2, Model: wdm.MSW, Lite: true,
-	})
-	d := wdm.Dim{N: 16, K: 2}
-	gen := workload.NewGenerator(12, wdm.MSW, d)
+	for _, tc := range []struct {
+		name  string
+		model wdm.Model
+		con   Construction
+	}{
+		{"msw", wdm.MSW, MSWDominant},
+		{"maw", wdm.MAW, MAWDominant},
+		{"awg", wdm.MAW, AWGClos},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			explainMatchesAdd(t, Params{
+				N: 16, K: 2, R: 4, M: 4, X: 2, Model: tc.model, Construction: tc.con, Lite: true,
+			})
+		})
+	}
+}
+
+func explainMatchesAdd(t *testing.T, p Params) {
+	net := mustNetwork(t, p)
+	d := wdm.Dim{N: p.N, K: p.K}
+	gen := workload.NewGenerator(12, p.Model, d)
 	rng := rand.New(rand.NewSource(13))
 
 	freeSrc, freeDst := allSlots(d), allSlots(d)
@@ -28,7 +46,7 @@ func TestExplainMatchesAdd(t *testing.T) {
 		conn wdm.Connection
 	}
 	var held []live
-	checked := 0
+	checked, blocked := 0, 0
 	for i := 0; i < 800; i++ {
 		if len(held) > 0 && rng.Intn(3) == 0 {
 			v := held[0]
@@ -55,11 +73,11 @@ func TestExplainMatchesAdd(t *testing.T) {
 			}
 			// The middles predicted must be exactly the ones carrying it.
 			rc := net.conns[id]
-			if len(rc.midConn) != len(ex.Rounds) {
-				t.Fatalf("step %d: predicted %d middles, used %d", i, len(ex.Rounds), len(rc.midConn))
+			if len(rc.legs) != len(ex.Rounds) {
+				t.Fatalf("step %d: predicted %d middles, used %d", i, len(ex.Rounds), len(rc.legs))
 			}
 			for _, cand := range ex.Rounds {
-				if _, used := rc.midConn[cand.Middle]; !used {
+				if _, used := rc.leg(cand.Middle); !used {
 					t.Fatalf("step %d: predicted middle %d unused", i, cand.Middle)
 				}
 			}
@@ -72,14 +90,58 @@ func TestExplainMatchesAdd(t *testing.T) {
 			if ex.Routable {
 				t.Fatalf("step %d: Explain said routable, Add blocked %v\n%s", i, c, ex)
 			}
+			rep, _ := AsBlockReport(err)
+			explainAgreesWithReport(t, ex, rep)
+			blocked++
 		default:
 			t.Fatalf("step %d: %v", i, err)
 		}
 		checked++
 	}
-	if checked < 400 {
-		t.Fatalf("only %d requests exercised", checked)
+	if checked < 400 || blocked == 0 {
+		t.Fatalf("only %d requests exercised, %d blocked", checked, blocked)
 	}
+}
+
+// explainAgreesWithReport asserts that a blocked explanation chose the
+// rounds and left the residual that Add's block report records.
+func explainAgreesWithReport(t *testing.T, ex *Explanation, rep *BlockReport) {
+	t.Helper()
+	if len(ex.Rounds) != rep.SplitsUsed || !slices.Equal(ex.Residual, rep.Uncovered) {
+		t.Fatalf("Explain chose %d middles leaving %v; Add used %d splits leaving %v\n%s%s",
+			len(ex.Rounds), ex.Residual, rep.SplitsUsed, rep.Uncovered, ex, rep)
+	}
+	for _, cand := range ex.Rounds {
+		md := rep.Middles[cand.Middle]
+		if md.State != MiddleSelected || !slices.Equal(md.Serves, cand.Serves) {
+			t.Fatalf("Explain chose middle %d for %v; Add's report has it %s serving %v\n%s%s",
+				cand.Middle, cand.Serves, md.State, md.Serves, ex, rep)
+		}
+	}
+}
+
+// TestExplainAWGSplitLimit: an AWG-Clos middle serves one destination
+// module, so a request to more modules than X blocks before any middle
+// is chosen. Explain once kept its own copy of the AWG search and
+// reported two middles chosen with one module left over, where Add
+// blocked with no split used and every module uncovered.
+func TestExplainAWGSplitLimit(t *testing.T) {
+	net := mustNetwork(t, Params{N: 16, K: 2, R: 4, X: 2, Model: wdm.MAW, Construction: AWGClos, Lite: true})
+	c := conn(pw(0, 0), pw(1, 0), pw(5, 1), pw(9, 0)) // output modules 0, 1, 2
+	ex, err := net.Explain(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = net.Add(c)
+	rep, ok := AsBlockReport(err)
+	if !ok {
+		t.Fatalf("Add = %v, want a blocked request with a report", err)
+	}
+	if ex.Routable || rep.SplitsUsed != 0 || !slices.Equal(rep.Uncovered, []int{0, 1, 2}) {
+		t.Fatalf("routable=%v, report used %d splits leaving %v; want a block with no split and all three modules left",
+			ex.Routable, rep.SplitsUsed, rep.Uncovered)
+	}
+	explainAgreesWithReport(t, ex, rep)
 }
 
 func TestExplainDoesNotMutate(t *testing.T) {

@@ -20,9 +20,6 @@ func (net *Network) FailMiddle(j int) error {
 	if j < 0 || j >= len(net.midMods) {
 		return fmt.Errorf("multistage: no middle module %d", j)
 	}
-	if net.failedMid == nil {
-		net.failedMid = make(map[int]bool)
-	}
 	net.failedMid[j] = true
 	return nil
 }
@@ -32,17 +29,18 @@ func (net *Network) RepairMiddle(j int) error {
 	if j < 0 || j >= len(net.midMods) {
 		return fmt.Errorf("multistage: no middle module %d", j)
 	}
-	delete(net.failedMid, j)
+	net.failedMid[j] = false
 	return nil
 }
 
 // FailedMiddles lists the currently failed middle modules in order.
 func (net *Network) FailedMiddles() []int {
-	out := make([]int, 0, len(net.failedMid))
-	for j := range net.failedMid {
-		out = append(out, j)
+	out := []int{}
+	for j, failed := range net.failedMid {
+		if failed {
+			out = append(out, j)
+		}
 	}
-	sort.Ints(out)
 	return out
 }
 
@@ -51,7 +49,7 @@ func (net *Network) FailedMiddles() []int {
 func (net *Network) AffectedBy(j int) []int {
 	var out []int
 	for id, rc := range net.conns {
-		if _, uses := rc.midConn[j]; uses {
+		if _, uses := rc.leg(j); uses {
 			out = append(out, id)
 		}
 	}
@@ -67,11 +65,10 @@ func (net *Network) MiddlesUsed(id int) ([]int, bool) {
 	if !ok {
 		return nil, false
 	}
-	out := make([]int, 0, len(rc.midConn))
-	for j := range rc.midConn {
-		out = append(out, j)
+	out := make([]int, len(rc.legs))
+	for i, leg := range rc.legs {
+		out[i] = leg.Middle
 	}
-	sort.Ints(out)
 	return out, true
 }
 

@@ -14,7 +14,7 @@ func TestFailMiddleExcludedFromRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := mustAdd(t, net, conn(pw(0, 0), pw(2, 0)))
-	if _, uses := net.conns[id].midConn[0]; uses {
+	if _, uses := net.conns[id].leg(0); uses {
 		t.Error("connection routed through a failed middle module")
 	}
 	if got := net.FailedMiddles(); len(got) != 1 || got[0] != 0 {

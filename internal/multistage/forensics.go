@@ -172,12 +172,11 @@ func AsBlockReport(err error) (*BlockReport, bool) {
 }
 
 // blockReport assembles the forensic account of a blocking event from
-// the router's state at the failure point. assign holds the middles the
-// selection loop had already chosen (nil when none were available at
-// all), residual the output modules left uncovered, used the splits
-// committed.
+// the router's state at the failure point. rounds holds the middles the
+// search had already chosen, residual the output modules left
+// uncovered.
 func (net *Network) blockReport(op string, c wdm.Connection, srcMod int,
-	lastHopWave wdm.Wavelength, assign map[int][]int, residual []int, used int) *BlockReport {
+	lastHopWave wdm.Wavelength, rounds []pick, residual []int) *BlockReport {
 
 	r := &BlockReport{
 		Op:          op,
@@ -186,31 +185,32 @@ func (net *Network) blockReport(op string, c wdm.Connection, srcMod int,
 		SrcWave:     int(c.Source.Wave),
 		LastHopWave: int(lastHopWave),
 		X:           net.params.X,
-		SplitsUsed:  used,
+		SplitsUsed:  len(rounds),
 		Uncovered:   append([]int(nil), residual...),
 		Utilization: net.Utilization(),
 	}
 	sort.Ints(r.Uncovered)
 	for j := range net.midMods {
-		r.Middles = append(r.Middles, net.diagnoseMiddle(j, c.Source.Wave, srcMod, lastHopWave, assign, r.Uncovered))
+		r.Middles = append(r.Middles, net.diagnoseMiddle(j, c.Source.Wave, srcMod, lastHopWave, rounds, r.Uncovered))
 	}
 	return r
 }
 
 // diagnoseMiddle classifies middle module j for a blocked request.
 func (net *Network) diagnoseMiddle(j int, srcWave wdm.Wavelength, srcMod int,
-	lastHopWave wdm.Wavelength, assign map[int][]int, uncovered []int) MiddleDiag {
+	lastHopWave wdm.Wavelength, rounds []pick, uncovered []int) MiddleDiag {
 
 	md := MiddleDiag{Middle: j}
 	if net.failedMid[j] {
 		md.State = MiddleFailed
 		return md
 	}
-	if serves, chosen := assign[j]; chosen {
-		md.State = MiddleSelected
-		md.Serves = append([]int(nil), serves...)
-		sort.Ints(md.Serves)
-		return md
+	for _, rd := range rounds {
+		if rd.middle == j {
+			md.State = MiddleSelected
+			md.Serves = append([]int(nil), rd.serves...)
+			return md
+		}
 	}
 	if net.params.Construction == AWGClos {
 		return net.diagnoseAWGMiddle(md, srcMod, uncovered)
@@ -244,7 +244,7 @@ func (net *Network) diagnoseMiddle(j int, srcWave wdm.Wavelength, srcMod int,
 // try on the link srcMod->j and whether any of them is free — the
 // availableMiddles test, with the evidence kept.
 func (net *Network) inLinkCandidates(a, j int, srcWave wdm.Wavelength) (tried []int, free bool) {
-	link := net.inLink[a][j]
+	link := net.inLink.link(a, j)
 	if net.params.Construction == MSWDominant {
 		// Wavelength-locked first two stages: only the connection's own
 		// wavelength is a candidate.
@@ -271,7 +271,7 @@ func (net *Network) inLinkCandidates(a, j int, srcWave wdm.Wavelength) (tried []
 // outLinkBusyWaves lists the candidate wavelengths on the link j->p
 // that middleBlocked found occupied.
 func (net *Network) outLinkBusyWaves(j, p int, needWave wdm.Wavelength) []int {
-	link := net.outLink[j][p]
+	link := net.outLink.link(j, p)
 	if net.params.ConservativeLinks && net.params.Construction == MAWDominant {
 		var busy []int
 		for w, v := range link {

@@ -1,7 +1,9 @@
 package multistage
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/crossbar"
 	"repro/internal/wdm"
@@ -271,21 +273,65 @@ var (
 	_ module = (*Network)(nil)
 )
 
-// routed records how one network connection is realized across modules.
+// routed records how one network connection is realized across modules:
+// the route RouteRecord exports, plus the module sub-connection ids.
 type routed struct {
-	conn wdm.Connection
-	// Module-level connection ids.
-	inConnID int // in input module srcMod
+	conn     wdm.Connection // normalized
 	srcMod   int
-	midConn  map[int]int // middle module j -> module connection id
-	outConn  map[int]int // output module p -> module connection id
-	// Link wavelengths occupied.
-	inWave  map[int]wdm.Wavelength    // middle j -> wavelength on link srcMod->j
-	outWave map[[2]int]wdm.Wavelength // (j, p) -> wavelength on link j->p
+	inConnID int        // sub-connection id in input module srcMod
+	legs     []RouteLeg // input-stage link claims, ascending by middle
+	hops     []RouteHop // output-stage link claims, ascending by middle, then output module
+	midConn  []int      // midConn[i]: sub-connection id in middle module legs[i].Middle
+	outConn  []int      // outConn[i]: sub-connection id in output module hops[i].Out
+}
+
+// newRouted allocates the record of a route with the given leg and hop
+// counts; install fills in the module sub-connection ids.
+func newRouted(c wdm.Connection, srcMod, legs, hops int) *routed {
+	ids := make([]int, legs+hops)
+	return &routed{
+		conn:     c,
+		srcMod:   srcMod,
+		inConnID: -1,
+		legs:     make([]RouteLeg, 0, legs),
+		hops:     make([]RouteHop, 0, hops),
+		midConn:  ids[:legs:legs],
+		outConn:  ids[legs:],
+	}
+}
+
+// leg returns the wavelength the route claims on the link to middle j.
+func (rc *routed) leg(j int) (wdm.Wavelength, bool) {
+	i, ok := slices.BinarySearchFunc(rc.legs, RouteLeg{Middle: j}, compareLegs)
+	if !ok {
+		return 0, false
+	}
+	return rc.legs[i].Wave, true
+}
+
+// hop returns the wavelength the route claims on the link j->p.
+func (rc *routed) hop(j, p int) (wdm.Wavelength, bool) {
+	i, ok := slices.BinarySearchFunc(rc.hops, RouteHop{Middle: j, Out: p}, compareHops)
+	if !ok {
+		return 0, false
+	}
+	return rc.hops[i].Wave, true
+}
+
+// compareLegs and compareHops order a route's link claims by link:
+// legs by middle, hops by middle, then output module.
+func compareLegs(a, b RouteLeg) int { return cmp.Compare(a.Middle, b.Middle) }
+
+func compareHops(a, b RouteHop) int {
+	if c := cmp.Compare(a.Middle, b.Middle); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Out, b.Out)
 }
 
 // Network is a live three-stage WDM multicast switching network.
-// It is not safe for concurrent use.
+// It is not safe for concurrent use, Explain included: the dry run
+// shares the route search's scratch space with Add.
 type Network struct {
 	params Params
 	nPorts int // ports per outer module (the paper's n)
@@ -295,18 +341,24 @@ type Network struct {
 	outMods []*crossbar.Switch // r modules, shape m x n
 
 	// Link occupancy: connection id or freeLink.
-	inLink  [][][]int // [r][m][k]: input module a -> middle j, wavelength w
-	outLink [][][]int // [m][r][k]: middle j -> output module p, wavelength w
+	inLink  links // r x m: input module a -> middle j
+	outLink links // m x r: middle j -> output module p
 	// waveUse[w] counts claimed link wavelengths per plane (for the
 	// MostUsed/LeastUsed wavelength-assignment policies).
 	waveUse []int
 
-	conns   map[int]*routed
-	nextID  int
-	srcBusy map[wdm.PortWave]int
-	dstBusy map[wdm.PortWave]int
-	// failedMid marks middle modules out of service (see failure.go).
-	failedMid map[int]bool
+	conns  map[int]*routed
+	nextID int
+	// srcBusy and dstBusy map each of the N·k input and output slots
+	// (indexed by PortWave.Index) to the connection holding it, or
+	// freeSlot.
+	srcBusy []int
+	dstBusy []int
+	// failedMid[j] marks middle module j out of service (see failure.go).
+	failedMid []bool
+
+	// scratch is the working set of the route search (see route.go).
+	scratch routeScratch
 
 	// Stats.
 	routedCount  int64
@@ -317,7 +369,10 @@ type Network struct {
 	observer func(RouteStep)
 }
 
-const freeLink = -1
+const (
+	freeLink = -1 // an unoccupied link wavelength in inLink/outLink
+	freeSlot = -1 // an unoccupied port slot in srcBusy/dstBusy
+)
 
 // New builds a three-stage network from the (normalized) parameters.
 func New(p Params) (*Network, error) {
@@ -336,11 +391,13 @@ func New(p Params) (*Network, error) {
 	s12 := p.Construction.Stage12Model()
 	mid := p.Construction.MiddleModel()
 	net := &Network{
-		params:  p,
-		nPorts:  n,
-		conns:   make(map[int]*routed),
-		srcBusy: make(map[wdm.PortWave]int),
-		dstBusy: make(map[wdm.PortWave]int),
+		params:    p,
+		nPorts:    n,
+		conns:     make(map[int]*routed),
+		srcBusy:   filled(p.N*k, freeSlot),
+		dstBusy:   filled(p.N*k, freeSlot),
+		failedMid: make([]bool, m),
+		scratch:   newRouteScratch(n, r, m),
 	}
 	for a := 0; a < r; a++ {
 		net.inMods = append(net.inMods, mk(s12, n, m))
@@ -372,25 +429,39 @@ func New(p Params) (*Network, error) {
 		}
 		net.midMods = append(net.midMods, mk(mid, r, r))
 	}
-	net.inLink = makeLinks(r, m, k)
-	net.outLink = makeLinks(m, r, k)
+	net.inLink = newLinks(r, m, k)
+	net.outLink = newLinks(m, r, k)
 	net.waveUse = make([]int, k)
 	return net, nil
 }
 
-func makeLinks(a, b, k int) [][][]int {
-	l := make([][][]int, a)
-	for i := range l {
-		l[i] = make([][]int, b)
-		for j := range l[i] {
-			row := make([]int, k)
-			for w := range row {
-				row[w] = freeLink
-			}
-			l[i][j] = row
-		}
+// filled returns n cells set to v.
+func filled(n, v int) []int {
+	s := make([]int, n)
+	for i := range s {
+		s[i] = v
 	}
-	return l
+	return s
+}
+
+// links is the wavelength occupancy of the links between two stages:
+// link(x, y)[w] holds the connection carried on wavelength w of the
+// link from module x to module y, or freeLink. The cells are one flat
+// array; a slice per link would add about 300 KB of slice headers to a
+// 1024-port network at the Theorem 1 bound.
+type links struct {
+	xs, ys, k int
+	cells     []int
+}
+
+func newLinks(xs, ys, k int) links {
+	return links{xs: xs, ys: ys, k: k, cells: filled(xs*ys*k, freeLink)}
+}
+
+// link returns the k wavelength cells of the link x->y.
+func (l links) link(x, y int) []int {
+	i := (x*l.ys + y) * l.k
+	return l.cells[i : i+l.k : i+l.k]
 }
 
 // Params returns the normalized parameters the network was built with.
@@ -445,10 +516,10 @@ type Utilization struct {
 func (net *Network) Utilization() Utilization {
 	var u Utilization
 	inBusy, inTotal := 0, 0
-	for a := range net.inLink {
-		for j := range net.inLink[a] {
+	for a := range net.inLink.xs {
+		for j := range net.inLink.ys {
 			busy := 0
-			for _, v := range net.inLink[a][j] {
+			for _, v := range net.inLink.link(a, j) {
 				inTotal++
 				if v != freeLink {
 					inBusy++
@@ -461,10 +532,10 @@ func (net *Network) Utilization() Utilization {
 		}
 	}
 	outBusy, outTotal := 0, 0
-	for j := range net.outLink {
-		for p := range net.outLink[j] {
+	for j := range net.outLink.xs {
+		for p := range net.outLink.ys {
 			busy := 0
-			for _, v := range net.outLink[j][p] {
+			for _, v := range net.outLink.link(j, p) {
 				outTotal++
 				if v != freeLink {
 					outBusy++

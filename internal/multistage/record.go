@@ -2,7 +2,7 @@ package multistage
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/wdm"
 )
@@ -54,21 +54,7 @@ func (net *Network) RouteRecord(id int) (RouteRecord, bool) {
 	if !ok {
 		return RouteRecord{}, false
 	}
-	rec := RouteRecord{Conn: wdm.FormatConnection(rc.conn)}
-	for j, w := range rc.inWave {
-		rec.In = append(rec.In, RouteLeg{Middle: j, Wave: w})
-	}
-	sort.Slice(rec.In, func(a, b int) bool { return rec.In[a].Middle < rec.In[b].Middle })
-	for jp, w := range rc.outWave {
-		rec.Out = append(rec.Out, RouteHop{Middle: jp[0], Out: jp[1], Wave: w})
-	}
-	sort.Slice(rec.Out, func(a, b int) bool {
-		if rec.Out[a].Middle != rec.Out[b].Middle {
-			return rec.Out[a].Middle < rec.Out[b].Middle
-		}
-		return rec.Out[a].Out < rec.Out[b].Out
-	})
-	return rec, true
+	return RouteRecord{Conn: wdm.FormatConnection(rc.conn), In: slices.Clone(rc.legs), Out: slices.Clone(rc.hops)}, true
 }
 
 // decode converts the record back into the internal routing form,
@@ -83,39 +69,36 @@ func (rec RouteRecord) decode(net *Network) (*routed, error) {
 		return nil, fmt.Errorf("multistage: route record %q: %w", rec.Conn, err)
 	}
 	srcMod, _ := net.splitPort(conn.Source.Port)
-	rc := &routed{
-		conn:     conn,
-		srcMod:   srcMod,
-		inConnID: -1,
-		midConn:  make(map[int]int, len(rec.In)),
-		outConn:  make(map[int]int, len(rec.Out)),
-		inWave:   make(map[int]wdm.Wavelength, len(rec.In)),
-		outWave:  make(map[[2]int]wdm.Wavelength, len(rec.Out)),
-	}
+	rc := newRouted(conn, srcMod, len(rec.In), len(rec.Out))
 	for _, leg := range rec.In {
 		if leg.Middle < 0 || leg.Middle >= len(net.midMods) || int(leg.Wave) < 0 || int(leg.Wave) >= net.params.K {
 			return nil, fmt.Errorf("multistage: route record %q: input leg %+v out of range", rec.Conn, leg)
 		}
-		if _, dup := rc.inWave[leg.Middle]; dup {
-			return nil, fmt.Errorf("multistage: route record %q: duplicate input leg for middle %d", rec.Conn, leg.Middle)
+	}
+	rc.legs = append(rc.legs, rec.In...)
+	slices.SortFunc(rc.legs, compareLegs)
+	for i := 1; i < len(rc.legs); i++ {
+		if rc.legs[i].Middle == rc.legs[i-1].Middle {
+			return nil, fmt.Errorf("multistage: route record %q: duplicate input leg for middle %d", rec.Conn, rc.legs[i].Middle)
 		}
-		rc.inWave[leg.Middle] = leg.Wave
 	}
 	for _, hop := range rec.Out {
 		if hop.Middle < 0 || hop.Middle >= len(net.midMods) || hop.Out < 0 || hop.Out >= net.params.R ||
 			int(hop.Wave) < 0 || int(hop.Wave) >= net.params.K {
 			return nil, fmt.Errorf("multistage: route record %q: output hop %+v out of range", rec.Conn, hop)
 		}
-		key := [2]int{hop.Middle, hop.Out}
-		if _, dup := rc.outWave[key]; dup {
-			return nil, fmt.Errorf("multistage: route record %q: duplicate output hop %v", rec.Conn, key)
+	}
+	rc.hops = append(rc.hops, rec.Out...)
+	slices.SortFunc(rc.hops, compareHops)
+	for i, hop := range rc.hops {
+		if i > 0 && hop.Middle == rc.hops[i-1].Middle && hop.Out == rc.hops[i-1].Out {
+			return nil, fmt.Errorf("multistage: route record %q: duplicate output hop %v", rec.Conn, [2]int{hop.Middle, hop.Out})
 		}
-		if _, have := rc.inWave[hop.Middle]; !have {
+		if _, rides := rc.leg(hop.Middle); !rides {
 			return nil, fmt.Errorf("multistage: route record %q: output hop rides middle %d with no input leg", rec.Conn, hop.Middle)
 		}
-		rc.outWave[key] = hop.Wave
 	}
-	if len(rc.inWave) == 0 {
+	if len(rc.legs) == 0 {
 		return nil, fmt.Errorf("multistage: route record %q: no input legs", rec.Conn)
 	}
 	return rc, nil
@@ -133,11 +116,12 @@ func (net *Network) Reinstall(rec RouteRecord) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if owner, busy := net.srcBusy[rc.conn.Source]; busy {
+	k := net.params.K
+	if owner := net.srcBusy[rc.conn.Source.Index(k)]; owner != freeSlot {
 		return 0, fmt.Errorf("multistage: reinstall %q: source slot used by connection %d", rec.Conn, owner)
 	}
 	for _, d := range rc.conn.Dests {
-		if owner, busy := net.dstBusy[d]; busy {
+		if owner := net.dstBusy[d.Index(k)]; owner != freeSlot {
 			return 0, fmt.Errorf("multistage: reinstall %q: destination slot %v used by connection %d", rec.Conn, d, owner)
 		}
 	}

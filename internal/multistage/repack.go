@@ -49,15 +49,16 @@ func (net *Network) AddWithRepack(c wdm.Connection) (int, bool, error) {
 		return existing[a].id < existing[b].id
 	})
 
-	// Plan on a scratch network with identical routing parameters. The
-	// router is deterministic, so a plan that succeeds here succeeds
-	// identically on the live network.
+	// Plan on a scratch network with identical routing parameters and
+	// the same middles out of service. The router is deterministic, so a
+	// plan that succeeds here succeeds identically on the live network.
 	scratchParams := net.params
 	scratchParams.Lite = true
 	scratch, err := New(scratchParams)
 	if err != nil {
 		return 0, false, fmt.Errorf("multistage: repack planning: %w", err)
 	}
+	copy(scratch.failedMid, net.failedMid)
 	if _, err := scratch.Add(c); err != nil {
 		return 0, false, blockErr
 	}
@@ -98,14 +99,11 @@ func (net *Network) remapID(from, to int) {
 	}
 	delete(net.conns, from)
 	net.conns[to] = rc
-	net.srcBusy[rc.conn.Source] = to
-	for _, d := range rc.conn.Dests {
-		net.dstBusy[d] = to
+	net.setSlots(rc.conn, to)
+	for _, leg := range rc.legs {
+		net.inLink.link(rc.srcMod, leg.Middle)[leg.Wave] = to
 	}
-	for j, w := range rc.inWave {
-		net.inLink[rc.srcMod][j][w] = to
-	}
-	for jp, w := range rc.outWave {
-		net.outLink[jp[0]][jp[1]][w] = to
+	for _, hop := range rc.hops {
+		net.outLink.link(hop.Middle, hop.Out)[hop.Wave] = to
 	}
 }

@@ -150,6 +150,28 @@ func TestRepackFailureLeavesStateUntouched(t *testing.T) {
 	}
 }
 
+// TestRepackPlansAroundFailedMiddles: the rearrangement plan must see
+// the live network's failed middles, or a plan that needs one succeeds
+// on the scratch network and then blocks while being applied. Here the
+// plan routes the request through middle 0 and moves A to middle 1,
+// which is out of service; AddWithRepack must report the block and
+// leave A in place.
+func TestRepackPlansAroundFailedMiddles(t *testing.T) {
+	net := mustNetwork(t, Params{N: 4, K: 1, R: 2, M: 2, X: 1, Model: wdm.MSW, Lite: true})
+	if err := net.FailMiddle(1); err != nil {
+		t.Fatal(err)
+	}
+	idA := mustAdd(t, net, conn(pw(0, 0), pw(2, 0)))
+	_, did, err := net.AddWithRepack(conn(pw(1, 0), pw(3, 0)))
+	if !IsBlocked(err) || did {
+		t.Fatalf("want a block with no rearrangement, got did=%v err=%v", did, err)
+	}
+	if got, ok := net.MiddlesUsed(idA); !ok || len(got) != 1 || got[0] != 0 {
+		t.Fatalf("connection A rides %v (live %v), want middle 0", got, ok)
+	}
+	mustVerify(t, net)
+}
+
 // TestRepackPlainSuccessPassesThrough: when Add succeeds directly,
 // AddWithRepack must not rearrange.
 func TestRepackPlainSuccessPassesThrough(t *testing.T) {

@@ -1,8 +1,10 @@
 package multistage
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/wdm"
@@ -14,6 +16,9 @@ import (
 // simulation experiments assert exactly that.
 var ErrBlocked = errors.New("multistage: connection blocked")
 
+// anyWave marks a link whose wavelength the policy may pick freely.
+const anyWave = wdm.Wavelength(-1)
+
 // Add routes a multicast connection through the three stages using the
 // paper's routing strategy: the connection may use at most X middle-stage
 // modules (Lemma 4 / Corollary 1). Middle modules are chosen greedily by
@@ -24,119 +29,28 @@ var ErrBlocked = errors.New("multistage: connection blocked")
 // most X middle modules covers the destination set; other errors indicate
 // an inadmissible request (model violation or busy slot).
 func (net *Network) Add(c wdm.Connection) (int, error) {
-	sh := net.Shape()
-	if err := sh.CheckConnection(net.params.Model, c); err != nil {
+	if err := net.admit(c); err != nil {
 		return 0, err
 	}
-	if id, busy := net.srcBusy[c.Source]; busy {
-		return 0, fmt.Errorf("multistage: source slot %v already used by connection %d", c.Source, id)
-	}
-	for _, d := range c.Dests {
-		if id, busy := net.dstBusy[d]; busy {
-			return 0, fmt.Errorf("multistage: destination slot %v already used by connection %d", d, id)
-		}
-	}
 	c = c.Normalize()
-
-	srcMod, srcLocal := net.splitPort(c.Source.Port)
-	srcWave := c.Source.Wave
-
-	// Group destinations by output module.
-	destsByMod := make(map[int][]wdm.PortWave)
-	for _, d := range c.Dests {
-		p, local := net.splitPort(d.Port)
-		destsByMod[p] = append(destsByMod[p], wdm.PortWave{Port: local, Wave: d.Wave})
+	srcMod, _ := net.splitPort(c.Source.Port)
+	fanMods := net.destModules(c)
+	lastHopWave := net.lastHopWave(c.Source.Wave)
+	cv := net.selectMiddles(srcMod, c.Source.Wave, lastHopWave, fanMods)
+	if net.observer != nil {
+		for i, rd := range cv.rounds {
+			wave := c.Source.Wave
+			if net.params.Construction == AWGClos {
+				wave = net.awgWave(srcMod, rd.serves[0])
+			}
+			net.observeSelected(i, rd.middle, int(wave), rd.serves)
+		}
 	}
-	fanMods := make([]int, 0, len(destsByMod))
-	for p := range destsByMod {
-		fanMods = append(fanMods, p)
-	}
-	sort.Ints(fanMods)
-
-	if net.params.Construction == AWGClos {
-		// The passive middle stage fixes every wavelength; the greedy
-		// cover below does not apply (one middle per destination module).
-		return net.addAWG(c, srcMod, srcLocal, destsByMod, fanMods)
-	}
-
-	// lastHopWave returns the wavelength the link j->p must carry for
-	// output module p, or -1 if any free wavelength works:
-	//   - MSW-dominant first two stages never retune: always srcWave;
-	//   - MSW output modules cannot retune either, so the arrival must
-	//     already be on the destination wavelength (network model MSW
-	//     implies that wavelength is srcWave);
-	//   - MSDW/MAW output modules have converters, so under MAW-dominant
-	//     any free wavelength works.
-	anyWave := wdm.Wavelength(-1)
-	lastHopWave := anyWave
-	if net.params.Construction == MSWDominant || net.params.Model == wdm.MSW {
-		lastHopWave = srcWave
-	}
-
-	// Available middle modules for this source (Section 3.1): those whose
-	// input-stage link can still carry the connection.
-	avail := net.availableMiddles(srcMod, srcWave)
-	if len(avail) == 0 {
-		net.observeNoAvail(int(srcWave))
+	if len(cv.residual) > 0 {
 		net.blockedCount++
-		return 0, &BlockedError{
-			Detail: fmt.Sprintf("no available middle module from input module %d on λ%d (x=%d)",
-				srcMod, srcWave, net.params.X),
-			Report: net.blockReport("add", c, srcMod, lastHopWave, nil, fanMods, 0),
-		}
+		return 0, net.blockedError(c, srcMod, lastHopWave, fanMods, cv)
 	}
-
-	// Cover the destination modules with at most X middle modules
-	// (Lemma 4 with the multiset semantics of Eqs. 2-5 when links carry
-	// k wavelengths). The certified strategy repeatedly picks the
-	// available middle module whose blocked set leaves the smallest
-	// residual; FirstFit takes the lowest-indexed one making progress.
-	assign := make(map[int][]int) // middle j -> output modules served
-	residual := append([]int(nil), fanMods...)
-	used := 0
-	for len(residual) > 0 && used < net.params.X && len(avail) > 0 {
-		bestJ, bestIdx := -1, -1
-		var bestResidual, bestServe []int
-		for idx, j := range avail {
-			var blockedR, serve []int
-			for _, p := range residual {
-				if net.middleBlocked(j, p, lastHopWave) {
-					blockedR = append(blockedR, p)
-				} else {
-					serve = append(serve, p)
-				}
-			}
-			if net.params.Strategy == FirstFit {
-				if len(serve) > 0 {
-					bestJ, bestIdx, bestResidual, bestServe = j, idx, blockedR, serve
-					break
-				}
-				continue
-			}
-			if bestJ == -1 || len(blockedR) < len(bestResidual) {
-				bestJ, bestIdx, bestResidual, bestServe = j, idx, blockedR, serve
-			}
-		}
-		if len(bestServe) == 0 {
-			break // no available module makes progress
-		}
-		net.observeSelected(used, bestJ, int(srcWave), bestServe)
-		assign[bestJ] = bestServe
-		residual = bestResidual
-		avail = append(avail[:bestIdx], avail[bestIdx+1:]...)
-		used++
-	}
-	if len(residual) > 0 {
-		net.observeLoopBlocked(used, avail, residual, int(lastHopWave))
-		net.blockedCount++
-		return 0, &BlockedError{
-			Detail: fmt.Sprintf("%d destination module(s) uncovered after %d of %d splits (source %v)",
-				len(residual), used, net.params.X, c.Source),
-			Report: net.blockReport("add", c, srcMod, lastHopWave, assign, residual, used),
-		}
-	}
-
-	id, err := net.commit(c, srcMod, srcLocal, destsByMod, assign, lastHopWave, nil)
+	id, err := net.commit(c, srcMod, lastHopWave, cv.rounds)
 	if err != nil {
 		net.blockedCount++
 		return 0, err
@@ -145,38 +59,304 @@ func (net *Network) Add(c wdm.Connection) (int, error) {
 	return id, nil
 }
 
-// availableMiddles lists middle modules whose link from input module a
-// can carry a new connection entering on srcWave.
-func (net *Network) availableMiddles(a int, srcWave wdm.Wavelength) []int {
-	var out []int
-	for j := range net.midMods {
-		if net.failedMid[j] {
-			continue // out of service
+// admit checks that c is well formed under the network's model and that
+// its source and destination slots are free.
+func (net *Network) admit(c wdm.Connection) error {
+	if err := net.Shape().CheckConnection(net.params.Model, c); err != nil {
+		return err
+	}
+	if id := net.srcBusy[c.Source.Index(net.params.K)]; id != freeSlot {
+		return fmt.Errorf("multistage: source slot %v already used by connection %d", c.Source, id)
+	}
+	return net.destsFree(c.Dests)
+}
+
+// destsFree reports the first of the (in-range) destination slots that a
+// connection already holds.
+func (net *Network) destsFree(dests []wdm.PortWave) error {
+	for _, d := range dests {
+		if id := net.dstBusy[d.Index(net.params.K)]; id != freeSlot {
+			return fmt.Errorf("multistage: destination slot %v already used by connection %d", d, id)
 		}
-		if net.params.Construction == MSWDominant {
-			// First two stages cannot retune: the connection's own
-			// wavelength must be free on the link.
-			if net.inLink[a][j][srcWave] == freeLink {
-				out = append(out, j)
+	}
+	return nil
+}
+
+// setSlots marks a connection's source and destination slots as held by
+// id (freeSlot releases them).
+func (net *Network) setSlots(c wdm.Connection, id int) {
+	net.srcBusy[c.Source.Index(net.params.K)] = id
+	for _, d := range c.Dests {
+		net.dstBusy[d.Index(net.params.K)] = id
+	}
+}
+
+// lastHopWave returns the wavelength the link j->p must carry for a
+// connection entering on srcWave, or anyWave if any free one works:
+//   - MSW-dominant first two stages never retune: always srcWave;
+//   - MSW output modules cannot retune either, so the arrival must
+//     already be on the destination wavelength (network model MSW
+//     implies that wavelength is srcWave);
+//   - MSDW/MAW output modules have converters, so under MAW-dominant
+//     any free wavelength works.
+//
+// AWG-Clos fixes both hops per destination module instead (awgWave).
+func (net *Network) lastHopWave(srcWave wdm.Wavelength) wdm.Wavelength {
+	if net.params.Construction == MSWDominant || net.params.Model == wdm.MSW {
+		return srcWave
+	}
+	return anyWave
+}
+
+// routeScratch is the working set of one route search or install, kept
+// on the Network so that Add allocates nothing for it. Slices handed out
+// from it are valid until the next Add, Explain or reinstall on the same
+// Network; anything kept longer (reports, explanations, observer steps,
+// route records) is copied out. Every buffer is sized at New for the
+// largest request the network admits.
+type routeScratch struct {
+	fanMods  []int // destination output modules, ascending
+	avail    []int // candidate middles, ascending
+	residual []int // destination modules not yet covered, ascending
+	served   []int // backing store of the rounds' serves
+	rounds   []pick
+	subDests []wdm.PortWave // destinations of the module sub-connection being installed
+}
+
+func newRouteScratch(n, r, m int) routeScratch {
+	return routeScratch{
+		fanMods:  make([]int, 0, r),
+		avail:    make([]int, 0, m),
+		residual: make([]int, 0, r),
+		served:   make([]int, 0, r),
+		rounds:   make([]pick, 0, r),
+		subDests: make([]wdm.PortWave, 0, max(n, r, m)),
+	}
+}
+
+// destModules returns the output modules a normalized connection
+// reaches, in ascending order.
+func (net *Network) destModules(c wdm.Connection) []int {
+	s := &net.scratch
+	s.fanMods = s.fanMods[:0]
+	for _, d := range c.Dests {
+		if p := int(d.Port) / net.nPorts; len(s.fanMods) == 0 || s.fanMods[len(s.fanMods)-1] != p {
+			s.fanMods = append(s.fanMods, p)
+		}
+	}
+	return s.fanMods
+}
+
+// moduleDests appends to dst the destinations a normalized connection
+// has in output module p, as that module's local slots. Sorted by port,
+// they are one contiguous run.
+func (net *Network) moduleDests(dst []wdm.PortWave, c wdm.Connection, p int) []wdm.PortWave {
+	first := wdm.Port(p * net.nPorts)
+	i, _ := slices.BinarySearchFunc(c.Dests, first, func(d wdm.PortWave, port wdm.Port) int { return cmp.Compare(d.Port, port) })
+	for ; i < len(c.Dests) && int(c.Dests[i].Port)/net.nPorts == p; i++ {
+		dst = append(dst, wdm.PortWave{Port: c.Dests[i].Port - first, Wave: c.Dests[i].Wave})
+	}
+	return dst
+}
+
+// pick is one round of the middle-stage search: the middle chosen and
+// the destination modules it serves, ascending.
+type pick struct {
+	middle int
+	serves []int
+}
+
+// cover is the outcome of the middle-stage search. Its slices live in
+// the Network's scratch.
+type cover struct {
+	rounds   []pick // chosen middles, in selection order
+	residual []int  // destination modules left uncovered, ascending
+	avail    []int  // available middles not chosen, ascending
+}
+
+// selectMiddles is the router's middle-stage search, shared by Add and
+// Explain: it chooses at most X middles to cover the destination
+// modules fanMods of a connection entering input module srcMod on
+// srcWave. It reads the network and writes only scratch.
+func (net *Network) selectMiddles(srcMod int, srcWave, lastHopWave wdm.Wavelength, fanMods []int) cover {
+	s := &net.scratch
+	s.served = s.served[:0]
+	cv := cover{
+		rounds:   s.rounds[:0],
+		residual: append(s.residual[:0], fanMods...),
+	}
+	if net.params.Construction == AWGClos {
+		cv.avail = net.inService(s.avail[:0])
+		net.coverAWG(&cv, srcMod)
+	} else {
+		cv.avail = net.availableMiddles(s.avail[:0], srcMod, srcWave)
+		net.coverGreedy(&cv, lastHopWave)
+	}
+	return cv
+}
+
+// coverGreedy covers the destination modules with at most X of the
+// available middles (Lemma 4 with the multiset semantics of Eqs. 2-5
+// when links carry k wavelengths). GreedyMinIntersection takes, each
+// round, the first candidate that leaves the fewest modules uncovered;
+// FirstFit the first that covers any. A candidate's count stops once it
+// cannot beat the best so far, and the scan stops at a candidate that
+// blocks nothing: the comparison is strict, so no later candidate could
+// replace it. The choice is exactly that of the full scan.
+func (net *Network) coverGreedy(cv *cover, lastHopWave wdm.Wavelength) {
+	s := &net.scratch
+	for len(cv.residual) > 0 && len(cv.rounds) < net.params.X && len(cv.avail) > 0 {
+		best, bestBlocked := -1, len(cv.residual)
+		for idx, j := range cv.avail {
+			if blocked := net.countBlocked(j, cv.residual, lastHopWave, bestBlocked); blocked < bestBlocked {
+				best, bestBlocked = idx, blocked
+				if blocked == 0 || net.params.Strategy == FirstFit {
+					break
+				}
 			}
-			continue
 		}
-		if net.params.ConservativeLinks {
-			// Set-semantics ablation: a touched link is off limits.
-			if linkUntouched(net.inLink[a][j]) {
-				out = append(out, j)
+		if best < 0 {
+			return // no available middle makes progress
+		}
+		j := cv.avail[best]
+		start := len(s.served)
+		left := cv.residual[:0]
+		for _, p := range cv.residual {
+			if net.middleBlocked(j, p, lastHopWave) {
+				left = append(left, p)
+			} else {
+				s.served = append(s.served, p)
 			}
-			continue
 		}
-		// MAW-dominant: any free wavelength will do.
-		for w := 0; w < net.params.K; w++ {
-			if net.inLink[a][j][w] == freeLink {
-				out = append(out, j)
+		cv.residual = left
+		cv.take(best, s.served[start:len(s.served):len(s.served)])
+	}
+}
+
+// coverAWG gives each destination module, in order, the first
+// in-service middle not yet carrying this connection whose links have
+// the class wavelength free on both hops: a grating neither splits nor
+// converts, so one middle serves one destination module. It stops at
+// the first module no middle can serve, and takes no middle at all when
+// the fanout needs more than X.
+func (net *Network) coverAWG(cv *cover, srcMod int) {
+	if len(cv.residual) > net.params.X {
+		return
+	}
+	s := &net.scratch
+	for len(cv.residual) > 0 {
+		p := cv.residual[0]
+		w := net.awgWave(srcMod, p)
+		best := -1
+		for idx, j := range cv.avail {
+			if net.inLink.link(srcMod, j)[w] == freeLink && net.outLink.link(j, p)[w] == freeLink {
+				best = idx
+				break
+			}
+		}
+		if best < 0 {
+			return
+		}
+		s.served = append(s.served, p)
+		cv.residual = cv.residual[1:]
+		cv.take(best, s.served[len(s.served)-1:len(s.served):len(s.served)])
+	}
+}
+
+// take records a round: candidate avail[idx] serves the given modules.
+func (cv *cover) take(idx int, serves []int) {
+	cv.rounds = append(cv.rounds, pick{middle: cv.avail[idx], serves: serves})
+	cv.avail = append(cv.avail[:idx], cv.avail[idx+1:]...)
+}
+
+// countBlocked counts the modules in residual that middle j cannot
+// reach, stopping at limit.
+func (net *Network) countBlocked(j int, residual []int, needWave wdm.Wavelength, limit int) int {
+	n := 0
+	for _, p := range residual {
+		if net.middleBlocked(j, p, needWave) {
+			if n++; n == limit {
 				break
 			}
 		}
 	}
-	return out
+	return n
+}
+
+// blockedError explains a search that left destination modules
+// uncovered, and reports the rejected candidates to the observer.
+func (net *Network) blockedError(c wdm.Connection, srcMod int, lastHopWave wdm.Wavelength, fanMods []int, cv cover) *BlockedError {
+	if net.params.Construction == AWGClos {
+		if len(fanMods) > net.params.X {
+			return &BlockedError{
+				Detail: fmt.Sprintf("AWG-Clos: %d destination modules need %d middles, split limit x=%d",
+					len(fanMods), len(fanMods), net.params.X),
+				Report: net.blockReport("add", c, srcMod, anyWave, nil, fanMods),
+			}
+		}
+		p := cv.residual[0]
+		w := net.awgWave(srcMod, p)
+		return &BlockedError{
+			Code: CodeWavelengthConflict,
+			Detail: fmt.Sprintf("AWG-Clos: no middle with class wavelength λ%d free on both %d->mid and mid->%d (λ = (dest-src) mod k)",
+				w, srcMod, p),
+			Report: net.blockReport("add", c, srcMod, w, cv.rounds, cv.residual),
+		}
+	}
+	if len(cv.rounds) == 0 && len(cv.avail) == 0 {
+		net.observeNoAvail(int(c.Source.Wave))
+		return &BlockedError{
+			Detail: fmt.Sprintf("no available middle module from input module %d on λ%d (x=%d)",
+				srcMod, c.Source.Wave, net.params.X),
+			Report: net.blockReport("add", c, srcMod, lastHopWave, nil, fanMods),
+		}
+	}
+	net.observeLoopBlocked(len(cv.rounds), cv.avail, cv.residual, int(lastHopWave))
+	return &BlockedError{
+		Detail: fmt.Sprintf("%d destination module(s) uncovered after %d of %d splits (source %v)",
+			len(cv.residual), len(cv.rounds), net.params.X, c.Source),
+		Report: net.blockReport("add", c, srcMod, lastHopWave, cv.rounds, cv.residual),
+	}
+}
+
+// availableMiddles appends to dst the middle modules whose link from
+// input module a can carry a new connection entering on srcWave
+// (Section 3.1), in ascending order.
+func (net *Network) availableMiddles(dst []int, a int, srcWave wdm.Wavelength) []int {
+	for j := range net.midMods {
+		if net.failedMid[j] {
+			continue // out of service
+		}
+		link := net.inLink.link(a, j)
+		switch {
+		case net.params.Construction == MSWDominant:
+			// First two stages cannot retune: the connection's own
+			// wavelength must be free on the link.
+			if link[srcWave] == freeLink {
+				dst = append(dst, j)
+			}
+		case net.params.ConservativeLinks:
+			// Set-semantics ablation: a touched link is off limits.
+			if linkUntouched(link) {
+				dst = append(dst, j)
+			}
+		case slices.Contains(link, freeLink):
+			// MAW-dominant: any free wavelength will do.
+			dst = append(dst, j)
+		}
+	}
+	return dst
+}
+
+// inService appends to dst the middle modules not marked failed, in
+// ascending order.
+func (net *Network) inService(dst []int) []int {
+	for j, failed := range net.failedMid {
+		if !failed {
+			dst = append(dst, j)
+		}
+	}
+	return dst
 }
 
 // middleBlocked reports whether middle module j cannot reach output
@@ -185,17 +365,12 @@ func (net *Network) availableMiddles(a int, srcWave wdm.Wavelength) []int {
 // otherwise that specific wavelength must be free.
 func (net *Network) middleBlocked(j, p int, needWave wdm.Wavelength) bool {
 	if net.params.ConservativeLinks && net.params.Construction == MAWDominant {
-		return !linkUntouched(net.outLink[j][p])
+		return !linkUntouched(net.outLink.link(j, p))
 	}
 	if needWave >= 0 {
-		return net.outLink[j][p][needWave] != freeLink
+		return net.outLink.link(j, p)[needWave] != freeLink
 	}
-	for w := 0; w < net.params.K; w++ {
-		if net.outLink[j][p][w] == freeLink {
-			return false
-		}
-	}
-	return true
+	return !slices.Contains(net.outLink.link(j, p), freeLink)
 }
 
 func linkUntouched(waves []int) bool {
@@ -207,32 +382,34 @@ func linkUntouched(waves []int) bool {
 	return true
 }
 
-// pickInWave chooses the wavelength for the link srcMod->j.
-func (net *Network) pickInWave(a, j int, srcWave wdm.Wavelength) (wdm.Wavelength, error) {
-	if net.params.Construction == MSWDominant {
-		if net.inLink[a][j][srcWave] != freeLink {
-			return 0, fmt.Errorf("multistage: internal error: link %d->mid%d λ%d not free", a, j, srcWave)
-		}
-		return srcWave, nil
+// inNeed returns the wavelength the link srcMod->rd.middle must carry,
+// or anyWave if the policy may pick.
+func (net *Network) inNeed(srcMod int, srcWave wdm.Wavelength, rd pick) wdm.Wavelength {
+	switch net.params.Construction {
+	case MSWDominant:
+		return srcWave
+	case AWGClos:
+		return net.awgWave(srcMod, rd.serves[0])
 	}
-	if w, ok := net.pickFreeWave(net.inLink[a][j]); ok {
-		return w, nil
-	}
-	return 0, fmt.Errorf("multistage: internal error: link %d->mid%d has no free wavelength", a, j)
+	return anyWave
 }
 
-// pickOutWave chooses the wavelength for the link j->p.
-func (net *Network) pickOutWave(j, p int, needWave wdm.Wavelength) (wdm.Wavelength, error) {
-	if needWave >= 0 {
-		if net.outLink[j][p][needWave] != freeLink {
-			return 0, fmt.Errorf("multistage: internal error: link mid%d->%d λ%d not free", j, p, needWave)
-		}
-		return needWave, nil
+// outNeed returns the wavelength the link j->p must carry, or anyWave.
+func (net *Network) outNeed(srcMod, p int, lastHopWave wdm.Wavelength) wdm.Wavelength {
+	if net.params.Construction == AWGClos {
+		return net.awgWave(srcMod, p)
 	}
-	if w, ok := net.pickFreeWave(net.outLink[j][p]); ok {
-		return w, nil
+	return lastHopWave
+}
+
+// linkWave returns the wavelength to claim on link: need itself when
+// the construction fixes it, else the policy's pick among the free
+// ones. ok is false when the link cannot carry the connection.
+func (net *Network) linkWave(link []int, need wdm.Wavelength) (w wdm.Wavelength, ok bool) {
+	if need >= 0 {
+		return need, link[need] == freeLink
 	}
-	return 0, fmt.Errorf("multistage: internal error: link mid%d->%d has no free wavelength", j, p)
+	return net.pickFreeWave(link)
 }
 
 // pickFreeWave selects a free wavelength on the link according to the
@@ -274,161 +451,138 @@ func (net *Network) free(link []int, w wdm.Wavelength) {
 	net.waveUse[w]--
 }
 
-// wavePlan carries pre-resolved link wavelengths for constructions
-// whose physics fix them (AWG-Clos): commit claims exactly these
-// instead of consulting the wavelength-assignment policy.
-type wavePlan struct {
-	in  map[int]wdm.Wavelength    // middle j -> wavelength on link srcMod->j
-	out map[[2]int]wdm.Wavelength // (j, p) -> wavelength on link j->p
+// freeLinks frees every link wavelength a route records.
+func (net *Network) freeLinks(rc *routed) {
+	for _, leg := range rc.legs {
+		net.free(net.inLink.link(rc.srcMod, leg.Middle), leg.Wave)
+	}
+	for _, hop := range rc.hops {
+		net.free(net.outLink.link(hop.Middle, hop.Out), hop.Wave)
+	}
 }
 
-// planInWave resolves the wavelength for the link a->j: the plan's
-// entry when a plan is given (verified free), else the policy pick.
-func (net *Network) planInWave(plan *wavePlan, a, j int, srcWave wdm.Wavelength) (wdm.Wavelength, error) {
-	if plan == nil {
-		return net.pickInWave(a, j, srcWave)
+// commit materializes the chosen rounds: it claims link wavelengths,
+// middles in ascending order and each middle's output hops in ascending
+// order, then installs the module sub-connections, rolling back on any
+// internal inconsistency. It reorders rounds.
+func (net *Network) commit(c wdm.Connection, srcMod int, lastHopWave wdm.Wavelength, rounds []pick) (int, error) {
+	slices.SortFunc(rounds, func(a, b pick) int { return cmp.Compare(a.middle, b.middle) })
+	hops := 0
+	for _, rd := range rounds {
+		hops += len(rd.serves)
 	}
-	w, ok := plan.in[j]
-	if !ok {
-		return 0, fmt.Errorf("multistage: internal error: no planned wavelength for link %d->mid%d", a, j)
-	}
-	if net.inLink[a][j][w] != freeLink {
-		return 0, fmt.Errorf("multistage: internal error: planned link %d->mid%d λ%d not free", a, j, w)
-	}
-	return w, nil
-}
-
-// planOutWave resolves the wavelength for the link j->p.
-func (net *Network) planOutWave(plan *wavePlan, j, p int, lastHopWave wdm.Wavelength) (wdm.Wavelength, error) {
-	if plan == nil {
-		return net.pickOutWave(j, p, lastHopWave)
-	}
-	w, ok := plan.out[[2]int{j, p}]
-	if !ok {
-		return 0, fmt.Errorf("multistage: internal error: no planned wavelength for link mid%d->%d", j, p)
-	}
-	if net.outLink[j][p][w] != freeLink {
-		return 0, fmt.Errorf("multistage: internal error: planned link mid%d->%d λ%d not free", j, p, w)
-	}
-	return w, nil
-}
-
-// commit materializes the chosen routing: it occupies link wavelengths
-// and installs the per-module sub-connections, rolling back on any
-// internal inconsistency. plan, when non-nil, dictates the link
-// wavelengths; otherwise the wavelength-assignment policy picks them.
-func (net *Network) commit(c wdm.Connection, srcMod int, srcLocal wdm.Port,
-	destsByMod map[int][]wdm.PortWave, assign map[int][]int, lastHopWave wdm.Wavelength, plan *wavePlan) (int, error) {
-
-	rc := &routed{
-		conn:     c,
-		srcMod:   srcMod,
-		inConnID: -1,
-		midConn:  make(map[int]int),
-		outConn:  make(map[int]int),
-		inWave:   make(map[int]wdm.Wavelength),
-		outWave:  make(map[[2]int]wdm.Wavelength),
-	}
+	rc := newRouted(c, srcMod, len(rounds), hops)
 	id := net.nextID
-
-	rollback := func() {
-		if rc.inConnID >= 0 {
-			_ = net.inMods[srcMod].Release(rc.inConnID)
+	for _, rd := range rounds {
+		j := rd.middle
+		w, ok := net.linkWave(net.inLink.link(srcMod, j), net.inNeed(srcMod, c.Source.Wave, rd))
+		if !ok {
+			net.freeLinks(rc)
+			return 0, fmt.Errorf("multistage: internal error: link %d->mid%d cannot carry the connection", srcMod, j)
 		}
-		for j, cid := range rc.midConn {
-			_ = net.midMods[j].Release(cid)
-		}
-		for p, cid := range rc.outConn {
-			_ = net.outMods[p].Release(cid)
-		}
-		for j, w := range rc.inWave {
-			net.free(net.inLink[srcMod][j], w)
-		}
-		for jp, w := range rc.outWave {
-			net.free(net.outLink[jp[0]][jp[1]], w)
-		}
-	}
-
-	middles := make([]int, 0, len(assign))
-	for j := range assign {
-		middles = append(middles, j)
-	}
-	sort.Ints(middles)
-
-	// Pick and occupy wavelengths.
-	for _, j := range middles {
-		w, err := net.planInWave(plan, srcMod, j, c.Source.Wave)
-		if err != nil {
-			rollback()
-			return 0, err
-		}
-		rc.inWave[j] = w
-		net.claim(net.inLink[srcMod][j], w, id)
-		for _, p := range assign[j] {
-			ow, err := net.planOutWave(plan, j, p, lastHopWave)
-			if err != nil {
-				rollback()
-				return 0, err
+		net.claim(net.inLink.link(srcMod, j), w, id)
+		rc.legs = append(rc.legs, RouteLeg{Middle: j, Wave: w})
+		for _, p := range rd.serves {
+			ow, ok := net.linkWave(net.outLink.link(j, p), net.outNeed(srcMod, p, lastHopWave))
+			if !ok {
+				net.freeLinks(rc)
+				return 0, fmt.Errorf("multistage: internal error: link mid%d->%d cannot carry the connection", j, p)
 			}
-			rc.outWave[[2]int{j, p}] = ow
-			net.claim(net.outLink[j][p], ow, id)
+			net.claim(net.outLink.link(j, p), ow, id)
+			rc.hops = append(rc.hops, RouteHop{Middle: j, Out: p, Wave: ow})
 		}
 	}
-
-	// Input-module sub-connection: source slot -> one slot per chosen
-	// middle module.
-	inConn := wdm.Connection{Source: wdm.PortWave{Port: srcLocal, Wave: c.Source.Wave}}
-	for _, j := range middles {
-		inConn.Dests = append(inConn.Dests, wdm.PortWave{Port: wdm.Port(j), Wave: rc.inWave[j]})
+	if err := net.install(id, rc, "internal error"); err != nil {
+		return 0, err
 	}
-	cid, err := net.inMods[srcMod].Add(inConn)
-	if err != nil {
-		rollback()
-		return 0, fmt.Errorf("multistage: internal error: input module %d rejected %v: %w", srcMod, inConn, err)
-	}
-	rc.inConnID = cid
-
-	// Middle-module sub-connections.
-	for _, j := range middles {
-		mc := wdm.Connection{Source: wdm.PortWave{Port: wdm.Port(srcMod), Wave: rc.inWave[j]}}
-		for _, p := range assign[j] {
-			mc.Dests = append(mc.Dests, wdm.PortWave{Port: wdm.Port(p), Wave: rc.outWave[[2]int{j, p}]})
-		}
-		cid, err := net.midMods[j].Add(mc)
-		if err != nil {
-			rollback()
-			return 0, fmt.Errorf("multistage: internal error: middle module %d rejected %v: %w", j, mc, err)
-		}
-		rc.midConn[j] = cid
-	}
-
-	// Output-module sub-connections.
-	for _, j := range middles {
-		for _, p := range assign[j] {
-			oc := wdm.Connection{
-				Source: wdm.PortWave{Port: wdm.Port(j), Wave: rc.outWave[[2]int{j, p}]},
-				Dests:  destsByMod[p],
-			}
-			cid, err := net.outMods[p].Add(oc)
-			if err != nil {
-				rollback()
-				return 0, fmt.Errorf("multistage: internal error: output module %d rejected %v: %w", p, oc, err)
-			}
-			rc.outConn[p] = cid
-		}
-	}
-
 	net.nextID++
-	net.conns[id] = rc
-	net.srcBusy[c.Source] = id
-	for _, d := range c.Dests {
-		net.dstBusy[d] = id
-	}
 	return id, nil
 }
 
+// install adds the module sub-connections of a route whose link
+// wavelengths are already claimed, and registers the connection under
+// id. On failure it releases what it added, frees the route's link
+// claims, and names the rejecting module after the given context.
+func (net *Network) install(id int, rc *routed, context string) error {
+	s := &net.scratch
+	rc.inConnID = -1
+	for i := range rc.midConn {
+		rc.midConn[i] = -1
+	}
+	for i := range rc.outConn {
+		rc.outConn[i] = -1
+	}
+
+	// Input-module sub-connection: source slot -> one slot per middle.
+	_, srcLocal := net.splitPort(rc.conn.Source.Port)
+	in := wdm.Connection{Source: wdm.PortWave{Port: srcLocal, Wave: rc.conn.Source.Wave}, Dests: s.subDests[:0]}
+	for _, leg := range rc.legs {
+		in.Dests = append(in.Dests, wdm.PortWave{Port: wdm.Port(leg.Middle), Wave: leg.Wave})
+	}
+	cid, err := net.inMods[rc.srcMod].Add(in)
+	if err != nil {
+		net.uninstall(rc)
+		return fmt.Errorf("multistage: %s: input module %d rejected %v: %w", context, rc.srcMod, in, err)
+	}
+	rc.inConnID = cid
+
+	// Middle-module sub-connections: hops are grouped by middle in leg
+	// order.
+	h := 0
+	for i, leg := range rc.legs {
+		mc := wdm.Connection{Source: wdm.PortWave{Port: wdm.Port(rc.srcMod), Wave: leg.Wave}, Dests: s.subDests[:0]}
+		for ; h < len(rc.hops) && rc.hops[h].Middle == leg.Middle; h++ {
+			mc.Dests = append(mc.Dests, wdm.PortWave{Port: wdm.Port(rc.hops[h].Out), Wave: rc.hops[h].Wave})
+		}
+		cid, err := net.midMods[leg.Middle].Add(mc)
+		if err != nil {
+			net.uninstall(rc)
+			return fmt.Errorf("multistage: %s: middle module %d rejected %v: %w", context, leg.Middle, mc, err)
+		}
+		rc.midConn[i] = cid
+	}
+
+	// Output-module sub-connections.
+	for i, hop := range rc.hops {
+		oc := wdm.Connection{
+			Source: wdm.PortWave{Port: wdm.Port(hop.Middle), Wave: hop.Wave},
+			Dests:  net.moduleDests(s.subDests[:0], rc.conn, hop.Out),
+		}
+		cid, err := net.outMods[hop.Out].Add(oc)
+		if err != nil {
+			net.uninstall(rc)
+			return fmt.Errorf("multistage: %s: output module %d rejected %v: %w", context, hop.Out, oc, err)
+		}
+		rc.outConn[i] = cid
+	}
+
+	net.conns[id] = rc
+	net.setSlots(rc.conn, id)
+	return nil
+}
+
+// uninstall undoes a partial install: it releases the module
+// sub-connections already added and frees the route's link claims.
+func (net *Network) uninstall(rc *routed) {
+	if rc.inConnID >= 0 {
+		_ = net.inMods[rc.srcMod].Release(rc.inConnID)
+	}
+	for i, cid := range rc.midConn {
+		if cid >= 0 {
+			_ = net.midMods[rc.legs[i].Middle].Release(cid)
+		}
+	}
+	for i, cid := range rc.outConn {
+		if cid >= 0 {
+			_ = net.outMods[rc.hops[i].Out].Release(cid)
+		}
+	}
+	net.freeLinks(rc)
+}
+
 // Release tears down a live connection and frees every module slot and
-// link wavelength it occupied.
+// link wavelength it occupied. The connection's route record is left
+// intact, which is what lets AddBranch replay it.
 func (net *Network) Release(id int) error {
 	rc, ok := net.conns[id]
 	if !ok {
@@ -437,27 +591,19 @@ func (net *Network) Release(id int) error {
 	if err := net.inMods[rc.srcMod].Release(rc.inConnID); err != nil {
 		return fmt.Errorf("multistage: input module %d: %w", rc.srcMod, err)
 	}
-	for j, cid := range rc.midConn {
-		if err := net.midMods[j].Release(cid); err != nil {
-			return fmt.Errorf("multistage: middle module %d: %w", j, err)
+	for i, leg := range rc.legs {
+		if err := net.midMods[leg.Middle].Release(rc.midConn[i]); err != nil {
+			return fmt.Errorf("multistage: middle module %d: %w", leg.Middle, err)
 		}
 	}
-	for p, cid := range rc.outConn {
-		if err := net.outMods[p].Release(cid); err != nil {
-			return fmt.Errorf("multistage: output module %d: %w", p, err)
+	for i, hop := range rc.hops {
+		if err := net.outMods[hop.Out].Release(rc.outConn[i]); err != nil {
+			return fmt.Errorf("multistage: output module %d: %w", hop.Out, err)
 		}
 	}
-	for j, w := range rc.inWave {
-		net.free(net.inLink[rc.srcMod][j], w)
-	}
-	for jp, w := range rc.outWave {
-		net.free(net.outLink[jp[0]][jp[1]], w)
-	}
+	net.freeLinks(rc)
 	delete(net.conns, id)
-	delete(net.srcBusy, rc.conn.Source)
-	for _, d := range rc.conn.Dests {
-		delete(net.dstBusy, d)
-	}
+	net.setSlots(rc.conn, freeSlot)
 	return nil
 }
 

@@ -43,8 +43,12 @@ func TestUtilizationZeroAfterChurn(t *testing.T) {
 			if u.InTotal == 0 || u.OutTotal == 0 {
 				t.Fatalf("utilization totals empty: %+v", u)
 			}
-			if len(net.srcBusy) != 0 || len(net.dstBusy) != 0 {
-				t.Fatalf("busy maps leaked: %d src, %d dst", len(net.srcBusy), len(net.dstBusy))
+			for _, table := range [][]int{net.srcBusy, net.dstBusy} {
+				for slot, id := range table {
+					if id != freeSlot {
+						t.Fatalf("busy tables leaked: slot %d held by %d", slot, id)
+					}
+				}
 			}
 		})
 	}

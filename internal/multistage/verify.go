@@ -19,7 +19,8 @@ import (
 //     exactly the (output module, wavelength) pairs the output modules
 //     receive on, and the output modules deliver exactly the network
 //     connection's destination slots;
-//  3. the link-occupancy tables agree with the per-module slot state.
+//  3. the link-occupancy and port-slot tables agree with the
+//     per-connection routing records.
 //
 // Together these demonstrate that every live multicast is carried as real
 // signal paths through three stages of real switch hardware.
@@ -55,13 +56,16 @@ func (net *Network) Verify() error {
 			return err
 		}
 	}
-	return net.verifyLinkTables()
+	if err := net.verifyLinkTables(); err != nil {
+		return err
+	}
+	return net.verifySlotTables()
 }
 
 // verifyLinkage checks the stage-to-stage consistency of one connection.
 func (net *Network) verifyLinkage(id int, rc *routed) error {
 	// Input module sub-connection: source is the network source's local
-	// slot; destinations are (middle j, inWave[j]) pairs.
+	// slot; destinations are the route's (middle, wavelength) legs.
 	inConn, ok := net.inMods[rc.srcMod].Connection(rc.inConnID)
 	if !ok {
 		return fmt.Errorf("multistage: connection %d: input module %d lost sub-connection", id, rc.srcMod)
@@ -71,31 +75,30 @@ func (net *Network) verifyLinkage(id int, rc *routed) error {
 		return fmt.Errorf("multistage: connection %d: input sub-connection source %v != network source %v",
 			id, inConn.Source, rc.conn.Source)
 	}
-	if len(inConn.Dests) != len(rc.inWave) {
+	if len(inConn.Dests) != len(rc.legs) {
 		return fmt.Errorf("multistage: connection %d: input module emits to %d middles, routing says %d",
-			id, len(inConn.Dests), len(rc.inWave))
+			id, len(inConn.Dests), len(rc.legs))
 	}
 	for _, d := range inConn.Dests {
-		w, ok := rc.inWave[int(d.Port)]
-		if !ok || w != d.Wave {
+		if w, ok := rc.leg(int(d.Port)); !ok || w != d.Wave {
 			return fmt.Errorf("multistage: connection %d: input module emits %v, not in routing plan", id, d)
 		}
 	}
 
-	// Middle modules: source = (input module, inWave[j]); dests must match
-	// outWave entries.
-	for j, cid := range rc.midConn {
-		mc, ok := net.midMods[j].Connection(cid)
+	// Middle modules: source = (input module, leg wavelength); dests must
+	// match the route's hops.
+	for i, leg := range rc.legs {
+		j := leg.Middle
+		mc, ok := net.midMods[j].Connection(rc.midConn[i])
 		if !ok {
 			return fmt.Errorf("multistage: connection %d: middle module %d lost sub-connection", id, j)
 		}
-		if int(mc.Source.Port) != rc.srcMod || mc.Source.Wave != rc.inWave[j] {
+		if int(mc.Source.Port) != rc.srcMod || mc.Source.Wave != leg.Wave {
 			return fmt.Errorf("multistage: connection %d: middle %d receives on %v, input stage sends on (p%d,λ%d)",
-				id, j, mc.Source, rc.srcMod, rc.inWave[j])
+				id, j, mc.Source, rc.srcMod, leg.Wave)
 		}
 		for _, d := range mc.Dests {
-			w, ok := rc.outWave[[2]int{j, int(d.Port)}]
-			if !ok || w != d.Wave {
+			if w, ok := rc.hop(j, int(d.Port)); !ok || w != d.Wave {
 				return fmt.Errorf("multistage: connection %d: middle %d emits %v, not in routing plan", id, j, d)
 			}
 		}
@@ -104,14 +107,13 @@ func (net *Network) verifyLinkage(id int, rc *routed) error {
 	// Output modules: delivered local slots must reassemble exactly the
 	// network destination set.
 	delivered := make(map[wdm.PortWave]bool)
-	for p, cid := range rc.outConn {
-		oc, ok := net.outMods[p].Connection(cid)
+	for i, hop := range rc.hops {
+		p := hop.Out
+		oc, ok := net.outMods[p].Connection(rc.outConn[i])
 		if !ok {
 			return fmt.Errorf("multistage: connection %d: output module %d lost sub-connection", id, p)
 		}
-		j := int(oc.Source.Port)
-		w, ok := rc.outWave[[2]int{j, p}]
-		if !ok || w != oc.Source.Wave {
+		if w, ok := rc.hop(int(oc.Source.Port), p); !ok || w != oc.Source.Wave {
 			return fmt.Errorf("multistage: connection %d: output module %d receives on %v, not in routing plan",
 				id, p, oc.Source)
 		}
@@ -137,16 +139,16 @@ func (net *Network) verifyLinkTables() error {
 	wantIn := make(map[[3]int]int)  // (a, j, w) -> conn id
 	wantOut := make(map[[3]int]int) // (j, p, w) -> conn id
 	for id, rc := range net.conns {
-		for j, w := range rc.inWave {
-			wantIn[[3]int{rc.srcMod, j, int(w)}] = id
+		for _, leg := range rc.legs {
+			wantIn[[3]int{rc.srcMod, leg.Middle, int(leg.Wave)}] = id
 		}
-		for jp, w := range rc.outWave {
-			wantOut[[3]int{jp[0], jp[1], int(w)}] = id
+		for _, hop := range rc.hops {
+			wantOut[[3]int{hop.Middle, hop.Out, int(hop.Wave)}] = id
 		}
 	}
-	for a := range net.inLink {
-		for j := range net.inLink[a] {
-			for w, got := range net.inLink[a][j] {
+	for a := range net.inLink.xs {
+		for j := range net.inLink.ys {
+			for w, got := range net.inLink.link(a, j) {
 				want, used := wantIn[[3]int{a, j, w}]
 				if used && got != want {
 					return fmt.Errorf("multistage: link in%d->mid%d λ%d holds %d, want %d", a, j, w, got, want)
@@ -157,9 +159,9 @@ func (net *Network) verifyLinkTables() error {
 			}
 		}
 	}
-	for j := range net.outLink {
-		for p := range net.outLink[j] {
-			for w, got := range net.outLink[j][p] {
+	for j := range net.outLink.xs {
+		for p := range net.outLink.ys {
+			for w, got := range net.outLink.link(j, p) {
 				want, used := wantOut[[3]int{j, p, w}]
 				if used && got != want {
 					return fmt.Errorf("multistage: link mid%d->out%d λ%d holds %d, want %d", j, p, w, got, want)
@@ -169,6 +171,36 @@ func (net *Network) verifyLinkTables() error {
 				}
 			}
 		}
+	}
+	return nil
+}
+
+// verifySlotTables cross-checks the port-slot tables against the live
+// connections: each connection's slots name it, and no other slot is
+// held.
+func (net *Network) verifySlotTables() error {
+	held := 0
+	k := net.params.K
+	for id, rc := range net.conns {
+		if got := net.srcBusy[rc.conn.Source.Index(k)]; got != id {
+			return fmt.Errorf("multistage: source slot %v holds %d, want %d", rc.conn.Source, got, id)
+		}
+		for _, d := range rc.conn.Dests {
+			if got := net.dstBusy[d.Index(k)]; got != id {
+				return fmt.Errorf("multistage: destination slot %v holds %d, want %d", d, got, id)
+			}
+		}
+		held += 1 + len(rc.conn.Dests)
+	}
+	for _, table := range [][]int{net.srcBusy, net.dstBusy} {
+		for _, id := range table {
+			if id != freeSlot {
+				held--
+			}
+		}
+	}
+	if held != 0 {
+		return fmt.Errorf("multistage: %d port slots leaked", -held)
 	}
 	return nil
 }

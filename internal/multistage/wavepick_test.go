@@ -18,7 +18,7 @@ func TestWavePickPolicies(t *testing.T) {
 	}
 	claimed := func(net *Network) []int {
 		var waves []int
-		for w, v := range net.inLink[0][0] {
+		for w, v := range net.inLink.link(0, 0) {
 			if v != freeLink {
 				waves = append(waves, w)
 			}

@@ -1,6 +1,10 @@
 package wdm
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // Shape describes a possibly rectangular WDM switch: In input ports, Out
 // output ports, K wavelengths per fiber. The paper's multistage networks
@@ -52,15 +56,14 @@ func (s Shape) CheckConnection(model Model, c Connection) error {
 	if len(c.Dests) == 0 {
 		return fmt.Errorf("wdm: connection from %v has no destinations", c.Source)
 	}
-	seenPort := make(map[Port]bool, len(c.Dests))
-	for _, dst := range c.Dests {
+	repeat := firstRepeatedPort(c.Dests)
+	for i, dst := range c.Dests {
 		if !s.InRangeDest(dst) {
 			return fmt.Errorf("wdm: destination %v out of range for %dx%d k=%d switch", dst, s.In, s.Out, s.K)
 		}
-		if seenPort[dst.Port] {
+		if i == repeat {
 			return fmt.Errorf("wdm: two destinations of one connection share output port %d", dst.Port)
 		}
-		seenPort[dst.Port] = true
 	}
 	switch model {
 	case MSW:
@@ -84,6 +87,44 @@ func (s Shape) CheckConnection(model Model, c Connection) error {
 		return fmt.Errorf("wdm: unknown model %v", model)
 	}
 	return nil
+}
+
+// firstRepeatedPort returns the index of the first destination whose
+// port an earlier destination already uses, or -1 if the ports are
+// distinct. Lists in ascending port order (Normalize order, and every
+// list a multistage module receives) take one pass; unsorted lists take
+// O(f log f) with one allocation.
+func firstRepeatedPort(dests []PortWave) int {
+	i := 1
+	for i < len(dests) && dests[i].Port > dests[i-1].Port {
+		i++
+	}
+	switch {
+	case i >= len(dests):
+		return -1
+	case dests[i].Port == dests[i-1].Port:
+		return i // the ports before i are strictly increasing
+	}
+	// Order the indices by (port, index): in each run of one port, every
+	// index after the run's first repeats it, so the smallest of those
+	// is the answer.
+	idx := make([]int, len(dests))
+	for k := range idx {
+		idx[k] = k
+	}
+	slices.SortFunc(idx, func(a, b int) int {
+		if c := cmp.Compare(dests[a].Port, dests[b].Port); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	first := -1
+	for k := 1; k < len(idx); k++ {
+		if dests[idx[k]].Port == dests[idx[k-1]].Port && (first < 0 || idx[k] < first) {
+			first = idx[k]
+		}
+	}
+	return first
 }
 
 // CheckAssignment verifies that every connection is admissible and that

@@ -1,6 +1,10 @@
 package wdm
 
-import "testing"
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+)
 
 func TestShapeValidate(t *testing.T) {
 	if err := (Shape{In: 2, Out: 5, K: 3}).Validate(); err != nil {
@@ -82,5 +86,49 @@ func TestDimShapeEquivalence(t *testing.T) {
 	c := Connection{Source: pw(0, 0), Dests: []PortWave{pw(2, 0)}}
 	if (d.CheckConnection(MSW, c) == nil) != (s.CheckConnection(MSW, c) == nil) {
 		t.Error("Dim and Shape disagree")
+	}
+}
+
+// TestCheckConnectionFirstFault compares CheckConnection with the
+// map-based check it replaced: on random destination lists of 1 to 80
+// ports, sorted and unsorted, with repeated ports and out-of-range slots
+// mixed in, both must report the same first fault.
+func TestCheckConnectionFirstFault(t *testing.T) {
+	s := Shape{In: 8, Out: 128, K: 2}
+	reference := func(c Connection) string {
+		seen := map[Port]bool{}
+		for _, d := range c.Dests {
+			if !s.InRangeDest(d) {
+				return fmt.Sprintf("wdm: destination %v out of range for %dx%d k=%d switch", d, s.In, s.Out, s.K)
+			}
+			if seen[d.Port] {
+				return fmt.Sprintf("wdm: two destinations of one connection share output port %d", d.Port)
+			}
+			seen[d.Port] = true
+		}
+		return ""
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 5000; i++ {
+		c := Connection{Source: pw(0, 0)}
+		for _, p := range rng.Perm(s.Out)[:1+rng.Intn(80)] {
+			c.Dests = append(c.Dests, pw(p, rng.Intn(s.K)))
+		}
+		if rng.Intn(3) == 0 {
+			c = c.Normalize()
+		}
+		for n := rng.Intn(3); n > 0; n-- {
+			c.Dests[rng.Intn(len(c.Dests))].Port = c.Dests[rng.Intn(len(c.Dests))].Port
+		}
+		if rng.Intn(4) == 0 {
+			c.Dests[rng.Intn(len(c.Dests))].Wave = Wavelength(s.K)
+		}
+		got := ""
+		if err := s.CheckConnection(MAW, c); err != nil {
+			got = err.Error()
+		}
+		if want := reference(c); got != want {
+			t.Fatalf("%v: got %q, want %q", c, got, want)
+		}
 	}
 }

@@ -19,8 +19,9 @@
 package wdm
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -131,13 +132,16 @@ func (c Connection) Clone() Connection {
 // It mutates and returns the receiver's copy.
 func (c Connection) Normalize() Connection {
 	c = c.Clone()
-	sort.Slice(c.Dests, func(i, j int) bool {
-		if c.Dests[i].Port != c.Dests[j].Port {
-			return c.Dests[i].Port < c.Dests[j].Port
-		}
-		return c.Dests[i].Wave < c.Dests[j].Wave
-	})
+	slices.SortFunc(c.Dests, comparePortWave)
 	return c
+}
+
+// comparePortWave orders slots by port, then wavelength.
+func comparePortWave(a, b PortWave) int {
+	if a.Port != b.Port {
+		return cmp.Compare(a.Port, b.Port)
+	}
+	return cmp.Compare(a.Wave, b.Wave)
 }
 
 // Assignment is a set of multicast connections intended to be carried
