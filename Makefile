@@ -70,19 +70,42 @@ slo-demo:
 	/tmp/wdm-slo-demo-top -target http://127.0.0.1:8047 -once
 
 # Chaos drill (EXPERIMENTS.md § "Chaos walkthrough", scripted): a
-# server at m = bound + 2 spares (bound is 13 for the default fabric),
-# a load generator failing two plane-0 middle modules mid-run and
-# repairing them, retries on. The run must end with blocked == 0 and
-# dropped == 0; the health rollup walks ok -> degraded -> ok.
+# server at m = bound + 2 spares (bound is 13 for the default fabric)
+# takes a steady wdmload run paced to outlast the failure schedule
+# (2000 arrivals at 4 Erlangs, one mean holding time = 20ms: about
+# 5s) while two plane-0 middle modules fail one second apart and are
+# repaired. The drill fails unless every admin call succeeds, the
+# health rollup reads degraded with both middles failed, wdmload exits
+# 0, /metrics reads wdm_blocked_total 0 and wdm_dropped_sessions_total
+# 0, and the health rollup is back to ok after the repairs.
 chaos-demo:
 	@$(GO) build -o /tmp/wdm-chaos-serve ./cmd/wdmserve
-	@/tmp/wdm-chaos-serve -addr 127.0.0.1:8048 -m 15 -replicas 2 & \
-	trap 'kill $$!' EXIT; sleep 0.5; \
-	/tmp/wdm-chaos-serve -attack -target http://127.0.0.1:8048 -requests 300000 \
-	    -chaos "fail@1s f0:m0, fail@2s f0:m1, repair@3s f0:m0, repair@4s f0:m1" \
-	    -retries 4; \
-	echo '--- /v1/health after the drill'; \
-	curl -s 127.0.0.1:8048/v1/health; echo
+	@$(GO) build -o /tmp/wdm-chaos-load ./cmd/wdmload
+	@/tmp/wdm-chaos-serve -addr 127.0.0.1:8048 -m 15 -replicas 2 2>/dev/null & ps=$$!; \
+	trap 'kill $$ps $$pl 2>/dev/null' EXIT; sleep 0.5; \
+	/tmp/wdm-chaos-load -mode steady -target http://127.0.0.1:8048 \
+	    -arrivals 2000 -erlangs 4 -timescale 20ms & pl=$$!; \
+	for step in fail:0 fail:1 repair:0 repair:1; do \
+	    sleep 1; echo "--- $${step%:*} f0:m$${step#*:}"; \
+	    r=$$(curl -sf -XPOST 127.0.0.1:8048/v1/admin/$${step%:*} -d "{\"fabric\":0,\"middle\":$${step#*:}}") \
+	        || { echo "CHAOS DEMO FAILED: POST /v1/admin/$${step%:*} rejected"; exit 1; }; \
+	    echo "$$r" | tr -d ' \n' | sed 's/,"health".*/}/'; echo; \
+	    if [ $$step = fail:1 ]; then \
+	        curl -s 127.0.0.1:8048/v1/health | tr -d ' \n' | grep -q '^{"status":"degraded"' \
+	            || { echo 'CHAOS DEMO FAILED: health not degraded with two middles failed'; exit 1; }; \
+	    fi; \
+	done; \
+	wait $$pl || { echo 'CHAOS DEMO FAILED: wdmload exited non-zero'; exit 1; }; \
+	pm=$$(curl -s 127.0.0.1:8048/metrics | grep -E '^wdm_(blocked|dropped_sessions|migrated_sessions)_total '); \
+	echo "$$pm"; \
+	echo "$$pm" | grep -qx 'wdm_blocked_total 0' \
+	    || { echo 'CHAOS DEMO FAILED: blocking at m = bound + 2'; exit 1; }; \
+	echo "$$pm" | grep -qx 'wdm_dropped_sessions_total 0' \
+	    || { echo 'CHAOS DEMO FAILED: sessions dropped with spares left'; exit 1; }; \
+	h=$$(curl -s 127.0.0.1:8048/v1/health | tr -d ' \n'); echo "--- /v1/health after the drill: $$h"; \
+	echo "$$h" | grep -q '^{"status":"ok"' \
+	    || { echo 'CHAOS DEMO FAILED: health not ok after repair'; exit 1; }; \
+	echo 'chaos demo OK: 0 blocked, 0 dropped, health ok'
 
 # Crash drill (EXPERIMENTS.md § "Crash walkthrough", scripted): a
 # durable server takes acknowledged traffic, dies on SIGKILL with no
@@ -120,6 +143,7 @@ crash-demo:
 cluster-demo:
 	@$(GO) build -o /tmp/wdm-cluster-serve ./cmd/wdmserve
 	@$(GO) build -o /tmp/wdm-cluster-wal ./cmd/wdmwal
+	@$(GO) build -o /tmp/wdm-cluster-load ./cmd/wdmload
 	@pkill -9 -f '^/tmp/wdm-cluster-serve' 2>/dev/null; rm -rf /tmp/wdm-cluster-data; mkdir -p /tmp/wdm-cluster-data; \
 	/tmp/wdm-cluster-serve -cluster -shard 0 -addr 127.0.0.1:9061 -repl-addr 127.0.0.1:9071 \
 	    -replicas 2 -snapshot-interval=-1s -data-dir /tmp/wdm-cluster-data/s0 & p0=$$!; \
@@ -130,9 +154,9 @@ cluster-demo:
 	/tmp/wdm-cluster-serve -cluster -shard 1 -standby-of 127.0.0.1:9072 -addr 127.0.0.1:9065 \
 	    -replicas 2 -snapshot-interval=-1s -data-dir /tmp/wdm-cluster-data/s1-standby & sb=$$!; \
 	trap 'kill -9 $$p0 $$p2 $$sb 2>/dev/null' EXIT; sleep 1; \
-	/tmp/wdm-cluster-serve -attack -target http://127.0.0.1:9061 -requests 3000 >/dev/null & a0=$$!; \
-	/tmp/wdm-cluster-serve -attack -target http://127.0.0.1:9063 -requests 3000 >/dev/null & a2=$$!; \
-	/tmp/wdm-cluster-serve -attack -target http://127.0.0.1:9062 -requests 3000; \
+	/tmp/wdm-cluster-load -mode steady -target http://127.0.0.1:9061 -arrivals 3000 & a0=$$!; \
+	/tmp/wdm-cluster-load -mode steady -target http://127.0.0.1:9063 -arrivals 3000 & a2=$$!; \
+	/tmp/wdm-cluster-load -mode steady -target http://127.0.0.1:9062 -arrivals 3000; \
 	wait $$a0 $$a2; \
 	sid=$$(curl -s -XPOST 127.0.0.1:9062/v1/connect -d '{"connection":"0.0>4.0,9.0"}' \
 	    | tr -d ' \n' | sed 's/.*"session":\([0-9]*\).*/\1/'); \
@@ -169,6 +193,7 @@ cluster-demo:
 PROF_DIR ?= /tmp/wdm-prof-demo
 prof-demo:
 	@$(GO) build -o /tmp/wdm-prof-serve ./cmd/wdmserve
+	@$(GO) build -o /tmp/wdm-prof-load ./cmd/wdmload
 	@pkill -9 -f '^/tmp/wdm-prof-serve' 2>/dev/null; rm -rf $(PROF_DIR) /tmp/wdm-prof-data; mkdir -p $(PROF_DIR); \
 	/tmp/wdm-prof-serve -cluster -shard 0 -addr 127.0.0.1:9081 -repl-addr 127.0.0.1:9091 \
 	    -peers 'http://127.0.0.1:9081,http://127.0.0.1:9082' \
@@ -177,8 +202,8 @@ prof-demo:
 	    -peers 'http://127.0.0.1:9081,http://127.0.0.1:9082' \
 	    -replicas 2 -prof-mutex 1 -data-dir /tmp/wdm-prof-data/s1 & p1=$$!; \
 	trap 'kill -9 $$p0 $$p1 2>/dev/null' EXIT; sleep 1; \
-	/tmp/wdm-prof-serve -attack -target http://127.0.0.1:9081 -requests 6000 >/dev/null & a0=$$!; \
-	/tmp/wdm-prof-serve -attack -target http://127.0.0.1:9082 -requests 6000; \
+	/tmp/wdm-prof-load -mode steady -target http://127.0.0.1:9081 -arrivals 6000 -workers 2 & a0=$$!; \
+	/tmp/wdm-prof-load -mode steady -target http://127.0.0.1:9082 -arrivals 6000 -workers 2; \
 	wait $$a0; \
 	echo '--- mutex profile (debug text head)'; \
 	curl -s '127.0.0.1:9081/v1/debug/prof?type=mutex&debug=1' > $(PROF_DIR)/mutex.txt; \
@@ -214,6 +239,7 @@ ALERT_DIR ?= /tmp/wdm-alert-demo
 ALERT_RULES := {"rules":[{"name":"blocked_in_nonblocking_regime","expr":"rate(wdm_blocked_total[10s])","op":">","value":0,"for":"500ms","guard":{"expr":"wdm_m_margin","op":">=","value":0},"summary":"P_block > 0 at or above the sufficient bound"}]}
 alert-demo:
 	@$(GO) build -o /tmp/wdm-alert-serve ./cmd/wdmserve
+	@$(GO) build -o /tmp/wdm-alert-load ./cmd/wdmload
 	@pkill -9 -f '^/tmp/wdm-alert-serve' 2>/dev/null; rm -rf $(ALERT_DIR) /tmp/wdm-alert-data; mkdir -p $(ALERT_DIR); \
 	printf '%s\n' '$(ALERT_RULES)' > $(ALERT_DIR)/rules.json; \
 	/tmp/wdm-alert-serve -cluster -shard 0 -addr 127.0.0.1:9101 -repl-addr 127.0.0.1:9111 \
@@ -225,13 +251,13 @@ alert-demo:
 	    -replicas 1 -history 250ms -alerts $(ALERT_DIR)/rules.json \
 	    -data-dir /tmp/wdm-alert-data/s1 & p1=$$!; \
 	trap 'kill -9 $$p0 $$p1 2>/dev/null' EXIT; sleep 1; \
-	/tmp/wdm-alert-serve -attack -target http://127.0.0.1:9102 -requests 2000 >/dev/null; \
+	/tmp/wdm-alert-load -mode steady -target http://127.0.0.1:9102 -arrivals 2000; \
 	m=$$(curl -s 127.0.0.1:9101/v1/status | tr -d ' \n' | sed 's/.*"m":\([0-9]*\).*/\1/'); \
 	echo "--- failing $$((m-1)) of $$m shard-0 middles (configured m stays at the bound)"; \
 	i=0; while [ $$i -lt $$((m-1)) ]; do \
 	    curl -s -XPOST 127.0.0.1:9101/v1/admin/fail -d "{\"fabric\":0,\"middle\":$$i}" >/dev/null; \
 	    i=$$((i+1)); done; \
-	/tmp/wdm-alert-serve -attack -target http://127.0.0.1:9101 -requests 4000 >/dev/null; \
+	/tmp/wdm-alert-load -mode steady -target http://127.0.0.1:9101 -arrivals 4000; \
 	echo '--- waiting for blocked_in_nonblocking_regime to fire'; \
 	fired=0; i=0; while [ $$i -lt 40 ]; do \
 	    if curl -s 127.0.0.1:9101/v1/alerts | tr -d ' \n' | grep -q '"state":"firing"'; then fired=1; break; fi; \

@@ -56,7 +56,7 @@ func main() {
 	maxLive := flag.Int("max-live", 0, "per-worker concurrent-session clamp; excess arrivals count unoffered (0 = unlimited)")
 	hotspot := flag.String("hotspot", "", "hotspot skew as frac[:ports], e.g. 0.3:2 (empty = uniform)")
 	churn := flag.String("churn", "", "session churn as rate[:growbias] per holding time, e.g. 0.5:0.5 (empty = none)")
-	workers := flag.Int("workers", 0, "workers per fabric replica (0 = mode default)")
+	workers := flag.Int("workers", 0, "workers per fabric replica (0 = 1)")
 	out := flag.String("out", "BENCH_curves.json", "sweep/replay: output artifact path")
 	stream := flag.String("stream", "", "write the deterministic request stream to this file")
 	strict := flag.Bool("strict", false, "sweep: exit 1 if any point measures P_block > 0; replay: exit 1 on drift outside the recorded Wilson intervals")

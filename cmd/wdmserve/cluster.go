@@ -104,7 +104,6 @@ func runClusterPrimary(logger *slog.Logger, cfg switchd.Config, opts clusterOpti
 		fatal(logger, fmt.Errorf("-repl-addr: %w", err))
 	}
 	go srv.Serve(ln)
-	ctl.Metrics().Publish("switchd")
 
 	// Federation peer health: a background prober keeps per-peer
 	// reachability fresh; the controller's /v1/health federation rows
@@ -172,9 +171,6 @@ func runStandby(logger *slog.Logger, cfg switchd.Config, opts clusterOptions, pe
 		Serving:       cfg,
 		FailoverAfter: opts.failoverAfter,
 		Logger:        logger,
-		OnPromote: func(ctl *switchd.Controller) {
-			ctl.Metrics().Publish("switchd")
-		},
 	})
 	if err != nil {
 		fatal(logger, err)

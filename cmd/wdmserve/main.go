@@ -3,10 +3,9 @@
 // WDM fabric replicas — built from any registered fabric backend (msw,
 // maw, awg, mesh; see GET /v1/fabrics) — and serves Connect / AddBranch
 // / Disconnect / Status over HTTP+JSON. With the fabric provisioned at
-// its backend's sufficient bound (the default), the /v1/metrics,
-// /metrics (Prometheus) and /debug/vars endpoints expose the paper's
-// nonblocking claim as a live invariant: `blocked` stays 0 under any
-// admissible traffic.
+// its backend's sufficient bound (the default), the Prometheus /metrics
+// endpoint exposes the paper's nonblocking claim as a live invariant:
+// wdm_blocked_total stays 0 under any admissible traffic.
 //
 // Server (three-stage Clos; -fabric awg and -fabric mesh select the
 // AWG-Clos and ring-mesh backends):
@@ -20,16 +19,14 @@
 //	curl localhost:8047/v1/debug/trace > incident.trace
 //	wdmtrace -replay incident.trace -n 16 -k 2 -r 4 -m 3 -x 1
 //
-// Load generator (against a running server):
+// Load comes from wdmload (cmd/wdmload). Chaos drill — fail a middle
+// module under load and repair it later; at m = bound + f spares (-m 15
+// is the default fabric's bound 13 plus two) the run must end with zero
+// blocks and zero dropped sessions:
 //
-//	wdmserve -attack -target http://localhost:8047 -requests 10000 -live 6
-//
-// Chaos drill — fail a middle module mid-load, repair it later, with
-// client retries on 429/503; at m = bound + f spares the run must end
-// with zero blocks and zero lost sessions:
-//
-//	wdmserve -attack -target http://localhost:8047 -requests 20000 \
-//	    -chaos "fail@2s f0:m2, repair@6s f0:m2" -retries 4
+//	wdmload -mode steady -target http://localhost:8047 -arrivals 2000 -erlangs 4 -timescale 20ms &
+//	curl -XPOST localhost:8047/v1/admin/fail -d '{"fabric":0,"middle":2}'
+//	curl -XPOST localhost:8047/v1/admin/repair -d '{"fabric":0,"middle":2}'
 //
 // Durable state plane — journal every acknowledged mutation to a
 // write-ahead log, checkpoint periodically, and survive kill -9 (a
@@ -70,7 +67,6 @@ import (
 	"repro/internal/obs/span"
 	"repro/internal/obs/tsdb"
 	"repro/internal/switchd"
-	"repro/internal/switchd/client"
 	"repro/internal/wdm"
 )
 
@@ -117,18 +113,6 @@ func main() {
 	peers := flag.String("peers", "", `cluster: shard endpoint list "primary[;standby],..." published at GET /v1/cluster for client-side routing`)
 	syncTimeout := flag.Duration("sync-timeout", 0, "cluster primary: max wait for the standby ack per group commit (0 = default 2s, negative = async shipping)")
 	failoverAfter := flag.Duration("failover-after", 0, "cluster standby: auto-promote after this much primary silence (0 = promote only on POST /v1/admin/promote)")
-
-	// Attack-mode flags.
-	attack := flag.Bool("attack", false, "run as load generator against -target instead of serving")
-	target := flag.String("target", "http://localhost:8047", "attack: base URL of the server")
-	requests := flag.Int("requests", 10000, "attack: total connect attempts")
-	perFabric := flag.Int("workers", 2, "attack: workers per fabric replica")
-	live := flag.Int("live", 6, "attack: per-worker live-session target (offered load knob)")
-	fanout := flag.Int("fanout", 0, "attack: max fanout (0 = worker slice size)")
-	seed := flag.Int64("seed", 1, "attack: PRNG seed")
-	jsonOut := flag.Bool("json", false, "attack: print the report as JSON")
-	chaos := flag.String("chaos", "", `attack: failure-plane schedule, e.g. "fail@10s f0:m2, repair@30s f0:m2"`)
-	retries := flag.Int("retries", 1, "attack: client attempts per request incl. the first (jittered backoff on 429/503)")
 	flag.Parse()
 
 	logger, err := buildLogger(*logFormat)
@@ -137,11 +121,6 @@ func main() {
 		os.Exit(2)
 	}
 	slog.SetDefault(logger)
-
-	if *attack {
-		runAttack(*target, *requests, *perFabric, *live, *fanout, *seed, *jsonOut, *chaos, *retries)
-		return
-	}
 
 	model, err := wdm.ParseModel(*modelName)
 	if err != nil {
@@ -226,7 +205,6 @@ func main() {
 	if err != nil {
 		fatal(logger, err)
 	}
-	ctl.Metrics().Publish("switchd")
 	if rec := ctl.Recovery(); rec != nil && len(rec.Sessions) > 0 {
 		logger.Info("recovered sessions from durable log",
 			slog.Int("sessions", len(rec.Sessions)),
@@ -306,38 +284,4 @@ func buildLogger(format string) (*slog.Logger, error) {
 func fatal(logger *slog.Logger, err error) {
 	logger.Error("fatal", slog.String("error", err.Error()))
 	os.Exit(1)
-}
-
-func runAttack(target string, requests, perFabric, live, fanout int, seed int64, jsonOut bool, chaos string, retries int) {
-	events, err := switchd.ParseChaos(chaos)
-	if err != nil {
-		fatal(slog.Default(), err)
-	}
-	rep, err := switchd.Attack(switchd.AttackConfig{
-		BaseURL:          target,
-		Requests:         requests,
-		WorkersPerFabric: perFabric,
-		TargetLive:       live,
-		MaxFanout:        fanout,
-		Seed:             seed,
-		Chaos:            events,
-		Retry:            client.RetryPolicy{MaxAttempts: retries},
-	})
-	if err != nil {
-		fatal(slog.Default(), fmt.Errorf("attack: %w", err))
-	}
-	if jsonOut {
-		out, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fatal(slog.Default(), fmt.Errorf("attack: %w", err))
-		}
-		fmt.Println(string(out))
-		return
-	}
-	fmt.Println(rep)
-	if rep.Server.Blocked == 0 {
-		fmt.Println("nonblocking invariant held: server reports blocked == 0")
-	} else {
-		fmt.Printf("server reports %d blocking events (expected iff m is below the sufficient bound)\n", rep.Server.Blocked)
-	}
 }

@@ -199,8 +199,9 @@ type jsonAggregate struct {
 }
 
 // jsonDoc is the -json document: enough configuration to rebuild the
-// run plus every point, so server-side (wdmserve /v1/metrics) and
-// offline blocking numbers can be diffed by scripts.
+// run plus every point, so live blocking numbers (wdmload's, or
+// wdm_blocked_total on wdmserve's /metrics) and offline ones can be
+// diffed by scripts.
 type jsonDoc struct {
 	N            int         `json:"n"`
 	K            int         `json:"k"`

@@ -55,10 +55,6 @@ type StandbyConfig struct {
 	FailoverAfter time.Duration
 
 	Logger *slog.Logger
-	// OnPromote, if set, runs after a successful promotion with the new
-	// primary controller (e.g. to attach a replication Server so the
-	// promoted node can adopt a standby of its own).
-	OnPromote func(*switchd.Controller)
 }
 
 // standbyConn tracks where a replicated session lives in the warm
@@ -697,9 +693,6 @@ func (s *Standby) Promote(reason string) (*switchd.Controller, error) {
 		s.cfg.Logger.Info("standby promoted to primary",
 			"shard", s.cfg.Shard, "reason", reason,
 			"sessions", st.Active, "millis", s.promoteInfo.Millis)
-		if s.cfg.OnPromote != nil {
-			s.cfg.OnPromote(ctl)
-		}
 	})
 	s.mu.Lock()
 	err := s.promoteErr

@@ -82,69 +82,6 @@ type Status struct {
 	Fabrics      []FabricStatus `json:"fabrics"`
 }
 
-// FabricSnapshot is one replica's counters in a metrics Snapshot.
-type FabricSnapshot struct {
-	Routed  int64 `json:"routed"`
-	Blocked int64 `json:"blocked"`
-	Active  int64 `json:"active"`
-	// FailedMiddles is the plane's current count of failed middle
-	// modules (a gauge, not a counter).
-	FailedMiddles int `json:"failed_middles,omitempty"`
-}
-
-// LatencyBucket is one histogram bucket in a Snapshot. Counts are
-// per-bucket (non-cumulative).
-type LatencyBucket struct {
-	LEMicros int64 `json:"le_us"` // upper bound; 0 = overflow (+Inf)
-	Count    int64 `json:"count"`
-}
-
-// OpLatency is one operation's latency histogram in a Snapshot.
-type OpLatency struct {
-	Op        string          `json:"op"` // connect | branch | disconnect
-	Count     int64           `json:"count"`
-	MeanNs    int64           `json:"mean_ns"`
-	SumNs     int64           `json:"sum_ns"`
-	P50Micros float64         `json:"p50_us"`
-	P99Micros float64         `json:"p99_us"`
-	Buckets   []LatencyBucket `json:"buckets"`
-}
-
-// Snapshot is the JSON form of the metrics registry, served at
-// GET /v1/metrics and published to expvar. The route_* fields aggregate
-// connect+branch — the fabric routing operations — and predate the
-// per-op split in Ops; they are kept for compatibility with existing
-// consumers.
-type Snapshot struct {
-	Model        string `json:"model"`
-	Construction string `json:"construction"`
-	M            int    `json:"m"`
-	ConnectOK    int64  `json:"connect_ok"`
-	BranchOK     int64  `json:"branch_ok"`
-	DisconnectOK int64  `json:"disconnect_ok"`
-	Blocked      int64  `json:"blocked"`
-	Inadmissible int64  `json:"inadmissible"`
-	CapRejects   int64  `json:"cap_rejects_429"`
-	DrainRejects int64  `json:"drain_rejects_503"`
-	// MigratedSessions counts sessions moved off failed middle modules;
-	// DroppedSessions those the failure plane could not restore.
-	MigratedSessions int64 `json:"migrated_sessions"`
-	DroppedSessions  int64 `json:"dropped_sessions"`
-	RouteCount       int64 `json:"route_count"`
-	RouteMeanNs      int64 `json:"route_mean_ns"`
-	// RouteBoundsUs are the histogram bucket upper bounds in
-	// microseconds, in order; the buckets below have one extra overflow
-	// entry (le_us 0).
-	RouteBoundsUs []int64         `json:"route_latency_bounds_us"`
-	RouteLatency  []LatencyBucket `json:"route_latency_us"`
-	Ops           []OpLatency     `json:"ops"`
-	// Phases are the per-phase latency histograms (Op is the phase name:
-	// admission_wait, lock_wait, route_search, wal_append, repl_ack,
-	// respond); phases never observed are omitted.
-	Phases    []OpLatency      `json:"phases,omitempty"`
-	PerFabric []FabricSnapshot `json:"per_fabric"`
-}
-
 // VersionInfo is the GET /v1/version payload: what binary produced a
 // measurement. Revision is the VCS commit when the binary was built
 // from a checkout (empty otherwise).
@@ -271,8 +208,7 @@ type LoadgenReport struct {
 	OfferedRPS  float64 `json:"offered_rps"`
 	AchievedRPS float64 `json:"achieved_rps"`
 	// OfferedErlangs is the generator's configured offered load (mean
-	// concurrent sessions per fabric plane); 0 in max-rate mode where
-	// load is paced by the live-session target instead.
+	// concurrent sessions per fabric plane).
 	OfferedErlangs float64 `json:"offered_erlangs,omitempty"`
 	// BlockRate is the generator's cumulative measured blocking
 	// probability over everything it has offered so far.

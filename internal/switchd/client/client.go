@@ -375,13 +375,6 @@ func IsBlocked(err error) bool {
 // Callers should drop such requests instead of resubmitting them.
 func IsPermanent(err error) bool { return api.IsCode(err, api.CodeSplitIncapable) }
 
-// MetricsSnapshot fetches the JSON metrics snapshot.
-func (c *Client) MetricsSnapshot(ctx context.Context) (api.Snapshot, error) {
-	var out api.Snapshot
-	err := c.call(ctx, http.MethodGet, "/v1/metrics", nil, &out)
-	return out, err
-}
-
 // Health fetches the failure-plane snapshot. A critical instance
 // answers 503 with the same body, so that status decodes as Health too
 // rather than as an error — callers branch on Health.Status.

@@ -14,6 +14,7 @@ import (
 	"repro/internal/obs/tsdb"
 	"repro/internal/switchd/api"
 	"repro/internal/switchd/client"
+	"repro/internal/traffic"
 )
 
 // drillRules is the shipped invariant rule rescaled to test time: the
@@ -105,12 +106,7 @@ func TestAlertDrillEndToEnd(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("no blocking with one middle left — drill cannot proceed")
 		}
-		if _, err := Attack(AttackConfig{
-			BaseURL: srv.URL, Client: srv.Client(),
-			Requests: 300, WorkersPerFabric: 2, TargetLive: 6, Seed: seed,
-		}); err != nil {
-			t.Fatalf("Attack: %v", err)
-		}
+		runLoad(t, srv, traffic.Config{Seed: seed, Arrivals: 300, WorkersPerFabric: 2, Erlangs: 8})
 	}
 
 	// The rule must escalate to firing, and the exposition gauge must

@@ -3,7 +3,6 @@ package switchd
 import (
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -31,8 +30,7 @@ import (
 //	GET  /v1/health         (failure plane: ok|degraded|critical, derated cap)
 //	POST /v1/admin/fail     {"fabric": 0, "middle": 2}  (fail + live-migrate)
 //	POST /v1/admin/repair   {"fabric": 0, "middle": 2}
-//	GET  /v1/metrics        (JSON snapshot)
-//	GET  /metrics           (Prometheus text exposition of the same counters)
+//	GET  /metrics           (Prometheus text exposition of every counter)
 //	GET  /v1/slo            (sliding-window SLIs and burn-rate alerts)
 //	GET  /v1/query          (metrics history: ?query=, ?start=, ?end=, ?step=; rate()/increase()/histogram_quantile())
 //	GET  /v1/alerts         (alerting rules engine: per-rule pending/firing state)
@@ -41,7 +39,6 @@ import (
 //	GET  /v1/debug/blocking (forensics ring buffer: recent blocking incidents)
 //	GET  /v1/debug/spans    (tail-sampled completed traces; ?blocked=1, ?trace=ID, ?limit=N)
 //	GET  /v1/debug/trace    (?fabric=N; replayable serving history, needs Config.CaptureTrace)
-//	GET  /debug/vars        (standard expvar, includes the published registry)
 //
 // Every serving request runs under a span (see internal/obs/span): an
 // inbound W3C traceparent header is joined, otherwise a fresh trace id
@@ -71,7 +68,6 @@ func (ctl *Controller) Handler() http.Handler {
 	mux.HandleFunc("/v1/health", ctl.handleHealth)
 	mux.HandleFunc("/v1/admin/fail", ctl.handleAdminFail)
 	mux.HandleFunc("/v1/admin/repair", ctl.handleAdminRepair)
-	mux.HandleFunc("/v1/metrics", ctl.handleMetrics)
 	mux.HandleFunc("/metrics", ctl.handlePromMetrics)
 	mux.HandleFunc("/v1/slo", ctl.handleSLO)
 	mux.HandleFunc("/v1/query", ctl.handleQuery)
@@ -83,7 +79,6 @@ func (ctl *Controller) Handler() http.Handler {
 	mux.HandleFunc("/v1/debug/trace", ctl.handleDebugTrace)
 	mux.HandleFunc("/v1/debug/prof", ctl.handleDebugProf)
 	mux.HandleFunc("/v1/debug/tsdb", ctl.handleDebugTSDB)
-	mux.Handle("/debug/vars", expvar.Handler())
 	return ctl.tracer.Middleware(mux)
 }
 
@@ -333,10 +328,6 @@ func (ctl *Controller) handleAdminRepair(w http.ResponseWriter, r *http.Request)
 		return
 	}
 	writeJSON(w, http.StatusOK, rep)
-}
-
-func (ctl *Controller) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, ctl.metrics.Snapshot())
 }
 
 // handleDebugProf serves the profiling harness (see internal/obs/prof):

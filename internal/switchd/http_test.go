@@ -64,10 +64,7 @@ func TestHTTPLifecycle(t *testing.T) {
 		t.Fatalf("status = %+v", st)
 	}
 
-	var snap Snapshot
-	if code := do(t, h, "GET", "/v1/metrics", "", &snap); code != http.StatusOK {
-		t.Fatalf("metrics: code %d", code)
-	}
+	snap := ctl.Metrics().Snapshot()
 	if snap.ConnectOK != 1 || snap.BranchOK != 1 || snap.Blocked != 0 {
 		t.Fatalf("metrics = %+v", snap)
 	}
@@ -155,21 +152,5 @@ func TestHTTPStatusMapping(t *testing.T) {
 	var st Status
 	if code := do(t, h, "GET", "/v1/status", "", &st); code != http.StatusOK || !st.Draining || st.Active != 0 {
 		t.Fatalf("status after drain: code %d %+v", code, st)
-	}
-}
-
-func TestExpvarPublish(t *testing.T) {
-	ctl := newTestController(t, Config{Fabric: testParams()})
-	ctl.Metrics().Publish("switchd-test")
-	ctl.Metrics().Publish("switchd-test") // second publish must not panic
-
-	var vars struct {
-		Switchd *Snapshot `json:"switchd-test"`
-	}
-	if code := do(t, ctl.Handler(), "GET", "/debug/vars", "", &vars); code != http.StatusOK {
-		t.Fatalf("/debug/vars: code %d", code)
-	}
-	if vars.Switchd == nil || vars.Switchd.Model != "MSW" {
-		t.Fatalf("/debug/vars missing published registry: %+v", vars.Switchd)
 	}
 }

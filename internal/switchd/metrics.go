@@ -1,7 +1,6 @@
 package switchd
 
 import (
-	"expvar"
 	"sync/atomic"
 	"time"
 
@@ -191,9 +190,69 @@ func (h *latencyHist) snapshot(op string) OpLatency {
 	return o
 }
 
-// Snapshot assembles the current counter values. (The Snapshot type
-// itself lives in the api package — it is part of the /v1 wire
-// contract.)
+// FabricSnapshot is one replica's counters in a metrics Snapshot.
+type FabricSnapshot struct {
+	Routed  int64 `json:"routed"`
+	Blocked int64 `json:"blocked"`
+	Active  int64 `json:"active"`
+	// FailedMiddles is the plane's current count of failed middle
+	// modules (a gauge, not a counter).
+	FailedMiddles int `json:"failed_middles,omitempty"`
+}
+
+// LatencyBucket is one histogram bucket in a Snapshot. Counts are
+// per-bucket (non-cumulative).
+type LatencyBucket struct {
+	LEMicros int64 `json:"le_us"` // upper bound; 0 = overflow (+Inf)
+	Count    int64 `json:"count"`
+}
+
+// OpLatency is one operation's latency histogram in a Snapshot.
+type OpLatency struct {
+	Op        string          `json:"op"` // connect | branch | disconnect
+	Count     int64           `json:"count"`
+	MeanNs    int64           `json:"mean_ns"`
+	SumNs     int64           `json:"sum_ns"`
+	P50Micros float64         `json:"p50_us"`
+	P99Micros float64         `json:"p99_us"`
+	Buckets   []LatencyBucket `json:"buckets"`
+}
+
+// Snapshot is the registry's counter values at one instant, read in
+// process (the Prometheus exposition at /metrics is built from it, and
+// wdmserve logs it as JSON on shutdown). The route_* fields aggregate
+// connect+branch — the fabric routing operations.
+type Snapshot struct {
+	Model        string `json:"model"`
+	Construction string `json:"construction"`
+	M            int    `json:"m"`
+	ConnectOK    int64  `json:"connect_ok"`
+	BranchOK     int64  `json:"branch_ok"`
+	DisconnectOK int64  `json:"disconnect_ok"`
+	Blocked      int64  `json:"blocked"`
+	Inadmissible int64  `json:"inadmissible"`
+	CapRejects   int64  `json:"cap_rejects_429"`
+	DrainRejects int64  `json:"drain_rejects_503"`
+	// MigratedSessions counts sessions moved off failed middle modules;
+	// DroppedSessions those the failure plane could not restore.
+	MigratedSessions int64 `json:"migrated_sessions"`
+	DroppedSessions  int64 `json:"dropped_sessions"`
+	RouteCount       int64 `json:"route_count"`
+	RouteMeanNs      int64 `json:"route_mean_ns"`
+	// RouteBoundsUs are the histogram bucket upper bounds in
+	// microseconds, in order; the buckets below have one extra overflow
+	// entry (le_us 0).
+	RouteBoundsUs []int64         `json:"route_latency_bounds_us"`
+	RouteLatency  []LatencyBucket `json:"route_latency_us"`
+	Ops           []OpLatency     `json:"ops"`
+	// Phases are the per-phase latency histograms (Op is the phase name:
+	// admission_wait, lock_wait, route_search, wal_append, repl_ack,
+	// respond); phases never observed are omitted.
+	Phases    []OpLatency      `json:"phases,omitempty"`
+	PerFabric []FabricSnapshot `json:"per_fabric"`
+}
+
+// Snapshot assembles the current counter values.
 func (m *Metrics) Snapshot() Snapshot {
 	s := Snapshot{
 		Model:            m.model,
@@ -279,16 +338,4 @@ func HistQuantileMicros(buckets []LatencyBucket, q float64) float64 {
 		}
 	}
 	return lo
-}
-
-// Publish registers the registry with the process-global expvar
-// namespace under the given name, making it visible at the standard
-// /debug/vars endpoint. Publishing the same name twice is a no-op (the
-// first registration wins), so tests constructing many controllers can
-// call it freely.
-func (m *Metrics) Publish(name string) {
-	if expvar.Get(name) != nil {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any { return m.Snapshot() }))
 }

@@ -11,12 +11,13 @@ import (
 
 	"repro/internal/multistage"
 	"repro/internal/trace"
+	"repro/internal/traffic"
 	"repro/internal/wdm"
 )
 
 // TestPromEndpointCrossCheck drives a small lifecycle and asserts the
 // Prometheus exposition round-trips through the strict parser and
-// agrees with the JSON snapshot on every shared counter.
+// agrees with the registry snapshot on every shared counter.
 func TestPromEndpointCrossCheck(t *testing.T) {
 	cfg := Config{Fabric: testParams(), Replicas: 2,
 		DataDir: t.TempDir(), WALSyncDelay: -1, SnapshotInterval: -1}
@@ -117,22 +118,11 @@ func TestPromEndpointCrossCheck(t *testing.T) {
 	}
 }
 
-// TestMetricsJSONBounds asserts the JSON snapshot labels its histogram
-// bucket bounds so clients need not hard-code them.
+// TestMetricsJSONBounds asserts the registry snapshot labels its
+// histogram bucket bounds so readers need not hard-code them.
 func TestMetricsJSONBounds(t *testing.T) {
 	ctl := newTestController(t, Config{Fabric: testParams()})
-	srv := httptest.NewServer(ctl.Handler())
-	defer srv.Close()
-
-	resp, err := srv.Client().Get(srv.URL + "/v1/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var snap Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
+	snap := ctl.Metrics().Snapshot()
 	if len(snap.RouteBoundsUs) != len(routeBucketsMicros) {
 		t.Fatalf("route_latency_bounds_us has %d entries, want %d", len(snap.RouteBoundsUs), len(routeBucketsMicros))
 	}
@@ -266,19 +256,15 @@ func TestTraceCaptureReplay(t *testing.T) {
 	srv := httptest.NewServer(ctl.Handler())
 	defer srv.Close()
 
-	rep, err := Attack(AttackConfig{
-		BaseURL:          srv.URL,
-		Client:           srv.Client(),
-		Requests:         2000,
-		WorkersPerFabric: 2,
-		TargetLive:       6,
+	runLoad(t, srv, traffic.Config{
 		Seed:             7,
+		Arrivals:         2000,
+		WorkersPerFabric: 2,
+		Erlangs:          8,
 	})
-	if err != nil {
-		t.Fatalf("Attack: %v", err)
-	}
-	if rep.Server.Blocked == 0 {
-		t.Fatalf("no blocking below the bound (report: %v)", rep)
+	serverBlocked := ctl.Metrics().Blocked()
+	if serverBlocked == 0 {
+		t.Fatal("no blocking below the bound")
 	}
 
 	resp, err := srv.Client().Get(srv.URL + "/v1/debug/trace?fabric=0")
@@ -303,8 +289,8 @@ func TestTraceCaptureReplay(t *testing.T) {
 	if blocked == 0 {
 		t.Fatal("captured trace holds no blocked event")
 	}
-	if int64(blocked) != rep.Server.Blocked {
-		t.Fatalf("trace holds %d blocked events, server counted %d", blocked, rep.Server.Blocked)
+	if int64(blocked) != serverBlocked {
+		t.Fatalf("trace holds %d blocked events, server counted %d", blocked, serverBlocked)
 	}
 
 	// Replay against a fresh fabric of identical parameters: the router

@@ -13,9 +13,9 @@ import (
 	"repro/internal/switchd/api"
 )
 
-// Prometheus text exposition for GET /metrics, assembled from the same
-// counters as the JSON /v1/metrics snapshot plus the per-stage link
-// occupancy of every fabric plane. The headline series is
+// Prometheus text exposition for GET /metrics, assembled from the
+// registry's Snapshot plus the per-stage link occupancy of every fabric
+// plane. The headline series is
 // wdm_blocked_total: at or above the sufficient bound it must stay 0 —
 // the paper's theorem as a scrape-and-alert rule.
 
@@ -109,7 +109,7 @@ func (ctl *Controller) WriteProm(w *obs.PromWriter) {
 	}
 
 	// Operation latency histograms: bucket bounds are the microsecond
-	// bounds of the JSON snapshot, exposed in seconds per convention.
+	// bounds of the registry snapshot, exposed in seconds per convention.
 	// In OpenMetrics mode each bucket carries its most recent traced
 	// observation as an exemplar, joining /metrics to /v1/debug/spans.
 	bounds := make([]float64, len(snap.RouteBoundsUs))
@@ -204,7 +204,7 @@ func (ctl *Controller) WriteProm(w *obs.PromWriter) {
 	if lg, ok := ctl.loadgenRates(); ok {
 		w.Gauge("wdm_loadgen_offered_rps", "Load generator offered request rate (fresh self-report only).", lg.OfferedRPS)
 		w.Gauge("wdm_loadgen_achieved_rps", "Load generator achieved (routed) request rate (fresh self-report only).", lg.AchievedRPS)
-		w.Gauge("wdm_loadgen_offered_erlangs", "Load generator configured offered load in Erlangs (0 in max-rate mode; fresh self-report only).", lg.OfferedErlangs)
+		w.Gauge("wdm_loadgen_offered_erlangs", "Load generator configured offered load in Erlangs (fresh self-report only).", lg.OfferedErlangs)
 		w.Gauge("wdm_loadgen_block_rate", "Load generator cumulative measured blocking probability (fresh self-report only).", lg.BlockRate)
 	}
 

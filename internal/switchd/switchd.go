@@ -86,15 +86,11 @@ var (
 // Wire types re-exported from the api package (the /v1 contract shared
 // with the typed client); switchd keeps the old names as aliases.
 type (
-	Status         = api.Status
-	FabricStatus   = api.FabricStatus
-	SessionInfo    = api.SessionInfo
-	Snapshot       = api.Snapshot
-	FabricSnapshot = api.FabricSnapshot
-	OpLatency      = api.OpLatency
-	LatencyBucket  = api.LatencyBucket
-	SpansResponse  = api.SpansResponse
-	Health         = api.Health
+	Status        = api.Status
+	FabricStatus  = api.FabricStatus
+	SessionInfo   = api.SessionInfo
+	SpansResponse = api.SpansResponse
+	Health        = api.Health
 )
 
 // Config parameterizes a Controller.

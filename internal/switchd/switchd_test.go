@@ -16,6 +16,7 @@ import (
 	"repro/internal/multistage"
 	"repro/internal/obs"
 	"repro/internal/switchd/api"
+	"repro/internal/switchd/client"
 	"repro/internal/traffic"
 	"repro/internal/wdm"
 	"repro/internal/workload"
@@ -384,6 +385,23 @@ func pickGrowSlot(free *traffic.SlotPool, c wdm.Connection) (wdm.PortWave, bool)
 	return wdm.PortWave{}, false
 }
 
+// runLoad drives the traffic engine — the closed loop wdmload runs —
+// against srv through the typed client and returns the run's report.
+// cfg must set Erlangs; the Sink is filled in here.
+func runLoad(t *testing.T, srv *httptest.Server, cfg traffic.Config) traffic.Report {
+	t.Helper()
+	cfg.Sink = traffic.NewClientSink(client.New(srv.URL, client.WithHTTPClient(srv.Client())))
+	eng, err := traffic.NewEngine(cfg)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	rep, err := eng.Run(context.Background())
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	return rep
+}
+
 // TestNonblockingInvariantAtBound runs the full serving loop — HTTP
 // server, concurrent load-generator workers, metrics endpoint — with
 // every fabric at the Theorem 1 sufficient bound and asserts the
@@ -396,38 +414,40 @@ func TestNonblockingInvariantAtBound(t *testing.T) {
 	srv := httptest.NewServer(ctl.Handler())
 	defer srv.Close()
 
-	rep, err := Attack(AttackConfig{
-		BaseURL:          srv.URL,
-		Client:           srv.Client(),
-		Requests:         10000,
-		WorkersPerFabric: 2,
-		TargetLive:       4,
+	// Two workers interleave on each plane at 8 Erlangs. At that load a
+	// worker's free-slot pool sometimes runs dry and the arrival goes
+	// unoffered client-side, so the budget leaves headroom above 10k.
+	const arrivals = 11000
+	s := runLoad(t, srv, traffic.Config{
 		Seed:             7,
-	})
-	if err != nil {
-		t.Fatalf("Attack: %v", err)
+		Arrivals:         arrivals,
+		WorkersPerFabric: 2,
+		Erlangs:          8,
+	}).Stats
+	if s.Connects+s.Unoffered != arrivals {
+		t.Fatalf("connects %d + unoffered %d != %d arrivals", s.Connects, s.Unoffered, arrivals)
 	}
-	if rep.Connects < 10000 {
-		t.Fatalf("only %d connects offered, want >= 10000", rep.Connects)
+	if s.Connects < 10000 {
+		t.Fatalf("only %d connects offered (%d unoffered), want >= 10000", s.Connects, s.Unoffered)
 	}
-	if rep.Blocked != 0 || rep.Server.Blocked != 0 {
-		t.Fatalf("blocked: client=%d server=%d at the sufficient bound, want 0 (report: %v)",
-			rep.Blocked, rep.Server.Blocked, rep)
+	snap := ctl.Metrics().Snapshot()
+	if s.Blocked != 0 || snap.Blocked != 0 {
+		t.Fatalf("blocked: client=%d server=%d at the sufficient bound, want 0", s.Blocked, snap.Blocked)
 	}
-	if rep.Server.ConnectOK != int64(rep.Routed) {
-		t.Fatalf("server connect_ok=%d != client routed=%d", rep.Server.ConnectOK, rep.Routed)
+	if snap.ConnectOK != int64(s.Routed) {
+		t.Fatalf("server connect_ok=%d != client routed=%d", snap.ConnectOK, s.Routed)
 	}
 	if ctl.ActiveSessions() != 0 {
-		t.Fatalf("sessions leaked: %d live after attack", ctl.ActiveSessions())
+		t.Fatalf("sessions leaked: %d live after the run", ctl.ActiveSessions())
 	}
 	// The Prometheus exposition must agree: zero blocked over the whole
-	// run, with the routed totals matching the JSON snapshot.
+	// run, with the routed totals matching the registry snapshot.
 	pm := scrapeProm(t, srv.Client(), srv.URL)
 	if v, ok := pm.Value("wdm_blocked_total", nil); !ok || v != 0 {
 		t.Fatalf("/metrics wdm_blocked_total = %v, %v; want 0 at the bound", v, ok)
 	}
-	if v, ok := pm.Value("wdm_connect_total", nil); !ok || v != float64(rep.Server.ConnectOK) {
-		t.Fatalf("/metrics wdm_connect_total = %v, %v; want %d", v, ok, rep.Server.ConnectOK)
+	if v, ok := pm.Value("wdm_connect_total", nil); !ok || v != float64(snap.ConnectOK) {
+		t.Fatalf("/metrics wdm_connect_total = %v, %v; want %d", v, ok, snap.ConnectOK)
 	}
 }
 
@@ -453,9 +473,9 @@ func scrapeProm(t *testing.T, client *http.Client, baseURL string) obs.Metrics {
 }
 
 // TestBlockingObservableBelowBound is the control experiment: with the
-// middle stage well below the bound the same traffic must produce
-// blocked > 0, visible on the metrics endpoint — the invariant is
-// falsifiable, not vacuously true.
+// middle stage well below the bound the same offered load (8 Erlangs,
+// two workers per plane) must produce blocked > 0, visible on the
+// metrics endpoint — the invariant is falsifiable, not vacuously true.
 func TestBlockingObservableBelowBound(t *testing.T) {
 	p := testParams()
 	p.M = 3 // Theorem 1 sufficient bound for n=4, r=4 is far higher
@@ -464,28 +484,24 @@ func TestBlockingObservableBelowBound(t *testing.T) {
 	srv := httptest.NewServer(ctl.Handler())
 	defer srv.Close()
 
-	rep, err := Attack(AttackConfig{
-		BaseURL:          srv.URL,
-		Client:           srv.Client(),
-		Requests:         3000,
-		WorkersPerFabric: 2,
-		TargetLive:       6,
+	s := runLoad(t, srv, traffic.Config{
 		Seed:             7,
-	})
-	if err != nil {
-		t.Fatalf("Attack: %v", err)
+		Arrivals:         3000,
+		WorkersPerFabric: 2,
+		Erlangs:          8,
+	}).Stats
+	server := ctl.Metrics().Blocked()
+	if server == 0 {
+		t.Fatalf("no blocking observed below the bound (%d connects, %d routed)", s.Connects, s.Routed)
 	}
-	if rep.Server.Blocked == 0 {
-		t.Fatalf("no blocking observed below the bound (report: %v)", rep)
+	if s.Blocked != int(server) {
+		t.Fatalf("client saw %d blocks, server counted %d", s.Blocked, server)
 	}
-	if rep.Blocked != int(rep.Server.Blocked) {
-		t.Fatalf("client saw %d blocks, server counted %d", rep.Blocked, rep.Server.Blocked)
-	}
-	if rep.Outcomes[api.CodeBlocked] != rep.Blocked {
-		t.Fatalf("outcomes[blocked] = %d, want %d", rep.Outcomes[api.CodeBlocked], rep.Blocked)
+	if s.Outcomes[api.CodeBlocked] != s.Blocked {
+		t.Fatalf("outcomes[blocked] = %d, want %d", s.Outcomes[api.CodeBlocked], s.Blocked)
 	}
 	pm := scrapeProm(t, srv.Client(), srv.URL)
-	if v, ok := pm.Value("wdm_blocked_total", nil); !ok || v != float64(rep.Server.Blocked) {
-		t.Fatalf("/metrics wdm_blocked_total = %v, %v; want %d", v, ok, rep.Server.Blocked)
+	if v, ok := pm.Value("wdm_blocked_total", nil); !ok || v != float64(server) {
+		t.Fatalf("/metrics wdm_blocked_total = %v, %v; want %d", v, ok, server)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"repro/internal/obs/slo"
 	"repro/internal/obs/span"
 	"repro/internal/switchd/api"
+	"repro/internal/traffic"
 )
 
 // postConnect issues POST /v1/connect, optionally under a traceparent,
@@ -71,7 +72,7 @@ func TestTraceJoinEndToEnd(t *testing.T) {
 	p.X = 1
 	ctl := newTestController(t, Config{
 		Fabric: p, Replicas: 1, Shards: 4,
-		// Keep every trace: the ring must outlast the whole attack so
+		// Keep every trace: the ring must outlast the whole load run so
 		// client-recorded ids always resolve.
 		Spans: span.Config{Capacity: 4096, SampleEvery: 1},
 	})
@@ -80,37 +81,34 @@ func TestTraceJoinEndToEnd(t *testing.T) {
 	client := srv.Client()
 
 	// Phase 1 — the load generator tags every connect with a fresh
-	// traceparent and reports the ids of blocked and slowest requests.
-	rep, err := Attack(AttackConfig{
-		BaseURL: srv.URL, Client: client,
-		Requests: 600, WorkersPerFabric: 2, TargetLive: 6, Seed: 7,
-	})
-	if err != nil {
-		t.Fatalf("Attack: %v", err)
+	// traceparent and records each connect's trace id and outcome.
+	s := runLoad(t, srv, traffic.Config{Seed: 7, Arrivals: 600, WorkersPerFabric: 2, Erlangs: 8}).Stats
+	if s.Blocked == 0 {
+		t.Fatalf("no blocking at m=1; cannot exercise the trace join (%d connects)", s.Connects)
 	}
-	if rep.Blocked == 0 {
-		t.Fatalf("no blocking at m=1; cannot exercise the trace join (report: %v)", rep)
+	if len(s.Traces) != s.Connects {
+		t.Fatalf("load generator recorded %d trace refs for %d connects", len(s.Traces), s.Connects)
 	}
-	if len(rep.BlockedTraces) == 0 || len(rep.SlowestTraces) == 0 {
-		t.Fatalf("loadgen recorded no trace refs: blocked=%d slowest=%d",
-			len(rep.BlockedTraces), len(rep.SlowestTraces))
-	}
-	for _, ref := range rep.BlockedTraces {
+	var blockedRefs []traffic.TraceRef
+	for _, ref := range s.Traces {
 		if len(ref.TraceID) != 32 {
-			t.Fatalf("blocked trace ref %q is not a 32-hex trace id", ref.TraceID)
+			t.Fatalf("trace ref %q is not a 32-hex trace id", ref.TraceID)
 		}
-		if ref.Outcome != api.CodeBlocked {
-			t.Fatalf("blocked trace ref outcome = %q, want %q", ref.Outcome, api.CodeBlocked)
+		if ref.Outcome == api.CodeBlocked {
+			blockedRefs = append(blockedRefs, ref)
 		}
+	}
+	if len(blockedRefs) != s.Blocked {
+		t.Fatalf("%d trace refs record a block, the run counted %d", len(blockedRefs), s.Blocked)
 	}
 	// A client-recorded blocked id resolves in the span ring.
-	got := fetchSpans(t, client, srv.URL, "?trace="+rep.BlockedTraces[0].TraceID)
+	got := fetchSpans(t, client, srv.URL, "?trace="+blockedRefs[0].TraceID)
 	if len(got.Traces) != 1 || !got.Traces[0].Blocked {
-		t.Fatalf("attack-blocked trace %s not in ring as blocked (got %d traces)",
-			rep.BlockedTraces[0].TraceID, len(got.Traces))
+		t.Fatalf("load-blocked trace %s not in ring as blocked (got %d traces)",
+			blockedRefs[0].TraceID, len(got.Traces))
 	}
 
-	// Phase 2 — deterministic tail. The attack released its sessions, so
+	// Phase 2 — deterministic tail. The load run released its sessions, so
 	// rebuild the blocking state and drive one blocked connect under a
 	// traceparent the test owns end to end.
 	if resp := postConnect(t, client, srv.URL, "0.0>4.0", "", nil); resp.StatusCode != http.StatusOK {
@@ -283,15 +281,9 @@ func TestSLOHealthyAtBound(t *testing.T) {
 	srv := httptest.NewServer(ctl.Handler())
 	defer srv.Close()
 
-	rep, err := Attack(AttackConfig{
-		BaseURL: srv.URL, Client: srv.Client(),
-		Requests: 400, WorkersPerFabric: 2, TargetLive: 4, Seed: 11,
-	})
-	if err != nil {
-		t.Fatalf("Attack: %v", err)
-	}
-	if rep.Blocked != 0 {
-		t.Fatalf("blocked at the bound: %v", rep)
+	s := runLoad(t, srv, traffic.Config{Seed: 11, Arrivals: 400, WorkersPerFabric: 2, Erlangs: 8}).Stats
+	if s.Blocked != 0 {
+		t.Fatalf("blocked %d of %d connects at the bound", s.Blocked, s.Connects)
 	}
 
 	resp, err := srv.Client().Get(srv.URL + "/v1/slo")

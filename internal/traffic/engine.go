@@ -40,10 +40,8 @@ type ChurnConfig struct {
 	GrowBias float64 `json:"grow_bias,omitempty"`
 }
 
-// Config parameterizes one engine run. Erlangs > 0 selects the
-// virtual-time arrival-process mode; otherwise the engine runs the
-// max-rate closed loop (the legacy -attack behavior) paced by
-// TargetLive.
+// Config parameterizes one engine run: an arrival process offering
+// Erlangs of load to every fabric replica, in virtual time.
 type Config struct {
 	// Sink is the target: a live server (NewClientSink) or a routing
 	// network in process (NewNetworkSink).
@@ -54,8 +52,7 @@ type Config struct {
 	// (default 10000).
 	Arrivals int
 	// WorkersPerFabric partitions each fabric replica's port space into
-	// this many disjoint closed loops (default 1 in Erlang mode, 2 in
-	// max-rate mode).
+	// this many disjoint closed loops (default 1).
 	WorkersPerFabric int
 	// MaxFanout bounds each request's fanout; 0 means up to the
 	// worker's port-slice size.
@@ -67,8 +64,7 @@ type Config struct {
 	Hotspot HotspotConfig
 
 	// Erlangs is the offered load per fabric replica: mean concurrent
-	// sessions = arrival rate × mean holding time. > 0 selects
-	// virtual-time mode.
+	// sessions = arrival rate × mean holding time. Must be positive.
 	Erlangs float64
 	// Arrival builds each worker's arrival process (default poisson).
 	Arrival ArrivalSpec
@@ -76,9 +72,9 @@ type Config struct {
 	Holding HoldingSpec
 	// Churn adds AddBranch growth / partial-teardown dynamics.
 	Churn ChurnConfig
-	// MaxLive clamps each worker's concurrent sessions in Erlang mode:
-	// arrivals landing at the clamp are counted Unoffered (a
-	// client-side clamp, never presented to the fabric). 0 = unlimited.
+	// MaxLive clamps each worker's concurrent sessions: arrivals
+	// landing at the clamp are counted Unoffered (a client-side clamp,
+	// never presented to the fabric). 0 = unlimited.
 	// Used to hold a sweep inside a backend's concurrency guarantee —
 	// the ring mesh is nonblocking only for k concurrent sessions.
 	MaxLive int
@@ -87,12 +83,6 @@ type Config struct {
 	// by wdmload -steady so the target's gauges and sparklines move at
 	// watchable speed.
 	TimeScale time.Duration
-
-	// TargetLive is the max-rate mode's per-worker live-session
-	// high-water mark: the worker disconnects its oldest session before
-	// connecting past it (default 8) — the offered-load knob of the
-	// legacy -attack.
-	TargetLive int
 
 	// StreamLog, when set, receives the run's request stream: one line
 	// per request event in virtual-time order, concatenated per worker
@@ -134,6 +124,9 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.Sink == nil {
 		return nil, fmt.Errorf("traffic: Config.Sink is required")
 	}
+	if cfg.Erlangs <= 0 {
+		return nil, fmt.Errorf("traffic: offered load %g Erlangs is not positive", cfg.Erlangs)
+	}
 	if cfg.Arrivals <= 0 {
 		cfg.Arrivals = 10000
 	}
@@ -141,14 +134,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		cfg.Fanout = workload.Geometric{}
 	}
 	if cfg.WorkersPerFabric <= 0 {
-		if cfg.Erlangs > 0 {
-			cfg.WorkersPerFabric = 1
-		} else {
-			cfg.WorkersPerFabric = 2
-		}
-	}
-	if cfg.Erlangs <= 0 && cfg.TargetLive <= 0 {
-		cfg.TargetLive = 8
+		cfg.WorkersPerFabric = 1
 	}
 	if cfg.Hotspot.Fraction < 0 || cfg.Hotspot.Fraction > 1 {
 		return nil, fmt.Errorf("traffic: hotspot fraction %g outside [0, 1]", cfg.Hotspot.Fraction)
@@ -208,11 +194,7 @@ func (e *Engine) Run(ctx context.Context) (Report, error) {
 				attempts++
 			}
 			w := newWorker(&cfg, status, model, i, lg, &e.prog)
-			if cfg.Erlangs > 0 {
-				w.runErlang(ctx, attempts)
-			} else {
-				w.runMaxRate(ctx, attempts)
-			}
+			w.run(ctx, attempts)
 			results[i] = w.stats
 		}(i, lg)
 	}
@@ -327,27 +309,15 @@ func (w *worker) destCandidates() []wdm.PortWave {
 	return w.hotBuf
 }
 
-// offerOutcome classifies one connect attempt.
-type offerOutcome int
-
-const (
-	offerRouted offerOutcome = iota
-	offerBlocked
-	offerRejected // admission_full
-	offerFailed   // fabric_failed
-	offerStarved  // no admissible request constructible client-side
-	offerError    // stats.Err set
-)
-
-// offer is the single request-generation path shared by every mode:
-// build one admissible connect from the worker's free slots, offer it
-// to the sink, and account the answer. On success the session's slots
-// are taken and the session returned.
-func (w *worker) offer(ctx context.Context) (offerOutcome, liveSession) {
+// offer is the single request-generation path: build one admissible
+// connect from the worker's free slots, offer it to the sink, and
+// account the answer. routed reports that the worker now holds the
+// returned session (its slots taken); fatal means stats.Err is set.
+func (w *worker) offer(ctx context.Context) (sess liveSession, routed, fatal bool) {
 	conn, ok := w.gen.Connection(w.freeSrc.Slots(), w.destCandidates(), w.gen.Fanout(w.maxFanout()))
 	if !ok {
 		w.stats.Unoffered++
-		return offerStarved, liveSession{}
+		return liveSession{}, false, false
 	}
 	w.stats.Connects++
 	w.stats.TotalFanout += len(conn.Dests)
@@ -357,23 +327,22 @@ func (w *worker) offer(ctx context.Context) (offerOutcome, liveSession) {
 	outcome, sess, fatal := w.admitConnection(ctx, conn, "connect")
 	switch {
 	case fatal:
-		return offerError, liveSession{}
+		return liveSession{}, false, true
 	case outcome == OK:
-		return offerRouted, sess
+		return sess, true, false
 	case outcome == api.CodeAdmissionFull:
 		w.stats.Rejected++
-		return offerRejected, liveSession{}
 	case outcome == api.CodeFabricFailed:
-		return offerFailed, liveSession{}
+		// Tallied in Outcomes only: the worker's plane had no working middle.
 	case IsBlockedCode(outcome):
 		w.stats.Blocked++
 		stratum.Blocked++
 		w.stats.ByFanout[len(conn.Dests)] = stratum
-		return offerBlocked, liveSession{}
 	default:
 		w.stats.Err = fmt.Errorf("traffic: connect %s: unexpected error code %s", wdm.FormatConnection(conn), outcome)
-		return offerError, liveSession{}
+		return liveSession{}, false, true
 	}
+	return liveSession{}, false, false
 }
 
 // admitConnection performs one connect-class request (a fresh connect
@@ -393,10 +362,7 @@ func (w *worker) admitConnection(ctx context.Context, conn wdm.Connection, verb 
 		w.stats.Err = fmt.Errorf("traffic: %s %s: %w", verb, connStr, err)
 		return "", liveSession{}, true
 	}
-	w.stats.Traces = append(w.stats.Traces, TraceRef{
-		TraceID: r.TraceID, Outcome: r.Code,
-		Micros: rtt.Microseconds(), Conn: connStr,
-	})
+	w.stats.Traces = append(w.stats.Traces, TraceRef{TraceID: r.TraceID, Outcome: r.Code})
 	w.stats.Outcomes[r.Code]++
 	w.prog.offered.Add(1)
 	w.logf("%s %s -> %s\n", verb, connStr, r.Code)
@@ -469,62 +435,7 @@ func (w *worker) logf(format string, args ...any) {
 }
 
 // ---------------------------------------------------------------------------
-// Max-rate mode: the legacy -attack closed loop. Connect until the
-// live target is reached, then recycle oldest-first, keeping every
-// request admissible within the private port slice.
-
-func (w *worker) runMaxRate(ctx context.Context, attempts int) {
-	var live []liveSession
-	disconnectOldest := func() bool {
-		s := live[0]
-		live = live[1:]
-		return w.disconnect(ctx, s)
-	}
-	for i := 0; i < attempts; i++ {
-		for len(live) >= w.cfg.TargetLive {
-			if !disconnectOldest() {
-				return
-			}
-		}
-		outcome, sess := w.offer(ctx)
-		switch outcome {
-		case offerRouted:
-			live = append(live, sess)
-			w.noteLive(len(live))
-		case offerBlocked:
-			// Counted; the closed loop simply moves on.
-		case offerStarved:
-			// Free sets can't support a request (e.g. wavelength-starved
-			// under MSW); recycle a session and retry.
-			if len(live) == 0 {
-				w.stats.Err = fmt.Errorf("traffic: worker starved with no live sessions")
-				return
-			}
-			if !disconnectOldest() {
-				return
-			}
-			i--
-		case offerRejected, offerFailed:
-			// Shed our own load before trying again (an admission refill or
-			// a scheduled repair may change the answer).
-			if len(live) > 0 {
-				if !disconnectOldest() {
-					return
-				}
-			}
-		case offerError:
-			return
-		}
-	}
-	for len(live) > 0 {
-		if !disconnectOldest() {
-			return
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Erlang mode: a virtual-time event loop. Arrivals follow the
+// The run loop: a virtual-time event queue. Arrivals follow the
 // configured process at rate λ = Erlangs / workersPerFabric per worker
 // (in units of the mean holding time); routed sessions depart after a
 // sampled holding time and optionally churn while alive. The loop is
@@ -566,7 +477,7 @@ func (h *eventHeap) Pop() any {
 	return x
 }
 
-func (w *worker) runErlang(ctx context.Context, arrivals int) {
+func (w *worker) run(ctx context.Context, arrivals int) {
 	lambda := w.cfg.Erlangs / float64(w.cfg.WorkersPerFabric)
 	arr := w.cfg.Arrival.NewProcess()
 	hold := w.cfg.Holding.NewDist()
@@ -623,11 +534,11 @@ func (w *worker) runErlang(ctx context.Context, arrivals int) {
 				continue
 			}
 			w.logf("t=%.6f ", now)
-			outcome, sess := w.offer(ctx)
-			if outcome == offerError {
+			sess, routed, fatal := w.offer(ctx)
+			if fatal {
 				return
 			}
-			if outcome == offerRouted {
+			if routed {
 				admit(sess)
 			}
 			if done < arrivals {

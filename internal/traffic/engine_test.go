@@ -1,8 +1,8 @@
 // Engine tests run against a real in-process switchd over HTTP — the
 // same serving loop wdmload drives — so blocking counts, churn
 // semantics, and the determinism guarantee are asserted end to end.
-// They live in package traffic_test because switchd itself imports
-// traffic (the -attack wrapper).
+// Like the in-process tests they live in package traffic_test, so they
+// reach the engine only through its exported API, as wdmload does.
 package traffic_test
 
 import (
@@ -87,38 +87,6 @@ func TestErlangModeAtBound(t *testing.T) {
 	}
 	if offered, routed, blocked := eng.Progress().Counters(); offered == 0 || routed == 0 || blocked != 0 {
 		t.Errorf("progress counters offered=%d routed=%d blocked=%d", offered, routed, blocked)
-	}
-}
-
-// TestMaxRateModeAtBound covers the legacy -attack path through the
-// same engine: TargetLive-paced closed loop, still zero blocking at
-// the bound.
-func TestMaxRateModeAtBound(t *testing.T) {
-	ctl, srv := newTestServer(t, 0, 0, 1)
-	eng, err := traffic.NewEngine(traffic.Config{
-		Sink:             traffic.NewClientSink(client.New(srv.URL, client.WithHTTPClient(srv.Client()))),
-		Seed:             11,
-		Arrivals:         500,
-		WorkersPerFabric: 2,
-		MaxFanout:        4,
-		TargetLive:       4,
-	})
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
-	}
-	rep, err := eng.Run(context.Background())
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	s := rep.Stats
-	if s.Blocked != 0 {
-		t.Errorf("blocked = %d at the bound, want 0", s.Blocked)
-	}
-	if s.Routed == 0 || s.Disconnects != s.Routed {
-		t.Errorf("routed=%d disconnects=%d, want equal and > 0", s.Routed, s.Disconnects)
-	}
-	if live := ctl.ActiveSessions(); live != 0 {
-		t.Errorf("%d sessions leaked after max-rate run", live)
 	}
 }
 

@@ -176,6 +176,11 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		t.Error("engine without a sink accepted")
 	}
 	sink := traffic.NewNetworkSink(crossbar.NewLite(wdm.MSW, wdm.Shape{In: 2, Out: 2, K: 1}), multistage.Params{N: 0, K: 1})
+	for _, erl := range []float64{0, -1} {
+		if _, err := traffic.NewEngine(traffic.Config{Sink: sink, Arrivals: 10, Erlangs: erl}); err == nil {
+			t.Errorf("engine with %g Erlangs of offered load accepted", erl)
+		}
+	}
 	eng, err := traffic.NewEngine(traffic.Config{Sink: sink, Arrivals: 10, Erlangs: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -13,11 +13,9 @@ import (
 // the id here joins against /v1/debug/spans, the /metrics exemplars,
 // and /v1/debug/blocking on the target.
 type TraceRef struct {
-	TraceID string `json:"trace_id"`
+	TraceID string
 	// Outcome is "ok" or the api error code the connect drew.
-	Outcome string `json:"outcome"`
-	Micros  int64  `json:"micros"` // client-observed round trip
-	Conn    string `json:"connection"`
+	Outcome string
 }
 
 // ClientLatency summarizes the client-observed connect latency (full
