@@ -47,27 +47,64 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseConnection -fuzztime=10s ./internal/wdm/
 	$(GO) test -fuzz=FuzzRoutePermutation -fuzztime=10s ./internal/benes/
 
-# Live SLO/tracing demo: start a deliberately sub-bound server, drive
-# one traced blocked request, and print the trace / exemplar /
-# forensics / SLO joins plus a wdmtop frame (EXPERIMENTS.md § "Trace
-# walkthrough", scripted). The server is torn down on exit.
+# SLO/trace drill (EXPERIMENTS.md § "Trace walkthrough", scripted):
+# start a deliberately sub-bound server, drive one routed and one traced
+# connect, and follow the second through every surface. The drill fails
+# unless that connect answers blocked; its trace id appears in the span
+# ring, the /metrics exemplar and the blocking forensics; /v1/slo's 5m
+# window reads 2 ops, 1 bad with the fast alert firing on availability;
+# the shipped availability_burn rule reaches firing within 5s; and
+# wdmtop renders SLO BURNING. Every response lands in SLO_DIR. The
+# server is torn down on exit.
 SLO_DEMO_TID := 4bf92f3577b34da6a3ce929d0e0e4736
+SLO_DIR ?= /tmp/wdm-slo-demo
 slo-demo:
 	@$(GO) build -o /tmp/wdm-slo-demo-serve ./cmd/wdmserve
 	@$(GO) build -o /tmp/wdm-slo-demo-top ./cmd/wdmtop
-	@/tmp/wdm-slo-demo-serve -addr 127.0.0.1:8047 -m 1 -x 1 -replicas 1 -span-sample 1 & \
-	trap 'kill $$!' EXIT; sleep 0.5; \
-	curl -s -XPOST 127.0.0.1:8047/v1/connect -d '{"connection":"0.0>4.0"}'; \
+	@rm -rf $(SLO_DIR); mkdir -p $(SLO_DIR); \
+	/tmp/wdm-slo-demo-serve -addr 127.0.0.1:8047 -m 1 -x 1 -replicas 1 -span-sample 1 -history 250ms \
+	    2>$(SLO_DIR)/server.log & ps=$$!; \
+	trap 'kill $$ps 2>/dev/null' EXIT; sleep 0.5; \
+	fail() { echo "SLO DEMO FAILED: $$1"; exit 1; }; \
+	curl -sf -XPOST 127.0.0.1:8047/v1/connect -d '{"connection":"0.0>4.0"}' > $(SLO_DIR)/connect-1.json \
+	    || fail 'first connect did not route'; \
 	curl -s -XPOST 127.0.0.1:8047/v1/connect -d '{"connection":"1.0>8.0"}' \
-	     -H 'traceparent: 00-$(SLO_DEMO_TID)-00f067aa0ba902b7-01'; \
-	echo; echo '--- /v1/debug/spans?trace=$(SLO_DEMO_TID)'; \
-	curl -s '127.0.0.1:8047/v1/debug/spans?trace=$(SLO_DEMO_TID)'; \
+	     -H 'traceparent: 00-$(SLO_DEMO_TID)-00f067aa0ba902b7-01' > $(SLO_DIR)/connect-2.json; \
+	echo '--- second connect'; cat $(SLO_DIR)/connect-2.json; \
+	tr -d ' \n' < $(SLO_DIR)/connect-2.json | grep -q '"code":"blocked"' \
+	    || fail 'second connect did not answer blocked'; \
+	echo '--- /v1/debug/spans?trace=$(SLO_DEMO_TID)'; \
+	curl -sf '127.0.0.1:8047/v1/debug/spans?trace=$(SLO_DEMO_TID)' > $(SLO_DIR)/spans.json \
+	    || fail 'GET /v1/debug/spans'; \
+	tr -d ' \n' < $(SLO_DIR)/spans.json | grep -q '"trace_id":"$(SLO_DEMO_TID)"' \
+	    || fail 'trace id not in the span ring'; \
+	grep -o '"name": "[^"]*"' $(SLO_DIR)/spans.json | tr '\n' ' '; echo; \
 	echo '--- /metrics exemplar'; \
-	curl -s '127.0.0.1:8047/metrics?exemplars=1' | grep $(SLO_DEMO_TID); \
+	curl -sf '127.0.0.1:8047/metrics?exemplars=1' > $(SLO_DIR)/metrics.txt || fail 'GET /metrics'; \
+	grep 'trace_id="$(SLO_DEMO_TID)"' $(SLO_DIR)/metrics.txt || fail 'trace id not in a /metrics exemplar'; \
 	echo '--- /v1/debug/blocking trace join'; \
-	curl -s 127.0.0.1:8047/v1/debug/blocking | grep trace_id; \
+	curl -sf 127.0.0.1:8047/v1/debug/blocking > $(SLO_DIR)/blocking.json || fail 'GET /v1/debug/blocking'; \
+	grep '"trace_id": "$(SLO_DEMO_TID)"' $(SLO_DIR)/blocking.json || fail 'trace id not in the blocking forensics'; \
+	echo '--- /v1/slo'; \
+	curl -sf 127.0.0.1:8047/v1/slo > $(SLO_DIR)/slo.json || fail 'GET /v1/slo'; \
+	slo=$$(tr -d ' \n' < $(SLO_DIR)/slo.json); \
+	echo "$$slo" | grep -o '"window":"5m"[^}]*}'; \
+	echo "$$slo" | grep -o '"name":"fast"[^}]*}'; \
+	echo "$$slo" | grep -q '"window":"5m","total":2,"bad":1,' || fail '/v1/slo 5m window is not 2 ops, 1 bad'; \
+	echo "$$slo" | grep -q '"name":"fast","short_window":"5m","long_window":"1h","threshold":14.4,"availability_firing":true' \
+	    || fail '/v1/slo fast alert not firing on availability'; \
+	echo '--- /v1/alerts availability_burn'; \
+	i=0; while :; do \
+	    curl -sf 127.0.0.1:8047/v1/alerts > $(SLO_DIR)/alerts.json || fail 'GET /v1/alerts'; \
+	    st=$$(tr -d ' \n' < $(SLO_DIR)/alerts.json | grep -o '"name":"availability_burn".*' | grep -o '"state":"[a-z]*","[^,]*,"value":[0-9.e+]*' | head -1); \
+	    case "$$st" in '"state":"firing"'*) echo "$$st"; break;; esac; \
+	    i=$$((i+1)); [ $$i -lt 20 ] || fail "availability_burn not firing within 5s ($$st)"; sleep 0.25; \
+	done; \
 	echo '--- wdmtop'; \
-	/tmp/wdm-slo-demo-top -target http://127.0.0.1:8047 -once
+	/tmp/wdm-slo-demo-top -target http://127.0.0.1:8047 -once > $(SLO_DIR)/wdmtop.txt || fail 'wdmtop -once'; \
+	cat $(SLO_DIR)/wdmtop.txt; \
+	grep -q 'SLO BURNING' $(SLO_DIR)/wdmtop.txt || fail 'wdmtop does not render SLO BURNING'; \
+	echo "slo demo OK: blocked trace joined on every surface, SLO burning, availability_burn firing; responses in $(SLO_DIR)"
 
 # Chaos drill (EXPERIMENTS.md § "Chaos walkthrough", scripted): a
 # server at m = bound + 2 spares (bound is 13 for the default fabric)

@@ -23,10 +23,11 @@ import (
 
 // Cluster mode: each wdmserve process is one node of one shard. A
 // primary serves the full /v1 API and streams its WAL to the shard's
-// warm standby over -repl-addr; the standby applies the stream
-// continuously and answers everything except health/metrics/promote
-// with not_primary until it takes over (explicit POST
-// /v1/admin/promote, or -failover-after of primary silence). The
+// standby over -repl-addr; the standby appends the stream to its own
+// log, fsyncing and acknowledging every record, and answers everything
+// except health/metrics/promote with not_primary until it takes over
+// (explicit POST /v1/admin/promote, or -failover-after of primary
+// silence) by recovering a controller from that log. The
 // -peers list is published verbatim at GET /v1/cluster so a
 // client.ShardedClient (or wdmtop) can discover the topology from any
 // node.

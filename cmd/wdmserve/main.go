@@ -39,9 +39,10 @@
 // Tracing and SLOs: every serving request runs under a W3C
 // traceparent-compatible span. Completed traces are served at
 // /v1/debug/spans (tail-sampled: blocked/slow kept at 100%) and
-// exported as JSON lines via -span-log; sliding-window SLIs with
-// multiwindow burn-rate alerts are at /v1/slo; `wdmtop -target ...`
-// renders both live.
+// exported as JSON lines via -span-log. Sliding-window SLIs with
+// multiwindow burn-rate alerts are at /v1/slo, read from the registry's
+// own counters through the metrics history (so -history 0 turns them
+// off too); `wdmtop -target ...` renders both live.
 package main
 
 import (
@@ -63,7 +64,6 @@ import (
 	"repro/internal/multistage"
 	"repro/internal/obs"
 	"repro/internal/obs/prof"
-	"repro/internal/obs/slo"
 	"repro/internal/obs/span"
 	"repro/internal/obs/tsdb"
 	"repro/internal/switchd"
@@ -91,13 +91,11 @@ func main() {
 	spanLog := flag.String("span-log", "", "append kept traces as JSON lines to this file (\"-\" = stderr)")
 	spanRing := flag.Int("span-ring", 0, "completed-trace ring size at /v1/debug/spans (0 = default 256, negative disables tracing)")
 	spanSample := flag.Int("span-sample", 0, "keep 1 of every N routine successful traces (0 = default 16; blocked/slow always kept)")
-	sloObjective := flag.Float64("slo-objective", 0, "availability SLO objective (0 = default 0.999)")
-	sloLatencyUs := flag.Int("slo-latency-us", 0, "latency-SLI threshold in microseconds (0 = default 1000)")
 	profMutex := flag.Int("prof-mutex", 100, "mutex-contention profiling: sample 1 of every N contention events (0 leaves the runtime default)")
 	profBlock := flag.Int("prof-block", 100000, "block profiling: sample blocking events >= this many nanoseconds (0 leaves the runtime default)")
 	profInterval := flag.Duration("prof-interval", 30*time.Second, "background profile-snapshot cadence for /v1/debug/prof (0 = on-demand capture only)")
 	profRing := flag.Int("prof-ring", 0, "profile snapshots retained per type (0 = default 8)")
-	history := flag.Duration("history", time.Second, "embedded metrics-history self-scrape interval for /v1/query and /v1/alerts (0 disables history and alerting)")
+	history := flag.Duration("history", time.Second, "embedded metrics-history self-scrape interval for /v1/query, /v1/alerts and /v1/slo (0 disables history, alerting and the SLO view)")
 	alertsFile := flag.String("alerts", "", `alerting rules file ({"rules":[...]}; empty = the shipped default ruleset; requires -history > 0)`)
 	alertWebhook := flag.String("alert-webhook", "", "POST every alert state transition to this URL as JSON")
 	dataDir := flag.String("data-dir", "", "durable state directory: journal every mutation to a WAL, checkpoint periodically, recover on start (empty = in-memory only)")
@@ -160,10 +158,6 @@ func main() {
 			Capacity:    *spanRing,
 			SampleEvery: *spanSample,
 			Log:         spanLogW,
-		},
-		SLO: slo.Config{
-			Objective:        *sloObjective,
-			LatencyThreshold: time.Duration(*sloLatencyUs) * time.Microsecond,
 		},
 		Prof: prof.Config{
 			MutexFraction: *profMutex,

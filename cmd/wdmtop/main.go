@@ -1,6 +1,6 @@
 // wdmtop is a live terminal dashboard for a running wdmserve: it polls
 // /metrics (Prometheus text), /v1/health (failure plane), /v1/slo
-// (burn-rate engine) and /v1/debug/spans?blocked=1 (trace ring) through
+// (SLO burn rates) and /v1/debug/spans?blocked=1 (trace ring) through
 // the typed /v1 client and redraws a single console frame per interval
 // — per-fabric occupancy, routed/blocked rates, connect latency
 // quantiles, failed middles and degraded-mode derating, SLO burn
@@ -88,8 +88,9 @@ func oneFrame(cl *client.Client, target string, fleet bool, prev **poll) (string
 }
 
 // fetchPoll scrapes one frame's worth of state. /v1/health, /v1/slo and
-// the span ring are optional (older servers, or tracing disabled):
-// their absence degrades the frame, it does not fail the poll.
+// the span ring are optional (older servers, history or tracing
+// disabled): their absence degrades the frame, it does not fail the
+// poll.
 func fetchPoll(cl *client.Client) (*poll, error) {
 	ctx := context.Background()
 	p := &poll{t: time.Now()}

@@ -18,9 +18,9 @@ import (
 
 // TestStandbyApplyAcrossBackends proves log-shipping replication is
 // backend-agnostic: a primary serving the mesh or AWG-Clos fabric
-// ships its WAL to a standby that rebuilds the same backend from the
-// durable metadata and applies every record onto warm planes. The two
-// data directories must end byte-identical per session.
+// ships its WAL to a standby whose log carries the same backend in its
+// durable metadata and every record. The two data directories must end
+// byte-identical per session.
 func TestStandbyApplyAcrossBackends(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -95,7 +95,7 @@ func TestStandbyApplyAcrossBackends(t *testing.T) {
 				}
 				held = append(held, cr.Session)
 			}
-			// One full churn cycle so the standby applies a release too.
+			// One full churn cycle so the standby logs a release too.
 			cr, err := cl.Connect(ctx, tc.churn, -1)
 			if err != nil {
 				t.Fatalf("churn connect: %v", err)

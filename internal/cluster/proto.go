@@ -1,12 +1,12 @@
 // Package cluster is the horizontal layer over switchd: each shard is
 // one primary controller whose write-ahead log is streamed, record by
-// record, to a warm standby that continuously applies it through the
-// same multistage.Reinstall path recovery uses. Because every
-// acknowledged mutation is a WAL record (PR 5) and a record set that
+// record, to a standby that appends it to a log of its own. Because
+// every acknowledged mutation is a WAL record and a record set that
 // coexisted in a fabric reinstalls without blocking by construction,
 // "replicate the switch" reduces to "ship the log": the standby holds a
-// byte-equivalent session set at all times, and promotion — on
-// heartbeat loss or an explicit admin request — is a local recovery,
+// byte-equivalent log at all times, and promotion — on heartbeat loss
+// or an explicit admin request — is a local recovery from that log
+// through the same multistage.Reinstall path a restarted primary uses,
 // not a state transfer.
 //
 // Replication is semi-synchronous: the primary's group commit calls
@@ -66,8 +66,7 @@ type heartbeatMsg struct {
 }
 
 // ackMsg reports the standby's durable progress: every record with
-// Seq <= AppliedSeq is appended to the standby's log, fsynced, and
-// applied to its warm fabrics.
+// Seq <= AppliedSeq is appended to the standby's log and fsynced.
 type ackMsg struct {
 	AppliedSeq uint64 `json:"applied_seq"`
 }

@@ -28,7 +28,7 @@ const (
 	DefaultReconnect   = 250 * time.Millisecond
 )
 
-// StandbyConfig configures a warm shard standby.
+// StandbyConfig configures a shard standby.
 type StandbyConfig struct {
 	// Shard is the shard this standby replicates; it must match the
 	// primary's or the handshake is rejected.
@@ -57,21 +57,15 @@ type StandbyConfig struct {
 	Logger *slog.Logger
 }
 
-// standbyConn tracks where a replicated session lives in the warm
-// fabrics.
-type standbyConn struct {
-	fabric int
-	connID int
-}
-
-// Standby is the shard's warm spare: it follows the primary's WAL over
-// TCP, appends every record to its own durable log (seq-preserving),
-// applies it to warm multistage fabrics through the same Reinstall path
-// recovery uses, and acknowledges only after its own fsync — the other
-// half of the primary's semi-sync barrier. Until promotion its HTTP
-// surface serves health/metrics and rejects mutations with
-// not_primary; Promote (admin request or watchdog) closes the stream
-// and boots a full switchd.Controller from the replicated log.
+// Standby is the shard's spare: a log follower. It follows the
+// primary's WAL over TCP, appends every record to its own durable log
+// (seq-preserving), and acknowledges only after its own fsync — the
+// other half of the primary's semi-sync barrier. It builds no fabrics
+// while following: until promotion its HTTP surface serves
+// health/metrics and rejects mutations with not_primary, and Promote
+// (admin request or watchdog) closes the stream and boots a full
+// switchd.Controller from the replicated log — the same recovery a
+// restarted primary runs.
 type Standby struct {
 	cfg  StandbyConfig
 	meta durable.Meta
@@ -85,10 +79,6 @@ type Standby struct {
 
 	mu      sync.Mutex
 	plane   *durable.Plane
-	nets    []backend.Backend
-	conns   map[uint64]standbyConn
-	state   *durable.State
-	netBad  bool // warm fabrics diverged and could not be rebuilt
 	conn    net.Conn
 	started bool
 	fatal   error
@@ -112,9 +102,9 @@ type Standby struct {
 	promoteInfo api.PromoteResponse
 }
 
-// NewStandby opens (or recovers) the standby's durable log and warms
-// its fabrics from whatever a previous process left behind. Call Start
-// to begin following the primary.
+// NewStandby opens (or recovers) the standby's durable log, resuming
+// from whatever a previous process left behind. Call Start to begin
+// following the primary.
 func NewStandby(cfg StandbyConfig) (*Standby, error) {
 	if cfg.DataDir == "" {
 		return nil, fmt.Errorf("cluster: standby needs a data directory")
@@ -159,8 +149,8 @@ func NewStandby(cfg StandbyConfig) (*Standby, error) {
 	return s, nil
 }
 
-// openPlane opens the durable log and rebuilds the warm fabrics and
-// materialized state from it. Caller must not hold s.mu.
+// openPlane opens the durable log and resumes from its last record.
+// Caller must not hold s.mu.
 func (s *Standby) openPlane() error {
 	opts := durable.Options{
 		Dir:          s.cfg.DataDir,
@@ -172,73 +162,11 @@ func (s *Standby) openPlane() error {
 	if err != nil {
 		return fmt.Errorf("cluster: standby log: %w", err)
 	}
-	state := durable.NewState()
-	state.NextSession = rec.NextSession
-	for _, sr := range rec.Sessions {
-		srCopy := sr
-		state.Sessions[sr.Session] = &srCopy
-	}
-	for plane_, mids := range rec.Failed {
-		set := make(map[int]bool, len(mids))
-		for _, m := range mids {
-			set[m] = true
-		}
-		state.Failed[plane_] = set
-	}
-	nets, conns, err := buildWarmNets(s.meta, state)
-	if err != nil {
-		plane.Close()
-		return fmt.Errorf("cluster: warming standby fabrics: %w", err)
-	}
 	s.mu.Lock()
 	s.plane = plane
-	s.state = state
-	s.nets = nets
-	s.conns = conns
-	s.netBad = false
 	s.mu.Unlock()
 	s.appliedSeq.Store(rec.LastSeq)
 	return nil
-}
-
-// buildWarmNets materializes fabrics from a state: failed middles are
-// re-marked, every live session reinstalled on its plane. This is the
-// same construction recovery performs, applied to the replicated log.
-func buildWarmNets(meta durable.Meta, state *durable.State) ([]backend.Backend, map[uint64]standbyConn, error) {
-	desc, err := backend.Get(meta.BackendName())
-	if err != nil {
-		return nil, nil, err
-	}
-	nets := make([]backend.Backend, meta.Replicas)
-	for i := range nets {
-		n, err := desc.New(meta.Params)
-		if err != nil {
-			return nil, nil, err
-		}
-		nets[i] = n
-	}
-	for plane, set := range state.Failed {
-		if plane < 0 || plane >= len(nets) {
-			return nil, nil, fmt.Errorf("failed-middle plane %d out of range (have %d)", plane, len(nets))
-		}
-		for m := range set {
-			if err := nets[plane].FailMiddle(m); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-	conns := make(map[uint64]standbyConn, len(state.Sessions))
-	for _, sr := range state.SessionList() {
-		if sr.Fabric < 0 || sr.Fabric >= len(nets) {
-			return nil, nil, fmt.Errorf("session %d on plane %d out of range (have %d)", sr.Session, sr.Fabric, len(nets))
-		}
-		id, err := nets[sr.Fabric].Reinstall(sr.Route)
-		if err != nil {
-			return nil, nil, fmt.Errorf("reinstalling session %d: %w", sr.Session, err)
-		}
-		conns[sr.Session] = standbyConn{fabric: sr.Fabric, connID: id}
-	}
-	return nets, conns, nil
 }
 
 // Start launches the follow loop (and the failover watchdog when
@@ -442,10 +370,9 @@ func (s *Standby) ack(bw *bufio.Writer, seq uint64) error {
 	return bw.Flush()
 }
 
-// applyRecord appends one replicated record to the standby's log and
-// folds it into the warm fabrics and materialized state. Duplicates
-// (already-held sequences, possible across reconnects) are skipped;
-// gaps are stream errors.
+// applyRecord appends one replicated record to the standby's log.
+// Duplicates (already-held sequences, possible across reconnects) are
+// skipped; gaps are stream errors.
 func (s *Standby) applyRecord(rec *durable.Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -460,102 +387,6 @@ func (s *Standby) applyRecord(rec *durable.Record) error {
 		err = fmt.Errorf("cluster: standby append: %w", err)
 		s.fatal = err
 		return err
-	}
-	s.state.Apply(rec)
-	if !s.netBad {
-		if err := s.applyToNetsLocked(rec); err != nil {
-			// Warm-fabric divergence never loses data (the log and state
-			// are authoritative; promotion recovers from the log), so
-			// rebuild once and degrade to log-only if that fails too.
-			s.cfg.Logger.Warn("warm fabric diverged; rebuilding", "seq", rec.Seq, "err", err)
-			nets, conns, rerr := buildWarmNets(s.meta, s.state)
-			if rerr != nil {
-				s.cfg.Logger.Error("warm fabric rebuild failed; continuing log-only", "err", rerr)
-				s.netBad = true
-			} else {
-				s.nets = nets
-				s.conns = conns
-			}
-		}
-	}
-	return nil
-}
-
-// applyToNetsLocked folds one record into the warm fabrics via the
-// exact Reinstall path recovery uses. Caller holds s.mu.
-func (s *Standby) applyToNetsLocked(rec *durable.Record) error {
-	switch rec.Op {
-	case durable.OpConnect, durable.OpBranch:
-		if rec.Route == nil {
-			return nil
-		}
-		if rec.Fabric < 0 || rec.Fabric >= len(s.nets) {
-			return fmt.Errorf("fabric %d out of range", rec.Fabric)
-		}
-		if old, ok := s.conns[rec.Session]; ok {
-			if err := s.nets[old.fabric].Release(old.connID); err != nil {
-				return fmt.Errorf("releasing session %d before upsert: %w", rec.Session, err)
-			}
-			delete(s.conns, rec.Session)
-		}
-		id, err := s.nets[rec.Fabric].Reinstall(*rec.Route)
-		if err != nil {
-			return fmt.Errorf("reinstalling session %d: %w", rec.Session, err)
-		}
-		s.conns[rec.Session] = standbyConn{fabric: rec.Fabric, connID: id}
-	case durable.OpDisconnect:
-		if old, ok := s.conns[rec.Session]; ok {
-			if err := s.nets[old.fabric].Release(old.connID); err != nil {
-				return fmt.Errorf("releasing session %d: %w", rec.Session, err)
-			}
-			delete(s.conns, rec.Session)
-		}
-	case durable.OpFail:
-		if rec.Fabric < 0 || rec.Fabric >= len(s.nets) {
-			return fmt.Errorf("fabric %d out of range", rec.Fabric)
-		}
-		net := s.nets[rec.Fabric]
-		// Free every affected route first (migrated sessions move, dropped
-		// ones die), then mark the module failed, then reinstall the
-		// post-migration routes — mirroring the primary's migration.
-		for _, id := range rec.Dropped {
-			if old, ok := s.conns[id]; ok && old.fabric == rec.Fabric {
-				if err := net.Release(old.connID); err != nil {
-					return fmt.Errorf("releasing dropped session %d: %w", id, err)
-				}
-				delete(s.conns, id)
-			}
-		}
-		for i := range rec.Migrated {
-			sr := rec.Migrated[i]
-			if old, ok := s.conns[sr.Session]; ok && old.fabric == rec.Fabric {
-				if err := net.Release(old.connID); err != nil {
-					return fmt.Errorf("releasing migrating session %d: %w", sr.Session, err)
-				}
-				delete(s.conns, sr.Session)
-			}
-		}
-		if err := net.FailMiddle(rec.Middle); err != nil {
-			return fmt.Errorf("failing middle %d: %w", rec.Middle, err)
-		}
-		for i := range rec.Migrated {
-			sr := rec.Migrated[i]
-			if _, live := s.state.Sessions[sr.Session]; !live {
-				continue
-			}
-			id, err := net.Reinstall(sr.Route)
-			if err != nil {
-				return fmt.Errorf("reinstalling migrated session %d: %w", sr.Session, err)
-			}
-			s.conns[sr.Session] = standbyConn{fabric: sr.Fabric, connID: id}
-		}
-	case durable.OpRepair:
-		if rec.Fabric < 0 || rec.Fabric >= len(s.nets) {
-			return fmt.Errorf("fabric %d out of range", rec.Fabric)
-		}
-		if err := s.nets[rec.Fabric].RepairMiddle(rec.Middle); err != nil {
-			return fmt.Errorf("repairing middle %d: %w", rec.Middle, err)
-		}
 	}
 	return nil
 }

@@ -1,5 +1,5 @@
-// Package slo computes serving SLIs and multi-window burn-rate alerts
-// over the switchd request stream, stdlib-only.
+// Package slo defines the serving SLOs and evaluates them over
+// cumulative counters, stdlib-only.
 //
 // Two SLIs are tracked, both per routing operation (Connect and
 // AddBranch — the requests the theorems speak about):
@@ -7,8 +7,8 @@
 //   - availability: 1 − P_block, good = the fabric routed the request.
 //     At or above the Theorem 1/2 sufficient bound this SLI is exactly
 //     1.0 forever — the paper's claim as a service objective.
-//   - latency: the fraction of requests whose fabric operation finished
-//     under the configured threshold.
+//   - latency: the fraction of fabric operations that finished within
+//     LatencyThreshold.
 //
 // Burn rate is the standard SRE quantity: the error rate of a sliding
 // window divided by the objective's error budget (1 − objective). Burn
@@ -18,174 +18,68 @@
 // (5m && 1h over threshold 14.4) catches sudden budget bleed, the slow
 // pair (6h && 3d over threshold 1) catches sustained low-grade bleed.
 //
-// Windowing is delegated to the embedded time-series store: the engine
-// keeps live cumulative counters (ops, bad, slow) and persists them
-// into an internal tsdb.Store once per resolution step; a sliding
-// window's count is then live − CounterAt(window start) — the same
-// cumulative-counter baseline primitive rate()/increase() and the
-// burn-rate alert form use, so the repo has exactly one windowing
-// implementation. Memory stays bounded by longest-window/resolution
-// via the store's retention eviction, as before.
+// The package keeps no counters of its own. Evaluate is handed the live
+// cumulative counts and a lookup of the same counts at an earlier time;
+// a window's count is the difference. The serving controller reads the
+// live counts from its metrics registry and the earlier ones from the
+// metrics history (tsdb.Store.CounterAt over the series /metrics
+// exposes), so /v1/slo is a view over the counters every other surface
+// reads.
 package slo
 
-import (
-	"sync"
-	"time"
+import "time"
 
-	"repro/internal/obs/tsdb"
-)
-
-// Window is one sliding window's configuration.
-type Window struct {
-	Name string        // e.g. "5m"
-	D    time.Duration // width
-}
-
-// Alert pairs a long and a short window with a burn threshold: it fires
-// while BOTH windows burn above the threshold (the long window carries
-// the evidence, the short window clears quickly once the cause stops).
-type Alert struct {
-	Name        string // "fast" | "slow"
-	Short, Long string // window names
-	Threshold   float64
-}
-
-// Config parameterizes an Engine. The zero value gives the standard
-// multiwindow setup: availability objective 99.9%, latency objective
-// 99% under 1ms, windows 5m/1h/6h/3d, fast alert 5m+1h@14.4, slow
-// alert 6h+3d@1.
-type Config struct {
-	// Objective is the availability target in (0,1) (0 = 0.999).
-	Objective float64
-	// LatencyObjective is the under-threshold fraction target (0 = 0.99).
-	LatencyObjective float64
-	// LatencyThreshold is the per-operation latency bound the latency
-	// SLI counts against (0 = 1ms).
-	LatencyThreshold time.Duration
-	// Resolution is the counter step width (0 = 10s). Windows are
-	// quantized to it.
-	Resolution time.Duration
-	// Windows are the sliding windows to track (nil = 5m, 1h, 6h, 3d).
-	Windows []Window
-	// Alerts are the multiwindow burn alerts (nil = fast 5m/1h@14.4,
-	// slow 6h/3d@1). Window names must exist in Windows.
-	Alerts []Alert
-	// Now is the clock (nil = time.Now) — injectable for tests.
-	Now func() time.Time
-}
-
-func (c Config) withDefaults() Config {
-	if c.Objective == 0 {
-		c.Objective = 0.999
-	}
-	if c.LatencyObjective == 0 {
-		c.LatencyObjective = 0.99
-	}
-	if c.LatencyThreshold == 0 {
-		c.LatencyThreshold = time.Millisecond
-	}
-	if c.Resolution == 0 {
-		c.Resolution = 10 * time.Second
-	}
-	if c.Windows == nil {
-		c.Windows = []Window{
-			{"5m", 5 * time.Minute},
-			{"1h", time.Hour},
-			{"6h", 6 * time.Hour},
-			{"3d", 72 * time.Hour},
-		}
-	}
-	if c.Alerts == nil {
-		c.Alerts = []Alert{
-			{Name: "fast", Short: "5m", Long: "1h", Threshold: 14.4},
-			{Name: "slow", Short: "6h", Long: "3d", Threshold: 1},
-		}
-	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
-	return c
-}
-
-// The engine's cumulative counters as stored series.
+// The objectives.
 const (
-	seriesOps  = "slo_ops_total"
-	seriesBad  = "slo_bad_total"
-	seriesSlow = "slo_slow_total"
+	// Objective is the availability target: the share of routing
+	// operations the fabric routes.
+	Objective = 0.999
+	// LatencyObjective is the share of fabric operations that must
+	// finish within LatencyThreshold.
+	LatencyObjective = 0.99
+	// LatencyThreshold is the per-operation bound the latency SLI counts
+	// against. It must be a bucket bound of the operation-latency
+	// histogram the counts come from.
+	LatencyThreshold = time.Millisecond
 )
 
-// Engine accumulates request outcomes and serves sliding-window SLI
-// snapshots. Safe for concurrent use.
-type Engine struct {
-	cfg   Config
-	store *tsdb.Store
-
-	mu      sync.Mutex
-	total   int64
-	bad     int64 // blocked requests
-	slow    int64 // requests over the latency threshold
-	curStep int64 // -1 = no step open
+// windowDef is one sliding window.
+type windowDef struct {
+	name string
+	d    time.Duration
 }
 
-// New builds an engine from cfg (zero value ok).
-func New(cfg Config) *Engine {
-	cfg = cfg.withDefaults()
-	longest := time.Duration(0)
-	for _, w := range cfg.Windows {
-		if w.D > longest {
-			longest = w.D
-		}
-	}
-	store := tsdb.New(tsdb.Config{
-		// One raw tier holding a point per resolution step for the
-		// longest window (plus slack for the baseline lookup at the
-		// window's left edge).
-		Interval:  cfg.Resolution,
-		Tiers:     []tsdb.Tier{{Res: 0, Retention: longest + 2*cfg.Resolution}},
-		MaxSeries: 8,
-		Now:       cfg.Now,
-	})
-	return &Engine{cfg: cfg, store: store, curStep: -1}
+// windows are the sliding windows every snapshot reports.
+var windows = [...]windowDef{
+	{"5m", 5 * time.Minute},
+	{"1h", time.Hour},
+	{"6h", 6 * time.Hour},
+	{"3d", 72 * time.Hour},
 }
 
-// Config returns the engine's normalized configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
-// flushLocked persists the live counters as one point per series at
-// the end of the step that just closed. The step's end is always in
-// the past when this runs (a newer step has opened), so stored
-// timestamps stay ≤ now.
-func (e *Engine) flushLocked(step int64) {
-	at := time.Unix(0, (step+1)*int64(e.cfg.Resolution))
-	e.store.Append(at, seriesOps, nil, tsdb.KindCounter, float64(e.total))
-	e.store.Append(at, seriesBad, nil, tsdb.KindCounter, float64(e.bad))
-	e.store.Append(at, seriesSlow, nil, tsdb.KindCounter, float64(e.slow))
+// alertDef pairs a short and a long window (indices into windows) with a
+// burn threshold: it fires while BOTH windows burn above the threshold
+// (the long window carries the evidence, the short window clears
+// quickly once the cause stops).
+type alertDef struct {
+	name        string
+	short, long int
+	threshold   float64
 }
 
-// rollLocked closes the open step when now has moved past it.
-func (e *Engine) rollLocked(now time.Time) int64 {
-	step := now.UnixNano() / int64(e.cfg.Resolution)
-	if e.curStep >= 0 && step != e.curStep {
-		e.flushLocked(e.curStep)
-	}
-	e.curStep = step
-	return step
+var alerts = [...]alertDef{
+	{name: "fast", short: 0, long: 1, threshold: 14.4},
+	{name: "slow", short: 2, long: 3, threshold: 1},
 }
 
-// Record adds one routing-operation outcome: good reports whether the
-// fabric routed it (false = blocked), d the fabric operation latency.
-func (e *Engine) Record(good bool, d time.Duration) {
-	now := e.cfg.Now()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.rollLocked(now)
-	e.total++
-	if !good {
-		e.bad++
-	}
-	if d > e.cfg.LatencyThreshold {
-		e.slow++
-	}
+// Counts are the SLIs' cumulative inputs at one instant.
+type Counts struct {
+	// Ops counts routing operations offered to a fabric (routed +
+	// blocked); Bad the blocked ones.
+	Ops, Bad int64
+	// Timed counts fabric operations in the latency histograms; Slow
+	// those slower than LatencyThreshold.
+	Timed, Slow int64
 }
 
 // WindowSLI is one window's slice of a Snapshot.
@@ -197,7 +91,8 @@ type WindowSLI struct {
 	// Availability is 1 − bad/total (1.0 with no traffic: an idle
 	// service has spent no budget).
 	Availability float64 `json:"availability"`
-	// LatencyOK is 1 − slow/total.
+	// LatencyOK is the fraction of timed operations within the
+	// threshold (1.0 with no traffic).
 	LatencyOK float64 `json:"latency_ok"`
 	// Burn rates: window error rate over the objective's error budget.
 	AvailabilityBurn float64 `json:"availability_burn"`
@@ -216,7 +111,8 @@ type AlertState struct {
 	LatencyFiring      bool `json:"latency_firing"`
 }
 
-// Snapshot is the engine's full state, served at GET /v1/slo.
+// Snapshot is every window and alert at one instant, served at GET
+// /v1/slo.
 type Snapshot struct {
 	Objective          float64 `json:"objective"`
 	LatencyObjective   float64 `json:"latency_objective"`
@@ -227,44 +123,42 @@ type Snapshot struct {
 	Alerts  []AlertState `json:"alerts"`
 }
 
-// Snapshot evaluates every window and alert at the current clock.
-func (e *Engine) Snapshot() Snapshot {
-	now := e.cfg.Now()
-	e.mu.Lock()
-	e.rollLocked(now)
-	total, bad, slow := e.total, e.bad, e.slow
-	e.mu.Unlock()
-
+// Evaluate computes every window and alert at now from the live
+// cumulative counts and at, which reports the same counts as they
+// stood at an earlier time (zero before the counters existed).
+func Evaluate(now time.Time, live Counts, at func(time.Time) Counts) Snapshot {
 	snap := Snapshot{
-		Objective:          e.cfg.Objective,
-		LatencyObjective:   e.cfg.LatencyObjective,
-		LatencyThresholdUs: float64(e.cfg.LatencyThreshold.Nanoseconds()) / 1e3,
+		Objective:          Objective,
+		LatencyObjective:   LatencyObjective,
+		LatencyThresholdUs: float64(LatencyThreshold.Microseconds()),
 		Healthy:            true,
 	}
-	byName := make(map[string]WindowSLI, len(e.cfg.Windows))
-	for _, w := range e.cfg.Windows {
-		from := now.Add(-w.D)
+	for _, w := range windows {
+		base := at(now.Add(-w.d))
 		s := WindowSLI{
-			Window:       w.Name,
-			Total:        total - int64(e.store.CounterAt(seriesOps, nil, from)),
-			Bad:          bad - int64(e.store.CounterAt(seriesBad, nil, from)),
-			Slow:         slow - int64(e.store.CounterAt(seriesSlow, nil, from)),
+			Window:       w.name,
+			Total:        live.Ops - base.Ops,
+			Bad:          live.Bad - base.Bad,
+			Slow:         live.Slow - base.Slow,
 			Availability: 1, LatencyOK: 1,
 		}
 		if s.Total > 0 {
 			s.Availability = 1 - float64(s.Bad)/float64(s.Total)
-			s.LatencyOK = 1 - float64(s.Slow)/float64(s.Total)
-			s.AvailabilityBurn = (1 - s.Availability) / (1 - e.cfg.Objective)
-			s.LatencyBurn = (1 - s.LatencyOK) / (1 - e.cfg.LatencyObjective)
+			s.AvailabilityBurn = (1 - s.Availability) / (1 - Objective)
+		}
+		if timed := live.Timed - base.Timed; timed > 0 {
+			s.LatencyOK = 1 - float64(s.Slow)/float64(timed)
+			s.LatencyBurn = (1 - s.LatencyOK) / (1 - LatencyObjective)
 		}
 		snap.Windows = append(snap.Windows, s)
-		byName[w.Name] = s
 	}
-	for _, a := range e.cfg.Alerts {
-		st := AlertState{Name: a.Name, Short: a.Short, Long: a.Long, Threshold: a.Threshold}
-		sh, long := byName[a.Short], byName[a.Long]
-		st.AvailabilityFiring = sh.AvailabilityBurn > a.Threshold && long.AvailabilityBurn > a.Threshold
-		st.LatencyFiring = sh.LatencyBurn > a.Threshold && long.LatencyBurn > a.Threshold
+	for _, a := range alerts {
+		sh, long := snap.Windows[a.short], snap.Windows[a.long]
+		st := AlertState{
+			Name: a.name, Short: sh.Window, Long: long.Window, Threshold: a.threshold,
+			AvailabilityFiring: sh.AvailabilityBurn > a.threshold && long.AvailabilityBurn > a.threshold,
+			LatencyFiring:      sh.LatencyBurn > a.threshold && long.LatencyBurn > a.threshold,
+		}
 		if st.AvailabilityFiring || st.LatencyFiring {
 			snap.Healthy = false
 		}

@@ -2,32 +2,62 @@ package slo
 
 import (
 	"encoding/json"
-	"sync"
 	"testing"
 	"time"
 )
 
-// fakeClock is an injectable, advanceable clock.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
+// fakeHistory stands in for the metrics registry and its history: live
+// cumulative counts, sampled (as a scrape would) every time the clock
+// moves.
+type fakeHistory struct {
+	now     time.Time
+	live    Counts
+	samples []sample
 }
 
-func newFakeClock() *fakeClock {
-	return &fakeClock{t: time.Unix(1_700_000_000, 0)}
+type sample struct {
+	t time.Time
+	c Counts
 }
 
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
+func newFakeHistory() *fakeHistory {
+	return &fakeHistory{now: time.Unix(1_700_000_000, 0)}
 }
 
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
+// record adds one routing operation: good reports whether the fabric
+// routed it, d its fabric latency.
+func (h *fakeHistory) record(good bool, d time.Duration) {
+	h.live.Ops++
+	h.live.Timed++
+	if !good {
+		h.live.Bad++
+	}
+	if d > LatencyThreshold {
+		h.live.Slow++
+	}
 }
+
+// advance samples the live counts at the current time, then moves the
+// clock.
+func (h *fakeHistory) advance(d time.Duration) {
+	h.samples = append(h.samples, sample{h.now, h.live})
+	h.now = h.now.Add(d)
+}
+
+// at is the baseline lookup: the newest sample at or before t, zero
+// before the first.
+func (h *fakeHistory) at(t time.Time) Counts {
+	var c Counts
+	for _, s := range h.samples {
+		if s.t.After(t) {
+			break
+		}
+		c = s.c
+	}
+	return c
+}
+
+func (h *fakeHistory) snapshot() Snapshot { return Evaluate(h.now, h.live, h.at) }
 
 func window(t *testing.T, s Snapshot, name string) WindowSLI {
 	t.Helper()
@@ -54,10 +84,9 @@ func alert(t *testing.T, s Snapshot, name string) AlertState {
 // TestIdleIsHealthy: with no traffic, availability is 1.0 everywhere,
 // burn is zero, and nothing fires — the at-bound acceptance shape.
 func TestIdleIsHealthy(t *testing.T) {
-	e := New(Config{Now: newFakeClock().Now})
-	s := e.Snapshot()
+	s := newFakeHistory().snapshot()
 	if !s.Healthy {
-		t.Fatal("idle engine unhealthy")
+		t.Fatal("idle snapshot unhealthy")
 	}
 	for _, w := range s.Windows {
 		if w.Availability != 1 || w.LatencyOK != 1 || w.AvailabilityBurn != 0 || w.LatencyBurn != 0 {
@@ -75,15 +104,14 @@ func TestIdleIsHealthy(t *testing.T) {
 // exactly 1.0 and burn at exactly 0 — the paper's nonblocking claim as
 // an SLO.
 func TestAllGoodStaysPerfect(t *testing.T) {
-	clk := newFakeClock()
-	e := New(Config{Now: clk.Now})
+	h := newFakeHistory()
 	for i := 0; i < 5000; i++ {
-		e.Record(true, 100*time.Microsecond)
+		h.record(true, 100*time.Microsecond)
 		if i%100 == 0 {
-			clk.Advance(time.Second)
+			h.advance(time.Second)
 		}
 	}
-	s := e.Snapshot()
+	s := h.snapshot()
 	if !s.Healthy {
 		t.Fatal("all-good traffic unhealthy")
 	}
@@ -95,12 +123,11 @@ func TestAllGoodStaysPerfect(t *testing.T) {
 
 // TestBurnMath: 1% blocked against a 99.9% objective is burn 10.
 func TestBurnMath(t *testing.T) {
-	clk := newFakeClock()
-	e := New(Config{Now: clk.Now})
+	h := newFakeHistory()
 	for i := 0; i < 1000; i++ {
-		e.Record(i%100 != 0, 100*time.Microsecond)
+		h.record(i%100 != 0, 100*time.Microsecond)
 	}
-	w := window(t, e.Snapshot(), "5m")
+	w := window(t, h.snapshot(), "5m")
 	if w.Bad != 10 {
 		t.Fatalf("bad = %d, want 10", w.Bad)
 	}
@@ -116,14 +143,13 @@ func TestBurnMath(t *testing.T) {
 // not the 1h window once it is diluted — the alert must not fire on the
 // short window alone, and must fire while both burn.
 func TestFastAlertNeedsBothWindows(t *testing.T) {
-	clk := newFakeClock()
-	e := New(Config{Now: clk.Now})
+	h := newFakeHistory()
 
 	// 30% blocked for a burst: both 5m and 1h see burn 300 >> 14.4.
 	for i := 0; i < 1000; i++ {
-		e.Record(i%10 >= 3, time.Microsecond)
+		h.record(i%10 >= 3, time.Microsecond)
 	}
-	s := e.Snapshot()
+	s := h.snapshot()
 	if a := alert(t, s, "fast"); !a.AvailabilityFiring {
 		t.Fatalf("fast alert quiet during burst: %+v", a)
 	}
@@ -133,11 +159,11 @@ func TestFastAlertNeedsBothWindows(t *testing.T) {
 
 	// 10 minutes later the burst has left the 5m window; the 1h window
 	// still burns, so the paired alert clears.
-	clk.Advance(10 * time.Minute)
+	h.advance(10 * time.Minute)
 	for i := 0; i < 1000; i++ {
-		e.Record(true, time.Microsecond)
+		h.record(true, time.Microsecond)
 	}
-	s = e.Snapshot()
+	s = h.snapshot()
 	if w := window(t, s, "5m"); w.AvailabilityBurn != 0 {
 		t.Fatalf("5m burn %g after recovery, want 0", w.AvailabilityBurn)
 	}
@@ -152,12 +178,11 @@ func TestFastAlertNeedsBothWindows(t *testing.T) {
 // TestLatencySLIIndependent: slow-but-routed traffic burns the latency
 // budget without touching availability.
 func TestLatencySLIIndependent(t *testing.T) {
-	clk := newFakeClock()
-	e := New(Config{LatencyThreshold: 500 * time.Microsecond, Now: clk.Now})
+	h := newFakeHistory()
 	for i := 0; i < 100; i++ {
-		e.Record(true, 2*time.Millisecond) // routed, but slow
+		h.record(true, 2*LatencyThreshold) // routed, but slow
 	}
-	s := e.Snapshot()
+	s := h.snapshot()
 	w := window(t, s, "5m")
 	if w.Availability != 1 || w.AvailabilityBurn != 0 {
 		t.Fatalf("slow traffic burned availability: %+v", w)
@@ -172,14 +197,13 @@ func TestLatencySLIIndependent(t *testing.T) {
 
 // TestWindowExpiry: counts age out of each window at its own width.
 func TestWindowExpiry(t *testing.T) {
-	clk := newFakeClock()
-	e := New(Config{Now: clk.Now})
+	h := newFakeHistory()
 	for i := 0; i < 100; i++ {
-		e.Record(false, time.Microsecond)
+		h.record(false, time.Microsecond)
 	}
 
-	clk.Advance(6 * time.Minute)
-	s := e.Snapshot()
+	h.advance(6 * time.Minute)
+	s := h.snapshot()
 	if w := window(t, s, "5m"); w.Total != 0 {
 		t.Fatalf("5m window still holds %d after 6m", w.Total)
 	}
@@ -187,46 +211,21 @@ func TestWindowExpiry(t *testing.T) {
 		t.Fatalf("1h window holds %d after 6m, want 100", w.Total)
 	}
 
-	clk.Advance(73 * time.Hour)
-	s = e.Snapshot()
+	h.advance(73 * time.Hour)
+	s = h.snapshot()
 	if w := window(t, s, "3d"); w.Total != 0 {
 		t.Fatalf("3d window still holds %d after 73h", w.Total)
 	}
 	if !s.Healthy {
-		t.Fatal("fully aged-out engine unhealthy")
-	}
-}
-
-// TestRingReuse: writing for longer than the longest window must not
-// resurrect stale buckets (ring slots are reused by step identity).
-func TestRingReuse(t *testing.T) {
-	clk := newFakeClock()
-	e := New(Config{
-		Resolution: time.Second,
-		Windows:    []Window{{"short", 5 * time.Second}, {"long", 20 * time.Second}},
-		Alerts:     []Alert{{Name: "a", Short: "short", Long: "long", Threshold: 1}},
-		Now:        clk.Now,
-	})
-	// Bad traffic first, then > ring-length of good traffic.
-	e.Record(false, time.Microsecond)
-	for i := 0; i < 60; i++ {
-		clk.Advance(time.Second)
-		e.Record(true, time.Microsecond)
-	}
-	s := e.Snapshot()
-	if w := window(t, s, "long"); w.Bad != 0 {
-		t.Fatalf("stale bad count resurrected: %+v", w)
-	}
-	if !s.Healthy {
-		t.Fatal("engine unhealthy after full ring turnover of good traffic")
+		t.Fatal("fully aged-out snapshot unhealthy")
 	}
 }
 
 // TestSnapshotJSON: the wire shape served at /v1/slo round-trips.
 func TestSnapshotJSON(t *testing.T) {
-	e := New(Config{Now: newFakeClock().Now})
-	e.Record(false, 2*time.Millisecond)
-	b, err := json.Marshal(e.Snapshot())
+	h := newFakeHistory()
+	h.record(false, 2*time.Millisecond)
+	b, err := json.Marshal(h.snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,29 +235,5 @@ func TestSnapshotJSON(t *testing.T) {
 	}
 	if got.Objective != 0.999 || len(got.Windows) != 4 || len(got.Alerts) != 2 {
 		t.Fatalf("round-tripped snapshot = %+v", got)
-	}
-}
-
-// TestConcurrentRecord: Record and Snapshot race-free under load (run
-// with -race).
-func TestConcurrentRecord(t *testing.T) {
-	clk := newFakeClock()
-	e := New(Config{Now: clk.Now})
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				e.Record(i%50 != 0, time.Duration(i)*time.Microsecond)
-				if i%100 == 0 {
-					_ = e.Snapshot()
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if w := window(t, e.Snapshot(), "3d"); w.Total != 8000 {
-		t.Fatalf("total = %d, want 8000", w.Total)
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Config parameterizes a Tracer.
@@ -49,19 +51,13 @@ const tracerShards = 8
 // tracerShard is one lock-guarded slice of the completed-trace ring.
 type tracerShard struct {
 	mu   sync.Mutex
-	ring []TraceRecord
-	cap  int
+	ring *obs.Ring[TraceRecord]
 }
 
 func (sh *tracerShard) push(r TraceRecord) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if len(sh.ring) < sh.cap {
-		sh.ring = append(sh.ring, r)
-		return
-	}
-	copy(sh.ring, sh.ring[1:])
-	sh.ring[len(sh.ring)-1] = r
+	sh.ring.Push(r)
 }
 
 // Tracer owns the completed-trace ring buffer and the sampling policy.
@@ -93,7 +89,7 @@ func NewTracer(cfg Config) *Tracer {
 		per = 1
 	}
 	for i := range t.shards {
-		t.shards[i] = &tracerShard{cap: per}
+		t.shards[i] = &tracerShard{ring: obs.NewRing[TraceRecord](per)}
 	}
 	return t
 }
@@ -173,7 +169,7 @@ func (t *Tracer) Snapshot() []TraceRecord {
 	var out []TraceRecord
 	for _, sh := range t.shards {
 		sh.mu.Lock()
-		out = append(out, sh.ring...)
+		out = sh.ring.AppendTo(out)
 		sh.mu.Unlock()
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Start.Before(out[j].Start) })

@@ -13,16 +13,16 @@ import (
 )
 
 // The alerting rules engine evaluates rules against the embedded store
-// after every scrape. Three forms:
+// after every scrape. Two forms:
 //
 //	threshold  — an instant query compared against a constant; any
 //	             matching series in violation trips the rule
 //	absent     — no sample of a selector within a window (dead-man's
 //	             switch for the scrape loop itself)
-//	burn_rate  — the multi-window error-budget form: the bad/total
-//	             counter ratio normalized by the error budget must
-//	             exceed the threshold over BOTH windows (the same math
-//	             the slo engine uses, evaluated against tsdb counters)
+//
+// A multi-window burn alert is a threshold rule on one window's
+// wdm_slo_*_burn gauge guarded by the other window's: the SLO view
+// computes the burn once, and the rule only compares it.
 //
 // A tripped rule runs pending for its For duration before firing;
 // transitions notify via slog and, when configured, a webhook POST.
@@ -65,7 +65,7 @@ type Condition struct {
 // Rule is one alerting rule, the unit of the -alerts file.
 type Rule struct {
 	Name    string `json:"name"`
-	Form    string `json:"form,omitempty"` // "threshold" (default), "absent", "burn_rate"
+	Form    string `json:"form,omitempty"` // "threshold" (default), "absent"
 	Summary string `json:"summary,omitempty"`
 	// For is how long the condition must hold before pending escalates
 	// to firing; 0 fires immediately.
@@ -81,15 +81,6 @@ type Rule struct {
 	// Absent form: trips when Expr has no sample within Window
 	// (default 5 scrape intervals).
 	Window Duration `json:"window,omitempty"`
-
-	// Burn-rate form: increase(Bad)/increase(Total) normalized by
-	// 1-Objective must exceed Value over both ShortWindow and
-	// LongWindow.
-	BadExpr     string   `json:"bad_expr,omitempty"`
-	TotalExpr   string   `json:"total_expr,omitempty"`
-	ShortWindow Duration `json:"short_window,omitempty"`
-	LongWindow  Duration `json:"long_window,omitempty"`
-	Objective   float64  `json:"objective,omitempty"`
 }
 
 // Validate checks a rule's shape and compiles its expressions.
@@ -109,22 +100,6 @@ func (r *Rule) Validate() error {
 	case "absent":
 		if err := ValidateExpr(r.Expr); err != nil {
 			return wrap(err)
-		}
-	case "burn_rate":
-		if err := ValidateExpr(r.BadExpr); err != nil {
-			return wrap(fmt.Errorf("bad_expr: %w", err))
-		}
-		if err := ValidateExpr(r.TotalExpr); err != nil {
-			return wrap(fmt.Errorf("total_expr: %w", err))
-		}
-		if r.Objective <= 0 || r.Objective >= 1 {
-			return wrap(fmt.Errorf("objective %v out of (0,1)", r.Objective))
-		}
-		if r.ShortWindow <= 0 || r.LongWindow <= 0 {
-			return wrap(fmt.Errorf("burn_rate needs short_window and long_window"))
-		}
-		if r.Value <= 0 {
-			return wrap(fmt.Errorf("burn_rate needs a positive value (burn threshold)"))
 		}
 	default:
 		return wrap(fmt.Errorf("unknown form %q", r.Form))
@@ -170,8 +145,8 @@ func cmp(v float64, op string, against float64) bool {
 // first — blocking observed while the fabric is configured at or above
 // the sufficient bound (wdm_m_margin >= 0) is a theorem violation, not
 // an overload — then admission derating, replication lag, WAL fsync
-// latency, a scrape dead-man's switch, and a multi-window availability
-// burn rule.
+// latency, a scrape dead-man's switch, and the SLO view's fast
+// availability burn alert (5m burn over 14.4, guarded by the 1h burn).
 func DefaultRules() []Rule {
 	return []Rule{
 		{
@@ -215,15 +190,12 @@ func DefaultRules() []Rule {
 			Summary: "metrics history self-scrape has stopped",
 		},
 		{
-			Name:        "availability_burn",
-			Form:        "burn_rate",
-			BadExpr:     "wdm_blocked_total",
-			TotalExpr:   "wdm_route_ops_total",
-			ShortWindow: Duration(5 * time.Minute),
-			LongWindow:  Duration(1 * time.Hour),
-			Objective:   0.999,
-			Value:       14.4,
-			Summary:     "route availability burning the 0.999 error budget at page speed",
+			Name:    "availability_burn",
+			Expr:    `wdm_slo_availability_burn{window="5m"}`,
+			Op:      ">",
+			Value:   14.4,
+			Guard:   &Condition{Expr: `wdm_slo_availability_burn{window="1h"}`, Op: ">", Value: 14.4},
+			Summary: "route availability burning the 0.999 error budget at page speed",
 		},
 	}
 }
@@ -379,8 +351,8 @@ func (e *AlertEngine) toFiring(rt *alertRuntime, now time.Time) {
 }
 
 // evalRule evaluates one rule's condition at now. The reported value
-// is the worst offender (threshold), the short-window burn
-// (burn_rate), or seconds since the last sample (absent).
+// is the worst offender (threshold) or seconds since the last sample
+// (absent).
 func (e *AlertEngine) evalRule(r *Rule, now time.Time) (float64, bool) {
 	if r.Guard != nil && !e.holds(r.Guard, now) {
 		return 0, false
@@ -397,10 +369,6 @@ func (e *AlertEngine) evalRule(r *Rule, now time.Time) (float64, bool) {
 		}
 		age := now.Sub(last)
 		return age.Seconds(), age > w
-	case "burn_rate":
-		short := e.burn(r, time.Duration(r.ShortWindow), now)
-		long := e.burn(r, time.Duration(r.LongWindow), now)
-		return short, short > r.Value && long > r.Value
 	default: // threshold
 		res, err := e.store.Query(r.Expr, QueryOpts{End: now})
 		if err != nil {
@@ -420,34 +388,6 @@ func (e *AlertEngine) evalRule(r *Rule, now time.Time) (float64, bool) {
 		}
 		return worst, violated
 	}
-}
-
-// burn computes the error-budget burn rate over one window from the
-// rule's bad/total counters — increase(bad)/increase(total) divided by
-// the budget (1-objective). Idle windows burn 0.
-func (e *AlertEngine) burn(r *Rule, w time.Duration, now time.Time) float64 {
-	bad := e.increaseOf(r.BadExpr, w, now)
-	total := e.increaseOf(r.TotalExpr, w, now)
-	if total <= 0 {
-		return 0
-	}
-	return (bad / total) / (1 - r.Objective)
-}
-
-// increaseOf sums increase-over-window across every series matching a
-// selector expression.
-func (e *AlertEngine) increaseOf(expr string, w time.Duration, now time.Time) float64 {
-	res, err := e.store.Query(fmt.Sprintf("increase(%s[%s])", expr, w), QueryOpts{End: now})
-	if err != nil {
-		return 0
-	}
-	var sum float64
-	for _, ser := range res.Series {
-		for _, p := range ser.Points {
-			sum += p.V
-		}
-	}
-	return sum
 }
 
 // holds evaluates a guard: at least one matching series must satisfy

@@ -182,79 +182,6 @@ func TestAbsentForm(t *testing.T) {
 	}
 }
 
-func TestBurnRateForm(t *testing.T) {
-	h := newAlertHarness(t, []Rule{{
-		Name:        "burn",
-		Form:        "burn_rate",
-		BadExpr:     "bad_total",
-		TotalExpr:   "ops_total",
-		ShortWindow: Duration(time.Minute),
-		LongWindow:  Duration(5 * time.Minute),
-		Objective:   0.999,
-		Value:       10,
-	}})
-	ops, bad := 0.0, 0.0
-	tick := func(dOps, dBad float64) {
-		ops += dOps
-		bad += dBad
-		h.store.Append(h.clk.now(), "ops_total", nil, KindCounter, ops)
-		h.store.Append(h.clk.now(), "bad_total", nil, KindCounter, bad)
-		h.eng.Eval(h.clk.now())
-		h.clk.advance(time.Second)
-	}
-	// Healthy traffic: error rate 0, burn 0.
-	for i := 0; i < 120; i++ {
-		tick(100, 0)
-	}
-	if st := h.state("burn"); st.State != StateInactive {
-		t.Fatalf("healthy burn state = %s", st.State)
-	}
-	// 5% errors: burn = 0.05/0.001 = 50 over both windows -> firing.
-	for i := 0; i < 120; i++ {
-		tick(100, 5)
-	}
-	st := h.state("burn")
-	if st.State != StateFiring {
-		t.Fatalf("burning state = %s, want firing (value %v)", st.State, st.Value)
-	}
-	if st.Value < 10 {
-		t.Fatalf("reported burn %v, want > threshold", st.Value)
-	}
-}
-
-func TestBurnRateNeedsBothWindows(t *testing.T) {
-	h := newAlertHarness(t, []Rule{{
-		Name:        "burn",
-		Form:        "burn_rate",
-		BadExpr:     "bad_total",
-		TotalExpr:   "ops_total",
-		ShortWindow: Duration(time.Minute),
-		LongWindow:  Duration(30 * time.Minute),
-		Objective:   0.999,
-		Value:       10,
-	}})
-	ops, bad := 0.0, 0.0
-	tick := func(dOps, dBad float64) {
-		ops += dOps
-		bad += dBad
-		h.store.Append(h.clk.now(), "ops_total", nil, KindCounter, ops)
-		h.store.Append(h.clk.now(), "bad_total", nil, KindCounter, bad)
-		h.eng.Eval(h.clk.now())
-		h.clk.advance(time.Second)
-	}
-	// A brief error burst, then a long healthy stretch: the short
-	// window recovers, so a stale long-window burn alone cannot fire.
-	for i := 0; i < 30; i++ {
-		tick(100, 50)
-	}
-	for i := 0; i < 120; i++ {
-		tick(100, 0)
-	}
-	if st := h.state("burn"); st.State != StateInactive {
-		t.Fatalf("short-window-recovered state = %s, want inactive", st.State)
-	}
-}
-
 func TestDefaultRulesValidateAndCoverInvariant(t *testing.T) {
 	rules := DefaultRules()
 	names := map[string]bool{}
@@ -286,9 +213,8 @@ func TestLoadRulesFile(t *testing.T) {
 	doc := `{"rules": [
 		{"name": "lag", "expr": "wdm_replication_lag_records", "op": ">", "value": 10, "for": "15s"},
 		{"name": "dead", "form": "absent", "expr": "wdm_uptime_seconds", "window": "30s"},
-		{"name": "burn", "form": "burn_rate", "bad_expr": "wdm_blocked_total",
-		 "total_expr": "wdm_route_ops_total", "short_window": "5m", "long_window": "1h",
-		 "objective": 0.999, "value": 14.4}
+		{"name": "burn", "expr": "wdm_slo_availability_burn{window=\"5m\"}", "op": ">", "value": 14.4,
+		 "guard": {"expr": "wdm_slo_availability_burn{window=\"1h\"}", "op": ">", "value": 14.4}}
 	]}`
 	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
 		t.Fatal(err)
@@ -300,7 +226,7 @@ func TestLoadRulesFile(t *testing.T) {
 	if len(rules) != 3 {
 		t.Fatalf("rules = %d", len(rules))
 	}
-	if rules[0].For != Duration(15*time.Second) || rules[2].Objective != 0.999 {
+	if rules[0].For != Duration(15*time.Second) || rules[2].Guard == nil || rules[2].Guard.Value != 14.4 {
 		t.Fatalf("parsed rules = %+v", rules)
 	}
 

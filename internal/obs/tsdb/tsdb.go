@@ -2,15 +2,16 @@
 // in-process metrics registry: a self-scraper renders the registry
 // through obs.PromWriter, reads it back with the strict obs.ParseProm
 // parser, and appends every sample to per-series delta-encoded ring
-// buffers with downsampling tiers (raw → 10s → 1m by default), so a
-// single process retains hours of queryable history under a memory
+// buffers with downsampling tiers (raw → 10s → 1m → 10m by default), so
+// a single process retains days of queryable history under a memory
 // ceiling proven by test. On top of the store sit a small query engine
 // (label selectors, instant and range queries, rate()/increase() over
 // counters, quantile-from-histogram derivation — query.go) and an
-// alerting rules engine with threshold, absence, and burn-rate forms
-// (alert.go). The SLO engine in internal/obs/slo evaluates its sliding
-// windows against this store's CounterAt/Increase primitives, so the
-// repo has exactly one windowing implementation.
+// alerting rules engine with threshold and absence forms (alert.go).
+// The serving controller's SLO view (internal/obs/slo) reads its
+// sliding-window baselines with CounterAt — the same cumulative-counter
+// baseline rule rate() and increase() apply — so the repo has exactly
+// one windowing implementation.
 package tsdb
 
 import (
@@ -56,20 +57,21 @@ type Tier struct {
 	Retention time.Duration
 }
 
-// DefaultTiers is the shipped raw → 10s → 1m ladder: 15 minutes of
-// every scrape, 4 hours at 10s, 24 hours at 1m.
+// DefaultTiers is the shipped raw → 10s → 1m → 10m ladder: 15 minutes
+// of every scrape, 4 hours at 10s, 24 hours at 1m, and 72 hours at 10m
+// — the SLO's longest (3d) window needs a baseline that old.
 func DefaultTiers() []Tier {
 	return []Tier{
 		{Res: 0, Retention: 15 * time.Minute},
 		{Res: 10 * time.Second, Retention: 4 * time.Hour},
 		{Res: time.Minute, Retention: 24 * time.Hour},
+		{Res: 10 * time.Minute, Retention: 72 * time.Hour},
 	}
 }
 
 // Config configures a Store. The zero value of every field has a
 // usable default except Collect, without which ScrapeOnce/Run are
-// inert (Observe/Append still work — the slo engine runs a store with
-// no collector).
+// inert (Observe/Append still work, which is how tests feed a store).
 type Config struct {
 	// Interval is the self-scrape cadence (and the raw tier's expected
 	// sample spacing, which sizes its ring). 0 means 1s.
@@ -360,9 +362,9 @@ func (s *Store) Observe(at time.Time, m obs.Metrics) {
 	s.nSamples.Add(n)
 }
 
-// Append ingests one sample directly — the path the slo engine uses to
-// persist its per-step cumulative counters without a full exposition
-// round-trip.
+// Append ingests one sample directly, without an exposition
+// round-trip: the injection point tests use to build a history on a
+// fake clock.
 func (s *Store) Append(at time.Time, name string, labels map[string]string, kind Kind, v float64) {
 	if math.IsNaN(v) {
 		return
@@ -458,21 +460,10 @@ func (s *Store) CounterAt(name string, labels map[string]string, at time.Time) f
 	return sr.counterAt(at.UnixMilli())
 }
 
-// Increase reports how much one cumulative counter grew over (from,
-// to] — THE windowing primitive: rate(), the burn-rate alert form,
-// and the slo engine's sliding windows all reduce to it. In-process
-// series never reset (the store dies with the process), so a clamped
-// difference of cumulative values is exact.
-func (s *Store) Increase(name string, labels map[string]string, from, to time.Time) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sr := s.series[name+"{"+obs.LabelKey(labels)+"}"]
-	if sr == nil {
-		return 0
-	}
-	return increaseSeries(sr, from.UnixMilli(), to.UnixMilli())
-}
-
+// increaseSeries reports how much one cumulative counter grew over
+// (from, to] — the windowing primitive rate() and increase() reduce
+// to. In-process series never reset (the store dies with the process),
+// so a clamped difference of cumulative values is exact.
 func increaseSeries(sr *series, from, to int64) float64 {
 	d := sr.counterAt(to) - sr.counterAt(from)
 	if d < 0 {

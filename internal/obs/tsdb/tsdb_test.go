@@ -208,8 +208,8 @@ func TestRetentionBoundsMemory(t *testing.T) {
 		t.Fatalf("series %d, want %d", st.Series, nSeries)
 	}
 	// Ceiling: raw tier 900 pts + 10s tier 1440 pts + 1m tier 1440 pts
-	// ≈ 3800 pts/series; at <=10 bytes/point encoded plus chunk+tier
-	// overhead that is well under 64 KiB per series.
+	// + 10m tier 144 pts ≈ 3900 pts/series; at <=10 bytes/point encoded
+	// plus chunk+tier overhead that is well under 64 KiB per series.
 	ceiling := nSeries * 64 * 1024
 	if st.Bytes > ceiling {
 		t.Fatalf("24h of samples retain %d bytes, ceiling %d", st.Bytes, ceiling)
@@ -251,11 +251,37 @@ func TestCounterAtBaselineRules(t *testing.T) {
 	if v := s.CounterAt("c_total", nil, clk.now()); v != 250 {
 		t.Fatalf("end CounterAt = %v, want 250", v)
 	}
-	if inc := s.Increase("c_total", nil, t0.Add(-time.Minute), clk.now()); inc != 250 {
-		t.Fatalf("Increase = %v, want 250", inc)
+	// A window's increase is the difference of two baselines.
+	if inc := s.CounterAt("c_total", nil, clk.now()) - s.CounterAt("c_total", nil, t0.Add(-time.Minute)); inc != 250 {
+		t.Fatalf("increase = %v, want 250", inc)
 	}
-	if inc := s.Increase("c_total", nil, t0.Add(time.Minute), clk.now()); inc != 150 {
-		t.Fatalf("Increase from mid = %v, want 150", inc)
+	if inc := s.CounterAt("c_total", nil, clk.now()) - s.CounterAt("c_total", nil, t0.Add(time.Minute)); inc != 150 {
+		t.Fatalf("increase from mid = %v, want 150", inc)
+	}
+}
+
+// TestDefaultTiersHoldThreeDayBaseline: the SLO's 3d window reads its
+// baseline from the coarsest default tier, so a burst must still count
+// in a 72h window 72 hours later and age out an hour after that.
+func TestDefaultTiersHoldThreeDayBaseline(t *testing.T) {
+	clk := newClock()
+	s := New(Config{Interval: 10 * time.Second, Now: clk.now})
+	scrape := func(d time.Duration, v float64) {
+		for end := clk.now().Add(d); clk.now().Before(end); clk.advance(10 * time.Second) {
+			s.Append(clk.now(), "bad_total", nil, KindCounter, v)
+		}
+	}
+	scrape(time.Hour, 0)
+	before := clk.now().Add(-10 * time.Second) // the last scrape before the burst
+	scrape(73*time.Hour+time.Minute, 100)
+	inWindow := func(now time.Time) float64 {
+		return s.CounterAt("bad_total", nil, now) - s.CounterAt("bad_total", nil, now.Add(-72*time.Hour))
+	}
+	if got := inWindow(before.Add(72 * time.Hour)); got != 100 {
+		t.Fatalf("3d window 72h after the burst counts %v, want 100", got)
+	}
+	if got := inWindow(before.Add(73 * time.Hour)); got != 0 {
+		t.Fatalf("3d window 73h after the burst counts %v, want 0", got)
 	}
 }
 
@@ -525,7 +551,7 @@ func TestDumpJSON(t *testing.T) {
 	if len(doc.Series) != 1 || doc.Series[0].Name != "g" || doc.Series[0].Kind != "gauge" {
 		t.Fatalf("dump = %+v", doc.Series)
 	}
-	if len(doc.Series[0].Tiers) != 3 || len(doc.Series[0].Tiers[0].Points) != 1 {
+	if len(doc.Series[0].Tiers) != len(DefaultTiers()) || len(doc.Series[0].Tiers[0].Points) != 1 {
 		t.Fatalf("dump tiers = %+v", doc.Series[0].Tiers)
 	}
 	if doc.Series[0].Tiers[0].Points[0].V != 7 {

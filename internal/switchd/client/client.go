@@ -405,7 +405,9 @@ func (c *Client) Repair(ctx context.Context, fabric, middle int) (api.RepairRepo
 	return out, err
 }
 
-// SLO fetches the burn-rate engine's snapshot.
+// SLO fetches the SLO view: per-window SLIs and burn rates with the
+// multiwindow alerts (404 not_found on a server without metrics
+// history).
 func (c *Client) SLO(ctx context.Context) (slo.Snapshot, error) {
 	var out slo.Snapshot
 	err := c.call(ctx, http.MethodGet, "/v1/slo", nil, &out)

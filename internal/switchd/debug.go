@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/multistage"
+	"repro/internal/obs"
 	"repro/internal/trace"
 	"repro/internal/wdm"
 )
@@ -41,11 +42,11 @@ type BlockIncident struct {
 	Report  *multistage.BlockReport `json:"report,omitempty"`
 }
 
-// blockLog is a fixed-capacity ring of the most recent incidents.
+// blockLog keeps the most recent incidents in a fixed-capacity ring
+// and numbers every incident ever recorded.
 type blockLog struct {
 	mu   sync.Mutex
-	ring []BlockIncident
-	cap  int
+	ring *obs.Ring[BlockIncident]
 	seq  int64
 }
 
@@ -53,7 +54,7 @@ func newBlockLog(capacity int) *blockLog {
 	if capacity <= 0 {
 		return nil
 	}
-	return &blockLog{cap: capacity}
+	return &blockLog{ring: obs.NewRing[BlockIncident](capacity)}
 }
 
 func (l *blockLog) record(inc BlockIncident) int64 {
@@ -64,12 +65,7 @@ func (l *blockLog) record(inc BlockIncident) int64 {
 	defer l.mu.Unlock()
 	l.seq++
 	inc.Seq = l.seq
-	if len(l.ring) < l.cap {
-		l.ring = append(l.ring, inc)
-	} else {
-		copy(l.ring, l.ring[1:])
-		l.ring[len(l.ring)-1] = inc
-	}
+	l.ring.Push(inc)
 	return inc.Seq
 }
 
@@ -81,9 +77,7 @@ func (l *blockLog) snapshot() ([]BlockIncident, int64) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]BlockIncident, len(l.ring))
-	copy(out, l.ring)
-	return out, l.seq
+	return l.ring.AppendTo(make([]BlockIncident, 0, l.ring.Len())), l.seq
 }
 
 // BlockIncidents returns the buffered incidents oldest-first and the

@@ -4,8 +4,11 @@ import (
 	"context"
 	"math"
 	"net/http"
+	"slices"
+	"strconv"
 	"time"
 
+	"repro/internal/obs/slo"
 	"repro/internal/obs/tsdb"
 	"repro/internal/switchd/api"
 )
@@ -15,8 +18,9 @@ import (
 // serves, re-read through the strict parser) into an embedded
 // time-series store with downsampling tiers, served at /v1/query; an
 // alerting rules engine evaluates after every scrape and serves
-// /v1/alerts. Enabled by Config.HistoryInterval > 0; every endpoint
-// answers 404 not_found while disabled.
+// /v1/alerts; the SLO view evaluates its sliding windows against the
+// same store and serves /v1/slo. Enabled by Config.HistoryInterval > 0;
+// every endpoint answers 404 not_found while disabled.
 
 // startHistory builds the store and alert engine and starts the
 // scrape loop. Called by New after the controller is fully built.
@@ -24,7 +28,6 @@ func (ctl *Controller) startHistory() error {
 	cfg := ctl.cfg
 	store := tsdb.New(tsdb.Config{
 		Interval: cfg.HistoryInterval,
-		Tiers:    cfg.HistoryTiers,
 		Collect:  ctl.WriteProm,
 		Logger:   ctl.logger,
 	})
@@ -70,6 +73,57 @@ func (ctl *Controller) Alerts() []tsdb.AlertStatus {
 		return nil
 	}
 	return ctl.alertEng.Snapshot()
+}
+
+// sloBucket indexes the operation-latency bucket whose upper bound is
+// the SLO latency threshold; sloLE is that bucket's le label on
+// /metrics, so the history holds its cumulative count.
+var (
+	sloBucket = slices.Index(routeBucketsMicros, slo.LatencyThreshold.Microseconds())
+	sloLE     = strconv.FormatFloat(slo.LatencyThreshold.Seconds(), 'g', -1, 64)
+)
+
+// sloCounts reads the SLIs' inputs from the registry atomics: routing
+// operations and blocks as wdm_route_ops_total and wdm_blocked_total
+// count them, and the connect and branch latency histograms with the
+// observations above the threshold bucket.
+func (m *Metrics) sloCounts() slo.Counts {
+	bad := m.blocked.Load()
+	c := slo.Counts{Ops: m.connectOK.Load() + m.branchOK.Load() + bad, Bad: bad}
+	for _, h := range [...]*latencyHist{m.connectLat, m.branchLat} {
+		for i := range h.buckets {
+			n := h.buckets[i].Load()
+			c.Timed += n
+			if i > sloBucket {
+				c.Slow += n
+			}
+		}
+	}
+	return c
+}
+
+// sloCountsAt reads the same counts at time t from the history's copies
+// of the /metrics series.
+func (ctl *Controller) sloCountsAt(t time.Time) slo.Counts {
+	at := func(name string, labels map[string]string) int64 {
+		return int64(ctl.store.CounterAt(name, labels, t))
+	}
+	c := slo.Counts{Ops: at("wdm_route_ops_total", nil), Bad: at("wdm_blocked_total", nil)}
+	for _, op := range [...]string{"connect", "branch"} {
+		n := at("wdm_op_latency_seconds_count", map[string]string{"op": op})
+		c.Timed += n
+		c.Slow += n - at("wdm_op_latency_seconds_bucket", map[string]string{"op": op, "le": sloLE})
+	}
+	return c
+}
+
+// SLO evaluates the SLO view at the current time; ok is false while
+// the history (and with it every window baseline) is disabled.
+func (ctl *Controller) SLO() (snap slo.Snapshot, ok bool) {
+	if ctl.store == nil {
+		return slo.Snapshot{}, false
+	}
+	return slo.Evaluate(time.Now(), ctl.metrics.sloCounts(), ctl.sloCountsAt), true
 }
 
 // SetFederationProbe registers (or clears, with nil) the callback that
@@ -151,6 +205,17 @@ func (ctl *Controller) handleAlerts(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"alerts": ctl.alertEng.Snapshot()})
+}
+
+// handleSLO serves GET /v1/slo: sliding-window SLIs and multiwindow
+// burn alerts.
+func (ctl *Controller) handleSLO(w http.ResponseWriter, r *http.Request) {
+	snap, ok := ctl.SLO()
+	if !ok {
+		writeErrorCode(w, http.StatusNotFound, api.CodeNotFound, "SLO view disabled (start with a history interval)")
+		return
+	}
+	writeJSON(w, http.StatusOK, snap)
 }
 
 // handleDebugTSDB serves GET /v1/debug/tsdb: the store's full contents

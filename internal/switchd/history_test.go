@@ -198,8 +198,8 @@ func promSnapshot(t *testing.T, cl *client.Client) obs.Metrics {
 }
 
 // TestHistoryEndpointsDisabled pins the degraded surface: without a
-// history interval the query/alert endpoints answer 404 not_found and
-// the exposition carries no tsdb self-metrics.
+// history interval the query/alert/SLO endpoints answer 404 not_found
+// and the exposition carries no tsdb self-metrics and no SLO gauges.
 func TestHistoryEndpointsDisabled(t *testing.T) {
 	ctl := newTestController(t, Config{Fabric: testParams(), Replicas: 1})
 	srv := httptest.NewServer(ctl.Handler())
@@ -213,9 +213,17 @@ func TestHistoryEndpointsDisabled(t *testing.T) {
 	if _, err := cl.Alerts(ctx); !api.IsCode(err, api.CodeNotFound) {
 		t.Fatalf("Alerts on history-less server: %v, want not_found", err)
 	}
+	if _, err := cl.SLO(ctx); !api.IsCode(err, api.CodeNotFound) {
+		t.Fatalf("SLO on history-less server: %v, want not_found", err)
+	}
 	m := promSnapshot(t, cl)
 	if _, ok := m.Value("wdm_tsdb_series", nil); ok {
 		t.Fatal("tsdb self-metrics exposed while history is disabled")
+	}
+	for name := range m {
+		if strings.HasPrefix(name, "wdm_slo_") {
+			t.Fatalf("%s exposed while history is disabled", name)
+		}
 	}
 	// Uptime is unconditional — the self-scrape dead-man's switch
 	// needs it on every server.

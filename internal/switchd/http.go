@@ -31,7 +31,7 @@ import (
 //	POST /v1/admin/fail     {"fabric": 0, "middle": 2}  (fail + live-migrate)
 //	POST /v1/admin/repair   {"fabric": 0, "middle": 2}
 //	GET  /metrics           (Prometheus text exposition of every counter)
-//	GET  /v1/slo            (sliding-window SLIs and burn-rate alerts)
+//	GET  /v1/slo            (sliding-window SLIs and burn-rate alerts over the metrics history)
 //	GET  /v1/query          (metrics history: ?query=, ?start=, ?end=, ?step=; rate()/increase()/histogram_quantile())
 //	GET  /v1/alerts         (alerting rules engine: per-rule pending/firing state)
 //	POST /v1/loadgen        {"offered_rps": ..., "achieved_rps": ...} (loadgen self-report gauges)

@@ -7,13 +7,12 @@ import (
 	"repro/internal/switchd/api"
 )
 
-// Observability endpoints for the tracing and SLO subsystems:
+// Observability endpoints for the tracing subsystem:
 //
 //	GET /v1/debug/spans            completed traces from the tail-sampled ring
 //	GET /v1/debug/spans?blocked=1  blocked traces only
 //	GET /v1/debug/spans?trace=ID   one trace by 32-hex id
 //	GET /v1/debug/spans?limit=N    the N most recent
-//	GET /v1/slo                    sliding-window SLIs and burn-rate alerts
 
 func (ctl *Controller) handleDebugSpans(w http.ResponseWriter, r *http.Request) {
 	if ctl.tracer == nil {
@@ -52,9 +51,4 @@ func (ctl *Controller) handleDebugSpans(w http.ResponseWriter, r *http.Request) 
 	}
 	kept, dropped := ctl.tracer.Stats()
 	writeJSON(w, http.StatusOK, SpansResponse{Kept: kept, Dropped: dropped, Traces: traces})
-}
-
-// handleSLO serves GET /v1/slo: the burn-rate engine's snapshot.
-func (ctl *Controller) handleSLO(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, ctl.sloEng.Snapshot())
 }

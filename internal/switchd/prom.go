@@ -56,7 +56,7 @@ func (ctl *Controller) WriteProm(w *obs.PromWriter) {
 	w.Counter("wdm_inadmissible_total", "Requests rejected before routing (busy slots, model violations).", float64(snap.Inadmissible))
 	w.Counter("wdm_cap_rejects_total", "Connects rejected by the MaxSessions admission cap (HTTP 429).", float64(snap.CapRejects))
 	w.Counter("wdm_drain_rejects_total", "Requests rejected while draining (HTTP 503).", float64(snap.DrainRejects))
-	w.Counter("wdm_route_ops_total", "Admissible routing operations offered to a fabric (routed + blocked); the burn-rate alert's traffic denominator.",
+	w.Counter("wdm_route_ops_total", "Admissible routing operations offered to a fabric (routed + blocked); the availability SLO's denominator.",
 		float64(snap.ConnectOK+snap.BranchOK+snap.Blocked))
 
 	w.Gauge("wdm_active_sessions", "Live multicast sessions across all fabric planes.", float64(st.Active))
@@ -155,32 +155,35 @@ func (ctl *Controller) WriteProm(w *obs.PromWriter) {
 		w.Counter("wdm_traces_dropped_total", "Routine traces sampled out.", float64(dropped))
 	}
 
-	// SLO gauges: availability is 1 - P_block over each sliding window —
-	// at or above the sufficient bound it reads exactly 1 with zero burn.
-	ss := ctl.sloEng.Snapshot()
-	w.Gauge("wdm_slo_objective", "Availability objective.", ss.Objective)
-	w.Gauge("wdm_slo_latency_objective", "Latency-SLI objective (fraction under threshold).", ss.LatencyObjective)
-	w.Gauge("wdm_slo_latency_threshold_us", "Latency-SLI threshold in microseconds.", ss.LatencyThresholdUs)
-	w.Gauge("wdm_slo_healthy", "1 while no burn-rate alert fires.", b2f(ss.Healthy))
-	for _, win := range ss.Windows {
-		w.Gauge("wdm_slo_availability", "Availability SLI (1 - P_block) per window.",
-			win.Availability, obs.Label{Name: "window", Value: win.Window})
-	}
-	for _, win := range ss.Windows {
-		w.Gauge("wdm_slo_availability_burn", "Availability burn rate per window.",
-			win.AvailabilityBurn, obs.Label{Name: "window", Value: win.Window})
-	}
-	for _, win := range ss.Windows {
-		w.Gauge("wdm_slo_latency_ok", "Latency SLI (fraction under threshold) per window.",
-			win.LatencyOK, obs.Label{Name: "window", Value: win.Window})
-	}
-	for _, win := range ss.Windows {
-		w.Gauge("wdm_slo_latency_burn", "Latency burn rate per window.",
-			win.LatencyBurn, obs.Label{Name: "window", Value: win.Window})
-	}
-	for _, a := range ss.Alerts {
-		w.Gauge("wdm_slo_alert_firing", "1 while the multiwindow burn alert fires on either SLI.",
-			b2f(a.AvailabilityFiring || a.LatencyFiring), obs.Label{Name: "alert", Value: a.Name})
+	// SLO gauges (present only with a history interval, which holds the
+	// window baselines): availability is 1 - P_block over each sliding
+	// window — at or above the sufficient bound it reads exactly 1 with
+	// zero burn.
+	if ss, ok := ctl.SLO(); ok {
+		w.Gauge("wdm_slo_objective", "Availability objective.", ss.Objective)
+		w.Gauge("wdm_slo_latency_objective", "Latency-SLI objective (fraction under threshold).", ss.LatencyObjective)
+		w.Gauge("wdm_slo_latency_threshold_us", "Latency-SLI threshold in microseconds.", ss.LatencyThresholdUs)
+		w.Gauge("wdm_slo_healthy", "1 while no burn-rate alert fires.", b2f(ss.Healthy))
+		for _, win := range ss.Windows {
+			w.Gauge("wdm_slo_availability", "Availability SLI (1 - P_block) per window.",
+				win.Availability, obs.Label{Name: "window", Value: win.Window})
+		}
+		for _, win := range ss.Windows {
+			w.Gauge("wdm_slo_availability_burn", "Availability burn rate per window.",
+				win.AvailabilityBurn, obs.Label{Name: "window", Value: win.Window})
+		}
+		for _, win := range ss.Windows {
+			w.Gauge("wdm_slo_latency_ok", "Latency SLI (fraction under threshold) per window.",
+				win.LatencyOK, obs.Label{Name: "window", Value: win.Window})
+		}
+		for _, win := range ss.Windows {
+			w.Gauge("wdm_slo_latency_burn", "Latency burn rate per window.",
+				win.LatencyBurn, obs.Label{Name: "window", Value: win.Window})
+		}
+		for _, a := range ss.Alerts {
+			w.Gauge("wdm_slo_alert_firing", "1 while the multiwindow burn alert fires on either SLI.",
+				b2f(a.AvailabilityFiring || a.LatencyFiring), obs.Label{Name: "alert", Value: a.Name})
+		}
 	}
 
 	// Metrics history plane (present only with a history interval).

@@ -51,7 +51,6 @@ import (
 	"repro/internal/fabric/backend"
 	"repro/internal/multistage"
 	"repro/internal/obs/prof"
-	"repro/internal/obs/slo"
 	"repro/internal/obs/span"
 	"repro/internal/obs/tsdb"
 	"repro/internal/switchd/api"
@@ -128,10 +127,6 @@ type Config struct {
 	// zero value enables tracing with defaults (256-trace ring, 5ms slow
 	// threshold, 1-in-16 routine sampling); Capacity < 0 disables it.
 	Spans span.Config
-	// SLO configures the burn-rate engine served at /v1/slo. The zero
-	// value gives 99.9% availability and 99% under 1ms over 5m/1h/6h/3d
-	// windows.
-	SLO slo.Config
 	// Prof configures the profiling harness served at /v1/debug/prof:
 	// mutex/block sampling rates and the periodic profile-snapshot ring.
 	// The zero value serves on-demand profiles only and touches no
@@ -167,13 +162,12 @@ type Config struct {
 	// self-scraper samples the controller's own /metrics registry into an
 	// in-process time-series store every interval, served at /v1/query
 	// (instant and range queries) with downsampling tiers and bounded
-	// memory. 0 disables the scraper entirely (the default — history
+	// memory. The SLO view (/v1/slo and the wdm_slo_* gauges) reads its
+	// window baselines from this history. 0 disables the scraper, the
+	// alerting engine and the SLO view entirely (the default — history
 	// costs a per-interval allocation and tests that pin zero-alloc hot
 	// paths must not see it).
 	HistoryInterval time.Duration
-	// HistoryTiers overrides the retention ladder (nil = raw/15m,
-	// 10s/4h, 1m/24h).
-	HistoryTiers []tsdb.Tier
 	// Alerts are the rules the alerting engine evaluates after every
 	// scrape, served at /v1/alerts. Nil means tsdb.DefaultRules(); an
 	// explicit empty slice disables alerting while keeping history.
@@ -222,7 +216,6 @@ type Controller struct {
 	metrics     *Metrics
 	blockLog    *blockLog
 	tracer      *span.Tracer
-	sloEng      *slo.Engine
 	prof        *prof.Harness
 	logger      *slog.Logger
 
@@ -306,7 +299,6 @@ func New(cfg Config) (*Controller, error) {
 		metrics:     newMetrics(norm, cfg.Replicas),
 		blockLog:    newBlockLog(cfg.BlockLog),
 		tracer:      span.NewTracer(cfg.Spans),
-		sloEng:      slo.New(cfg.SLO),
 		prof:        prof.Start(cfg.Prof),
 		logger:      cfg.Logger,
 		startTime:   time.Now(),
@@ -362,9 +354,6 @@ func (ctl *Controller) Metrics() *Metrics { return ctl.metrics }
 
 // Tracer returns the controller's span tracer (nil when disabled).
 func (ctl *Controller) Tracer() *span.Tracer { return ctl.tracer }
-
-// SLO returns the controller's burn-rate engine.
-func (ctl *Controller) SLO() *slo.Engine { return ctl.sloEng }
 
 // routeSpanObserver adapts the multistage route observer to the span
 // tracer: every middle-stage decision of one fabric operation becomes a
@@ -521,12 +510,6 @@ func (ctl *Controller) connect(ctx context.Context, pt *phaseTimer, c wdm.Connec
 	pt.add(phaseRouteSearch, elapsed)
 
 	ctl.metrics.connectLat.observeEx(elapsed, sp.TraceID())
-	if addErr == nil || multistage.IsBlocked(addErr) {
-		// The SLO counts admissible routing operations only: routed is
-		// good, blocked spends error budget; inadmissible requests and
-		// admission rejects never reach a fabric.
-		ctl.sloEng.Record(addErr == nil, elapsed)
-	}
 	switch {
 	case addErr == nil:
 		ctl.metrics.perFabric[plane].routed.Add(1)
@@ -630,9 +613,6 @@ func (ctl *Controller) addBranch(ctx context.Context, pt *phaseTimer, id uint64,
 	pt.add(phaseLockWait, lockWait)
 	pt.add(phaseRouteSearch, elapsed)
 	ctl.metrics.branchLat.observeEx(elapsed, sp.TraceID())
-	if err == nil || multistage.IsBlocked(err) {
-		ctl.sloEng.Record(err == nil, elapsed)
-	}
 	switch {
 	case err == nil:
 		s.Conn = grown

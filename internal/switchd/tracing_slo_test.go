@@ -5,15 +5,20 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/obs/slo"
 	"repro/internal/obs/span"
+	"repro/internal/obs/tsdb"
 	"repro/internal/switchd/api"
+	"repro/internal/switchd/client"
 	"repro/internal/traffic"
 )
 
@@ -277,7 +282,9 @@ func TestBlockLogConcurrentStress(t *testing.T) {
 // the sufficient bound the availability SLI reads exactly 1 with zero
 // burn on every window, and no alert fires.
 func TestSLOHealthyAtBound(t *testing.T) {
-	ctl := newTestController(t, Config{Fabric: testParams(), Replicas: 2, Shards: 8})
+	ctl := newTestController(t, Config{Fabric: testParams(), Replicas: 2, Shards: 8,
+		HistoryInterval: 50 * time.Millisecond})
+	defer ctl.Close()
 	srv := httptest.NewServer(ctl.Handler())
 	defer srv.Close()
 
@@ -299,7 +306,7 @@ func TestSLOHealthyAtBound(t *testing.T) {
 		t.Fatalf("snapshot missing windows or alerts: %+v", snap)
 	}
 	if snap.Windows[0].Total == 0 {
-		t.Fatal("SLO engine recorded no operations")
+		t.Fatal("SLO view counted no operations")
 	}
 	for _, w := range snap.Windows {
 		if w.Availability != 1 || w.AvailabilityBurn != 0 {
@@ -326,6 +333,109 @@ func TestSLOHealthyAtBound(t *testing.T) {
 		if v, ok := pm.Value("wdm_slo_availability_burn", lbl); !ok || v != 0 {
 			t.Fatalf("wdm_slo_availability_burn{window=%q} = %v, %v; want 0", w.Window, v, ok)
 		}
+	}
+}
+
+// TestSLOBurnAlertBelowBound follows the trace walkthrough's two
+// connects through the SLO view. Below the bound (m=1, x=1) the second
+// connect blocks: 1 bad of 2 ops burns the 0.999 budget at 500 on
+// every window, so /v1/slo fires both multiwindow alerts, and after the
+// next scrape the shipped availability_burn rule fires on the scraped
+// gauge with the same value. At the bound both connects route and
+// neither fires.
+func TestSLOBurnAlertBelowBound(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		m, x    int
+		blocked bool
+	}{
+		{"below", 1, 1, true},
+		{"at", 0, 0, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := testParams()
+			p.M, p.X = tc.m, tc.x
+			ctl := newTestController(t, Config{Fabric: p, Replicas: 1, HistoryInterval: 20 * time.Millisecond})
+			defer ctl.Close()
+			srv := httptest.NewServer(ctl.Handler())
+			defer srv.Close()
+			cl := client.New(srv.URL, client.WithHTTPClient(srv.Client()))
+			ctx := context.Background()
+
+			mustConnect(t, ctl, "0.0>4.0", 0)
+			_, _, err := ctl.Connect(ctx, mustParse(t, "1.0>8.0"), 0)
+			if blocked := err != nil; blocked != tc.blocked {
+				t.Fatalf("second connect: %v, want blocked=%v", err, tc.blocked)
+			}
+			done := time.Now()
+
+			snap, err := cl.SLO(ctx)
+			if err != nil {
+				t.Fatalf("GET /v1/slo: %v", err)
+			}
+			wantBad, wantBurn := int64(0), 0.0
+			if tc.blocked {
+				wantBad, wantBurn = 1, 500
+			}
+			for _, w := range snap.Windows {
+				if w.Total != 2 || w.Bad != wantBad || math.Abs(w.AvailabilityBurn-wantBurn) > 1e-6 {
+					t.Fatalf("window %s = %+v, want total 2, bad %d, burn %v", w.Window, w, wantBad, wantBurn)
+				}
+			}
+			for _, a := range snap.Alerts {
+				if a.AvailabilityFiring != tc.blocked {
+					t.Fatalf("alert %s availability firing = %v, want %v", a.Name, a.AvailabilityFiring, tc.blocked)
+				}
+			}
+
+			var st tsdb.AlertStatus
+			if tc.blocked {
+				st = waitAlertState(t, cl, "availability_burn", tsdb.StateFiring, 5*time.Second)
+				if math.Abs(st.Value-500) > 1e-6 {
+					t.Fatalf("availability_burn value %v, want 500", st.Value)
+				}
+			} else {
+				st = waitAlertEval(t, cl, "availability_burn", done, 5*time.Second)
+				if st.State != tsdb.StateInactive {
+					t.Fatalf("availability_burn %s at the bound (value %v)", st.State, st.Value)
+				}
+			}
+
+			// The window baselines read the very series /metrics exposes:
+			// once a scrape has seen the final counts, the history's copy
+			// equals the registry's.
+			if got, want := ctl.sloCountsAt(time.Now()), ctl.metrics.sloCounts(); got != want || want.Timed != 2 {
+				t.Fatalf("history counts %+v, registry counts %+v (want 2 timed)", got, want)
+			}
+		})
+	}
+}
+
+// waitAlertEval polls /v1/alerts until the named rule has been
+// evaluated after the given time.
+func waitAlertEval(t *testing.T, cl *client.Client, rule string, after time.Time, deadline time.Duration) tsdb.AlertStatus {
+	t.Helper()
+	for end := time.Now().Add(deadline); time.Now().Before(end); time.Sleep(20 * time.Millisecond) {
+		alerts, err := cl.Alerts(context.Background())
+		if err != nil {
+			t.Fatalf("GET /v1/alerts: %v", err)
+		}
+		for _, a := range alerts {
+			if a.Rule.Name == rule && a.LastEval != nil && a.LastEval.After(after) {
+				return a
+			}
+		}
+	}
+	t.Fatalf("rule %s not evaluated after %s", rule, after)
+	return tsdb.AlertStatus{}
+}
+
+// TestSLOThresholdIsALatencyBucket: the latency SLI counts the
+// observations above one histogram bucket, so its threshold must be a
+// bucket bound.
+func TestSLOThresholdIsALatencyBucket(t *testing.T) {
+	if !slices.Contains(routeBucketsMicros, slo.LatencyThreshold.Microseconds()) {
+		t.Fatalf("latency buckets %v lack the SLO threshold %v", routeBucketsMicros, slo.LatencyThreshold)
 	}
 }
 
