@@ -224,13 +224,15 @@ cluster-demo:
 # scripted): two cluster shards with aggressive mutex profiling, churn
 # against both, then assert (a) the mutex profile at /v1/debug/prof is
 # non-empty, (b) /v1/cluster/metrics serves a merged exposition with
-# both shards up and the phase histograms present, and (c) binary
-# profile snapshots download. Profiles land in PROF_DIR so CI can
-# upload them as a workflow artifact.
+# exactly one wdm_federation_peer_up line per shard, both up, and the
+# phase histograms present, (c) wdmtop renders that fleet view, and (d)
+# binary profile snapshots download. Profiles land in PROF_DIR so CI
+# can upload them as a workflow artifact.
 PROF_DIR ?= /tmp/wdm-prof-demo
 prof-demo:
 	@$(GO) build -o /tmp/wdm-prof-serve ./cmd/wdmserve
 	@$(GO) build -o /tmp/wdm-prof-load ./cmd/wdmload
+	@$(GO) build -o /tmp/wdm-prof-top ./cmd/wdmtop
 	@pkill -9 -f '^/tmp/wdm-prof-serve' 2>/dev/null; rm -rf $(PROF_DIR) /tmp/wdm-prof-data; mkdir -p $(PROF_DIR); \
 	/tmp/wdm-prof-serve -cluster -shard 0 -addr 127.0.0.1:9081 -repl-addr 127.0.0.1:9091 \
 	    -peers 'http://127.0.0.1:9081,http://127.0.0.1:9082' \
@@ -256,9 +258,16 @@ prof-demo:
 	grep -q 'wdm_federation_peer_up{shard="0"} 1' $(PROF_DIR)/fleet-metrics.txt \
 	    && grep -q 'wdm_federation_peer_up{shard="1"} 1' $(PROF_DIR)/fleet-metrics.txt \
 	    || { echo 'PROF DEMO FAILED: federation did not merge both shards'; cat $(PROF_DIR)/fleet-metrics.txt; exit 1; }; \
+	for s in 0 1; do \
+	    n=$$(grep -c "^wdm_federation_peer_up{shard=\"$$s\"}" $(PROF_DIR)/fleet-metrics.txt); \
+	    test "$$n" = 1 || { echo "PROF DEMO FAILED: $$n wdm_federation_peer_up lines for shard $$s, want 1"; exit 1; }; \
+	done; \
 	grep -q 'wdm_phase_seconds_bucket' $(PROF_DIR)/fleet-metrics.txt \
 	    || { echo 'PROF DEMO FAILED: no phase histograms in the fleet view'; exit 1; }; \
 	grep 'wdm_federation_peer_up' $(PROF_DIR)/fleet-metrics.txt; \
+	/tmp/wdm-prof-top -target http://127.0.0.1:9081 -fleet -once > $(PROF_DIR)/fleet-top.txt \
+	    || { echo 'PROF DEMO FAILED: wdmtop -fleet could not render the fleet view'; exit 1; }; \
+	cat $(PROF_DIR)/fleet-top.txt; \
 	echo "prof demo OK: profiles in $(PROF_DIR)"
 
 # Alert drill (EXPERIMENTS.md § "Alerting walkthrough", scripted): two

@@ -7,7 +7,6 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -40,7 +39,6 @@ type clusterOptions struct {
 	peers         string
 	syncTimeout   time.Duration
 	failoverAfter time.Duration
-	pprofOn       bool
 }
 
 // clusterInfo is the GET /v1/cluster payload.
@@ -134,9 +132,6 @@ func runClusterPrimary(logger *slog.Logger, cfg switchd.Config, opts clusterOpti
 	mux.HandleFunc("/v1/cluster", clusterInfoHandler(opts.shard, "primary", peerList))
 	mux.Handle("/v1/cluster/metrics", federationHandler(fedPeers, tracker))
 	mux.Handle("/v1/cluster/query", queryFederationHandler(fedPeers, tracker))
-	if opts.pprofOn {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-	}
 	hsrv := &http.Server{Addr: opts.addr, Handler: obs.WithRequestLog(mux, logger)}
 
 	done := make(chan struct{})

@@ -53,7 +53,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -85,7 +84,6 @@ func main() {
 	maxSessions := flag.Int("max-sessions", 0, "admission cap on live sessions, 0 = unlimited")
 	gates := flag.Bool("gates", false, "build gate-level fabrics (slow; default lite routing-only fabrics)")
 	logFormat := flag.String("log-format", "text", "structured log format: text or json")
-	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	captureTrace := flag.Bool("trace", false, "capture per-fabric serving history, served at /v1/debug/trace (unbounded memory; debugging mode)")
 	blockLog := flag.Int("block-log", 0, "blocking-forensics ring size at /v1/debug/blocking (0 = default 128, negative disables)")
 	spanLog := flag.String("span-log", "", "append kept traces as JSON lines to this file (\"-\" = stderr)")
@@ -190,7 +188,6 @@ func main() {
 			peers:         *peers,
 			syncTimeout:   *syncTimeout,
 			failoverAfter: *failoverAfter,
-			pprofOn:       *pprofOn,
 		})
 		return
 	}
@@ -214,19 +211,9 @@ func main() {
 		slog.Int("replicas", ctl.Replicas()),
 		slog.String("addr", *addr),
 		slog.Bool("trace_capture", *captureTrace),
-		slog.Bool("pprof", *pprofOn),
 	)
 
-	mux := http.NewServeMux()
-	mux.Handle("/", ctl.Handler())
-	if *pprofOn {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
-	srv := &http.Server{Addr: *addr, Handler: obs.WithRequestLog(mux, logger)}
+	srv := &http.Server{Addr: *addr, Handler: obs.WithRequestLog(ctl.Handler(), logger)}
 
 	done := make(chan struct{})
 	sigC := make(chan os.Signal, 1)

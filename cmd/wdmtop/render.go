@@ -73,65 +73,44 @@ func fabricRows(m obs.Metrics) []fabricRow {
 }
 
 // histQuantileMicros estimates the q-quantile of one op's latency
-// histogram as the upper bound of the first cumulative bucket covering
-// q of the observations, in microseconds. ok is false with no samples.
+// histogram in microseconds with obs.BucketQuantile, interpolating
+// inside the bucket that holds the rank. ok is false with no samples.
 func histQuantileMicros(m obs.Metrics, op string, q float64) (float64, bool) {
 	return histQuantileFamily(m, "wdm_op_latency_seconds", map[string]string{"op": op}, q)
 }
 
 // histQuantileFamily is histQuantileMicros generalized over the
-// histogram family and label filter.
+// histogram family and label filter, which must select one series.
+// ParseProm keeps a series' buckets in ascending le order.
 func histQuantileFamily(m obs.Metrics, family string, match map[string]string, q float64) (float64, bool) {
 	fam := m[family]
 	if fam == nil {
 		return 0, false
 	}
-	type bkt struct{ le, count float64 }
-	var buckets []bkt
-	maxFinite := 0.0
+	var les, cum []float64
 	for _, s := range fam.Samples {
-		if s.Name != family+"_bucket" {
-			continue
-		}
-		skip := false
-		for k, v := range match {
-			if s.Labels[k] != v {
-				skip = true
-				break
-			}
-		}
-		if skip {
+		if s.Name != family+"_bucket" || !hasLabels(s.Labels, match) {
 			continue
 		}
 		le, err := strconv.ParseFloat(s.Labels["le"], 64)
 		if err != nil {
-			continue // +Inf rejects ParseFloat only on malformed text; "+Inf" parses
+			continue
 		}
-		if !math.IsInf(le, +1) && le > maxFinite {
-			maxFinite = le
-		}
-		buckets = append(buckets, bkt{le: le, count: s.Value})
+		les = append(les, le)
+		cum = append(cum, s.Value)
 	}
-	if len(buckets) == 0 {
-		return 0, false
-	}
-	sort.Slice(buckets, func(i, j int) bool { return buckets[i].le < buckets[j].le })
-	total := buckets[len(buckets)-1].count
-	if total == 0 {
-		return 0, false
-	}
-	target := q * total
-	for _, b := range buckets {
-		if b.count >= target {
-			if math.IsInf(b.le, +1) {
-				// The quantile falls past the largest finite bound;
-				// report that bound as a lower estimate.
-				return maxFinite * 1e6, true
-			}
-			return b.le * 1e6, true
+	v, ok := obs.BucketQuantile(q, les, cum)
+	return v * 1e6, ok
+}
+
+// hasLabels reports whether labels carries every pair of match.
+func hasLabels(labels, match map[string]string) bool {
+	for k, v := range match {
+		if labels[k] != v {
+			return false
 		}
 	}
-	return maxFinite * 1e6, true
+	return true
 }
 
 // counter returns a label-less sample value, 0 when absent.
@@ -190,7 +169,7 @@ func renderDashboard(cur, prev *poll, target string) string {
 	if p50, ok := histQuantileMicros(m, "connect", 0.50); ok {
 		p90, _ := histQuantileMicros(m, "connect", 0.90)
 		p99, _ := histQuantileMicros(m, "connect", 0.99)
-		fmt.Fprintf(&b, "connect latency ≤ p50 %s  p90 %s  p99 %s\n", usStr(p50), usStr(p90), usStr(p99))
+		fmt.Fprintf(&b, "connect latency p50 %s  p90 %s  p99 %s\n", usStr(p50), usStr(p90), usStr(p99))
 	}
 	b.WriteByte('\n')
 
@@ -320,7 +299,7 @@ func durabilityPanel(cur *poll) string {
 	fmt.Fprintf(&b, "durability %s  wal %.0f appends / %.0f fsyncs  lag %.0fB",
 		state, appends, fsyncs, lag)
 	if p99, ok := histQuantileFamily(m, "wdm_wal_fsync_seconds", nil, 0.99); ok {
-		fmt.Fprintf(&b, "  fsync p99 ≤ %s", usStr(p99))
+		fmt.Fprintf(&b, "  fsync p99 %s", usStr(p99))
 	}
 	b.WriteByte('\n')
 	if age, ok := m.Value("wdm_snapshot_age_seconds", nil); ok {
@@ -580,7 +559,7 @@ func phasesPanel(m obs.Metrics) string {
 
 	var b strings.Builder
 	tw := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "phase\tcount\tmean\tp50 ≤\tp99 ≤")
+	fmt.Fprintln(tw, "phase\tcount\tmean\tp50\tp99")
 	wrote := false
 	for _, p := range names {
 		lbl := map[string]string{"phase": p}
@@ -619,7 +598,7 @@ func renderFleet(m obs.Metrics, t time.Time, target string) string {
 		sessions, routed, counter(m, "wdm_blocked_total"), counter(m, "wdm_inadmissible_total"))
 	if p50, ok := histQuantileMicros(m, "connect", 0.50); ok {
 		p99, _ := histQuantileMicros(m, "connect", 0.99)
-		fmt.Fprintf(&b, "fleet connect latency ≤ p50 %s  p99 %s\n", usStr(p50), usStr(p99))
+		fmt.Fprintf(&b, "fleet connect latency p50 %s  p99 %s\n", usStr(p50), usStr(p99))
 	}
 	b.WriteByte('\n')
 

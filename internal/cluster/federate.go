@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -43,68 +44,24 @@ type FederationConfig struct {
 
 // NewFederationHandler returns the /v1/cluster/metrics handler.
 func NewFederationHandler(cfg FederationConfig) http.Handler {
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 2 * time.Second
-	}
-	if cfg.Client == nil {
-		cfg.Client = http.DefaultClient
-	}
+	cfg = cfg.withDefaults()
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		peers := cfg.Peers()
 		ctx, cancel := context.WithTimeout(r.Context(), cfg.Timeout)
 		defer cancel()
-
-		// Scrape every shard concurrently; first reachable URL wins.
-		type result struct {
-			shard string
-			body  []byte
-			err   error
-		}
-		results := make([]result, len(peers))
-		var wg sync.WaitGroup
-		for i, p := range peers {
-			wg.Add(1)
-			go func(i int, p FederationPeer) {
-				defer wg.Done()
-				results[i].shard = p.Shard
-				var lastErr error
-				lastURL := ""
-				for _, u := range p.URLs {
-					lastURL = u
-					body, err := scrape(ctx, cfg.Client, u)
-					if err == nil {
-						results[i].body = body
-						if cfg.Tracker != nil {
-							cfg.Tracker.observe(p.Shard, u, true, nil)
-						}
-						return
-					}
-					lastErr = err
-				}
-				if lastErr == nil {
-					lastErr = fmt.Errorf("no scrape URLs configured")
-				}
-				results[i].err = lastErr
-				if cfg.Tracker != nil {
-					cfg.Tracker.observe(p.Shard, lastURL, false, lastErr)
-				}
-			}(i, p)
-		}
-		wg.Wait()
+		results := fanOut(ctx, cfg.Peers(), cfg.Tracker, func(ctx context.Context, base string) ([]byte, bool, error) {
+			return scrape(ctx, cfg.Client, base)
+		})
 
 		raw := make(map[string][]byte, len(results))
-		down := map[string]bool{}
 		for _, res := range results {
-			if res.err != nil {
-				down[res.shard] = true
-				continue
+			if res.err == nil {
+				raw[res.shard] = res.val
 			}
-			raw[res.shard] = res.body
 		}
 		var pw obs.PromWriter
 		bad := obs.MergeFleet(&pw, raw)
 		for _, res := range results {
-			up := !down[res.shard] && bad[res.shard] == nil
+			up := res.err == nil && bad[res.shard] == nil
 			pw.Gauge("wdm_federation_peer_up",
 				"1 when the shard's exposition was scraped and merged this request; 0 for unreachable or malformed peers.",
 				b2f(up), obs.Label{Name: "shard", Value: res.shard})
@@ -114,6 +71,67 @@ func NewFederationHandler(cfg FederationConfig) http.Handler {
 	})
 }
 
+// withDefaults fills a zero Timeout (2s) and a nil Client.
+func (cfg FederationConfig) withDefaults() FederationConfig {
+	if cfg.Timeout <= 0 {
+		cfg.Timeout = 2 * time.Second
+	}
+	if cfg.Client == nil {
+		cfg.Client = http.DefaultClient
+	}
+	return cfg
+}
+
+// peerResult is one peer's fan-out outcome: the value from the first
+// URL that succeeded, or the last URL's error.
+type peerResult[T any] struct {
+	shard string
+	val   T
+	err   error
+}
+
+// fanOut calls fetch for every peer concurrently, trying each peer's
+// URLs in order until one succeeds. fetch reports reached when the URL
+// answered over a working transport, whatever it answered. The tracker,
+// when non-nil, records a peer up when some URL was reached and down
+// with the last error when none was.
+func fanOut[T any](ctx context.Context, peers []FederationPeer, tracker *PeerTracker,
+	fetch func(ctx context.Context, url string) (val T, reached bool, err error)) []peerResult[T] {
+	results := make([]peerResult[T], len(peers))
+	var wg sync.WaitGroup
+	for i, p := range peers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res := &results[i]
+			res.shard, res.err = p.Shard, errors.New("no URLs configured")
+			upURL, lastURL := "", ""
+			for _, u := range p.URLs {
+				val, reached, err := fetch(ctx, u)
+				lastURL = u
+				if err == nil {
+					res.val, res.err, upURL = val, nil, u
+					break
+				}
+				res.err = err
+				if reached && upURL == "" {
+					upURL = u
+				}
+			}
+			if tracker == nil {
+				return
+			}
+			if upURL != "" {
+				tracker.observe(p.Shard, upURL, true, nil)
+			} else {
+				tracker.observe(p.Shard, lastURL, false, res.err)
+			}
+		}()
+	}
+	wg.Wait()
+	return results
+}
+
 func b2f(b bool) float64 {
 	if b {
 		return 1
@@ -121,19 +139,21 @@ func b2f(b bool) float64 {
 	return 0
 }
 
-// scrape fetches one peer's classic-format exposition.
-func scrape(ctx context.Context, c *http.Client, base string) ([]byte, error) {
+// scrape fetches one peer's classic-format exposition; a non-200
+// answer is an error from a reached peer.
+func scrape(ctx context.Context, c *http.Client, base string) (body []byte, reached bool, err error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/metrics", nil)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	resp, err := c.Do(req)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("scrape %s: HTTP %d", base, resp.StatusCode)
+		return nil, true, fmt.Errorf("scrape %s: HTTP %d", base, resp.StatusCode)
 	}
-	return io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	body, err = io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	return body, true, err
 }

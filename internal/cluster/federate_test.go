@@ -112,6 +112,51 @@ func TestFederationMergesLiveShards(t *testing.T) {
 	}
 }
 
+// TestFederationPeerUpOncePerShard: both primaries run a federation
+// prober whose own wdm_federation_peer_up rows call shard 1 down. The
+// fleet view must still parse strictly and carry exactly one
+// wdm_federation_peer_up per shard: the handler's verdict for this
+// request (both shards merged, so 1), not a shard's view of its peer.
+func TestFederationPeerUpOncePerShard(t *testing.T) {
+	var peers []FederationPeer
+	for shard := 0; shard < 2; shard++ {
+		p := startPrimary(t, t.TempDir(), ServerConfig{Shard: shard})
+		defer p.http.Close()
+		defer p.srv.Close()
+		defer p.ctl.Close()
+		p.ctl.SetFederationProbe(func() []api.FederationPeerHealth {
+			return []api.FederationPeerHealth{{Shard: "0", Up: true}, {Shard: "1", Up: false}}
+		})
+		peers = append(peers, FederationPeer{Shard: fmt.Sprint(shard), URLs: []string{p.http.URL}})
+	}
+	fsrv := httptest.NewServer(NewFederationHandler(FederationConfig{
+		Peers: func() []FederationPeer { return peers },
+	}))
+	defer fsrv.Close()
+
+	resp, err := http.Get(fsrv.URL)
+	if err != nil {
+		t.Fatalf("GET federation: %v", err)
+	}
+	defer resp.Body.Close()
+	m, err := obs.ParseProm(resp.Body)
+	if err != nil {
+		t.Fatalf("fleet exposition does not parse strictly: %v", err)
+	}
+	byShard := map[string][]float64{}
+	for _, s := range m["wdm_federation_peer_up"].Samples {
+		byShard[s.Labels["shard"]] = append(byShard[s.Labels["shard"]], s.Value)
+	}
+	for _, shard := range []string{"0", "1"} {
+		if got := byShard[shard]; len(got) != 1 || got[0] != 1 {
+			t.Errorf("wdm_federation_peer_up{shard=%q} samples = %v, want exactly [1]", shard, got)
+		}
+	}
+	if len(byShard) != 2 {
+		t.Errorf("wdm_federation_peer_up shards = %v, want 0 and 1", byShard)
+	}
+}
+
 // TestFederationStandbyFallback points a shard's primary URL at a dead
 // address with the live node second: the scrape must fall back and
 // still report the shard up.

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
-	"time"
 
 	"repro/internal/obs/tsdb"
 )
@@ -21,57 +19,13 @@ import (
 
 // NewQueryFederationHandler returns the /v1/cluster/query handler.
 func NewQueryFederationHandler(cfg FederationConfig) http.Handler {
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 2 * time.Second
-	}
-	if cfg.Client == nil {
-		cfg.Client = http.DefaultClient
-	}
+	cfg = cfg.withDefaults()
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		peers := cfg.Peers()
 		ctx, cancel := context.WithTimeout(r.Context(), cfg.Timeout)
 		defer cancel()
-
-		type result struct {
-			shard string
-			res   *tsdb.QueryResult
-			err   error
-		}
-		results := make([]result, len(peers))
-		var wg sync.WaitGroup
-		for i, p := range peers {
-			wg.Add(1)
-			go func(i int, p FederationPeer) {
-				defer wg.Done()
-				results[i].shard = p.Shard
-				var lastErr error
-				lastURL, reached := "", false
-				for _, u := range p.URLs {
-					lastURL = u
-					res, reachable, err := queryPeer(ctx, cfg.Client, u, r.URL.RawQuery)
-					reached = reached || reachable
-					if err == nil {
-						results[i].res = res
-						if cfg.Tracker != nil {
-							cfg.Tracker.observe(p.Shard, u, true, nil)
-						}
-						return
-					}
-					lastErr = err
-				}
-				if lastErr == nil {
-					lastErr = fmt.Errorf("no query URLs configured")
-				}
-				results[i].err = lastErr
-				// A peer that answered with an error (bad expression,
-				// history disabled) is still reachable — don't poison
-				// the health view over a caller mistake.
-				if cfg.Tracker != nil && !reached {
-					cfg.Tracker.observe(p.Shard, lastURL, false, lastErr)
-				}
-			}(i, p)
-		}
-		wg.Wait()
+		results := fanOut(ctx, cfg.Peers(), cfg.Tracker, func(ctx context.Context, base string) (*tsdb.QueryResult, bool, error) {
+			return queryPeer(ctx, cfg.Client, base, r.URL.RawQuery)
+		})
 
 		byShard := make(map[string]*tsdb.QueryResult, len(results))
 		down := make([]string, 0)
@@ -80,7 +34,7 @@ func NewQueryFederationHandler(cfg FederationConfig) http.Handler {
 				down = append(down, res.shard)
 				continue
 			}
-			byShard[res.shard] = res.res
+			byShard[res.shard] = res.val
 		}
 		merged := tsdb.Merge(byShard)
 		w.Header().Set("Content-Type", "application/json")
@@ -96,9 +50,9 @@ func NewQueryFederationHandler(cfg FederationConfig) http.Handler {
 
 // queryPeer runs one shard's /v1/query with the caller's raw query
 // string. Non-200 answers (bad expression, history disabled on the
-// peer) are errors with reachable=true: the peer is up but
-// contributed nothing.
-func queryPeer(ctx context.Context, c *http.Client, base, rawQuery string) (qr *tsdb.QueryResult, reachable bool, err error) {
+// peer) are errors with reached=true: the peer is up but contributed
+// nothing.
+func queryPeer(ctx context.Context, c *http.Client, base, rawQuery string) (qr *tsdb.QueryResult, reached bool, err error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/query?"+rawQuery, nil)
 	if err != nil {
 		return nil, false, err

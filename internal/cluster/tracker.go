@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"net/http"
 	"sort"
@@ -23,9 +22,10 @@ type PeerStatus struct {
 
 // PeerTracker maintains federation peer reachability: a background
 // prober hits every peer's /v1/health on an interval, and the
-// federation handlers opportunistically feed their scrape outcomes in,
-// so a peer that just failed a federated request is marked down
-// without waiting for the next probe tick. Snapshot feeds the
+// federation handlers opportunistically feed their fan-out outcomes in,
+// so a peer a federated request could not reach is marked down without
+// waiting for the next probe tick. A peer is up when some URL answered
+// over a working transport, whatever the answer. Snapshot feeds the
 // federation row of GET /v1/health and the wdm_federation_peer_up
 // gauges.
 type PeerTracker struct {
@@ -40,12 +40,7 @@ type PeerTracker struct {
 // NewPeerTracker builds a tracker over cfg's peer list, client, and
 // timeout (same defaults as the federation handlers).
 func NewPeerTracker(cfg FederationConfig) *PeerTracker {
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 2 * time.Second
-	}
-	if cfg.Client == nil {
-		cfg.Client = http.DefaultClient
-	}
+	cfg = cfg.withDefaults()
 	return &PeerTracker{
 		peers:   cfg.Peers,
 		client:  cfg.Client,
@@ -73,37 +68,19 @@ func (t *PeerTracker) observe(shard, url string, up bool, err error) {
 func (t *PeerTracker) ProbeOnce(ctx context.Context) {
 	ctx, cancel := context.WithTimeout(ctx, t.timeout)
 	defer cancel()
-	var wg sync.WaitGroup
-	for _, p := range t.peers() {
-		wg.Add(1)
-		go func(p FederationPeer) {
-			defer wg.Done()
-			var lastErr error
-			lastURL := ""
-			for _, u := range p.URLs {
-				lastURL = u
-				req, err := http.NewRequestWithContext(ctx, http.MethodGet, u+"/v1/health", nil)
-				if err != nil {
-					lastErr = err
-					continue
-				}
-				resp, err := t.client.Do(req)
-				if err != nil {
-					lastErr = err
-					continue
-				}
-				_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-				resp.Body.Close()
-				t.observe(p.Shard, u, true, nil)
-				return
-			}
-			if lastErr == nil {
-				lastErr = fmt.Errorf("no probe URLs configured")
-			}
-			t.observe(p.Shard, lastURL, false, lastErr)
-		}(p)
-	}
-	wg.Wait()
+	fanOut(ctx, t.peers(), t, func(ctx context.Context, base string) (struct{}, bool, error) {
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/health", nil)
+		if err != nil {
+			return struct{}{}, false, err
+		}
+		resp, err := t.client.Do(req)
+		if err != nil {
+			return struct{}{}, false, err
+		}
+		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
+		resp.Body.Close()
+		return struct{}{}, true, nil
+	})
 }
 
 // Run probes on an interval until ctx is done. An immediate first

@@ -19,7 +19,8 @@ import (
 //   - gauges (and untyped/summary families) are point-in-time facts
 //     about one process — summing "goroutines" across shards is
 //     meaningless — so each sample is kept and tagged with a shard
-//     label instead.
+//     label instead; a sample that already carries a shard label is a
+//     shard's view of a peer and is dropped.
 //
 // Exemplars are dropped: a fleet bucket aggregates many shards, and a
 // single shard's trace reference would be misleading. The output is a
@@ -118,9 +119,13 @@ func mergeAdditive(w *PromWriter, name, help string, shards []ShardExposition) {
 	}
 }
 
-// mergePerShard keeps every shard's samples, tagged with a shard label
-// (unless the sample already carries one). Used for gauges and for the
-// types with no meaningful cross-shard aggregation.
+// mergePerShard keeps every shard's samples, tagged with a shard label.
+// Used for gauges and for the types with no meaningful cross-shard
+// aggregation. A sample that already carries a shard label is one
+// shard's statement about another (its federation prober's
+// wdm_federation_peer_up, say), not a fleet fact, so it is dropped: the
+// federation layer writes its own per-shard verdict, and a kept copy
+// would repeat that series.
 func mergePerShard(w *PromWriter, name, help, typ string, shards []ShardExposition) {
 	for _, sh := range shards {
 		fam := sh.Metrics[name]
@@ -128,12 +133,12 @@ func mergePerShard(w *PromWriter, name, help, typ string, shards []ShardExpositi
 			continue
 		}
 		for _, s := range fam.Samples {
-			w.header(name, help, typ)
-			labels := labelsSorted(s.Labels, "")
-			if _, has := s.Labels["shard"]; !has {
-				labels = append(labels, Label{Name: "shard", Value: sh.Shard})
-				SortLabels(labels)
+			if _, has := s.Labels["shard"]; has {
+				continue
 			}
+			w.header(name, help, typ)
+			labels := append(labelsSorted(s.Labels, ""), Label{Name: "shard", Value: sh.Shard})
+			SortLabels(labels)
 			// Summary quantile/_sum/_count samples keep their own
 			// names; plain gauge samples are just the family name.
 			w.sample(s.Name, labels, s.Value)

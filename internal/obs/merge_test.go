@@ -9,13 +9,18 @@ import (
 
 // Two synthetic shard expositions: summable counters, histograms with
 // exemplars and *different* bucket bounds (exercising the union merge),
-// and a gauge whose label-less samples conflict across shards.
+// a gauge whose label-less samples conflict across shards, and each
+// shard's own view of its peers, already labelled by shard.
 const shardAText = `# HELP wdm_connect_total Total successful connects.
 # TYPE wdm_connect_total counter
 wdm_connect_total 10
 # HELP wdm_active_sessions Live sessions.
 # TYPE wdm_active_sessions gauge
 wdm_active_sessions 3
+# HELP wdm_federation_peer_up Peer reachability as this shard's prober sees it.
+# TYPE wdm_federation_peer_up gauge
+wdm_federation_peer_up{shard="a"} 1
+wdm_federation_peer_up{shard="b"} 0
 # HELP wdm_op_latency_seconds Op latency.
 # TYPE wdm_op_latency_seconds histogram
 wdm_op_latency_seconds_bucket{op="connect",le="0.001"} 4 # {trace_id="0123456789abcdef0123456789abcdef"} 0.0004
@@ -31,6 +36,10 @@ wdm_connect_total 7
 # HELP wdm_active_sessions Live sessions.
 # TYPE wdm_active_sessions gauge
 wdm_active_sessions 5
+# HELP wdm_federation_peer_up Peer reachability as this shard's prober sees it.
+# TYPE wdm_federation_peer_up gauge
+wdm_federation_peer_up{shard="a"} 1
+wdm_federation_peer_up{shard="b"} 1
 # HELP wdm_op_latency_seconds Op latency.
 # TYPE wdm_op_latency_seconds histogram
 wdm_op_latency_seconds_bucket{op="connect",le="0.002"} 3 # {trace_id="fedcba9876543210fedcba9876543210"} 0.0011
@@ -101,6 +110,12 @@ func TestMergeFleetSumsAndLabels(t *testing.T) {
 	}
 	if v, ok := m.Value("wdm_active_sessions", map[string]string{"shard": "b"}); !ok || v != 5 {
 		t.Errorf("wdm_active_sessions{shard=b} = %v, %v; want 5", v, ok)
+	}
+
+	// A sample already labelled by shard is one shard's view of a peer:
+	// dropped, so the federation layer's verdict is the only copy.
+	if fam := m["wdm_federation_peer_up"]; fam != nil {
+		t.Errorf("shard-labelled gauge samples survived the merge: %+v", fam.Samples)
 	}
 
 	// Histograms sum bucket-wise over the union of bounds, with each

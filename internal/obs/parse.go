@@ -56,11 +56,14 @@ type Metrics map[string]*Family
 // ParseProm parses Prometheus text exposition format (version 0.0.4) —
 // the round-trip partner of PromWriter, strict enough to catch a
 // malformed exposition: every sample must belong to a family announced
-// by a TYPE line, label syntax is validated, and histogram bucket
-// counts must be monotonically non-decreasing and consistent with
-// _count.
+// by a TYPE line, label syntax is validated, no series (sample name
+// plus label set) appears twice, and histogram bucket counts must be
+// monotonically non-decreasing and consistent with _count. It is for
+// bytes that cross a process boundary; an in-process reader of a
+// registry takes its samples from NewMetricsWriter instead.
 func ParseProm(r io.Reader) (Metrics, error) {
 	m := make(Metrics)
+	seen := make(map[string]bool)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<22)
 	lineNo := 0
@@ -88,6 +91,11 @@ func ParseProm(r io.Reader) (Metrics, error) {
 			return nil, fmt.Errorf("obs: line %d: exemplar on %q (%s family %s): exemplars are histogram _bucket only",
 				lineNo, s.Name, fam.Type, fam.Name)
 		}
+		key := s.Name + "{" + labelKey(s.Labels, "") + "}"
+		if seen[key] {
+			return nil, fmt.Errorf("obs: line %d: repeated series %s", lineNo, key)
+		}
+		seen[key] = true
 		fam.Samples = append(fam.Samples, s)
 	}
 	if err := sc.Err(); err != nil {
@@ -114,7 +122,7 @@ func (m Metrics) parseHeader(line string) error {
 	case "HELP":
 		fam := m.ensure(fields[2])
 		if len(fields) == 4 {
-			fam.Help = fields[3]
+			fam.Help = helpUnescaper.Replace(fields[3])
 		}
 	case "TYPE":
 		if len(fields) != 4 {
@@ -133,6 +141,9 @@ func (m Metrics) parseHeader(line string) error {
 	}
 	return nil
 }
+
+// helpUnescaper undoes escapeHelp.
+var helpUnescaper = strings.NewReplacer(`\\`, `\`, `\n`, "\n")
 
 func (m Metrics) ensure(name string) *Family {
 	if f, ok := m[name]; ok {

@@ -1,7 +1,6 @@
 package prof
 
 import (
-	"math"
 	"runtime"
 	"runtime/metrics"
 	"strconv"
@@ -59,43 +58,23 @@ func WriteRuntimeProm(w *obs.PromWriter) {
 		"wdm_go_sched_latency_seconds", "Goroutine scheduling latency quantiles since process start.")
 }
 
+// writeHistQuantiles writes the p50 and p99 of a runtime/metrics
+// histogram. Its first boundary is -Inf, so the upper bounds are
+// Buckets[1:]; that underflow bucket never fills for a duration. An
+// empty histogram reads 0.
 func writeHistQuantiles(w *obs.PromWriter, s *metrics.Sample, name, help string) {
 	if s == nil || s.Value.Kind() != metrics.KindFloat64Histogram {
 		return
 	}
 	h := s.Value.Float64Histogram()
-	for _, q := range []float64{0.50, 0.99} {
-		w.Gauge(name, help, histQuantile(h, q),
-			obs.Label{Name: "q", Value: strconv.FormatFloat(q, 'g', -1, 64)})
-	}
-}
-
-// histQuantile estimates the q-quantile of a runtime/metrics histogram
-// as the upper bound of the bucket holding the quantile rank (the
-// lower bound for the +Inf bucket). Returns 0 for an empty histogram.
-func histQuantile(h *metrics.Float64Histogram, q float64) float64 {
+	cum := make([]float64, len(h.Counts))
 	var total uint64
-	for _, c := range h.Counts {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	var cum uint64
 	for i, c := range h.Counts {
-		cum += c
-		if float64(cum) >= rank {
-			ub := h.Buckets[i+1]
-			if math.IsInf(ub, 1) {
-				return h.Buckets[i]
-			}
-			return ub
-		}
+		total += c
+		cum[i] = float64(total)
 	}
-	last := h.Buckets[len(h.Buckets)-1]
-	if math.IsInf(last, 1) {
-		return h.Buckets[len(h.Buckets)-2]
+	for _, q := range []float64{0.50, 0.99} {
+		v, _ := obs.BucketQuantile(q, h.Buckets[1:], cum)
+		w.Gauge(name, help, v, obs.Label{Name: "q", Value: strconv.FormatFloat(q, 'g', -1, 64)})
 	}
-	return last
 }

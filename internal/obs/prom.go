@@ -1,10 +1,13 @@
 // Package obs is the serving path's observability toolkit: a hand-rolled
 // Prometheus text-exposition writer and a matching minimal parser (both
-// stdlib-only, round-trip tested against each other), plus an HTTP
-// middleware that assigns request ids and emits one structured log line
-// per request. switchd uses the writer for GET /metrics; the parser
-// exists so tests — and any in-repo consumer — can read the exposition
-// back without a third-party client library.
+// stdlib-only, round-trip tested against each other), the one
+// bucket-quantile estimator every histogram reader shares
+// (BucketQuantile), plus an HTTP middleware that assigns request ids and
+// emits one structured log line per request. switchd uses the writer for
+// GET /metrics. An in-process reader of the registry — the metrics
+// history — takes the same samples as values through NewMetricsWriter;
+// the parser is for expositions that cross a process boundary (fleet
+// federation, wdmtop) and for tests.
 package obs
 
 import (
@@ -41,7 +44,21 @@ type PromWriter struct {
 	buf       bytes.Buffer
 	seen      map[string]bool
 	exemplars bool
+
+	// into, when set (NewMetricsWriter), receives every family and
+	// sample as values instead of text; cur is the family being written.
+	into Metrics
+	cur  *Family
 }
+
+// NewMetricsWriter returns a writer that fills m instead of rendering
+// text: m receives exactly what ParseProm returns for the exposition
+// the same calls would write — family name, type and help, and one
+// Sample per sample line with its full name, label map and value —
+// without exemplars. It is how an in-process reader of a registry (the
+// metrics history) takes its samples without a render-and-parse round
+// trip.
+func NewMetricsWriter(m Metrics) *PromWriter { return &PromWriter{into: m} }
 
 // Exemplar references a recent concrete observation — typically by
 // trace id — from a histogram bucket, in OpenMetrics exemplar syntax:
@@ -121,6 +138,13 @@ func (w *PromWriter) HistogramE(name, help string, bounds []float64, counts []in
 
 // header emits the HELP/TYPE preamble once per family.
 func (w *PromWriter) header(name, help, typ string) {
+	if w.into != nil {
+		if w.cur = w.into[name]; w.cur == nil {
+			w.cur = &Family{Name: name, Help: help, Type: typ}
+			w.into[name] = w.cur
+		}
+		return
+	}
 	if w.seen == nil {
 		w.seen = make(map[string]bool)
 	}
@@ -140,6 +164,14 @@ func (w *PromWriter) sample(name string, labels []Label, v float64) {
 // sampleE emits one sample line, with an OpenMetrics exemplar clause
 // appended when ex is non-nil.
 func (w *PromWriter) sampleE(name string, labels []Label, v float64, ex *Exemplar) {
+	if w.into != nil {
+		lm := make(map[string]string, len(labels))
+		for _, l := range labels {
+			lm[l.Name] = l.Value
+		}
+		w.cur.Samples = append(w.cur.Samples, Sample{Name: name, Labels: lm, Value: v})
+		return
+	}
 	w.buf.WriteString(name)
 	w.writeLabels(labels)
 	w.buf.WriteByte(' ')

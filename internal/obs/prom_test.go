@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -67,6 +68,9 @@ func TestPromEscaping(t *testing.T) {
 	if v, ok := m.Value("esc_metric", map[string]string{"v": hostile}); !ok || v != 1 {
 		t.Fatalf("escaped label did not round-trip: %+v", m["esc_metric"])
 	}
+	if got, want := m["esc_metric"].Help, `help with \ and`+"\n"+`newline`; got != want {
+		t.Fatalf("help = %q, want %q", got, want)
+	}
 	// The exposition itself must stay line-oriented despite the newline.
 	if got := bytes.Count(w.Bytes(), []byte("esc_metric{")); got != 1 {
 		t.Fatalf("sample split across lines: %d occurrences\n%s", got, w.Bytes())
@@ -115,11 +119,50 @@ func TestParseRejectsMalformed(t *testing.T) {
 		{"missing inf bucket", "# TYPE h histogram\nh_bucket{le=\"1\"} 5\nh_count 5\nh_sum 1\n"},
 		{"count mismatch", "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 5\nh_count 6\nh_sum 1\n"},
 		{"type redeclared", "# TYPE m gauge\n# TYPE m counter\nm 1\n"},
+		{"repeated series", "# TYPE m gauge\nm{a=\"1\",b=\"2\"} 1\nm{b=\"2\",a=\"1\"} 2\n"},
+		{"repeated histogram sum", "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 5\nh_sum 1\nh_sum 2\nh_count 5\n"},
 	}
 	for _, tc := range cases {
 		if _, err := ParseProm(strings.NewReader(tc.text)); err == nil {
 			t.Errorf("%s: parsed without error:\n%s", tc.name, tc.text)
 		}
+	}
+}
+
+// TestMetricsWriterMatchesParse: a metrics writer holds exactly what
+// ParseProm reads back from the text the same calls render — family
+// names, types and help, sample names, label maps and values — so the
+// in-process history loses nothing by skipping the text.
+func TestMetricsWriterMatchesParse(t *testing.T) {
+	write := func(w *PromWriter) {
+		w.Counter("wdm_connect_total", "Successful connects.", 42)
+		w.Gauge("wdm_link_busy_ratio", "Occupancy.", 0.25, Label{"fabric", "0"}, Label{"stage", "in"})
+		w.Gauge("wdm_link_busy_ratio", "Occupancy.", 0.5, Label{"fabric", "1"}, Label{"stage", "in"})
+		w.Gauge("esc_metric", `help with \ and`+"\n"+`newline`, math.Inf(+1),
+			Label{"v", `quote " backslash \ newline` + "\n" + `end`})
+		for _, op := range []string{"connect", "branch"} {
+			w.Histogram("wdm_op_latency_seconds", "Latency.",
+				[]float64{0.001, 0.01, 0.1}, []int64{5, 3, 1, 2}, 0.456, Label{"op", op})
+		}
+	}
+	var text PromWriter
+	write(&text)
+	want, err := ParseProm(bytes.NewReader(text.Bytes()))
+	if err != nil {
+		t.Fatalf("ParseProm: %v", err)
+	}
+	got := make(Metrics)
+	write(NewMetricsWriter(got))
+	if len(got) != len(want) {
+		t.Fatalf("metrics writer has %d families, parse %d", len(got), len(want))
+	}
+	for name, wf := range want {
+		if gf := got[name]; gf == nil || !reflect.DeepEqual(*gf, *wf) {
+			t.Errorf("family %s:\n metrics writer %+v\n parse          %+v", name, gf, wf)
+		}
+	}
+	if len(text.Bytes()) == 0 || len(NewMetricsWriter(got).Bytes()) != 0 {
+		t.Error("a metrics writer must render no text")
 	}
 }
 

@@ -362,13 +362,9 @@ func (s *Store) quantileLocked(ce *compiledExpr, steps []int64) []Series {
 		buckets := groups[key]
 		var bs []bucketSeries
 		for _, sr := range buckets {
-			le, err := strconv.ParseFloat(sr.labels["le"], 64)
+			le, err := strconv.ParseFloat(sr.labels["le"], 64) // "+Inf" parses
 			if err != nil {
-				if sr.labels["le"] == "+Inf" {
-					le = math.Inf(+1)
-				} else {
-					continue
-				}
+				continue
 			}
 			bs = append(bs, bucketSeries{le, sr})
 		}
@@ -384,16 +380,18 @@ func (s *Store) quantileLocked(ce *compiledExpr, steps []int64) []Series {
 		}
 		labels["quantile"] = strconv.FormatFloat(ce.q, 'g', -1, 64)
 		ser := Series{Name: ce.sel.name, Labels: labels, Points: make([]Point, 0, len(steps))}
+		les := make([]float64, len(bs))
+		for i, b := range bs {
+			les[i] = b.le
+		}
 		for _, t := range steps {
 			incs := make([]float64, len(bs))
 			for i, b := range bs {
 				incs[i] = increaseSeries(b.sr, t-wms, t)
 			}
-			total := incs[len(incs)-1] // +Inf bucket is cumulative total
-			if total <= 0 {
-				continue
+			if v, ok := obs.BucketQuantile(ce.q, les, incs); ok {
+				ser.Points = append(ser.Points, Point{T: t, V: v})
 			}
-			ser.Points = append(ser.Points, Point{T: t, V: quantileFromBuckets(ce.q, bs, incs)})
 		}
 		if len(ser.Points) > 0 {
 			out = append(out, ser)
@@ -407,36 +405,6 @@ func (s *Store) quantileLocked(ce *compiledExpr, steps []int64) []Series {
 type bucketSeries struct {
 	le float64
 	sr *series
-}
-
-// quantileFromBuckets interpolates the q-quantile from cumulative
-// bucket increases (bs sorted by le ascending, last is +Inf).
-func quantileFromBuckets(q float64, bs []bucketSeries, incs []float64) float64 {
-	total := incs[len(incs)-1]
-	rank := q * total
-	for i, inc := range incs {
-		if inc < rank {
-			continue
-		}
-		ub := bs[i].le
-		if math.IsInf(ub, +1) {
-			// Rank falls past the largest finite bound; report that
-			// bound as a lower estimate.
-			if i > 0 {
-				return bs[i-1].le
-			}
-			return 0
-		}
-		lb, lc := 0.0, 0.0
-		if i > 0 {
-			lb, lc = bs[i-1].le, incs[i-1]
-		}
-		if inc == lc {
-			return ub
-		}
-		return lb + (ub-lb)*(rank-lc)/(inc-lc)
-	}
-	return bs[len(bs)-1].le
 }
 
 func labelKeyWithout(labels map[string]string, drop string) string {

@@ -1,12 +1,12 @@
 // Package tsdb is an embedded, stdlib-only time-series store for the
-// in-process metrics registry: a self-scraper renders the registry
-// through obs.PromWriter, reads it back with the strict obs.ParseProm
-// parser, and appends every sample to per-series delta-encoded ring
-// buffers with downsampling tiers (raw → 10s → 1m → 10m by default), so
-// a single process retains days of queryable history under a memory
-// ceiling proven by test. On top of the store sit a small query engine
-// (label selectors, instant and range queries, rate()/increase() over
-// counters, quantile-from-histogram derivation — query.go) and an
+// in-process metrics registry: a self-scraper has the registry write
+// its samples into an obs.NewMetricsWriter and appends every one to
+// per-series delta-encoded ring buffers with downsampling tiers (raw →
+// 10s → 1m → 10m by default), so a single process retains days of
+// queryable history under a memory ceiling proven by test. On top of
+// the store sit a small query engine (label selectors, instant and
+// range queries, rate()/increase() over counters, quantile-from-
+// histogram derivation through obs.BucketQuantile — query.go) and an
 // alerting rules engine with threshold and absence forms (alert.go).
 // The serving controller's SLO view (internal/obs/slo) reads its
 // sliding-window baselines with CounterAt — the same cumulative-counter
@@ -15,7 +15,6 @@
 package tsdb
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -81,9 +80,9 @@ type Config struct {
 	// MaxSeries caps distinct series; samples for new series beyond the
 	// cap are dropped (counted in Stats). 0 means 2048.
 	MaxSeries int
-	// Collect renders the registry to scrape. The store serializes the
-	// writer and re-reads it with obs.ParseProm, so the scrape path
-	// exercises the same strict parser as external scrapers.
+	// Collect writes the registry to scrape into the writer it is
+	// handed, a metrics writer (obs.NewMetricsWriter) whose samples the
+	// store ingests as values; no text is rendered or parsed.
 	Collect func(*obs.PromWriter)
 	// Now injects a clock for tests. nil means time.Now.
 	Now func() time.Time
@@ -242,14 +241,12 @@ type Store struct {
 
 	mu     sync.Mutex
 	series map[string]*series
-	buf    bytes.Buffer // scratch for ScrapeOnce
 
-	nSeries   atomic.Int64
-	nSamples  atomic.Uint64
-	nScrapes  atomic.Uint64
-	nDropped  atomic.Uint64
-	scrapeNs  atomic.Int64
-	lastError atomic.Pointer[string]
+	nSeries  atomic.Int64
+	nSamples atomic.Uint64
+	nScrapes atomic.Uint64
+	nDropped atomic.Uint64
+	scrapeNs atomic.Int64
 }
 
 // New builds a Store; see Config for defaults.
@@ -336,8 +333,8 @@ func kindFor(fam *obs.Family, sampleName string) Kind {
 	return KindGauge
 }
 
-// Observe ingests every sample of a parsed exposition at time at.
-// NaN samples are skipped — they would poison comparisons downstream.
+// Observe ingests every sample of m (from obs.NewMetricsWriter or a
+// parsed exposition) at time at. NaN samples are skipped — they would poison comparisons downstream.
 func (s *Store) Observe(at time.Time, m obs.Metrics) {
 	ms := at.UnixMilli()
 	s.mu.Lock()
@@ -382,21 +379,16 @@ func (s *Store) Append(at time.Time, name string, labels map[string]string, kind
 	s.nSamples.Add(1)
 }
 
-// ScrapeOnce performs one self-scrape: render the registry, re-parse
-// it strictly, ingest every sample.
+// ScrapeOnce performs one self-scrape: collect the registry's samples
+// as values and ingest every one.
 func (s *Store) ScrapeOnce(now time.Time) error {
 	if s.cfg.Collect == nil {
 		return fmt.Errorf("tsdb: no Collect configured")
 	}
 	start := time.Now()
-	var pw obs.PromWriter
-	s.cfg.Collect(&pw)
-	m, err := obs.ParseProm(bytes.NewReader(pw.Bytes()))
-	if err != nil {
-		msg := err.Error()
-		s.lastError.Store(&msg)
-		return fmt.Errorf("tsdb: self-scrape parse: %w", err)
-	}
+	m := make(obs.Metrics)
+	// Outside the store lock: the collector reads Stats.
+	s.cfg.Collect(obs.NewMetricsWriter(m))
 	s.Observe(now, m)
 	s.nScrapes.Add(1)
 	s.scrapeNs.Store(int64(time.Since(start)))
@@ -480,7 +472,6 @@ type Stats struct {
 	DroppedSeries uint64        `json:"dropped_series"`
 	LastScrape    time.Duration `json:"last_scrape_ns"`
 	Bytes         int           `json:"bytes"`
-	LastError     string        `json:"last_error,omitempty"`
 }
 
 // Stats reports series/sample counts and the approximate retained
@@ -492,9 +483,6 @@ func (s *Store) Stats() Stats {
 		Scrapes:       s.nScrapes.Load(),
 		DroppedSeries: s.nDropped.Load(),
 		LastScrape:    time.Duration(s.scrapeNs.Load()),
-	}
-	if e := s.lastError.Load(); e != nil {
-		st.LastError = *e
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -3,6 +3,7 @@ package switchd
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -14,6 +15,7 @@ import (
 
 	"repro/internal/fabric/backend"
 	"repro/internal/multistage"
+	"repro/internal/obs"
 	"repro/internal/switchd/api"
 	"repro/internal/wdm"
 )
@@ -95,9 +97,10 @@ func benchSwitchdThroughput(b *testing.B, backendName string) {
 	b.ReportMetric(reqPerSec, "req/s")
 
 	if path := os.Getenv("BENCH_JSON"); path != "" {
-		// Route-latency quantiles from the server's own histogram (time
-		// inside the fabric lock, excluding HTTP/JSON overhead).
-		snap := ctl.Metrics().Snapshot()
+		// Route-latency quantiles from the server's own histograms (time
+		// inside the fabric lock, excluding HTTP/JSON overhead): connect
+		// and branch together are the fabric routing operations.
+		m := ctl.Metrics()
 		row := map[string]any{
 			"benchmark":    "BenchmarkSwitchdThroughput/" + backendName,
 			"backend":      backendName,
@@ -110,17 +113,39 @@ func benchSwitchdThroughput(b *testing.B, backendName string) {
 			"iterations":   b.N,
 			"ns_per_op":    float64(elapsed.Nanoseconds()) / float64(b.N),
 			"req_per_sec":  reqPerSec,
-			"route_p50_us": HistQuantileMicros(snap.RouteLatency, 0.50),
-			"route_p99_us": HistQuantileMicros(snap.RouteLatency, 0.99),
+			"route_p50_us": bucketQuantileUs(0.50, m.connectLat, m.branchLat),
+			"route_p99_us": bucketQuantileUs(0.99, m.connectLat, m.branchLat),
 		}
 		// Per-phase attribution columns (lock_wait is the mutex-funnel
 		// number the 1-vs-4-core rows exist to explain).
-		for _, ph := range snap.Phases {
-			row[ph.Op+"_p50_us"] = ph.P50Micros
-			row[ph.Op+"_p99_us"] = ph.P99Micros
+		for p, h := range m.phase {
+			if h.count.Load() > 0 {
+				row[phaseNames[p]+"_p50_us"] = bucketQuantileUs(0.50, h)
+				row[phaseNames[p]+"_p99_us"] = bucketQuantileUs(0.99, h)
+			}
 		}
 		writeBenchJSON(b, path, row)
 	}
+}
+
+// bucketQuantileUs is obs.BucketQuantile over the summed buckets of
+// hists, in microseconds (0 when they are empty).
+func bucketQuantileUs(q float64, hists ...*latencyHist) float64 {
+	les := make([]float64, len(routeBucketsMicros)+1)
+	for i, us := range routeBucketsMicros {
+		les[i] = float64(us)
+	}
+	les[len(routeBucketsMicros)] = math.Inf(+1)
+	cum := make([]float64, len(les))
+	var total int64
+	for i := range les {
+		for _, h := range hists {
+			total += h.buckets[i].Load()
+		}
+		cum[i] = float64(total)
+	}
+	v, _ := obs.BucketQuantile(q, les, cum)
+	return v
 }
 
 func benchDo(h http.Handler, path, body string, out any) int {

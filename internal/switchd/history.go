@@ -14,13 +14,13 @@ import (
 )
 
 // Metrics history plane: a background self-scraper samples the
-// controller's own registry (the exact same exposition /metrics
-// serves, re-read through the strict parser) into an embedded
-// time-series store with downsampling tiers, served at /v1/query; an
-// alerting rules engine evaluates after every scrape and serves
-// /v1/alerts; the SLO view evaluates its sliding windows against the
-// same store and serves /v1/slo. Enabled by Config.HistoryInterval > 0;
-// every endpoint answers 404 not_found while disabled.
+// controller's own registry (WriteProm, the samples /metrics serves,
+// taken as values rather than text) into an embedded time-series
+// store with downsampling tiers, served at /v1/query; an alerting
+// rules engine evaluates after every scrape and serves /v1/alerts; the
+// SLO view evaluates its sliding windows against the same store and
+// serves /v1/slo. Enabled by Config.HistoryInterval > 0; every
+// endpoint answers 404 not_found while disabled.
 
 // startHistory builds the store and alert engine and starts the
 // scrape loop. Called by New after the controller is fully built.

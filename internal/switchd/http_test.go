@@ -68,15 +68,18 @@ func TestHTTPLifecycle(t *testing.T) {
 	if snap.ConnectOK != 1 || snap.BranchOK != 1 || snap.Blocked != 0 {
 		t.Fatalf("metrics = %+v", snap)
 	}
-	if snap.RouteCount != 2 { // one Add + one AddBranch
-		t.Fatalf("route_count = %d, want 2", snap.RouteCount)
+	routes := snap.Ops[0].Count + snap.Ops[1].Count
+	if routes != 2 { // one Add + one AddBranch
+		t.Fatalf("connect+branch count = %d, want 2", routes)
 	}
 	var histTotal int64
-	for _, b := range snap.RouteLatency {
-		histTotal += b.Count
+	for _, h := range []*latencyHist{ctl.metrics.connectLat, ctl.metrics.branchLat} {
+		for i := range h.buckets {
+			histTotal += h.buckets[i].Load()
+		}
 	}
-	if histTotal != snap.RouteCount {
-		t.Fatalf("latency histogram sums to %d, want %d", histTotal, snap.RouteCount)
+	if histTotal != routes {
+		t.Fatalf("latency histogram sums to %d, want %d", histTotal, routes)
 	}
 
 	if code := do(t, h, "POST", "/v1/disconnect", `{"session": 1}`, nil); code != http.StatusOK {

@@ -68,20 +68,33 @@ func (h *latencyHist) observeEx(d time.Duration, traceID string) {
 	}
 }
 
-// exemplarSnapshot assembles the per-bucket exemplars in the shape
-// obs.PromWriter.HistogramE expects (zero value = no exemplar).
-func (h *latencyHist) exemplarSnapshot() []obs.Exemplar {
-	out := make([]obs.Exemplar, len(h.buckets))
-	for i := range h.exemplars {
+// routeBoundsSeconds are routeBucketsMicros in seconds: the le bounds
+// every serving histogram is exposed with.
+var routeBoundsSeconds = func() []float64 {
+	out := make([]float64, len(routeBucketsMicros))
+	for i, us := range routeBucketsMicros {
+		out[i] = float64(us) / 1e6
+	}
+	return out
+}()
+
+// writeProm writes the histogram as one series of family name straight
+// from its atomics. In OpenMetrics mode each bucket carries its most
+// recent traced observation as an exemplar.
+func (h *latencyHist) writeProm(w *obs.PromWriter, name, help string, labels ...obs.Label) {
+	counts := make([]int64, len(h.buckets))
+	exemplars := make([]obs.Exemplar, len(h.buckets))
+	for i := range h.buckets {
+		counts[i] = h.buckets[i].Load()
 		if e := h.exemplars[i].Load(); e != nil {
-			out[i] = obs.Exemplar{
+			exemplars[i] = obs.Exemplar{
 				Labels: []obs.Label{{Name: "trace_id", Value: e.traceID}},
 				Value:  e.seconds,
 				Ts:     e.ts,
 			}
 		}
 	}
-	return out
+	w.HistogramE(name, help, routeBoundsSeconds, counts, float64(h.sumNs.Load())/1e9, exemplars, labels...)
 }
 
 // fabricMetrics is one replica's counter set. failedMiddles is a gauge
@@ -174,20 +187,7 @@ func (m *Metrics) MigratedSessions() int64 { return m.migrated.Load() }
 func (m *Metrics) DroppedSessions() int64  { return m.dropped.Load() }
 
 func (h *latencyHist) snapshot(op string) OpLatency {
-	o := OpLatency{Op: op, Count: h.count.Load(), SumNs: h.sumNs.Load()}
-	if o.Count > 0 {
-		o.MeanNs = o.SumNs / o.Count
-	}
-	for i := range h.buckets {
-		b := LatencyBucket{Count: h.buckets[i].Load()}
-		if i < len(routeBucketsMicros) {
-			b.LEMicros = routeBucketsMicros[i]
-		}
-		o.Buckets = append(o.Buckets, b)
-	}
-	o.P50Micros = HistQuantileMicros(o.Buckets, 0.50)
-	o.P99Micros = HistQuantileMicros(o.Buckets, 0.99)
-	return o
+	return OpLatency{Op: op, Count: h.count.Load(), SumNs: h.sumNs.Load()}
 }
 
 // FabricSnapshot is one replica's counters in a metrics Snapshot.
@@ -200,28 +200,19 @@ type FabricSnapshot struct {
 	FailedMiddles int `json:"failed_middles,omitempty"`
 }
 
-// LatencyBucket is one histogram bucket in a Snapshot. Counts are
-// per-bucket (non-cumulative).
-type LatencyBucket struct {
-	LEMicros int64 `json:"le_us"` // upper bound; 0 = overflow (+Inf)
-	Count    int64 `json:"count"`
-}
-
-// OpLatency is one operation's latency histogram in a Snapshot.
+// OpLatency is one operation's (or phase's) observation count and
+// summed latency in a Snapshot; its buckets are on /metrics.
 type OpLatency struct {
-	Op        string          `json:"op"` // connect | branch | disconnect
-	Count     int64           `json:"count"`
-	MeanNs    int64           `json:"mean_ns"`
-	SumNs     int64           `json:"sum_ns"`
-	P50Micros float64         `json:"p50_us"`
-	P99Micros float64         `json:"p99_us"`
-	Buckets   []LatencyBucket `json:"buckets"`
+	Op    string `json:"op"` // connect | branch | disconnect, or a phase name
+	Count int64  `json:"count"`
+	SumNs int64  `json:"sum_ns"`
 }
 
 // Snapshot is the registry's counter values at one instant, read in
-// process (the Prometheus exposition at /metrics is built from it, and
-// wdmserve logs it as JSON on shutdown). The route_* fields aggregate
-// connect+branch — the fabric routing operations.
+// process: WriteProm reads its counters for /metrics, and wdmserve logs
+// it as JSON on shutdown. Latency histograms are not copied here; each
+// writes its own buckets to /metrics, and Ops and Phases carry only
+// their counts and sums.
 type Snapshot struct {
 	Model        string `json:"model"`
 	Construction string `json:"construction"`
@@ -235,17 +226,10 @@ type Snapshot struct {
 	DrainRejects int64  `json:"drain_rejects_503"`
 	// MigratedSessions counts sessions moved off failed middle modules;
 	// DroppedSessions those the failure plane could not restore.
-	MigratedSessions int64 `json:"migrated_sessions"`
-	DroppedSessions  int64 `json:"dropped_sessions"`
-	RouteCount       int64 `json:"route_count"`
-	RouteMeanNs      int64 `json:"route_mean_ns"`
-	// RouteBoundsUs are the histogram bucket upper bounds in
-	// microseconds, in order; the buckets below have one extra overflow
-	// entry (le_us 0).
-	RouteBoundsUs []int64         `json:"route_latency_bounds_us"`
-	RouteLatency  []LatencyBucket `json:"route_latency_us"`
-	Ops           []OpLatency     `json:"ops"`
-	// Phases are the per-phase latency histograms (Op is the phase name:
+	MigratedSessions int64       `json:"migrated_sessions"`
+	DroppedSessions  int64       `json:"dropped_sessions"`
+	Ops              []OpLatency `json:"ops"`
+	// Phases are the per-phase counts and sums (Op is the phase name:
 	// admission_wait, lock_wait, route_search, wal_append, repl_ack,
 	// respond); phases never observed are omitted.
 	Phases    []OpLatency      `json:"phases,omitempty"`
@@ -267,7 +251,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		DrainRejects:     m.drainRejects.Load(),
 		MigratedSessions: m.migrated.Load(),
 		DroppedSessions:  m.dropped.Load(),
-		RouteBoundsUs:    routeBucketsMicros,
 	}
 	s.Ops = []OpLatency{
 		m.connectLat.snapshot("connect"),
@@ -279,17 +262,6 @@ func (m *Metrics) Snapshot() Snapshot {
 			s.Phases = append(s.Phases, ph)
 		}
 	}
-	connect, branch := s.Ops[0], s.Ops[1]
-	s.RouteCount = connect.Count + branch.Count
-	if s.RouteCount > 0 {
-		s.RouteMeanNs = (connect.SumNs + branch.SumNs) / s.RouteCount
-	}
-	for i := range connect.Buckets {
-		s.RouteLatency = append(s.RouteLatency, LatencyBucket{
-			LEMicros: connect.Buckets[i].LEMicros,
-			Count:    connect.Buckets[i].Count + branch.Buckets[i].Count,
-		})
-	}
 	for _, f := range m.perFabric {
 		s.PerFabric = append(s.PerFabric, FabricSnapshot{
 			Routed:        f.routed.Load(),
@@ -299,43 +271,4 @@ func (m *Metrics) Snapshot() Snapshot {
 		})
 	}
 	return s
-}
-
-// HistQuantileMicros estimates the q-quantile (0 < q <= 1) of a bucketed
-// latency distribution in microseconds, by linear interpolation within
-// the bucket holding the quantile rank — the same estimator Prometheus's
-// histogram_quantile applies. Observations in the overflow bucket are
-// reported as the largest finite bound (the estimate is a lower bound
-// there). Returns 0 for an empty histogram.
-func HistQuantileMicros(buckets []LatencyBucket, q float64) float64 {
-	var total int64
-	for _, b := range buckets {
-		total += b.Count
-	}
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	var cum int64
-	lo := float64(0)
-	for _, b := range buckets {
-		if b.Count == 0 {
-			if b.LEMicros > 0 {
-				lo = float64(b.LEMicros)
-			}
-			continue
-		}
-		if float64(cum+b.Count) >= rank {
-			if b.LEMicros == 0 { // overflow: no upper bound to interpolate to
-				return lo
-			}
-			frac := (rank - float64(cum)) / float64(b.Count)
-			return lo + (float64(b.LEMicros)-lo)*frac
-		}
-		cum += b.Count
-		if b.LEMicros > 0 {
-			lo = float64(b.LEMicros)
-		}
-	}
-	return lo
 }

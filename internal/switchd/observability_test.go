@@ -1,15 +1,21 @@
 package switchd
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/multistage"
+	"repro/internal/obs"
+	"repro/internal/switchd/api"
 	"repro/internal/trace"
 	"repro/internal/traffic"
 	"repro/internal/wdm"
@@ -118,25 +124,96 @@ func TestPromEndpointCrossCheck(t *testing.T) {
 	}
 }
 
-// TestMetricsJSONBounds asserts the registry snapshot labels its
-// histogram bucket bounds so readers need not hard-code them.
-func TestMetricsJSONBounds(t *testing.T) {
-	ctl := newTestController(t, Config{Fabric: testParams()})
-	snap := ctl.Metrics().Snapshot()
-	if len(snap.RouteBoundsUs) != len(routeBucketsMicros) {
-		t.Fatalf("route_latency_bounds_us has %d entries, want %d", len(snap.RouteBoundsUs), len(routeBucketsMicros))
+// TestHistoryMatchesExposition: one self-scrape of the metrics history
+// holds exactly the series a strict parse of /metrics reads, with the
+// same kinds, on a controller with a WAL, the history, federation rows
+// and a blocking event. The history takes its samples as values, so
+// this test is what strictly parses the full exposition. The operation
+// histograms carry one bucket per routeBucketsMicros bound plus +Inf,
+// with le labels in seconds.
+func TestHistoryMatchesExposition(t *testing.T) {
+	ctl := newTestController(t, Config{Fabric: belowBoundParams(), Replicas: 1,
+		DataDir: t.TempDir(), WALSyncDelay: -1, SnapshotInterval: -1,
+		HistoryInterval: time.Hour}) // no background scrape during the test
+	defer ctl.Close()
+	ctl.SetFederationProbe(func() []api.FederationPeerHealth {
+		return []api.FederationPeerHealth{{Shard: "0", Up: true}, {Shard: "1", Up: false}}
+	})
+	srv := httptest.NewServer(ctl.Handler())
+	defer srv.Close()
+	driveUntilBlocked(t, ctl)
+
+	if err := ctl.History().ScrapeOnce(time.Now()); err != nil {
+		t.Fatalf("ScrapeOnce: %v", err)
 	}
-	for i, us := range routeBucketsMicros {
-		if snap.RouteBoundsUs[i] != us {
-			t.Fatalf("bound %d = %d, want %d", i, snap.RouteBoundsUs[i], us)
+	var dump struct {
+		Series []struct {
+			Name   string            `json:"name"`
+			Labels map[string]string `json:"labels"`
+			Kind   string            `json:"kind"`
+		} `json:"series"`
+	}
+	var buf bytes.Buffer
+	if err := ctl.History().DumpJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(buf.Bytes(), &dump); err != nil {
+		t.Fatal(err)
+	}
+	history := map[string]string{}
+	for _, s := range dump.Series {
+		history[s.Name+"{"+obs.LabelKey(s.Labels)+"}"] = s.Kind
+	}
+
+	pm := scrapeProm(t, srv.Client(), srv.URL)
+	exposed := map[string]string{}
+	for _, fam := range pm {
+		for _, s := range fam.Samples {
+			kind := "gauge"
+			if fam.Type == "counter" || s.Name != fam.Name {
+				kind = "counter" // histogram _bucket/_sum/_count are cumulative
+			}
+			exposed[s.Name+"{"+obs.LabelKey(s.Labels)+"}"] = kind
 		}
 	}
-	if len(snap.Ops) != 3 {
-		t.Fatalf("ops = %d entries, want connect/branch/disconnect", len(snap.Ops))
+	for key, kind := range exposed {
+		if got, ok := history[key]; !ok || got != kind {
+			t.Errorf("series %s: history kind %q (present %v), exposition %q", key, got, ok, kind)
+		}
 	}
-	for _, op := range snap.Ops {
-		if len(op.Buckets) != len(routeBucketsMicros)+1 {
-			t.Fatalf("op %s has %d buckets, want %d", op.Op, len(op.Buckets), len(routeBucketsMicros)+1)
+	for key := range history {
+		if _, ok := exposed[key]; !ok {
+			t.Errorf("series %s in the history but not on /metrics", key)
+		}
+	}
+	for _, name := range []string{"wdm_blocked_total", "wdm_wal_appends_total", "wdm_wal_fsync_seconds", "wdm_tsdb_series", "wdm_slo_objective"} {
+		if _, ok := pm[name]; !ok {
+			t.Errorf("family %s missing from /metrics", name)
+		}
+	}
+	if v := ctl.History().CounterAt("wdm_blocked_total", nil, time.Now()); v != 1 {
+		t.Errorf("history wdm_blocked_total = %v, want 1", v)
+	}
+	for _, shard := range []string{"0", "1"} {
+		if _, ok := history["wdm_federation_peer_up{shard=\""+shard+"\"}"]; !ok {
+			t.Errorf("history lacks wdm_federation_peer_up{shard=%q}", shard)
+		}
+	}
+
+	wantLE := make([]string, 0, len(routeBucketsMicros)+1)
+	for _, us := range routeBucketsMicros {
+		wantLE = append(wantLE, strconv.FormatFloat(float64(us)/1e6, 'g', -1, 64))
+	}
+	wantLE = append(wantLE, "+Inf")
+	for _, op := range []string{"connect", "branch", "disconnect"} {
+		var les []string
+		for _, s := range pm["wdm_op_latency_seconds"].Samples {
+			if s.Name == "wdm_op_latency_seconds_bucket" && s.Labels["op"] == op {
+				les = append(les, s.Labels["le"])
+			}
+		}
+		if !slices.Equal(les, wantLE) {
+			t.Errorf("op %s buckets le = %v, want %v", op, les, wantLE)
 		}
 	}
 }
@@ -367,32 +444,6 @@ func TestTraceCapturesBranch(t *testing.T) {
 	if len(res.Divergence) != 0 || fresh.Len() != 0 {
 		t.Fatalf("branch trace replay: %d divergences, %d live connections; want 0, 0",
 			len(res.Divergence), fresh.Len())
-	}
-}
-
-// TestHistQuantileMicros pins the interpolation estimator.
-func TestHistQuantileMicros(t *testing.T) {
-	// 10 observations <= 1µs, 10 in (1,2]µs: p50 at the bucket edge, p75
-	// midway into the second bucket.
-	buckets := []LatencyBucket{
-		{LEMicros: 1, Count: 10},
-		{LEMicros: 2, Count: 10},
-		{LEMicros: 5, Count: 0},
-		{LEMicros: 0, Count: 0}, // overflow
-	}
-	if got := HistQuantileMicros(buckets, 0.50); got != 1 {
-		t.Fatalf("p50 = %v, want 1", got)
-	}
-	if got := HistQuantileMicros(buckets, 0.75); got != 1.5 {
-		t.Fatalf("p75 = %v, want 1.5", got)
-	}
-	if got := HistQuantileMicros(nil, 0.5); got != 0 {
-		t.Fatalf("empty histogram quantile = %v, want 0", got)
-	}
-	// All mass in the overflow bucket: clamp to the largest finite bound.
-	over := []LatencyBucket{{LEMicros: 1, Count: 0}, {LEMicros: 0, Count: 4}}
-	if got := HistQuantileMicros(over, 0.99); got != 1 {
-		t.Fatalf("overflow-only p99 = %v, want 1 (largest finite bound)", got)
 	}
 }
 

@@ -14,8 +14,9 @@ import (
 )
 
 // Prometheus text exposition for GET /metrics, assembled from the
-// registry's Snapshot plus the per-stage link occupancy of every fabric
-// plane. The headline series is
+// registry's Snapshot counters, its latency histograms (each writes its
+// own buckets) and the per-stage link occupancy of every fabric plane.
+// The headline series is
 // wdm_blocked_total: at or above the sufficient bound it must stay 0 —
 // the paper's theorem as a scrape-and-alert rule.
 
@@ -108,23 +109,13 @@ func (ctl *Controller) WriteProm(w *obs.PromWriter) {
 		}
 	}
 
-	// Operation latency histograms: bucket bounds are the microsecond
-	// bounds of the registry snapshot, exposed in seconds per convention.
-	// In OpenMetrics mode each bucket carries its most recent traced
+	// Operation latency histograms, in seconds per convention. In
+	// OpenMetrics mode each bucket carries its most recent traced
 	// observation as an exemplar, joining /metrics to /v1/debug/spans.
-	bounds := make([]float64, len(snap.RouteBoundsUs))
-	for i, us := range snap.RouteBoundsUs {
-		bounds[i] = float64(us) / 1e6
-	}
-	hists := []*latencyHist{ctl.metrics.connectLat, ctl.metrics.branchLat, ctl.metrics.disconnectLat}
-	for oi, op := range snap.Ops {
-		counts := make([]int64, len(op.Buckets))
-		for i, b := range op.Buckets {
-			counts[i] = b.Count
-		}
-		w.HistogramE("wdm_op_latency_seconds", "Fabric operation latency (time inside the fabric lock).",
-			bounds, counts, float64(op.SumNs)/1e9, hists[oi].exemplarSnapshot(), obs.Label{Name: "op", Value: op.Op})
-	}
+	const opHelp = "Fabric operation latency (time inside the fabric lock)."
+	ctl.metrics.connectLat.writeProm(w, "wdm_op_latency_seconds", opHelp, obs.Label{Name: "op", Value: "connect"})
+	ctl.metrics.branchLat.writeProm(w, "wdm_op_latency_seconds", opHelp, obs.Label{Name: "op", Value: "branch"})
+	ctl.metrics.disconnectLat.writeProm(w, "wdm_op_latency_seconds", opHelp, obs.Label{Name: "op", Value: "disconnect"})
 
 	// Phase attribution: where each request's wall time actually went.
 	// The series share the operation-latency bounds so the panels line
@@ -132,14 +123,8 @@ func (ctl *Controller) WriteProm(w *obs.PromWriter) {
 	// request time, and the lock_wait series is the direct measure of
 	// the per-fabric mutex convoy that caps multi-core throughput.
 	for p := phase(0); p < numPhases; p++ {
-		h := ctl.metrics.phase[p]
-		ph := h.snapshot(phaseNames[p])
-		counts := make([]int64, len(ph.Buckets))
-		for i, b := range ph.Buckets {
-			counts[i] = b.Count
-		}
-		w.HistogramE("wdm_phase_seconds", "Per-request phase attribution of serving time.",
-			bounds, counts, float64(ph.SumNs)/1e9, h.exemplarSnapshot(), obs.Label{Name: "phase", Value: phaseNames[p]})
+		ctl.metrics.phase[p].writeProm(w, "wdm_phase_seconds", "Per-request phase attribution of serving time.",
+			obs.Label{Name: "phase", Value: phaseNames[p]})
 	}
 
 	// Runtime telemetry essentials (GC pause, scheduler latency, heap,
@@ -234,13 +219,7 @@ func (ctl *Controller) WriteProm(w *obs.PromWriter) {
 			w.Gauge("wdm_snapshot_last_seq", "WAL sequence covered by the last checkpoint.", float64(ws.LastSnapshotSeq))
 		}
 		w.Counter("wdm_recovered_sessions_total", "Sessions reinstalled from the durable log at startup.", float64(ctl.metrics.recovered.Load()))
-		fh := ctl.metrics.walFsync.snapshot("wal_fsync")
-		counts := make([]int64, len(fh.Buckets))
-		for i, b := range fh.Buckets {
-			counts[i] = b.Count
-		}
-		w.HistogramE("wdm_wal_fsync_seconds", "Group-commit fsync latency.",
-			bounds, counts, float64(fh.SumNs)/1e9, ctl.metrics.walFsync.exemplarSnapshot())
+		ctl.metrics.walFsync.writeProm(w, "wdm_wal_fsync_seconds", "Group-commit fsync latency.")
 	}
 
 	// Replication plane (present only in cluster mode).

@@ -387,10 +387,12 @@ func pickGrowSlot(free *traffic.SlotPool, c wdm.Connection) (wdm.PortWave, bool)
 
 // runLoad drives the traffic engine — the closed loop wdmload runs —
 // against srv through the typed client and returns the run's report.
-// cfg must set Erlangs; the Sink is filled in here.
+// cfg must set Erlangs; a nil Sink defaults to clientSink(srv).
 func runLoad(t *testing.T, srv *httptest.Server, cfg traffic.Config) traffic.Report {
 	t.Helper()
-	cfg.Sink = traffic.NewClientSink(client.New(srv.URL, client.WithHTTPClient(srv.Client())))
+	if cfg.Sink == nil {
+		cfg.Sink = clientSink(srv)
+	}
 	eng, err := traffic.NewEngine(cfg)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
@@ -400,6 +402,11 @@ func runLoad(t *testing.T, srv *httptest.Server, cfg traffic.Config) traffic.Rep
 		t.Fatalf("Run: %v", err)
 	}
 	return rep
+}
+
+// clientSink drives srv through the typed /v1 client.
+func clientSink(srv *httptest.Server) traffic.Sink {
+	return traffic.NewClientSink(client.New(srv.URL, client.WithHTTPClient(srv.Client())))
 }
 
 // TestNonblockingInvariantAtBound runs the full serving loop — HTTP

@@ -20,6 +20,7 @@ import (
 	"repro/internal/switchd/api"
 	"repro/internal/switchd/client"
 	"repro/internal/traffic"
+	"repro/internal/wdm"
 )
 
 // postConnect issues POST /v1/connect, optionally under a traceparent,
@@ -66,6 +67,27 @@ func fetchSpans(t *testing.T, client *http.Client, baseURL, query string) SpansR
 	return sr
 }
 
+// traceRef is one connect the load generator sent: the W3C trace id it
+// carried and the outcome code it drew.
+type traceRef struct{ traceID, code string }
+
+// traceSink records a traceRef for every connect it forwards.
+type traceSink struct {
+	traffic.Sink
+	mu   sync.Mutex
+	refs []traceRef
+}
+
+func (s *traceSink) Connect(ctx context.Context, fabric int, c wdm.Connection) (traffic.Reply, error) {
+	r, err := s.Sink.Connect(ctx, fabric, c)
+	if err == nil {
+		s.mu.Lock()
+		s.refs = append(s.refs, traceRef{r.TraceID, r.Code})
+		s.mu.Unlock()
+	}
+	return r, err
+}
+
 // TestTraceJoinEndToEnd is the acceptance test for the tracing
 // subsystem: below the bound, one blocked request is followable by
 // trace id through every observability surface — the load generator's
@@ -86,20 +108,22 @@ func TestTraceJoinEndToEnd(t *testing.T) {
 	client := srv.Client()
 
 	// Phase 1 — the load generator tags every connect with a fresh
-	// traceparent and records each connect's trace id and outcome.
-	s := runLoad(t, srv, traffic.Config{Seed: 7, Arrivals: 600, WorkersPerFabric: 2, Erlangs: 8}).Stats
+	// traceparent; the sink wrapper records each connect's trace id and
+	// outcome.
+	sink := &traceSink{Sink: clientSink(srv)}
+	s := runLoad(t, srv, traffic.Config{Seed: 7, Arrivals: 600, WorkersPerFabric: 2, Erlangs: 8, Sink: sink}).Stats
 	if s.Blocked == 0 {
 		t.Fatalf("no blocking at m=1; cannot exercise the trace join (%d connects)", s.Connects)
 	}
-	if len(s.Traces) != s.Connects {
-		t.Fatalf("load generator recorded %d trace refs for %d connects", len(s.Traces), s.Connects)
+	if len(sink.refs) != s.Connects {
+		t.Fatalf("load generator recorded %d trace refs for %d connects", len(sink.refs), s.Connects)
 	}
-	var blockedRefs []traffic.TraceRef
-	for _, ref := range s.Traces {
-		if len(ref.TraceID) != 32 {
-			t.Fatalf("trace ref %q is not a 32-hex trace id", ref.TraceID)
+	var blockedRefs []traceRef
+	for _, ref := range sink.refs {
+		if len(ref.traceID) != 32 {
+			t.Fatalf("trace ref %q is not a 32-hex trace id", ref.traceID)
 		}
-		if ref.Outcome == api.CodeBlocked {
+		if ref.code == api.CodeBlocked {
 			blockedRefs = append(blockedRefs, ref)
 		}
 	}
@@ -107,10 +131,10 @@ func TestTraceJoinEndToEnd(t *testing.T) {
 		t.Fatalf("%d trace refs record a block, the run counted %d", len(blockedRefs), s.Blocked)
 	}
 	// A client-recorded blocked id resolves in the span ring.
-	got := fetchSpans(t, client, srv.URL, "?trace="+blockedRefs[0].TraceID)
+	got := fetchSpans(t, client, srv.URL, "?trace="+blockedRefs[0].traceID)
 	if len(got.Traces) != 1 || !got.Traces[0].Blocked {
 		t.Fatalf("load-blocked trace %s not in ring as blocked (got %d traces)",
-			blockedRefs[0].TraceID, len(got.Traces))
+			blockedRefs[0].traceID, len(got.Traces))
 	}
 
 	// Phase 2 — deterministic tail. The load run released its sessions, so

@@ -362,7 +362,6 @@ func (w *worker) admitConnection(ctx context.Context, conn wdm.Connection, verb 
 		w.stats.Err = fmt.Errorf("traffic: %s %s: %w", verb, connStr, err)
 		return "", liveSession{}, true
 	}
-	w.stats.Traces = append(w.stats.Traces, TraceRef{TraceID: r.TraceID, Outcome: r.Code})
 	w.stats.Outcomes[r.Code]++
 	w.prog.offered.Add(1)
 	w.logf("%s %s -> %s\n", verb, connStr, r.Code)

@@ -8,16 +8,6 @@ import (
 	"time"
 )
 
-// TraceRef is one connect the client can follow server-side by trace
-// id: the engine sends a W3C traceparent header with every connect, so
-// the id here joins against /v1/debug/spans, the /metrics exemplars,
-// and /v1/debug/blocking on the target.
-type TraceRef struct {
-	TraceID string
-	// Outcome is "ok" or the api error code the connect drew.
-	Outcome string
-}
-
 // ClientLatency summarizes the client-observed connect latency (full
 // HTTP round trip, as a client would experience it — not the server's
 // in-fabric routing time).
@@ -85,10 +75,8 @@ type Stats struct {
 	// the stable api error code.
 	Outcomes map[string]int `json:"outcomes,omitempty"`
 
-	// Latencies holds per-connect round trips; Traces one ref per
-	// connect by the trace id sent.
+	// Latencies holds per-connect round trips.
 	Latencies []time.Duration `json:"-"`
-	Traces    []TraceRef      `json:"-"`
 
 	// PhaseMs/PhaseN accumulate the server's Server-Timing attribution:
 	// per-phase millisecond sums and sample counts.
@@ -158,7 +146,6 @@ func (s *Stats) merge(src Stats) {
 		s.PhaseN[p] += src.PhaseN[p]
 	}
 	s.Latencies = append(s.Latencies, src.Latencies...)
-	s.Traces = append(s.Traces, src.Traces...)
 	if s.Err == nil {
 		s.Err = src.Err
 	}
