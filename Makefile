@@ -51,7 +51,8 @@ fuzz:
 # start a deliberately sub-bound server, drive one routed and one traced
 # connect, and follow the second through every surface. The drill fails
 # unless that connect answers blocked; its trace id appears in the span
-# ring, the /metrics exemplar and the blocking forensics; /v1/slo's 5m
+# ring, the server's request log, the /metrics exemplar and the
+# blocking forensics; /v1/slo's 5m
 # window reads 2 ops, 1 bad with the fast alert firing on availability;
 # the shipped availability_burn rule reaches firing within 5s; and
 # wdmtop renders SLO BURNING. Every response lands in SLO_DIR. The
@@ -79,6 +80,9 @@ slo-demo:
 	tr -d ' \n' < $(SLO_DIR)/spans.json | grep -q '"trace_id":"$(SLO_DEMO_TID)"' \
 	    || fail 'trace id not in the span ring'; \
 	grep -o '"name": "[^"]*"' $(SLO_DIR)/spans.json | tr '\n' ' '; echo; \
+	echo '--- server.log request line'; \
+	grep 'msg=request' $(SLO_DIR)/server.log | grep 'trace_id=$(SLO_DEMO_TID)' \
+	    || fail 'trace id not on a request line of server.log'; \
 	echo '--- /metrics exemplar'; \
 	curl -sf '127.0.0.1:8047/metrics?exemplars=1' > $(SLO_DIR)/metrics.txt || fail 'GET /metrics'; \
 	grep 'trace_id="$(SLO_DEMO_TID)"' $(SLO_DIR)/metrics.txt || fail 'trace id not in a /metrics exemplar'; \
@@ -104,7 +108,7 @@ slo-demo:
 	/tmp/wdm-slo-demo-top -target http://127.0.0.1:8047 -once > $(SLO_DIR)/wdmtop.txt || fail 'wdmtop -once'; \
 	cat $(SLO_DIR)/wdmtop.txt; \
 	grep -q 'SLO BURNING' $(SLO_DIR)/wdmtop.txt || fail 'wdmtop does not render SLO BURNING'; \
-	echo "slo demo OK: blocked trace joined on every surface, SLO burning, availability_burn firing; responses in $(SLO_DIR)"
+	echo "slo demo OK: blocked trace joined on spans, request log, exemplar and forensics, SLO burning, availability_burn firing; responses in $(SLO_DIR)"
 
 # Chaos drill (EXPERIMENTS.md § "Chaos walkthrough", scripted): a
 # server at m = bound + 2 spares (bound is 13 for the default fabric)
@@ -344,8 +348,11 @@ alert-demo:
 # Blocking-curve drill (EXPERIMENTS.md § "Traffic engine & blocking
 # curves", scripted): a server provisioned at the Theorem 1 bound takes
 # a strict Erlang sweep with session churn — any measured P_block > 0
-# fails the run — then a starved server (m = 3, x = 1) takes the same
-# load ladder to show the knee, which must contain real blocking.
+# fails the run, and so does an artifact that does not name the target
+# it drove or lacks a route_search phase mean (read from the target's
+# own /metrics) on any point — then a starved server (m = 3, x = 1)
+# takes the same load ladder to show the knee, which must contain real
+# blocking.
 # Artifacts land in CURVES_DIR for CI upload; wdmplot renders the
 # measured curves as CSV.
 CURVES_DIR ?= /tmp/wdm-curves-demo
@@ -359,7 +366,16 @@ curves-demo:
 	trap 'kill -9 $$pb $$pk 2>/dev/null' EXIT; sleep 0.5; \
 	echo '--- strict sweep at the bound (m = 13): any P_block > 0 fails'; \
 	/tmp/wdm-curves-load -mode sweep -target http://127.0.0.1:8055 -points 1,2,4,8 \
-	    -arrivals 1200 -max-fanout 4 -churn 0.3 -strict -out $(CURVES_DIR)/BENCH_curves.json; \
+	    -arrivals 1200 -max-fanout 4 -churn 0.3 -strict -out $(CURVES_DIR)/BENCH_curves.json \
+	    || { echo 'CURVES DEMO FAILED: strict sweep at the bound'; exit 1; }; \
+	bc=$$(tr -d ' \n' < $(CURVES_DIR)/BENCH_curves.json); \
+	echo "$$bc" | grep -q '"target":"http://127.0.0.1:8055"' \
+	    || { echo 'CURVES DEMO FAILED: artifact target is not http://127.0.0.1:8055'; exit 1; }; \
+	np=$$(echo "$$bc" | grep -o '"erlangs":' | wc -l); \
+	nr=$$(echo "$$bc" | grep -oE '"server_phase_mean_us":\{[^}]*"route_search":(0\.0*[1-9]|[1-9])' | wc -l); \
+	echo "points $$np, with a positive route_search phase mean $$nr"; \
+	test "$$np" -gt 0 && test "$$np" = "$$nr" \
+	    || { echo 'CURVES DEMO FAILED: a point lacks server_phase_mean_us.route_search'; exit 1; }; \
 	echo '--- knee sweep far below the bound (m = 3, x = 1): blocking must appear'; \
 	/tmp/wdm-curves-load -mode sweep -target http://127.0.0.1:8056 -points 1,2,4,8,16 \
 	    -arrivals 1200 -max-fanout 4 -out $(CURVES_DIR)/BENCH_curves_below.json; \

@@ -8,8 +8,9 @@
 //	    -points 1,2,4,8,16 -arrivals 2000 -out BENCH_curves.json
 //
 // sweeps offered load in Erlang steps and writes the blocking curve
-// (per-point P_block with Wilson 95% intervals, latency and phase
-// summaries, Lee/Erlang-B analytic overlays) as BENCH_curves.json —
+// (per-point P_block with Wilson 95% intervals, client latency, the
+// target's per-phase means read from its own /metrics, Lee/Erlang-B
+// analytic overlays, and the -target it drove) as BENCH_curves.json —
 // rendered by `wdmplot -series curves`. At m >= the backend's bound
 // every point must measure P_block = 0 (assert with -strict); below
 // the bound the curve shows the knee.
@@ -17,8 +18,9 @@
 //	wdmload -mode steady -erlangs 4 -timescale 500ms
 //
 // holds one load point at watchable speed (one mean holding time =
-// -timescale) so the server's wdm_loadgen_* gauges, sparklines, and
-// wdmtop fleet view move in real time.
+// -timescale) so the server's own counters, sparklines, and wdmtop
+// views move in real time. The offered Erlangs stay a client setting:
+// the server reports what it routed and blocked, not what was offered.
 //
 //	wdmload -mode replay -replay BENCH_curves.json
 //
@@ -109,25 +111,26 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		runSweep(ctx, traffic.SweepConfig{Engine: ecfg, Points: pts, Z: *z, Logf: logf}, *out, *strict)
+		runSweep(ctx, traffic.SweepConfig{Engine: ecfg, Points: pts, Z: *z, Logf: logf}, *target, *out, *strict)
 	case "steady":
-		runSteady(ctx, cl, ecfg, *erlangs, *timescale)
+		runSteady(ctx, ecfg, *erlangs, *timescale)
 	case "replay":
-		runReplay(ctx, ecfg, *replayPath, *out, *z, *strict)
+		runReplay(ctx, ecfg, *target, *replayPath, *out, *z, *strict)
 	default:
 		fatal(fmt.Errorf("unknown mode %q (want sweep, steady, replay)", *mode))
 	}
 }
 
-// runSweep measures the blocking curve and writes the artifact. With
-// strict set, any measured blocking fails the run — the CI assertion
-// that a target provisioned at its backend's bound stays at
-// P_block = 0 across every offered load.
-func runSweep(ctx context.Context, cfg traffic.SweepConfig, out string, strict bool) {
+// runSweep measures the blocking curve against target and writes the
+// artifact. With strict set, any measured blocking fails the run — the
+// CI assertion that a target provisioned at its backend's bound stays
+// at P_block = 0 across every offered load.
+func runSweep(ctx context.Context, cfg traffic.SweepConfig, target, out string, strict bool) {
 	curves, err := traffic.Sweep(ctx, cfg)
 	if err != nil {
 		fatal(err)
 	}
+	curves.Target = target
 	writeArtifact(out, curves)
 	logf("wrote %s: backend=%s m=%d bound=%d, %d points, max P_block=%.4f",
 		out, curves.Backend, curves.M, curves.SufficientM, len(curves.Points), curves.MaxPBlock())
@@ -139,22 +142,14 @@ func runSweep(ctx context.Context, cfg traffic.SweepConfig, out string, strict b
 
 // runSteady holds one load point until the arrival budget is spent or
 // the process is interrupted, printing a rollup at the end.
-func runSteady(ctx context.Context, cl *client.Client, ecfg traffic.Config, erlangs float64, timescale time.Duration) {
+func runSteady(ctx context.Context, ecfg traffic.Config, erlangs float64, timescale time.Duration) {
 	ecfg.Erlangs = erlangs
 	ecfg.TimeScale = timescale
 	eng, err := traffic.NewEngine(ecfg)
 	if err != nil {
 		fatal(err)
 	}
-	repCtx, stopReport := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		traffic.ReportLoop(repCtx, cl, eng.Progress(), erlangs)
-	}()
 	rep, err := eng.Run(ctx)
-	stopReport()
-	<-done
 	if err != nil && ctx.Err() == nil {
 		fatal(err)
 	}
@@ -165,9 +160,9 @@ func runSteady(ctx context.Context, cl *client.Client, ecfg traffic.Config, erla
 		rep.Duration.Round(time.Millisecond), lat.P50Micros, lat.P99Micros)
 }
 
-// runReplay re-runs a recorded sweep from its artifact and compares
-// the measured blocking point by point.
-func runReplay(ctx context.Context, ecfg traffic.Config, path, out string, z float64, strict bool) {
+// runReplay re-runs a recorded sweep from its artifact against target
+// and compares the measured blocking point by point.
+func runReplay(ctx context.Context, ecfg traffic.Config, target, path, out string, z float64, strict bool) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fatal(err)
@@ -204,6 +199,7 @@ func runReplay(ctx context.Context, ecfg traffic.Config, path, out string, z flo
 	if err != nil {
 		fatal(err)
 	}
+	curves.Target = target
 	writeArtifact(out, curves)
 
 	drift := false

@@ -14,8 +14,9 @@
 //
 // Against a cluster node, -fleet switches to the federation view: it
 // polls /v1/cluster/metrics (every shard's exposition merged server-side)
-// and renders fleet-wide totals, the merged per-phase latency table,
-// and a per-shard liveness/gauge table.
+// and renders fleet-wide totals with the fleet P_block (merged
+// wdm_blocked_total over wdm_route_ops_total), the merged per-phase
+// latency table, and a per-shard liveness/gauge table.
 //
 //	wdmtop -target http://localhost:8047 -interval 1s
 //	wdmtop -target http://localhost:8047 -once        # one frame, no ANSI

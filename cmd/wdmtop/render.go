@@ -581,8 +581,9 @@ func phasesPanel(m obs.Metrics) string {
 }
 
 // renderFleet builds the -fleet frame from a parsed /v1/cluster/metrics
-// exposition: fleet-wide totals (counters and histograms arrive summed
-// across shards), the merged phase table, and a per-shard gauge table.
+// exposition: fleet-wide totals and P_block (counters and histograms
+// arrive summed across shards), the merged phase table, and a
+// per-shard gauge table.
 func renderFleet(m obs.Metrics, t time.Time, target string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "wdmtop fleet — %s/v1/cluster/metrics — %s\n\n", target, t.Format("15:04:05"))
@@ -594,8 +595,15 @@ func renderFleet(m obs.Metrics, t time.Time, target string) string {
 			sessions += s.Value
 		}
 	}
-	fmt.Fprintf(&b, "fleet sessions %.0f   routed %.0f   blocked %.0f   inadmissible %.0f\n",
-		sessions, routed, counter(m, "wdm_blocked_total"), counter(m, "wdm_inadmissible_total"))
+	// P_block is the merged counters' ratio: every shard's blocks over
+	// every shard's admissible routing operations.
+	blocked, ops := counter(m, "wdm_blocked_total"), counter(m, "wdm_route_ops_total")
+	pblock := "-"
+	if ops > 0 {
+		pblock = fmt.Sprintf("%.4f", blocked/ops)
+	}
+	fmt.Fprintf(&b, "fleet sessions %.0f   routed %.0f   blocked %.0f   inadmissible %.0f   P_block %s\n",
+		sessions, routed, blocked, counter(m, "wdm_inadmissible_total"), pblock)
 	if p50, ok := histQuantileMicros(m, "connect", 0.50); ok {
 		p99, _ := histQuantileMicros(m, "connect", 0.99)
 		fmt.Fprintf(&b, "fleet connect latency p50 %s  p99 %s\n", usStr(p50), usStr(p99))
@@ -622,7 +630,7 @@ func renderFleet(m obs.Metrics, t time.Time, target string) string {
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].shard < rows[j].shard })
 	tw := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "shard\tup\tsessions\trepl-lag\tgoroutines\theap\toffered-E\tP_block")
+	fmt.Fprintln(tw, "shard\tup\tsessions\trepl-lag\tgoroutines\theap")
 	for _, row := range rows {
 		lbl := map[string]string{"shard": row.shard}
 		status := "DOWN"
@@ -633,18 +641,8 @@ func renderFleet(m obs.Metrics, t time.Time, target string) string {
 		lag, _ := m.Value("wdm_replication_lag_seconds", lbl)
 		gor, _ := m.Value("wdm_go_goroutines", lbl)
 		heap, _ := m.Value("wdm_go_heap_bytes", lbl)
-		// Loadgen self-report gauges are only present while a generator
-		// is actively reporting against the shard.
-		load := "-"
-		if erl, ok := m.Value("wdm_loadgen_offered_erlangs", lbl); ok && erl > 0 {
-			load = fmt.Sprintf("%.1f", erl)
-		}
-		pblock := "-"
-		if br, ok := m.Value("wdm_loadgen_block_rate", lbl); ok {
-			pblock = fmt.Sprintf("%.4f", br)
-		}
-		fmt.Fprintf(tw, "%s\t%s\t%.0f\t%.3fs\t%.0f\t%s\t%s\t%s\n",
-			row.shard, status, sess, lag, gor, byteStr(heap), load, pblock)
+		fmt.Fprintf(tw, "%s\t%s\t%.0f\t%.3fs\t%.0f\t%s\n",
+			row.shard, status, sess, lag, gor, byteStr(heap))
 	}
 	tw.Flush()
 	return b.String()

@@ -309,3 +309,80 @@ func TestAlertsPanel(t *testing.T) {
 		t.Errorf("empty alerts missing rollup: %q", out)
 	}
 }
+
+// TestRenderFleet merges two shards' expositions the way
+// /v1/cluster/metrics does and pins the fleet frame: the header's
+// P_block is the merged wdm_blocked_total over wdm_route_ops_total, and
+// the per-shard table holds the registry's own gauges only.
+func TestRenderFleet(t *testing.T) {
+	raw := map[string][]byte{
+		"0": []byte(`# TYPE wdm_route_ops_total counter
+wdm_route_ops_total 300
+# TYPE wdm_blocked_total counter
+wdm_blocked_total 6
+# TYPE wdm_connect_total counter
+wdm_connect_total 250
+# TYPE wdm_branch_total counter
+wdm_branch_total 44
+# TYPE wdm_inadmissible_total counter
+wdm_inadmissible_total 1
+# TYPE wdm_active_sessions gauge
+wdm_active_sessions 12
+# TYPE wdm_replication_lag_seconds gauge
+wdm_replication_lag_seconds 0.002
+# TYPE wdm_go_goroutines gauge
+wdm_go_goroutines 40
+# TYPE wdm_go_heap_bytes gauge
+wdm_go_heap_bytes 3145728
+`),
+		"1": []byte(`# TYPE wdm_route_ops_total counter
+wdm_route_ops_total 100
+# TYPE wdm_blocked_total counter
+wdm_blocked_total 2
+# TYPE wdm_connect_total counter
+wdm_connect_total 98
+# TYPE wdm_branch_total counter
+wdm_branch_total 0
+# TYPE wdm_inadmissible_total counter
+wdm_inadmissible_total 0
+# TYPE wdm_active_sessions gauge
+wdm_active_sessions 5
+# TYPE wdm_go_goroutines gauge
+wdm_go_goroutines 30
+# TYPE wdm_go_heap_bytes gauge
+wdm_go_heap_bytes 2048
+`),
+	}
+	var pw obs.PromWriter
+	if bad := obs.MergeFleet(&pw, raw); len(bad) != 0 {
+		t.Fatalf("MergeFleet: %v", bad)
+	}
+	pw.Gauge("wdm_federation_peer_up", "peer up", 1, obs.Label{Name: "shard", Value: "0"})
+	pw.Gauge("wdm_federation_peer_up", "peer up", 0, obs.Label{Name: "shard", Value: "1"})
+	out := renderFleet(parseTestMetrics(t, string(pw.Bytes())), time.Now(), "http://fleet")
+
+	lines := strings.Split(out, "\n")
+	if want := "fleet sessions 17   routed 392   blocked 8   inadmissible 1   P_block 0.0200"; lines[2] != want {
+		t.Errorf("header line %q, want %q\n---\n%s", lines[2], want, out)
+	}
+	rows := map[string]string{}
+	for _, l := range lines {
+		if f := strings.Fields(l); len(f) > 0 {
+			rows[f[0]] = strings.Join(f, " ")
+		}
+	}
+	for first, want := range map[string]string{
+		"shard": "shard up sessions repl-lag goroutines heap",
+		"0":     "0 up 12 0.002s 40 3.0MiB",
+		"1":     "1 DOWN 5 0.000s 30 2.0KiB",
+	} {
+		if rows[first] != want {
+			t.Errorf("table row %q, want %q\n---\n%s", rows[first], want, out)
+		}
+	}
+
+	// No routing operations yet: no ratio to show.
+	if out := renderFleet(obs.Metrics{}, time.Now(), "http://fleet"); !strings.Contains(out, "P_block -") {
+		t.Errorf("empty fleet frame lacks \"P_block -\"\n---\n%s", out)
+	}
+}

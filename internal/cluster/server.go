@@ -62,7 +62,6 @@ type Server struct {
 
 	syncTimeouts atomic.Uint64
 	lastAckNs    atomic.Int64
-	promoted     atomic.Bool // set by admin demote/tests; reserved for future use
 
 	wg sync.WaitGroup
 }

@@ -169,16 +169,6 @@ func (p *Plane) SyncedSeq() uint64 {
 	return p.synced
 }
 
-// VisibleSeq returns the readable high-water mark: every record with
-// Seq <= VisibleSeq has been flushed into a segment file and can be
-// read back by a Follower. It runs ahead of SyncedSeq by at most one
-// group-commit batch (flush happens before the batch fsync).
-func (p *Plane) VisibleSeq() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.visible
-}
-
 // LastSeq returns the last assigned sequence number (appended, not
 // necessarily flushed or fsynced yet).
 func (p *Plane) LastSeq() uint64 {

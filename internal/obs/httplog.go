@@ -1,71 +1,56 @@
 package obs
 
 import (
-	"context"
-	"fmt"
 	"log/slog"
 	"net/http"
-	"sync/atomic"
 	"time"
 )
 
-// Request-id plumbing. Every request through WithRequestLog gets a
-// process-unique id, carried on the request context and echoed in the
-// X-Request-Id response header, so a client-reported failure can be
-// joined against the server's structured log — and against the blocking
-// forensics a 409 leaves behind.
+// Request logging. A request's one name is its W3C trace id: the span
+// tracer's middleware (inside the wrapped handler) echoes it in the
+// traceparent response header, and the completion line logs it, so a
+// client-reported failure joins the server's log, its spans, the
+// /metrics exemplars and the blocking forensics on the same id.
 
-type ctxKey int
+// traceparentHeader is the canonical form of the W3C header the span
+// tracer echoes: "00-<32 hex trace id>-<16 hex span id>-<2 hex flags>".
+const traceparentHeader = "Traceparent"
 
-const requestIDKey ctxKey = iota
-
-var nextRequestID atomic.Uint64
-
-// RequestID returns the request id WithRequestLog assigned to this
-// context, or "" outside an instrumented request.
-func RequestID(ctx context.Context) string {
-	id, _ := ctx.Value(requestIDKey).(string)
-	return id
-}
-
-// WithRequestID returns a context carrying the given request id —
-// exposed for tests and for callers that generate ids elsewhere.
-func WithRequestID(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, requestIDKey, id)
-}
-
-// statusWriter captures the status code a handler writes.
-type statusWriter struct {
+// StatusWriter captures the status code a handler writes (200 until
+// WriteHeader says otherwise).
+type StatusWriter struct {
 	http.ResponseWriter
-	status int
+	Status int
 }
 
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
+func (w *StatusWriter) WriteHeader(code int) {
+	w.Status = code
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// WithRequestLog wraps h: each request is assigned a request id
-// (propagated via context, echoed as X-Request-Id) and logged on
-// completion with method, path, status, and elapsed time. A nil logger
+// WithRequestLog wraps h: each request is logged on completion with
+// method, path, status and elapsed time, plus trace_id when h answered
+// with a traceparent header (untraced paths log no id). A nil logger
 // uses slog.Default().
 func WithRequestLog(h http.Handler, logger *slog.Logger) http.Handler {
 	if logger == nil {
 		logger = slog.Default()
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := fmt.Sprintf("req-%08d", nextRequestID.Add(1))
-		ctx := WithRequestID(r.Context(), id)
-		w.Header().Set("X-Request-Id", id)
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+		sw := &StatusWriter{ResponseWriter: w, Status: http.StatusOK}
 		start := time.Now()
-		h.ServeHTTP(sw, r.WithContext(ctx))
-		logger.LogAttrs(ctx, slog.LevelInfo, "request",
-			slog.String("request_id", id),
+		h.ServeHTTP(sw, r)
+		attrs := [5]slog.Attr{
 			slog.String("method", r.Method),
 			slog.String("path", r.URL.Path),
-			slog.Int("status", sw.status),
+			slog.Int("status", sw.Status),
 			slog.Duration("elapsed", time.Since(start)),
-		)
+		}
+		n := 4
+		if tp := w.Header().Get(traceparentHeader); len(tp) == 55 && tp[2] == '-' && tp[35] == '-' {
+			attrs[n] = slog.String("trace_id", tp[3:35])
+			n++
+		}
+		logger.LogAttrs(r.Context(), slog.LevelInfo, "request", attrs[:n]...)
 	})
 }

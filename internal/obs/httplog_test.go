@@ -2,72 +2,66 @@ package obs
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 )
 
+// TestWithRequestLog: the completion line carries the request's trace
+// id, read from the traceparent response header the wrapped handler
+// (the span tracer's middleware, in the served stack) set; no other id
+// is minted or echoed.
 func TestWithRequestLog(t *testing.T) {
+	const tid = "4bf92f3577b34da6a3ce929d0e0e4736"
 	var logBuf bytes.Buffer
-	logger := slog.New(slog.NewJSONHandler(&logBuf, nil))
-
-	var seenID string
 	h := WithRequestLog(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		seenID = RequestID(r.Context())
+		w.Header().Set("traceparent", "00-"+tid+"-00f067aa0ba902b7-01")
 		w.WriteHeader(http.StatusTeapot)
-	}), logger)
+	}), slog.New(slog.NewJSONHandler(&logBuf, nil)))
 
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/connect", nil))
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/connect", nil))
 
-	if seenID == "" || !strings.HasPrefix(seenID, "req-") {
-		t.Fatalf("handler saw request id %q, want req-*", seenID)
+	if got := rec.Header().Get("X-Request-Id"); got != "" {
+		t.Fatalf("X-Request-Id = %q, want no such header", got)
 	}
-	if got := rec.Header().Get("X-Request-Id"); got != seenID {
-		t.Fatalf("X-Request-Id = %q, want %q (same id as context)", got, seenID)
-	}
-
 	var line struct {
-		Msg       string `json:"msg"`
-		RequestID string `json:"request_id"`
-		Method    string `json:"method"`
-		Path      string `json:"path"`
-		Status    int    `json:"status"`
+		Msg     string `json:"msg"`
+		TraceID string `json:"trace_id"`
+		Method  string `json:"method"`
+		Path    string `json:"path"`
+		Status  int    `json:"status"`
 	}
 	if err := json.Unmarshal(logBuf.Bytes(), &line); err != nil {
 		t.Fatalf("log line not JSON: %v\n%s", err, logBuf.Bytes())
 	}
-	if line.Msg != "request" || line.RequestID != seenID || line.Method != "GET" ||
+	if line.Msg != "request" || line.TraceID != tid || line.Method != "POST" ||
 		line.Path != "/v1/connect" || line.Status != http.StatusTeapot {
-		t.Fatalf("log line = %+v, want request/%s/GET//v1/connect/418", line, seenID)
+		t.Fatalf("log line = %+v, want request/%s/POST//v1/connect/418", line, tid)
 	}
 }
 
-func TestWithRequestLogDistinctIDs(t *testing.T) {
+// TestWithRequestLogUntraced: a response without a traceparent (the
+// untraced /metrics and /v1/debug/ paths) logs no id at all.
+func TestWithRequestLogUntraced(t *testing.T) {
+	var logBuf bytes.Buffer
 	h := WithRequestLog(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}),
-		slog.New(slog.NewTextHandler(&bytes.Buffer{}, nil)))
-	ids := map[string]bool{}
-	for i := 0; i < 5; i++ {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
-		ids[rec.Header().Get("X-Request-Id")] = true
+		slog.New(slog.NewJSONHandler(&logBuf, nil)))
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	var line map[string]any
+	if err := json.Unmarshal(logBuf.Bytes(), &line); err != nil {
+		t.Fatalf("log line not JSON: %v\n%s", err, logBuf.Bytes())
 	}
-	if len(ids) != 5 {
-		t.Fatalf("got %d distinct ids over 5 requests, want 5: %v", len(ids), ids)
+	for _, k := range []string{"trace_id", "request_id"} {
+		if v, ok := line[k]; ok {
+			t.Errorf("untraced request logged %s=%v", k, v)
+		}
 	}
-}
-
-func TestRequestIDOutsideRequest(t *testing.T) {
-	if got := RequestID(context.Background()); got != "" {
-		t.Fatalf("RequestID on bare context = %q, want empty", got)
-	}
-	ctx := WithRequestID(context.Background(), "req-custom")
-	if got := RequestID(ctx); got != "req-custom" {
-		t.Fatalf("RequestID = %q, want req-custom", got)
+	if got := rec.Header().Get("X-Request-Id"); got != "" {
+		t.Errorf("X-Request-Id = %q, want no such header", got)
 	}
 }
 

@@ -2,8 +2,8 @@
 // Prometheus text-exposition writer and a matching minimal parser (both
 // stdlib-only, round-trip tested against each other), the one
 // bucket-quantile estimator every histogram reader shares
-// (BucketQuantile), plus an HTTP middleware that assigns request ids and
-// emits one structured log line per request. switchd uses the writer for
+// (BucketQuantile), plus an HTTP middleware that emits one structured
+// log line per request, keyed by its trace id. switchd uses the writer for
 // GET /metrics. An in-process reader of the registry — the metrics
 // history — takes the same samples as values through NewMetricsWriter;
 // the parser is for expositions that cross a process boundary (fleet

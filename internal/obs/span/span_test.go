@@ -135,9 +135,20 @@ func TestTailSamplingKeepsBlockedAndSlow(t *testing.T) {
 	if kept, _ := tr.Stats(); kept != 2 {
 		t.Fatalf("kept = %d after blocked+errored, want 2", kept)
 	}
-	last, ok := tr.LastBlocked()
+	// lastBlocked is the newest blocked trace in the ring, the record
+	// /v1/debug/spans?blocked=1&limit=1 serves.
+	lastBlocked := func() (TraceRecord, bool) {
+		snap := tr.Snapshot()
+		for i := len(snap) - 1; i >= 0; i-- {
+			if snap[i].Blocked {
+				return snap[i], true
+			}
+		}
+		return TraceRecord{}, false
+	}
+	last, ok := lastBlocked()
 	if !ok || last.Root != "blocked" || !last.Blocked {
-		t.Fatalf("LastBlocked = %+v, %v", last, ok)
+		t.Fatalf("newest blocked trace = %+v, %v", last, ok)
 	}
 
 	// A child span's blocked status propagates to the trace.
@@ -146,8 +157,8 @@ func TestTailSamplingKeepsBlockedAndSlow(t *testing.T) {
 	child.SetBlocked("blocked leaf")
 	child.End()
 	root.End()
-	if last, _ := tr.LastBlocked(); last.Root != "parent" {
-		t.Fatalf("LastBlocked after child block = %+v", last)
+	if last, _ := lastBlocked(); last.Root != "parent" {
+		t.Fatalf("newest blocked trace after child block = %+v", last)
 	}
 }
 

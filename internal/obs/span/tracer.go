@@ -71,8 +71,6 @@ type Tracer struct {
 	kept    atomic.Int64
 	dropped atomic.Int64
 
-	lastBlocked atomic.Pointer[TraceRecord]
-
 	logMu sync.Mutex
 }
 
@@ -136,10 +134,6 @@ func (t *Tracer) finish(r *TraceRecord) {
 		return
 	}
 	t.kept.Add(1)
-	if r.Blocked {
-		cp := *r
-		t.lastBlocked.Store(&cp)
-	}
 	t.shards[t.next.Add(1)%tracerShards].push(*r)
 	if t.cfg.Log != nil {
 		line, err := json.Marshal(r)
@@ -176,18 +170,6 @@ func (t *Tracer) Snapshot() []TraceRecord {
 	return out
 }
 
-// LastBlocked returns the most recently completed blocked trace.
-func (t *Tracer) LastBlocked() (TraceRecord, bool) {
-	if t == nil {
-		return TraceRecord{}, false
-	}
-	p := t.lastBlocked.Load()
-	if p == nil {
-		return TraceRecord{}, false
-	}
-	return *p, true
-}
-
 // TraceparentHeader is the W3C header name spans propagate on.
 const TraceparentHeader = "traceparent"
 
@@ -218,23 +200,12 @@ func (t *Tracer) Middleware(h http.Handler) http.Handler {
 		root.SetAttr("method", r.Method)
 		root.SetAttr("path", r.URL.Path)
 		w.Header().Set(TraceparentHeader, root.Traceparent())
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+		sw := &obs.StatusWriter{ResponseWriter: w, Status: http.StatusOK}
 		h.ServeHTTP(sw, r.WithContext(ContextWith(r.Context(), root)))
-		root.SetAttr("status", sw.status)
-		if sw.status >= 500 {
-			root.SetError(http.StatusText(sw.status))
+		root.SetAttr("status", sw.Status)
+		if sw.Status >= 500 {
+			root.SetError(http.StatusText(sw.Status))
 		}
 		root.End()
 	})
-}
-
-// statusWriter captures the status code a handler writes.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
 }

@@ -200,21 +200,6 @@ type FederationPeerHealth struct {
 	LastProbeSeconds float64 `json:"last_probe_seconds"`
 }
 
-// LoadgenReport is the POST /v1/loadgen payload: a load generator's
-// self-report of its offered (attempted) and achieved (routed)
-// request rates, published as gauges while fresh so load curves land
-// in the metrics history next to the serving counters.
-type LoadgenReport struct {
-	OfferedRPS  float64 `json:"offered_rps"`
-	AchievedRPS float64 `json:"achieved_rps"`
-	// OfferedErlangs is the generator's configured offered load (mean
-	// concurrent sessions per fabric plane).
-	OfferedErlangs float64 `json:"offered_erlangs,omitempty"`
-	// BlockRate is the generator's cumulative measured blocking
-	// probability over everything it has offered so far.
-	BlockRate float64 `json:"block_rate,omitempty"`
-}
-
 // DurabilityHealth reports the write-ahead log, snapshot, and recovery
 // state of a controller running with a data directory.
 type DurabilityHealth struct {

@@ -2,6 +2,7 @@ package switchd
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/multistage"
 	"repro/internal/switchd/api"
 	"repro/internal/switchd/client"
+	"repro/internal/wdm"
 )
 
 // boundFor computes the construction's sufficient nonblocking bound for
@@ -372,6 +374,67 @@ func TestSpareMarginProperty(t *testing.T) {
 				if h := ctl.Health(); h.Status != api.HealthOK {
 					t.Fatalf("health after full repair = %+v, want ok", h)
 				}
+			}
+		})
+	}
+}
+
+// TestPublishAfterRouteDropped drives, step by step, the window
+// between a connect's route (under the fabric lock) and its publish
+// (under the session shard lock). FailMiddle runs inside it with no
+// spare middle left (m = 1) and drops the fresh route; its table sweep
+// cannot see the unpublished session, so the publish itself must
+// refuse. In memory and durable alike, every listed session must be
+// releasable afterwards and none may stay active.
+func TestPublishAfterRouteDropped(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
+			p := testParams()
+			p.M, p.X = 1, 1
+			cfg := Config{Fabric: p, Replicas: 1}
+			if durable {
+				cfg.DataDir, cfg.WALSyncDelay, cfg.SnapshotInterval = t.TempDir(), -1, -1
+			}
+			ctl := newTestController(t, cfg)
+			defer ctl.Close()
+			ctx := context.Background()
+			conn, err := wdm.ParseConnection("0.0>4.0")
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// The route half of connect.
+			f := ctl.fabrics[0]
+			f.mu.Lock()
+			connID, err := f.net.Add(conn)
+			f.mu.Unlock()
+			if err != nil {
+				t.Fatalf("route: %v", err)
+			}
+			// The failure plane, inside the window.
+			rep, err := ctl.FailMiddle(ctx, 0, 0)
+			if err != nil {
+				t.Fatalf("FailMiddle: %v", err)
+			}
+			if rep.Affected != 1 || len(rep.Migrated)+len(rep.Dropped) != 0 {
+				t.Fatalf("FailMiddle report %+v, want the unpublished route affected and nothing listed", rep)
+			}
+			// The publish half of connect.
+			s := &session{ID: ctl.nextSession.Add(1), Fabric: 0, ConnID: connID, Conn: conn.Normalize()}
+			if err := ctl.commitConnect(nil, nil, f, 0, s); err == nil {
+				ctl.active.Add(1)
+				t.Errorf("publish of a dropped route succeeded")
+			} else if !errors.Is(err, ErrFabricFailed) {
+				t.Errorf("publish of a dropped route: %v, want ErrFabricFailed", err)
+			}
+
+			for _, info := range ctl.Sessions() {
+				if err := ctl.Disconnect(ctx, info.ID); err != nil {
+					t.Errorf("listed session %d cannot be disconnected: %v", info.ID, err)
+				}
+			}
+			if n := ctl.ActiveSessions(); n != 0 {
+				t.Errorf("ActiveSessions() = %d after disconnecting every listed session, want 0", n)
 			}
 		})
 	}

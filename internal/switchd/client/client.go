@@ -2,8 +2,10 @@
 // API. It speaks the api package's wire contract — requests, responses,
 // and the {"error":{"code":...}} envelope — so callers branch on
 // api.Error codes (api.IsCode), never on HTTP status lines or message
-// text. The in-repo consumers (the loadgen, wdmtop) are built on it;
-// nothing in the repository constructs raw /v1 requests.
+// text. The in-repo consumers (the traffic engine behind wdmload,
+// wdmtop) are built on it; nothing in the repository constructs raw /v1
+// requests. The server publishes its counters, phase timings and load
+// only on /metrics, which Prom reads.
 //
 // Construction is functional-options style:
 //
@@ -28,7 +30,9 @@
 // Tracing: every request carries a W3C traceparent when one is
 // available — either from the span active on the context (server-side
 // callers) or injected with ContextWithTraceparent (clients that
-// generate their own ids to join against /v1/debug/spans).
+// generate their own ids to join against /v1/debug/spans). The trace
+// id is a request's only name: the server echoes it in the traceparent
+// response header and logs it on the request line.
 package client
 
 import (
@@ -140,17 +144,6 @@ func traceparentFrom(ctx context.Context) string {
 	return ""
 }
 
-type stKey struct{}
-
-// ContextWithServerTiming returns a context that captures the
-// Server-Timing response header of the request sent with it into *dst
-// (left "" when the server sent none). The phase-timed endpoints
-// (connect/branch/disconnect) report their server-side phase split this
-// way — see the loadgen's per-phase report.
-func ContextWithServerTiming(ctx context.Context, dst *string) context.Context {
-	return context.WithValue(ctx, stKey{}, dst)
-}
-
 // retryableStatus reports whether a status line signals a condition a
 // backoff can outlive: 429 (admission_full — the cap refills) and 503
 // (draining, fabric_failed, storage_failed, not_primary — a repair,
@@ -248,9 +241,6 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte) (int,
 		resp.Body.Close()
 		if err != nil {
 			return resp.StatusCode, nil, err
-		}
-		if dst, ok := ctx.Value(stKey{}).(*string); ok && dst != nil {
-			*dst = resp.Header.Get("Server-Timing")
 		}
 		if !retryableStatus(resp.StatusCode) || attempt >= c.retry.MaxAttempts {
 			return resp.StatusCode, respBody, nil
@@ -465,12 +455,6 @@ func (c *Client) Alerts(ctx context.Context) ([]tsdb.AlertStatus, error) {
 	}
 	err := c.call(ctx, http.MethodGet, "/v1/alerts", nil, &out)
 	return out.Alerts, err
-}
-
-// ReportLoad posts a load generator's offered/achieved self-report,
-// published server-side as gauges while fresh.
-func (c *Client) ReportLoad(ctx context.Context, rep api.LoadgenReport) error {
-	return c.call(ctx, http.MethodPost, "/v1/loadgen", rep, nil)
 }
 
 // FleetProm fetches the fleet-merged exposition at /v1/cluster/metrics

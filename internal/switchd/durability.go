@@ -207,33 +207,39 @@ func (ctl *Controller) walAppend(sp *span.Span, pt *phaseTimer, rec *durable.Rec
 	return nil
 }
 
-// commitConnect publishes a freshly routed session: the table insert
-// and the WAL append happen under the session shard lock, with the
-// route read from the fabric (under a brief nested fabric lock —
-// shard -> fabric is the repo-wide lock order) immediately before the
-// append, so the recorded route is exactly what the fabric holds at
-// the record's log position. On append failure the connection is
-// rolled back and never acknowledged.
+// commitConnect publishes a freshly routed session, in memory and
+// durable alike: under the session shard lock it confirms, under a
+// brief nested fabric lock (shard -> fabric is the repo-wide lock
+// order), that the fabric still holds the connection, then inserts the
+// session and, when durable, journals it with the route read at that
+// moment, so the recorded route is exactly what the fabric holds at the
+// record's log position. A FailMiddle that ran between the route and
+// this publish could not see the session in the table; if it dropped
+// the fresh route, the connect fails with ErrFabricFailed instead of
+// publishing a session the fabric no longer holds. On append failure
+// the connection is rolled back and never acknowledged.
 func (ctl *Controller) commitConnect(sp *span.Span, pt *phaseTimer, f *fabric, plane int, s *session) error {
 	sh := ctl.sessions.shardFor(s.ID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if ctl.wal == nil {
-		sh.m[s.ID] = s
-		return nil
-	}
 	var route multistage.RouteRecord
 	var ok bool
 	f.mu.Lock()
-	route, ok = f.net.RouteRecord(s.ConnID)
-	if ok {
-		f.byConn[s.ConnID] = &connMeta{session: s.ID}
+	if ctl.wal != nil {
+		if route, ok = f.net.RouteRecord(s.ConnID); ok {
+			f.byConn[s.ConnID] = &connMeta{session: s.ID}
+		}
+	} else {
+		_, ok = f.net.Connection(s.ConnID)
 	}
 	f.mu.Unlock()
 	if !ok {
-		return fmt.Errorf("switchd: connection %d vanished before journaling", s.ConnID)
+		return fmt.Errorf("%w: fabric %d dropped connection %d before it was published", ErrFabricFailed, plane, s.ConnID)
 	}
 	sh.m[s.ID] = s
+	if ctl.wal == nil {
+		return nil
+	}
 	err := ctl.walAppend(sp, pt, &durable.Record{
 		Op: durable.OpConnect, Session: s.ID, Fabric: plane, Route: &route,
 	})

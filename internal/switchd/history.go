@@ -2,7 +2,6 @@ package switchd
 
 import (
 	"context"
-	"math"
 	"net/http"
 	"slices"
 	"strconv"
@@ -146,38 +145,6 @@ func (ctl *Controller) federationHealth() []api.FederationPeerHealth {
 	return nil
 }
 
-// loadgenFreshness bounds how long a loadgen self-report keeps
-// publishing gauges after the run stops reporting.
-const loadgenFreshness = 15 * time.Second
-
-// ReportLoadgen records a load generator's self-report; while fresh
-// (under loadgenFreshness old) it is published as the wdm_loadgen_*
-// gauges (offered/achieved rates, offered Erlangs, block rate), so a
-// run's offered-vs-achieved curve — and, during an Erlang sweep, the
-// current load point and its running blocking probability — lands in
-// the metrics history next to the blocking counters it explains.
-func (ctl *Controller) ReportLoadgen(rep api.LoadgenReport) {
-	ctl.loadgenOffered.Store(math.Float64bits(rep.OfferedRPS))
-	ctl.loadgenAchieved.Store(math.Float64bits(rep.AchievedRPS))
-	ctl.loadgenErlangs.Store(math.Float64bits(rep.OfferedErlangs))
-	ctl.loadgenBlockRate.Store(math.Float64bits(rep.BlockRate))
-	ctl.loadgenAt.Store(time.Now().UnixNano())
-}
-
-// loadgenRates returns the last self-report if it is still fresh.
-func (ctl *Controller) loadgenRates() (rep api.LoadgenReport, ok bool) {
-	at := ctl.loadgenAt.Load()
-	if at == 0 || time.Since(time.Unix(0, at)) > loadgenFreshness {
-		return api.LoadgenReport{}, false
-	}
-	return api.LoadgenReport{
-		OfferedRPS:     math.Float64frombits(ctl.loadgenOffered.Load()),
-		AchievedRPS:    math.Float64frombits(ctl.loadgenAchieved.Load()),
-		OfferedErlangs: math.Float64frombits(ctl.loadgenErlangs.Load()),
-		BlockRate:      math.Float64frombits(ctl.loadgenBlockRate.Load()),
-	}, true
-}
-
 // handleQuery serves GET /v1/query: instant and range queries over the
 // embedded history (?query=, ?start=, ?end=, ?step=).
 func (ctl *Controller) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -227,15 +194,4 @@ func (ctl *Controller) handleDebugTSDB(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = ctl.store.DumpJSON(w)
-}
-
-// handleLoadgen serves POST /v1/loadgen: the load generator's
-// offered/achieved self-report.
-func (ctl *Controller) handleLoadgen(w http.ResponseWriter, r *http.Request) {
-	var rep api.LoadgenReport
-	if !decodeBody(w, r, &rep) {
-		return
-	}
-	ctl.ReportLoadgen(rep)
-	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
 }

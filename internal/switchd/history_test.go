@@ -156,18 +156,6 @@ func TestAlertDrillEndToEnd(t *testing.T) {
 		t.Fatalf("range query over the drill shows no blocking spike: %+v", qr)
 	}
 
-	// Loadgen self-report lands as gauges next to the history.
-	if err := cl.ReportLoad(ctx, api.LoadgenReport{OfferedRPS: 120, AchievedRPS: 97.5}); err != nil {
-		t.Fatalf("POST /v1/loadgen: %v", err)
-	}
-	m = promSnapshot(t, cl)
-	if v, ok := m.Value("wdm_loadgen_offered_rps", nil); !ok || v != 120 {
-		t.Fatalf("wdm_loadgen_offered_rps = %v,%v want 120", v, ok)
-	}
-	if v, ok := m.Value("wdm_loadgen_achieved_rps", nil); !ok || v != 97.5 {
-		t.Fatalf("wdm_loadgen_achieved_rps = %v,%v want 97.5", v, ok)
-	}
-
 	// The debug dump (the CI artifact) is real JSON holding the series.
 	resp, err := srv.Client().Get(srv.URL + "/v1/debug/tsdb")
 	if err != nil {

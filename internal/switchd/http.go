@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/fabric/backend"
 	"repro/internal/multistage"
-	"repro/internal/obs"
 	"repro/internal/obs/span"
 	"repro/internal/switchd/api"
 	"repro/internal/wdm"
@@ -34,7 +33,6 @@ import (
 //	GET  /v1/slo            (sliding-window SLIs and burn-rate alerts over the metrics history)
 //	GET  /v1/query          (metrics history: ?query=, ?start=, ?end=, ?step=; rate()/increase()/histogram_quantile())
 //	GET  /v1/alerts         (alerting rules engine: per-rule pending/firing state)
-//	POST /v1/loadgen        {"offered_rps": ..., "achieved_rps": ...} (loadgen self-report gauges)
 //	GET  /v1/debug/tsdb     (full metrics-history dump: stats + every series)
 //	GET  /v1/debug/blocking (forensics ring buffer: recent blocking incidents)
 //	GET  /v1/debug/spans    (tail-sampled completed traces; ?blocked=1, ?trace=ID, ?limit=N)
@@ -72,7 +70,6 @@ func (ctl *Controller) Handler() http.Handler {
 	mux.HandleFunc("/v1/slo", ctl.handleSLO)
 	mux.HandleFunc("/v1/query", ctl.handleQuery)
 	mux.HandleFunc("/v1/alerts", ctl.handleAlerts)
-	mux.HandleFunc("/v1/loadgen", ctl.handleLoadgen)
 	mux.HandleFunc("/v1/version", ctl.handleVersion)
 	mux.HandleFunc("/v1/debug/blocking", ctl.handleDebugBlocking)
 	mux.HandleFunc("/v1/debug/spans", ctl.handleDebugSpans)
@@ -82,15 +79,10 @@ func (ctl *Controller) Handler() http.Handler {
 	return ctl.tracer.Middleware(mux)
 }
 
-// respond writes v as the JSON response for a phase-timed request: the
-// phase split so far goes out in a Server-Timing header (set before the
-// body, so it covers every phase up to the write itself), and the write
-// is timed as the respond phase. The caller's deferred
+// respond writes v as the JSON response for a phase-timed request and
+// times the write as the respond phase. The caller's deferred
 // phaseTimer.observe picks the respond time up afterwards.
 func (ctl *Controller) respond(w http.ResponseWriter, code int, v any, pt *phaseTimer) {
-	if st := pt.serverTiming(); st != "" {
-		w.Header().Set("Server-Timing", st)
-	}
 	start := time.Now()
 	writeJSON(w, code, v)
 	pt.add(phaseRespond, time.Since(start))
@@ -190,7 +182,6 @@ func (ctl *Controller) handleConnect(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		if multistage.IsBlocked(err) {
 			ctl.logger.LogAttrs(r.Context(), slog.LevelWarn, "blocked",
-				slog.String("request_id", obs.RequestID(r.Context())),
 				slog.String("trace_id", span.FromContext(r.Context()).TraceID()),
 				slog.String("op", "connect"),
 				slog.Int("fabric", plane),
@@ -226,7 +217,6 @@ func (ctl *Controller) handleBranch(w http.ResponseWriter, r *http.Request) {
 	if err := ctl.addBranch(r.Context(), &pt, req.Session, dests...); err != nil {
 		if multistage.IsBlocked(err) {
 			ctl.logger.LogAttrs(r.Context(), slog.LevelWarn, "blocked",
-				slog.String("request_id", obs.RequestID(r.Context())),
 				slog.String("trace_id", span.FromContext(r.Context()).TraceID()),
 				slog.String("op", "branch"),
 				slog.Uint64("session", req.Session),

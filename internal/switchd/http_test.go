@@ -1,13 +1,17 @@
 package switchd
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
+	"repro/internal/obs/span"
 	"repro/internal/switchd/api"
 )
 
@@ -155,5 +159,47 @@ func TestHTTPStatusMapping(t *testing.T) {
 	var st Status
 	if code := do(t, h, "GET", "/v1/status", "", &st); code != http.StatusOK || !st.Draining || st.Active != 0 {
 		t.Fatalf("status after drain: code %d %+v", code, st)
+	}
+}
+
+// TestServedConnectTraceIDIsTheOnlyID serves one connect through the
+// request log around the controller's handler, as wdmserve does: the
+// response carries the traceparent and neither of the retired side
+// channels (Server-Timing, X-Request-Id), the log line's trace_id is
+// the response's trace id, and POST /v1/loadgen is gone.
+func TestServedConnectTraceIDIsTheOnlyID(t *testing.T) {
+	ctl := newTestController(t, Config{Fabric: testParams(), Replicas: 1})
+	var logBuf bytes.Buffer
+	h := obs.WithRequestLog(ctl.Handler(), slog.New(slog.NewJSONHandler(&logBuf, nil)))
+
+	req := httptest.NewRequest("POST", "/v1/connect", strings.NewReader(`{"connection": "0.0>5.0"}`))
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, req)
+	if w.Code != http.StatusOK {
+		t.Fatalf("connect: code %d body %s", w.Code, w.Body)
+	}
+	tp := w.Header().Get(span.TraceparentHeader)
+	tid, _, _, err := span.ParseTraceparent(tp)
+	if err != nil {
+		t.Fatalf("response traceparent %q: %v", tp, err)
+	}
+	for _, hdr := range []string{"Server-Timing", "X-Request-Id"} {
+		if v := w.Header().Get(hdr); v != "" {
+			t.Errorf("response carries %s: %q", hdr, v)
+		}
+	}
+	var line map[string]any
+	if err := json.Unmarshal(logBuf.Bytes(), &line); err != nil {
+		t.Fatalf("request log line not JSON: %v\n%s", err, logBuf.Bytes())
+	}
+	if line["msg"] != "request" || line["trace_id"] != tid.String() {
+		t.Errorf("request log line %v, want msg=request trace_id=%s", line, tid)
+	}
+	if _, ok := line["request_id"]; ok {
+		t.Errorf("request log line still carries request_id: %v", line)
+	}
+
+	if code := do(t, ctl.Handler(), "POST", "/v1/loadgen", `{"offered_rps": 1}`, nil); code != http.StatusNotFound {
+		t.Errorf("POST /v1/loadgen: code %d, want 404", code)
 	}
 }

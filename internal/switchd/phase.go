@@ -1,8 +1,6 @@
 package switchd
 
 import (
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/obs/span"
@@ -13,12 +11,12 @@ import (
 // controller's unexported hot-path methods. The timer is deliberately
 // allocation-free — a fixed array of duration accumulators, nil-safe on
 // every method — so the bench path can run with a nil timer (or a stack
-// one) at zero heap cost, benchmark-asserted in phase_alloc_test.go.
+// one) at zero heap cost, asserted in phase_test.go.
 //
-// The phases answer the question ROADMAP item 1 raises: when the
-// 4-core throughput row is slower than 1-core, is the time going to
-// lock acquisition (the per-controller mutex funnel), the route search
-// itself, the WAL group commit, or the replication ack barrier?
+// The split is exported as the wdm_phase_seconds{phase} histograms on
+// /metrics, and sampled spans carry it as attributes. A load generator
+// that wants a per-run phase mean reads the histograms' sum and count
+// deltas, as traffic.Sweep does.
 
 type phase int
 
@@ -47,7 +45,7 @@ const (
 )
 
 // phaseNames index by phase; these are the `phase` label values of
-// wdm_phase_seconds and the Server-Timing metric names.
+// wdm_phase_seconds.
 var phaseNames = [numPhases]string{
 	"admission_wait",
 	"lock_wait",
@@ -110,27 +108,4 @@ func (pt *phaseTimer) annotate(sp *span.Span) {
 			sp.SetAttr(phaseAttrs[p], pt.d[p].Microseconds())
 		}
 	}
-}
-
-// serverTiming renders the accumulated phases as a Server-Timing
-// header value ("lock_wait;dur=0.041, route_search;dur=0.012", dur in
-// milliseconds per the spec). Empty when nothing was timed. Allocates;
-// HTTP-path only.
-func (pt *phaseTimer) serverTiming() string {
-	if pt == nil {
-		return ""
-	}
-	var b strings.Builder
-	for p := phase(0); p < numPhases; p++ {
-		if pt.d[p] <= 0 {
-			continue
-		}
-		if b.Len() > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(phaseNames[p])
-		b.WriteString(";dur=")
-		b.WriteString(strconv.FormatFloat(float64(pt.d[p])/1e6, 'f', 3, 64))
-	}
-	return b.String()
 }

@@ -189,12 +189,6 @@ func (ctl *Controller) WriteProm(w *obs.PromWriter) {
 				b2f(a.State == tsdb.StateFiring), obs.Label{Name: "rule", Value: a.Rule.Name})
 		}
 	}
-	if lg, ok := ctl.loadgenRates(); ok {
-		w.Gauge("wdm_loadgen_offered_rps", "Load generator offered request rate (fresh self-report only).", lg.OfferedRPS)
-		w.Gauge("wdm_loadgen_achieved_rps", "Load generator achieved (routed) request rate (fresh self-report only).", lg.AchievedRPS)
-		w.Gauge("wdm_loadgen_offered_erlangs", "Load generator configured offered load in Erlangs (fresh self-report only).", lg.OfferedErlangs)
-		w.Gauge("wdm_loadgen_block_rate", "Load generator cumulative measured blocking probability (fresh self-report only).", lg.BlockRate)
-	}
 
 	// Federation plane (present only with configured peers): per-peer
 	// reachability as seen by the background prober.

@@ -262,16 +262,6 @@ type Controller struct {
 	alertEng   *tsdb.AlertEngine
 	histCancel context.CancelFunc
 	histDone   chan struct{}
-
-	// Last loadgen self-report (see ReportLoadgen): float64 bits of the
-	// offered/achieved rates, offered Erlangs, and block rate, plus the
-	// report's unix-nano arrival time; the gauges are only published
-	// while the report is fresh.
-	loadgenOffered   atomic.Uint64
-	loadgenAchieved  atomic.Uint64
-	loadgenErlangs   atomic.Uint64
-	loadgenBlockRate atomic.Uint64
-	loadgenAt        atomic.Int64
 }
 
 // New builds a controller with cfg.Replicas freshly constructed fabric
@@ -351,9 +341,6 @@ func (ctl *Controller) ActiveSessions() int64 { return ctl.active.Load() }
 
 // Metrics returns the controller's metrics registry.
 func (ctl *Controller) Metrics() *Metrics { return ctl.metrics }
-
-// Tracer returns the controller's span tracer (nil when disabled).
-func (ctl *Controller) Tracer() *span.Tracer { return ctl.tracer }
 
 // routeSpanObserver adapts the multistage route observer to the span
 // tracer: every middle-stage decision of one fabric operation becomes a

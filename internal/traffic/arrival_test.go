@@ -255,18 +255,3 @@ func TestWilsonInterval(t *testing.T) {
 		t.Errorf("500/1000 interval width %g too wide", hi-lo)
 	}
 }
-
-func TestParseServerTiming(t *testing.T) {
-	sums, counts := map[string]float64{}, map[string]int{}
-	ParseServerTiming("route;dur=1.5, admit;dur=0.25", sums, counts)
-	ParseServerTiming("route;dur=0.5, malformed, x;nope", sums, counts)
-	if sums["route"] != 2.0 || counts["route"] != 2 {
-		t.Errorf("route = %g over %d samples, want 2.0 over 2", sums["route"], counts["route"])
-	}
-	if sums["admit"] != 0.25 || counts["admit"] != 1 {
-		t.Errorf("admit = %g over %d samples, want 0.25 over 1", sums["admit"], counts["admit"])
-	}
-	if len(sums) != 2 {
-		t.Errorf("unexpected phases parsed: %v", sums)
-	}
-}

@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/switchd/api"
@@ -91,19 +90,6 @@ type Config struct {
 	StreamLog io.Writer
 }
 
-// Progress is the engine's live counters, safe to read concurrently
-// with a run (the loadgen self-reporter streams them to the target).
-type Progress struct {
-	offered atomic.Int64 // every fabric-bound request sent
-	routed  atomic.Int64 // requests the fabric routed
-	blocked atomic.Int64 // genuine blocking answers
-}
-
-// Counters returns the current offered/routed/blocked totals.
-func (p *Progress) Counters() (offered, routed, blocked int64) {
-	return p.offered.Load(), p.routed.Load(), p.blocked.Load()
-}
-
 // Report aggregates one engine run.
 type Report struct {
 	Workers  int
@@ -114,8 +100,7 @@ type Report struct {
 
 // Engine drives one run against one target.
 type Engine struct {
-	cfg  Config
-	prog Progress
+	cfg Config
 }
 
 // NewEngine validates the config, applies defaults, and returns a
@@ -150,9 +135,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	return &Engine{cfg: cfg}, nil
 }
-
-// Progress exposes the engine's live counters.
-func (e *Engine) Progress() *Progress { return &e.prog }
 
 // Run executes the configured workload and returns the merged report.
 // Every worker runs its own closed loop over a disjoint slice of one
@@ -193,7 +175,7 @@ func (e *Engine) Run(ctx context.Context) (Report, error) {
 			if i < remainder {
 				attempts++
 			}
-			w := newWorker(&cfg, status, model, i, lg, &e.prog)
+			w := newWorker(&cfg, status, model, i, lg)
 			w.run(ctx, attempts)
 			results[i] = w.stats
 		}(i, lg)
@@ -238,7 +220,6 @@ type liveSession struct {
 type worker struct {
 	cfg    *Config
 	sink   Sink
-	prog   *Progress
 	stats  Stats
 	log    *streamBuffer
 	fabric int
@@ -253,11 +234,10 @@ type worker struct {
 	hotBuf  []wdm.PortWave
 }
 
-func newWorker(cfg *Config, status api.Status, model wdm.Model, id int, lg *streamBuffer, prog *Progress) *worker {
+func newWorker(cfg *Config, status api.Status, model wdm.Model, id int, lg *streamBuffer) *worker {
 	w := &worker{
 		cfg:    cfg,
 		sink:   cfg.Sink,
-		prog:   prog,
 		stats:  newStats(),
 		log:    lg,
 		fabric: id / cfg.WorkersPerFabric,
@@ -355,30 +335,22 @@ func (w *worker) admitConnection(ctx context.Context, conn wdm.Connection, verb 
 	r, err := w.sink.Connect(ctx, w.fabric, conn)
 	rtt := time.Since(start)
 	w.stats.Latencies = append(w.stats.Latencies, rtt)
-	if r.ServerTiming != "" {
-		ParseServerTiming(r.ServerTiming, w.stats.PhaseMs, w.stats.PhaseN)
-	}
 	if err != nil {
 		w.stats.Err = fmt.Errorf("traffic: %s %s: %w", verb, connStr, err)
 		return "", liveSession{}, true
 	}
 	w.stats.Outcomes[r.Code]++
-	w.prog.offered.Add(1)
 	w.logf("%s %s -> %s\n", verb, connStr, r.Code)
 	if r.Code == OK {
 		w.stats.Routed++
 		if r.Repacked {
 			w.stats.Repacked++
 		}
-		w.prog.routed.Add(1)
 		w.freeSrc.Take(conn.Source)
 		for _, d := range conn.Dests {
 			w.freeDst.Take(d)
 		}
 		return OK, liveSession{id: r.Session, conn: conn}, false
-	}
-	if IsBlockedCode(r.Code) {
-		w.prog.blocked.Add(1)
 	}
 	return r.Code, liveSession{}, false
 }
@@ -600,21 +572,18 @@ func (w *worker) churnGrow(ctx context.Context, sess liveSession, now float64) (
 		return sess, false // no admissible leaf free; skip this event
 	}
 	w.stats.Branches++
-	w.prog.offered.Add(1)
 	code, err := w.sink.Branch(ctx, sess.id, slot)
 	switch {
 	case err != nil:
 		w.stats.Err = fmt.Errorf("traffic: branch session %d: %w", sess.id, err)
 		return sess, true
 	case code == OK:
-		w.prog.routed.Add(1)
 		w.freeDst.Take(slot)
 		sess.conn.Dests = append(sess.conn.Dests, slot)
 		sess.conn = sess.conn.Normalize()
 		w.logf("t=%.6f branch %s += %s -> ok\n", now, wdm.FormatConnection(sess.conn), wdm.FormatSlot(slot))
 	case IsBlockedCode(code):
 		w.stats.BranchBlocked++
-		w.prog.blocked.Add(1)
 		w.logf("t=%.6f branch %s += %s -> %s\n", now, wdm.FormatConnection(sess.conn), wdm.FormatSlot(slot), code)
 	case code == api.CodeNotFound:
 		w.stats.Lost++

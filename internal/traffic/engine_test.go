@@ -85,9 +85,6 @@ func TestErlangModeAtBound(t *testing.T) {
 	if live := ctl.ActiveSessions(); live != 0 {
 		t.Errorf("%d sessions leaked on the server after drain", live)
 	}
-	if offered, routed, blocked := eng.Progress().Counters(); offered == 0 || routed == 0 || blocked != 0 {
-		t.Errorf("progress counters offered=%d routed=%d blocked=%d", offered, routed, blocked)
-	}
 }
 
 // TestBlockingBelowBound is the control: the same dynamic traffic
@@ -223,6 +220,12 @@ func TestSweepAtBound(t *testing.T) {
 		if pt.MeanFanout < 1 {
 			t.Errorf("point %d: mean fanout %g < 1", i, pt.MeanFanout)
 		}
+		// The phase means come from the target's own registry.
+		for _, ph := range []string{"route_search", "admission_wait"} {
+			if v := pt.ServerPhases[ph]; v <= 0 {
+				t.Errorf("point %d: server_phase_mean_us[%s] = %g, want > 0 (phases %v)", i, ph, v, pt.ServerPhases)
+			}
+		}
 	}
 	// The artifact's spec strings round-trip, so -mode replay can
 	// rebuild the exact workload.
@@ -283,6 +286,25 @@ func TestSinksAgree(t *testing.T) {
 		}
 		if m == 3 && local.BlockedTotal() == 0 {
 			t.Errorf("m=3 run never blocked; the comparison is vacuous")
+		}
+	}
+
+	// An in-process sweep has no registry to read: no phase means.
+	p := multistage.Params{N: 16, K: 2, R: 4, X: 1, Model: wdm.MSW, Construction: multistage.MSWDominant, Lite: true}
+	net, err := multistage.New(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	curves, err := traffic.Sweep(context.Background(), traffic.SweepConfig{
+		Engine: traffic.Config{Sink: traffic.NewNetworkSink(net, net.Params()), Seed: 3, Arrivals: 200},
+		Points: []float64{2, 4},
+	})
+	if err != nil {
+		t.Fatalf("in-process Sweep: %v", err)
+	}
+	for i, pt := range curves.Points {
+		if pt.ServerPhases != nil {
+			t.Errorf("in-process point %d has server phases %v, want nil", i, pt.ServerPhases)
 		}
 	}
 }

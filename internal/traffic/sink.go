@@ -38,10 +38,9 @@ type Reply struct {
 	Code    string
 	// Repacked: the target rearranged live sessions to admit this one.
 	Repacked bool
-	// TraceID and ServerTiming are the W3C trace id the request carried
-	// and the target's Server-Timing header (empty in process).
-	TraceID      string
-	ServerTiming string
+	// TraceID is the W3C trace id the request carried (empty in
+	// process).
+	TraceID string
 }
 
 // NewClientSink returns the sink that drives a live target through its
@@ -58,7 +57,6 @@ func (s clientSink) Connect(ctx context.Context, fabric int, c wdm.Connection) (
 	tid := span.NewTraceID()
 	r := Reply{TraceID: tid.String()}
 	ctx = client.ContextWithTraceparent(ctx, span.FormatTraceparent(tid, span.NewSpanID(), span.FlagSampled))
-	ctx = client.ContextWithServerTiming(ctx, &r.ServerTiming)
 	cr, err := s.cl.Connect(ctx, wdm.FormatConnection(c), fabric)
 	r.Session = cr.Session
 	r.Code, err = codeOf(err)
@@ -75,10 +73,9 @@ func (s clientSink) Disconnect(ctx context.Context, session uint64) (string, err
 	return codeOf(err)
 }
 
-// ReportLoad lets Sweep post its live rates to the target.
-func (s clientSink) ReportLoad(ctx context.Context, rep api.LoadgenReport) error {
-	return s.cl.ReportLoad(ctx, rep)
-}
+// Prom reads the target's /metrics exposition, so Sweep can take each
+// point's phase means from the target's own registry.
+func (s clientSink) Prom(ctx context.Context) (string, error) { return s.cl.Prom(ctx) }
 
 // codeOf splits a client error into an outcome code and a transport
 // failure (an error without a stable code).

@@ -3,8 +3,6 @@ package traffic
 import (
 	"math"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 )
 
@@ -78,11 +76,6 @@ type Stats struct {
 	// Latencies holds per-connect round trips.
 	Latencies []time.Duration `json:"-"`
 
-	// PhaseMs/PhaseN accumulate the server's Server-Timing attribution:
-	// per-phase millisecond sums and sample counts.
-	PhaseMs map[string]float64 `json:"-"`
-	PhaseN  map[string]int     `json:"-"`
-
 	Err error `json:"-"`
 }
 
@@ -96,8 +89,6 @@ func newStats() Stats {
 	return Stats{
 		ByFanout: map[int]FanoutStats{},
 		Outcomes: map[string]int{},
-		PhaseMs:  map[string]float64{},
-		PhaseN:   map[string]int{},
 	}
 }
 
@@ -141,50 +132,9 @@ func (s *Stats) merge(src Stats) {
 	for code, n := range src.Outcomes {
 		s.Outcomes[code] += n
 	}
-	for p, ms := range src.PhaseMs {
-		s.PhaseMs[p] += ms
-		s.PhaseN[p] += src.PhaseN[p]
-	}
 	s.Latencies = append(s.Latencies, src.Latencies...)
 	if s.Err == nil {
 		s.Err = src.Err
-	}
-}
-
-// PhaseMeans converts the Server-Timing accumulation into mean
-// microseconds per phase (nil when the server reported none).
-func (s *Stats) PhaseMeans() map[string]float64 {
-	if len(s.PhaseMs) == 0 {
-		return nil
-	}
-	out := make(map[string]float64, len(s.PhaseMs))
-	for p, ms := range s.PhaseMs {
-		if n := s.PhaseN[p]; n > 0 {
-			out[p] = ms * 1e3 / float64(n)
-		}
-	}
-	return out
-}
-
-// ParseServerTiming folds one Server-Timing header (switchd emits
-// comma-separated `name;dur=<ms>` entries) into per-phase millisecond
-// sums and sample counts; unparseable entries are skipped.
-func ParseServerTiming(h string, sumMs map[string]float64, counts map[string]int) {
-	for _, part := range strings.Split(h, ",") {
-		name, rest, ok := strings.Cut(strings.TrimSpace(part), ";")
-		if !ok || name == "" {
-			continue
-		}
-		durStr, ok := strings.CutPrefix(strings.TrimSpace(rest), "dur=")
-		if !ok {
-			continue
-		}
-		ms, err := strconv.ParseFloat(durStr, 64)
-		if err != nil {
-			continue
-		}
-		sumMs[name] += ms
-		counts[name]++
 	}
 }
 

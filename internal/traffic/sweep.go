@@ -3,10 +3,11 @@ package traffic
 import (
 	"context"
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/analytic"
-	"repro/internal/switchd/api"
+	"repro/internal/obs"
 )
 
 // SweepConfig drives offered load through a sequence of Erlang steps.
@@ -49,8 +50,12 @@ type CurvePoint struct {
 	// MeanFanout is the measured mean connect fanout at this point.
 	MeanFanout float64 `json:"mean_fanout"`
 
-	// Latency is the client-observed connect round trip; ServerPhases
-	// the target's own Server-Timing attribution (mean µs per phase).
+	// Latency is the client-observed connect round trip. ServerPhases
+	// is the target's own mean µs per phase over every phase-timed
+	// request of the point (connects, branches and disconnects,
+	// including the response write): the deltas of its
+	// wdm_phase_seconds sum and count across the point. Nil when the
+	// sink has no /metrics (in process).
 	Latency      ClientLatency      `json:"connect_latency_us"`
 	ServerPhases map[string]float64 `json:"server_phase_mean_us,omitempty"`
 
@@ -69,7 +74,9 @@ type CurvePoint struct {
 // to reproduce the run.
 type Curves struct {
 	GeneratedAt string `json:"generated_at"`
-	Target      string `json:"target"`
+	// Target is the base URL the sweep drove (set by wdmload; empty in
+	// process).
+	Target string `json:"target"`
 
 	Backend      string `json:"backend"`
 	Model        string `json:"model"`
@@ -117,10 +124,9 @@ func (c Curves) MaxPBlock() float64 {
 
 // Sweep runs the engine once per load point and assembles the curve.
 // Between points every session has been torn down (the engine drains),
-// so points are independent measurements. While each point runs
-// against a live target, a self-reporter posts the offered Erlangs and
-// running block rate to it once a second, so the sweep is visible in
-// the server's gauges and in wdmtop's fleet view.
+// so points are independent measurements. Against a live target each
+// point reads the target's /metrics before and after its run for the
+// server phase means.
 func Sweep(ctx context.Context, cfg SweepConfig) (Curves, error) {
 	if len(cfg.Points) == 0 {
 		return Curves{}, fmt.Errorf("traffic: sweep needs at least one load point")
@@ -162,19 +168,17 @@ func Sweep(ctx context.Context, cfg SweepConfig) (Curves, error) {
 			curves.Fanout = FormatFanout(eng.cfg.Fanout)
 		}
 
-		repCtx, stopReport := context.WithCancel(ctx)
-		repDone := make(chan struct{})
-		go func() {
-			defer close(repDone)
-			if r, ok := ecfg.Sink.(LoadReporter); ok {
-				ReportLoop(repCtx, r, eng.Progress(), erl)
-			}
-		}()
+		before, err := readPhases(ctx, ecfg.Sink)
+		if err != nil {
+			return curves, err
+		}
 		rep, err := eng.Run(ctx)
-		stopReport()
-		<-repDone
 		if err != nil {
 			return curves, fmt.Errorf("traffic: sweep point %d (%.3g Erlangs): %w", i, erl, err)
+		}
+		after, err := readPhases(ctx, ecfg.Sink)
+		if err != nil {
+			return curves, err
 		}
 
 		if i == 0 {
@@ -194,7 +198,7 @@ func Sweep(ctx context.Context, cfg SweepConfig) (Curves, error) {
 			PBlock:       s.PBlock(),
 			Unoffered:    s.Unoffered,
 			Latency:      LatencyQuantiles(s.Latencies),
-			ServerPhases: s.PhaseMeans(),
+			ServerPhases: phaseMeans(before, after),
 			Duration:     rep.Duration,
 		}
 		pt.WilsonLo, pt.WilsonHi = WilsonInterval(s.BlockedTotal(), s.Offered(), cfg.Z)
@@ -211,43 +215,55 @@ func Sweep(ctx context.Context, cfg SweepConfig) (Curves, error) {
 	return curves, nil
 }
 
-// LoadReporter is a target that takes the generator's live rates (POST
-// /v1/loadgen): the typed client and the client sink.
-type LoadReporter interface {
-	ReportLoad(ctx context.Context, rep api.LoadgenReport) error
-}
+// phaseTotal is one phase's wdm_phase_seconds sum (seconds) and count.
+type phaseTotal struct{ sum, count float64 }
 
-// ReportLoop posts the generator's live rates to the target once a
-// second until ctx is done: offered/achieved requests per second over
-// the last tick, plus the configured offered Erlangs and the cumulative
-// block rate. Report failures are ignored — the target may be
-// unreachable mid-chaos, and result accounting never depends on the
-// reports landing.
-func ReportLoop(ctx context.Context, cl LoadReporter, prog *Progress, erlangs float64) {
-	tick := time.NewTicker(time.Second)
-	defer tick.Stop()
-	lastOffered, lastRouted := int64(0), int64(0)
-	lastAt := time.Now()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case now := <-tick.C:
-			offered, routed, blocked := prog.Counters()
-			secs := now.Sub(lastAt).Seconds()
-			if secs <= 0 {
-				continue
+// readPhases reads wdm_phase_seconds_sum and _count per phase label
+// from the target's /metrics, through the sink's optional Prom method
+// (the client sink has it; NetworkSink has no registry, and reads nil).
+func readPhases(ctx context.Context, sink Sink) (map[string]phaseTotal, error) {
+	pr, ok := sink.(interface {
+		Prom(ctx context.Context) (string, error)
+	})
+	if !ok {
+		return nil, nil
+	}
+	text, err := pr.Prom(ctx)
+	if err != nil {
+		return nil, fmt.Errorf("traffic: reading the target's /metrics: %w", err)
+	}
+	m, err := obs.ParseProm(strings.NewReader(text))
+	if err != nil {
+		return nil, fmt.Errorf("traffic: parsing the target's /metrics: %w", err)
+	}
+	out := map[string]phaseTotal{}
+	if fam := m["wdm_phase_seconds"]; fam != nil {
+		for _, s := range fam.Samples {
+			t := out[s.Labels["phase"]]
+			switch s.Name {
+			case "wdm_phase_seconds_sum":
+				t.sum = s.Value
+			case "wdm_phase_seconds_count":
+				t.count = s.Value
 			}
-			rep := api.LoadgenReport{
-				OfferedRPS:     float64(offered-lastOffered) / secs,
-				AchievedRPS:    float64(routed-lastRouted) / secs,
-				OfferedErlangs: erlangs,
-			}
-			if offered > 0 {
-				rep.BlockRate = float64(blocked) / float64(offered)
-			}
-			lastOffered, lastRouted, lastAt = offered, routed, now
-			_ = cl.ReportLoad(ctx, rep)
+			out[s.Labels["phase"]] = t
 		}
 	}
+	return out, nil
+}
+
+// phaseMeans is the mean µs per phase over the requests timed between
+// two registry reads; nil when no phase was timed in between.
+func phaseMeans(before, after map[string]phaseTotal) map[string]float64 {
+	var out map[string]float64
+	for p, a := range after {
+		b := before[p]
+		if n := a.count - b.count; n > 0 {
+			if out == nil {
+				out = map[string]float64{}
+			}
+			out[p] = (a.sum - b.sum) / n * 1e6
+		}
+	}
+	return out
 }
