@@ -151,27 +151,38 @@ chaos-demo:
 # Crash drill (EXPERIMENTS.md § "Crash walkthrough", scripted): a
 # durable server takes acknowledged traffic, dies on SIGKILL with no
 # drain, wdmwal proves the log clean, and a restart on the same data
-# directory recovers every session under its original id.
+# directory recovers every session under its original id. The drill
+# fails unless every request succeeds, `wdmwal verify` exits 0 after the
+# kill, session 1 comes back with its branch 12.0, and /v1/health reports
+# both sessions recovered. SIGKILL keeps the page cache, so the drill
+# catches an acknowledgement sent before the frame left the process's
+# buffer, but not a skipped fsync.
 crash-demo:
 	@$(GO) build -o /tmp/wdm-crash-serve ./cmd/wdmserve
 	@$(GO) build -o /tmp/wdm-crash-wal ./cmd/wdmwal
-	@rm -rf /tmp/wdm-crash-data; \
+	@fail() { echo "CRASH DEMO FAILED: $$1"; exit 1; }; \
+	rm -rf /tmp/wdm-crash-data; \
 	/tmp/wdm-crash-serve -addr 127.0.0.1:8049 -replicas 2 -data-dir /tmp/wdm-crash-data & \
-	pid=$$!; sleep 0.5; \
-	curl -s -XPOST 127.0.0.1:8049/v1/connect -d '{"connection":"0.0>4.0,9.0"}'; echo; \
-	curl -s -XPOST 127.0.0.1:8049/v1/connect -d '{"connection":"1.0>6.0"}'; echo; \
-	curl -s -XPOST 127.0.0.1:8049/v1/branch -d '{"session":1,"dests":["12.0"]}'; echo; \
+	pid=$$!; trap 'kill -9 $$pid 2>/dev/null' EXIT; sleep 0.5; \
+	curl -sf -XPOST 127.0.0.1:8049/v1/connect -d '{"connection":"0.0>4.0,9.0"}' || fail 'connect 0.0>4.0,9.0'; echo; \
+	curl -sf -XPOST 127.0.0.1:8049/v1/connect -d '{"connection":"1.0>6.0"}' || fail 'connect 1.0>6.0'; echo; \
+	curl -sf -XPOST 127.0.0.1:8049/v1/branch -d '{"session":1,"dests":["12.0"]}' || fail 'branch session 1'; echo; \
 	kill -9 $$pid; wait $$pid 2>/dev/null; \
 	echo '--- wdmwal verify after SIGKILL'; \
-	/tmp/wdm-crash-wal verify /tmp/wdm-crash-data; \
+	/tmp/wdm-crash-wal verify /tmp/wdm-crash-data || fail 'wdmwal verify after SIGKILL'; \
 	/tmp/wdm-crash-serve -addr 127.0.0.1:8049 -replicas 2 -data-dir /tmp/wdm-crash-data & \
-	trap 'kill $$!' EXIT; sleep 0.5; \
+	pid=$$!; sleep 0.5; \
 	echo '--- recovered session 1 after restart'; \
-	curl -s '127.0.0.1:8049/v1/session?id=1'; echo; \
+	s1=$$(curl -s '127.0.0.1:8049/v1/session?id=1'); echo "$$s1"; \
+	echo "$$s1" | tr -d ' \n' | grep -q '"session":1,.*"connection":"0.0\\u003e4.0,9.0,12.0"' \
+	    || fail 'session 1 not recovered with its branch 12.0'; \
 	echo '--- /v1/health durability row'; \
-	curl -s 127.0.0.1:8049/v1/health; echo; \
+	h=$$(curl -s 127.0.0.1:8049/v1/health); echo "$$h"; \
+	echo "$$h" | tr -d ' \n' | grep -q '"recovered_sessions":2,' \
+	    || fail '/v1/health does not report 2 recovered sessions'; \
 	echo '--- wdmwal replay'; \
-	/tmp/wdm-crash-wal replay /tmp/wdm-crash-data
+	/tmp/wdm-crash-wal replay /tmp/wdm-crash-data || fail 'wdmwal replay'; \
+	echo 'crash demo OK: log clean after SIGKILL, both sessions recovered, session 1 with branch 12.0'
 
 # Failover drill (EXPERIMENTS.md § "Failover walkthrough", scripted):
 # a 3-shard cluster — one primary per shard, plus a warm standby

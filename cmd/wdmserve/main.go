@@ -97,7 +97,6 @@ func main() {
 	alertsFile := flag.String("alerts", "", `alerting rules file ({"rules":[...]}; empty = the shipped default ruleset; requires -history > 0)`)
 	alertWebhook := flag.String("alert-webhook", "", "POST every alert state transition to this URL as JSON")
 	dataDir := flag.String("data-dir", "", "durable state directory: journal every mutation to a WAL, checkpoint periodically, recover on start (empty = in-memory only)")
-	walSync := flag.Duration("wal-sync", 0, "group-commit latency cap: max time an append waits for batch fsync (0 = default 2ms)")
 	walSegment := flag.Int64("wal-segment-bytes", 0, "WAL segment rotation size (0 = default 16MiB)")
 	snapshotEvery := flag.Duration("snapshot-interval", 0, "durable checkpoint cadence (0 = default 30s, negative disables)")
 
@@ -165,7 +164,6 @@ func main() {
 		},
 		Logger:           logger,
 		DataDir:          *dataDir,
-		WALSyncDelay:     *walSync,
 		WALSegmentBytes:  *walSegment,
 		SnapshotInterval: *snapshotEvery,
 		HistoryInterval:  *history,

@@ -42,7 +42,6 @@ func TestStandbyApplyAcrossBackends(t *testing.T) {
 				Fabric:           tc.params,
 				Replicas:         2,
 				DataDir:          dir1,
-				WALSyncDelay:     -1,
 				SnapshotInterval: -1,
 				WALCommitter:     srv.Commit,
 				Logger:           quietLogger(),
@@ -71,7 +70,6 @@ func TestStandbyApplyAcrossBackends(t *testing.T) {
 					Backend:          tc.name,
 					Fabric:           tc.params,
 					Replicas:         2,
-					WALSyncDelay:     -1,
 					SnapshotInterval: -1,
 					Logger:           quietLogger(),
 				},

@@ -47,7 +47,7 @@ type primaryNode struct {
 	http *httptest.Server
 }
 
-func startPrimary(t *testing.T, dir string, sc ServerConfig) *primaryNode {
+func startPrimary(t testing.TB, dir string, sc ServerConfig) *primaryNode {
 	t.Helper()
 	sc.Logger = quietLogger()
 	srv := NewServer(sc)
@@ -55,7 +55,6 @@ func startPrimary(t *testing.T, dir string, sc ServerConfig) *primaryNode {
 		Fabric:           testParams(),
 		Replicas:         2,
 		DataDir:          dir,
-		WALSyncDelay:     -1,
 		SnapshotInterval: -1,
 		WALCommitter:     srv.Commit,
 		Logger:           quietLogger(),
@@ -78,13 +77,12 @@ func standbyServing() switchd.Config {
 	return switchd.Config{
 		Fabric:           testParams(),
 		Replicas:         2,
-		WALSyncDelay:     -1,
 		SnapshotInterval: -1,
 		Logger:           quietLogger(),
 	}
 }
 
-func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
+func waitFor(t testing.TB, d time.Duration, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(d)
 	for time.Now().Before(deadline) {
@@ -537,7 +535,6 @@ func TestStandbySnapshotBootstrap(t *testing.T) {
 		Fabric:           testParams(),
 		Replicas:         2,
 		DataDir:          dir1,
-		WALSyncDelay:     -1,
 		WALSegmentBytes:  600,
 		SnapshotInterval: -1,
 		WALCommitter:     srv.Commit,

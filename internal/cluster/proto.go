@@ -13,7 +13,10 @@
 // into Server.Commit (durable.Options.Committer) after each batch
 // fsync, which waits — bounded by a timeout — for the standby to both
 // append and fsync the batch before any client in the batch is
-// acknowledged. A healthy pair therefore loses zero acknowledged
+// acknowledged. Neither end waits on a timer. The primary's batch is
+// whatever arrived during the previous fsync, and the standby applies
+// every record frame its stream has already delivered, then fsyncs and
+// acks them once. A healthy pair therefore loses zero acknowledged
 // sessions on primary death; a dead or lagging standby degrades the
 // pair to asynchronous shipping (counted, surfaced in /v1/health)
 // rather than stalling the serving path forever.
@@ -117,4 +120,18 @@ func readFrame(r *bufio.Reader) (byte, []byte, error) {
 		return 0, nil, io.ErrUnexpectedEOF
 	}
 	return hdr[0], payload, nil
+}
+
+// recordBuffered reports whether r already holds one whole record
+// frame, so reading it cannot block. The standby batches on it: every
+// record the stream has delivered shares one fsync and one ack.
+func recordBuffered(r *bufio.Reader) bool {
+	if r.Buffered() < 5 {
+		return false
+	}
+	hdr, err := r.Peek(5)
+	if err != nil || hdr[0] != frameRecord {
+		return false
+	}
+	return uint64(r.Buffered()) >= 5+uint64(binary.LittleEndian.Uint32(hdr[1:5]))
 }

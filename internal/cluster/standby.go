@@ -60,7 +60,8 @@ type StandbyConfig struct {
 // Standby is the shard's spare: a log follower. It follows the
 // primary's WAL over TCP, appends every record to its own durable log
 // (seq-preserving), and acknowledges only after its own fsync — the
-// other half of the primary's semi-sync barrier. It builds no fabrics
+// other half of the primary's semi-sync barrier. Records the stream
+// has already delivered share one fsync and one ack. It builds no fabrics
 // while following: until promotion its HTTP surface serves
 // health/metrics and rejects mutations with not_primary, and Promote
 // (admin request or watchdog) closes the stream and boots a full
@@ -154,7 +155,6 @@ func NewStandby(cfg StandbyConfig) (*Standby, error) {
 func (s *Standby) openPlane() error {
 	opts := durable.Options{
 		Dir:          s.cfg.DataDir,
-		SyncDelay:    s.cfg.Serving.WALSyncDelay,
 		SegmentBytes: s.cfg.Serving.WALSegmentBytes,
 		Logger:       s.cfg.Logger,
 	}
@@ -269,37 +269,11 @@ func (s *Standby) followOnce() error {
 		s.lastContactNs.Store(time.Now().UnixNano())
 		switch typ {
 		case frameRecord:
-			var rec durable.Record
-			if err := json.Unmarshal(payload, &rec); err != nil {
-				return fmt.Errorf("cluster: decode record: %w", err)
-			}
-			// A record carrying the primary's traceparent continues that
-			// trace here: the apply span shares the primary request's
-			// trace id. Records without one (unsampled requests) are
-			// applied untraced — no orphan trace trees.
-			var sp *span.Span
-			if rec.TP != "" {
-				sp = s.tracer.Root("repl.apply", rec.TP)
-				sp.SetAttr("shard", s.cfg.Shard)
-				sp.SetAttr("seq", rec.Seq)
-				sp.SetAttr("op", rec.Op)
-			}
-			if err := s.applyRecord(&rec); err != nil {
-				sp.SetError(err.Error())
-				sp.End()
-				return err
-			}
-			// Every record is acknowledged with its own seq, so no frame
-			// queued behind it (a heartbeat) can hold its ack back. The
-			// fsync runs under the apply span, and the span ends before
-			// the ack publishes the seq: whoever sees AppliedSeq reach a
-			// record also finds its trace.
-			err := s.syncUpTo(rec.Seq, sp)
-			sp.End()
+			seq, err := s.applyBatch(br, payload)
 			if err != nil {
 				return err
 			}
-			if err := s.ack(bw, rec.Seq); err != nil {
+			if err := s.ack(bw, seq); err != nil {
 				return err
 			}
 		case frameSnapshot:
@@ -336,22 +310,75 @@ func (s *Standby) followOnce() error {
 	}
 }
 
+// applyBatch appends the record in payload and every whole record frame
+// the stream has already delivered behind it, then makes them all
+// durable with one fsync, and returns the batch's last seq for one ack.
+// It never waits for a frame: any other frame, or a partial one, ends
+// the batch, so a heartbeat queued behind a record is handled only
+// after that record is synced and acked. Each record keeps its own
+// repl.apply span, ended before the ack that covers it.
+func (s *Standby) applyBatch(br *bufio.Reader, payload []byte) (uint64, error) {
+	var batch []*span.Span
+	defer func() {
+		for _, sp := range batch {
+			sp.End()
+		}
+	}()
+	var last uint64
+	for {
+		var rec durable.Record
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			return 0, fmt.Errorf("cluster: decode record: %w", err)
+		}
+		// A record carrying the primary's traceparent continues that
+		// trace here: the apply span shares the primary request's
+		// trace id. Records without one (unsampled requests) are
+		// applied untraced — no orphan trace trees.
+		var sp *span.Span
+		if rec.TP != "" {
+			sp = s.tracer.Root("repl.apply", rec.TP)
+			sp.SetAttr("shard", s.cfg.Shard)
+			sp.SetAttr("seq", rec.Seq)
+			sp.SetAttr("op", rec.Op)
+			batch = append(batch, sp)
+		}
+		if err := s.applyRecord(&rec); err != nil {
+			sp.SetError(err.Error())
+			return 0, err
+		}
+		last = rec.Seq
+		if !recordBuffered(br) {
+			break
+		}
+		var err error
+		if _, payload, err = readFrame(br); err != nil {
+			return 0, err
+		}
+	}
+	return last, s.syncUpTo(last, batch)
+}
+
 // syncUpTo makes everything up to seq durable on the standby. It must
 // precede ack: the fsync-before-ack order is the zero-loss contract,
 // since the primary only releases acknowledged clients on sequences
-// the standby cannot lose. parent, when active, gets a repl.fsync child
-// span covering the durability barrier.
-func (s *Standby) syncUpTo(seq uint64, parent *span.Span) error {
+// the standby cannot lose. Each active span in parents gets a
+// repl.fsync child covering the one durability barrier they share.
+func (s *Standby) syncUpTo(seq uint64, parents []*span.Span) error {
 	s.mu.Lock()
 	plane := s.plane
 	s.mu.Unlock()
-	fs := parent.StartChild("repl.fsync")
-	fs.SetAttr("seq", seq)
-	err := plane.Sync()
-	if err != nil {
-		fs.SetError(err.Error())
+	fsyncs := make([]*span.Span, len(parents))
+	for i, parent := range parents {
+		fsyncs[i] = parent.StartChild("repl.fsync")
+		fsyncs[i].SetAttr("seq", seq)
 	}
-	fs.End()
+	err := plane.Sync()
+	for _, fs := range fsyncs {
+		if err != nil {
+			fs.SetError(err.Error())
+		}
+		fs.End()
+	}
 	if err != nil {
 		s.setFatal(fmt.Errorf("cluster: standby fsync: %w", err))
 	}

@@ -84,3 +84,82 @@ func TestStandbyAcksRecordQueuedBeforeHeartbeat(t *testing.T) {
 		t.Errorf("AppliedSeq() = %d, want %d", got, seq)
 	}
 }
+
+// TestStandbyBatchesBufferedRecords: a fake primary flushes 32 record
+// frames in one write. The standby must apply and acknowledge all of
+// them, with fewer fsyncs than records — one per record would mean it
+// ignored the frames its stream had already delivered.
+func TestStandbyBatchesBufferedRecords(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	defer ln.Close()
+
+	sb, err := NewStandby(StandbyConfig{
+		Shard:     0,
+		Primary:   ln.Addr().String(),
+		DataDir:   t.TempDir(),
+		Serving:   standbyServing(),
+		Reconnect: time.Hour, // one connection: the fake serves it once
+		Logger:    quietLogger(),
+	})
+	if err != nil {
+		t.Fatalf("NewStandby: %v", err)
+	}
+	sb.Start()
+	defer sb.Close()
+	sb.mu.Lock()
+	plane := sb.plane
+	sb.mu.Unlock()
+
+	c, err := ln.Accept()
+	if err != nil {
+		t.Fatalf("accept: %v", err)
+	}
+	defer c.Close()
+	br, bw := bufio.NewReader(c), bufio.NewWriter(c)
+	typ, payload, err := readFrame(br)
+	if err != nil || typ != frameHandshake {
+		t.Fatalf("handshake frame: type %d, err %v", typ, err)
+	}
+	var hs handshakeMsg
+	if err := json.Unmarshal(payload, &hs); err != nil {
+		t.Fatalf("decoding handshake: %v", err)
+	}
+
+	before := plane.Stats().Syncs
+	const n = 32
+	for i := uint64(1); i <= n; i++ {
+		if err := writeFrame(bw, frameRecord, durable.Record{Seq: hs.HaveSeq + i, Op: durable.OpDisconnect, Session: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if bw.Buffered() >= bw.Size() {
+		t.Fatalf("%d record frames do not fit one write", n)
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	last := hs.HaveSeq + n
+	c.SetReadDeadline(time.Now().Add(3 * time.Second))
+	var acked uint64
+	for acked < last {
+		typ, payload, err := readFrame(br)
+		if err != nil {
+			t.Fatalf("standby acked up to %d, want %d (then: %v)", acked, last, err)
+		}
+		if typ != frameAck {
+			continue
+		}
+		var ack ackMsg
+		if err := json.Unmarshal(payload, &ack); err != nil {
+			t.Fatalf("decoding ack: %v", err)
+		}
+		acked = max(acked, ack.AppliedSeq)
+	}
+	if syncs := plane.Stats().Syncs - before; syncs >= n {
+		t.Errorf("standby fsynced %d times for %d buffered records, want fewer", syncs, n)
+	}
+}

@@ -20,11 +20,12 @@
 //
 // Every frame is [4-byte LE payload length][4-byte LE CRC32C][payload],
 // payload JSON of one Record. Appends are group-committed: the hot path
-// buffers the frame and waits for the shared fsync, which a background
-// syncer issues after at most Options.SyncDelay — so the per-append
-// sync cost is amortized across the batch and the latency cap is
-// explicit. A record is acknowledged only after the fsync covering it
-// returns.
+// buffers the frame, and an appender that finds no fsync in flight
+// leads the batch — it flushes every buffered frame and runs one
+// fsync for all of them — while appends that arrive during that fsync
+// form the next batch. No timer holds a batch open: a lone append pays
+// one fsync at once, and concurrent appenders share one. A record is
+// acknowledged only after the fsync covering it returns.
 //
 // Recovery loads the newest CRC-valid snapshot, then replays the log
 // tail (records with Seq beyond the snapshot). A corrupted or torn

@@ -265,14 +265,14 @@ func Open(opts Options, meta Meta) (*Plane, *Recovery, error) {
 	}
 
 	p := &Plane{
-		opts:      opts,
-		meta:      meta,
-		seq:       lastSeq,
-		synced:    lastSeq,
-		visible:   lastSeq,
-		segments:  len(segs),
-		snapSeq:   rec.SnapshotSeq,
-		closeDone: make(chan struct{}),
+		opts:     opts,
+		meta:     meta,
+		seq:      lastSeq,
+		synced:   lastSeq,
+		visible:  lastSeq,
+		segments: len(segs),
+		snapSeq:  rec.SnapshotSeq,
+		forming:  new(batchSplit),
 	}
 	p.cond = sync.NewCond(&p.mu)
 
@@ -316,8 +316,6 @@ func Open(opts Options, meta Meta) (*Plane, *Recovery, error) {
 		}
 	}
 	p.sealed = state.Sealed
-
-	go p.syncLoop()
 
 	if wi.records == 0 && rec.SnapshotSeq == 0 {
 		m := meta

@@ -25,7 +25,6 @@ const (
 	// header is treated as corruption, not an allocation request.
 	maxRecordBytes = 1 << 24
 
-	defaultSyncDelay    = 2 * time.Millisecond
 	defaultSegmentBytes = 16 << 20
 )
 
@@ -44,18 +43,13 @@ var (
 type Options struct {
 	// Dir is the data directory (created if absent).
 	Dir string
-	// SyncDelay is the group-commit latency cap: the syncer batches
-	// appends for at most this long before issuing one fsync for all of
-	// them. 0 means the 2ms default; negative syncs every batch
-	// immediately (test mode).
-	SyncDelay time.Duration
 	// SegmentBytes rotates the log when the active segment exceeds this
 	// size (default 16 MiB).
 	SegmentBytes int64
 	// OnFsync, if set, observes every fsync duration (metrics hook).
 	OnFsync func(time.Duration)
-	// Committer, if set, extends the durability barrier: the group-commit
-	// engine calls Committer(upTo) after the batch fsync covering
+	// Committer, if set, extends the durability barrier: the batch
+	// leader calls Committer(upTo) after the batch fsync covering
 	// sequence upTo succeeds and before any append in the batch is
 	// acknowledged. A replication layer uses it to wait for a standby's
 	// ack, so "Append returned" implies "durable on the standby too".
@@ -66,12 +60,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.SyncDelay == 0 {
-		o.SyncDelay = defaultSyncDelay
-	}
-	if o.SyncDelay < 0 {
-		o.SyncDelay = 0
-	}
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = defaultSegmentBytes
 	}
@@ -113,28 +101,32 @@ type Plane struct {
 	seq     uint64 // last assigned sequence number
 	synced  uint64 // last sequence covered by a completed fsync
 	visible uint64 // last sequence flushed to the segment file (readable by followers)
-	// batchFsyncNs / batchCommitNs hold the most recent group commit's
-	// fsync duration and Committer (replication ack) duration. They are
-	// written under the lock just before the batch's waiters are
-	// released, so AppendTimed reads its own batch's split — a later
-	// batch can only overwrite them after this batch's waiters ran.
-	batchFsyncNs  int64
-	batchCommitNs int64
-	appended      int64 // cumulative framed bytes handed to the log
-	flushed       int64 // cumulative framed bytes covered by fsync
-	appends       uint64
-	syncs         uint64
-	segments      int
-	syncing       bool // an fsync is in flight outside the lock
-	closed        bool
-	crashed       bool
-	sealed        bool
-	err           error // sticky: first write/fsync failure poisons the log
-	snapSeq       uint64
-	snapUnix      int64
-	snapErr       error
-	closeDone     chan struct{}
+	// forming is the split of the batch now buffering: an appender
+	// takes it with its frame, and the leader that flushes the frame
+	// fills it in before releasing the batch, so every appender reads
+	// its own batch's split however many batches complete meanwhile.
+	forming  *batchSplit
+	appended int64 // cumulative framed bytes handed to the log
+	flushed  int64 // cumulative framed bytes covered by fsync
+	appends  uint64
+	syncs    uint64
+	segments int
+	syncing  bool // a batch leader's fsync is in flight outside the lock
+	closed   bool
+	sealed   bool
+	err      error // sticky: first write/fsync failure poisons the log
+	snapSeq  uint64
+	snapUnix int64
+	// holdFlush, when set, runs once with the lock dropped before the
+	// next batch leader flushes. Tests use it to crash while a frame is
+	// buffered but not yet written.
+	holdFlush func()
 }
+
+// batchSplit is one group commit's phase split: its fsync duration and
+// its Committer barrier's (replication ack), shared by every append the
+// batch covers.
+type batchSplit struct{ fsyncD, commitD time.Duration }
 
 // Meta returns the fabric identity the log was opened with.
 func (p *Plane) Meta() Meta { return p.meta }
@@ -186,7 +178,8 @@ func (p *Plane) Err() error {
 
 // Append assigns the record the next sequence number, frames it into
 // the active segment, and blocks until the group-commit fsync covering
-// it completes. The assigned sequence is returned; on error the record
+// it completes, leading that group commit itself when no fsync is in
+// flight. The assigned sequence is returned; on error the record
 // must be treated as not persisted (though it may still surface after
 // a crash — the usual ambiguous-write caveat).
 func (p *Plane) Append(rec *Record) (uint64, error) {
@@ -197,8 +190,9 @@ func (p *Plane) Append(rec *Record) (uint64, error) {
 // AppendTimed is Append plus the phase split of the group commit that
 // made the record durable: fsyncD is the batch's fsync duration and
 // commitD the Committer barrier's (replication ack) duration, both 0
-// when the batch had none. The split is per batch, not per record —
-// every appender released by one group commit reports the same pair.
+// when the batch had none or Close's final fsync covered the record.
+// The split is per batch, not per record — every appender released by
+// one group commit reports the same pair.
 func (p *Plane) AppendTimed(rec *Record) (seq uint64, fsyncD, commitD time.Duration, err error) {
 	p.mu.Lock()
 	if p.err != nil {
@@ -239,14 +233,10 @@ func (p *Plane) AppendTimed(rec *Record) (seq uint64, fsyncD, commitD time.Durat
 		p.sealed = false
 	}
 	seq = p.seq
-	// Wake the syncer, then wait for the batched fsync to cover us.
-	p.cond.Broadcast()
-	for p.synced < seq && p.err == nil {
-		p.cond.Wait()
-	}
+	split := p.forming
+	p.waitSyncedLocked(seq)
 	err = p.err
-	fsyncD = time.Duration(p.batchFsyncNs)
-	commitD = time.Duration(p.batchCommitNs)
+	fsyncD, commitD = split.fsyncD, split.commitD
 	p.mu.Unlock()
 	return seq, fsyncD, commitD, err
 }
@@ -287,8 +277,8 @@ func (p *Plane) AppendReplica(rec *Record) error {
 	p.appended += n
 	p.appends++
 	p.sealed = rec.Op == OpSeal
-	// Wake the syncer; durability is confirmed by a later Sync().
-	p.cond.Broadcast()
+	// Not durable yet: the caller's next Sync leads the group commit
+	// that covers this record and every one appended before it.
 	return nil
 }
 
@@ -303,86 +293,92 @@ func (p *Plane) failLocked(err error) {
 	p.cond.Broadcast()
 }
 
-// syncLoop is the group-commit engine: it wakes when appends are
-// pending, sleeps the batching window, flushes the buffer, and issues
-// one fsync for the whole batch. The mutex is released during the
-// fsync so new appends keep buffering — the next batch forms while the
-// current one hits the disk.
-func (p *Plane) syncLoop() {
-	defer close(p.closeDone)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for {
-		for p.seq == p.synced && !p.closed && p.err == nil {
+// waitSyncedLocked returns once a group commit has made every record
+// up to seq durable, or the log has failed. A waiter that finds no
+// fsync in flight leads the next batch itself; the others wait for it,
+// and appends that arrive meanwhile form the batch after. Once the log
+// is closed nobody leads: Close's final fsync covers every waiter.
+func (p *Plane) waitSyncedLocked(seq uint64) {
+	for p.synced < seq && p.err == nil {
+		if p.syncing || p.closed {
 			p.cond.Wait()
+			continue
 		}
+		p.commitBatchLocked()
+	}
+}
+
+// commitBatchLocked runs one group commit as its leader: it flushes the
+// buffer, publishes the batch to followers, rotates the segment if due,
+// and runs one fsync for the whole batch with the lock dropped, so
+// appends arriving meanwhile buffer into the next batch while this one
+// hits the disk. Called and returns with p.mu held.
+func (p *Plane) commitBatchLocked() {
+	if hold := p.holdFlush; hold != nil {
+		p.holdFlush = nil
+		p.mu.Unlock()
+		hold()
+		p.mu.Lock()
 		if p.closed || p.err != nil {
 			return
 		}
-		if p.opts.SyncDelay > 0 {
-			p.mu.Unlock()
-			time.Sleep(p.opts.SyncDelay)
-			p.mu.Lock()
-			if p.closed || p.err != nil {
-				return
-			}
-		}
-		if err := p.w.Flush(); err != nil {
-			p.failLocked(fmt.Errorf("durable: flush: %w", err))
-			return
-		}
-		target := p.seq
-		batchBytes := p.appended
-		// The whole batch is in the segment file now (though not yet
-		// fsynced): publish it to followers so a replication stream can
-		// ship it while the fsync is in flight. Rotation below cannot
-		// strand a follower — every frame <= target landed before the
-		// new segment file exists.
-		p.visible = target
-		p.cond.Broadcast()
-		syncF := p.f
-		var oldF *os.File
-		if p.size >= p.opts.SegmentBytes {
-			if err := p.rotateLocked(target + 1); err != nil {
-				p.failLocked(err)
-				return
-			}
-			oldF = syncF
-		}
-		p.syncing = true
-		p.mu.Unlock()
-		start := time.Now()
-		serr := syncF.Sync()
-		d := time.Since(start)
-		if oldF != nil {
-			oldF.Close()
-			syncDir(p.opts.Dir)
-		}
-		if p.opts.OnFsync != nil && serr == nil {
-			p.opts.OnFsync(d)
-		}
-		// Extend the durability barrier (replication ack) before any
-		// appender in the batch is released: a record acknowledged to a
-		// client is then durable on the standby as well.
-		var commitD time.Duration
-		if serr == nil && p.opts.Committer != nil {
-			cstart := time.Now()
-			p.opts.Committer(target)
-			commitD = time.Since(cstart)
-		}
-		p.mu.Lock()
-		p.syncing = false
-		if serr != nil {
-			p.failLocked(fmt.Errorf("durable: fsync: %w", serr))
-			return
-		}
-		p.syncs++
-		p.synced = target
-		p.flushed = batchBytes
-		p.batchFsyncNs = d.Nanoseconds()
-		p.batchCommitNs = commitD.Nanoseconds()
-		p.cond.Broadcast()
 	}
+	if err := p.w.Flush(); err != nil {
+		p.failLocked(fmt.Errorf("durable: flush: %w", err))
+		return
+	}
+	target := p.seq
+	batchBytes := p.appended
+	split := p.forming
+	p.forming = new(batchSplit)
+	// The whole batch is in the segment file now (though not yet
+	// fsynced): publish it to followers so a replication stream can
+	// ship it while the fsync is in flight. Rotation below cannot
+	// strand a follower — every frame <= target landed before the
+	// new segment file exists.
+	p.visible = target
+	p.cond.Broadcast()
+	syncF := p.f
+	var oldF *os.File
+	if p.size >= p.opts.SegmentBytes {
+		if err := p.rotateLocked(target + 1); err != nil {
+			p.failLocked(err)
+			return
+		}
+		oldF = syncF
+	}
+	p.syncing = true
+	p.mu.Unlock()
+	start := time.Now()
+	serr := syncF.Sync()
+	d := time.Since(start)
+	if oldF != nil {
+		oldF.Close()
+		syncDir(p.opts.Dir)
+	}
+	if p.opts.OnFsync != nil && serr == nil {
+		p.opts.OnFsync(d)
+	}
+	// Extend the durability barrier (replication ack) before any
+	// appender in the batch is released: a record acknowledged to a
+	// client is then durable on the standby as well.
+	var commitD time.Duration
+	if serr == nil && p.opts.Committer != nil {
+		cstart := time.Now()
+		p.opts.Committer(target)
+		commitD = time.Since(cstart)
+	}
+	p.mu.Lock()
+	p.syncing = false
+	if serr != nil {
+		p.failLocked(fmt.Errorf("durable: fsync: %w", serr))
+		return
+	}
+	p.syncs++
+	p.synced = target
+	p.flushed = batchBytes
+	split.fsyncD, split.commitD = d, commitD
+	p.cond.Broadcast()
 }
 
 // rotateLocked switches the active segment. The outgoing file has been
@@ -400,18 +396,14 @@ func (p *Plane) rotateLocked(firstSeq uint64) error {
 	return nil
 }
 
-// Sync forces a flush+fsync of everything appended so far (used by
-// snapshotting and tests; the hot path relies on group commit).
+// Sync makes everything appended so far durable, leading a group
+// commit when no fsync is in flight. A replication standby calls it
+// once per delivered batch of AppendReplica records.
 func (p *Plane) Sync() error {
 	p.mu.Lock()
-	target := p.seq
-	for p.synced < target && p.err == nil && !p.closed {
-		p.cond.Broadcast()
-		p.cond.Wait()
-	}
-	err := p.err
-	p.mu.Unlock()
-	return err
+	defer p.mu.Unlock()
+	p.waitSyncedLocked(p.seq)
+	return p.err
 }
 
 // Seal appends a clean-shutdown marker, waits for it to be durable,
@@ -438,23 +430,28 @@ func (p *Plane) Close() error {
 		return nil
 	}
 	p.closed = true
+	// Flush and publish the final records before anything can wake a
+	// follower: one that finds the log closed while its next record is
+	// still unflushed ends its stream short of that record.
+	if p.err == nil {
+		if err := p.w.Flush(); err != nil {
+			p.failLocked(fmt.Errorf("durable: close flush: %w", err))
+		} else {
+			p.visible = p.seq
+		}
+	}
 	p.cond.Broadcast()
 	for p.syncing {
 		p.cond.Wait()
 	}
-	var err error
 	if p.err == nil {
-		if ferr := p.w.Flush(); ferr != nil {
-			err = fmt.Errorf("durable: close flush: %w", ferr)
-		} else if serr := p.f.Sync(); serr != nil {
-			err = fmt.Errorf("durable: close fsync: %w", serr)
+		if err := p.f.Sync(); err != nil {
+			p.failLocked(fmt.Errorf("durable: close fsync: %w", err))
 		} else {
-			p.visible = p.seq
 			if p.opts.Committer != nil {
 				// Let the replication stream drain the final records
 				// before the appenders they cover are released.
 				target := p.seq
-				p.cond.Broadcast()
 				p.mu.Unlock()
 				p.opts.Committer(target)
 				p.mu.Lock()
@@ -462,16 +459,11 @@ func (p *Plane) Close() error {
 			p.synced = p.seq
 			p.flushed = p.appended
 		}
-		if err != nil {
-			p.failLocked(err)
-		}
-	} else {
-		err = p.err
 	}
+	err := p.err
 	p.f.Close()
 	p.cond.Broadcast()
 	p.mu.Unlock()
-	<-p.closeDone
 	return err
 }
 
@@ -487,7 +479,6 @@ func (p *Plane) Crash() {
 		return
 	}
 	p.closed = true
-	p.crashed = true
 	p.cond.Broadcast()
 	for p.syncing {
 		p.cond.Wait()
@@ -498,7 +489,6 @@ func (p *Plane) Crash() {
 	p.f.Close()
 	p.failLocked(ErrCrashed)
 	p.mu.Unlock()
-	<-p.closeDone
 }
 
 type discardWriter struct{}

@@ -2,13 +2,16 @@ package durable
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,12 +26,11 @@ func testMeta() Meta {
 	}
 }
 
-func testOptions(t *testing.T, dir string) Options {
+func testOptions(t testing.TB, dir string) Options {
 	t.Helper()
 	return Options{
-		Dir:       dir,
-		SyncDelay: -1, // sync every batch immediately: deterministic tests
-		Logger:    slog.New(slog.NewTextHandler(io.Discard, nil)),
+		Dir:    dir,
+		Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
 	}
 }
 
@@ -103,12 +105,7 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 
 func TestGroupCommitConcurrent(t *testing.T) {
 	dir := t.TempDir()
-	opts := testOptions(t, dir)
-	opts.SyncDelay = time.Millisecond
-	p, _, err := Open(opts, testMeta())
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
+	p, _ := mustOpen(t, dir)
 	const workers, per = 8, 40
 	var wg sync.WaitGroup
 	seqs := make([][]uint64, workers)
@@ -153,6 +150,218 @@ func TestGroupCommitConcurrent(t *testing.T) {
 	_, rec := mustOpen(t, dir)
 	if len(rec.Sessions) != workers*per {
 		t.Errorf("recovered %d sessions, want %d", len(rec.Sessions), workers*per)
+	}
+}
+
+// TestGroupCommitRacesSyncFollowerClose races leader-based group commit
+// against Sync callers, a Follower and a Close that lands while appends
+// are in flight. Every acknowledged append must survive a reopen, the
+// follower must deliver every record in order up to the last one Close
+// flushed, and concurrent appenders must have shared fsyncs.
+func TestGroupCommitRacesSyncFollowerClose(t *testing.T) {
+	dir := t.TempDir()
+	p, _ := mustOpen(t, dir)
+	followed, followErr := collectFollower(p.Follow(0))
+
+	stopSync := make(chan struct{})
+	var syncers sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		syncers.Add(1)
+		go func() {
+			defer syncers.Done()
+			for {
+				select {
+				case <-stopSync:
+					return
+				default:
+				}
+				if err := p.Sync(); err != nil {
+					t.Errorf("Sync: %v", err)
+					return
+				}
+			}
+		}()
+	}
+
+	const workers, per = 8, 100
+	var (
+		mu      sync.Mutex
+		acked   = make(map[uint64]uint64) // seq -> session
+		nAcked  atomic.Int64
+		half    = make(chan struct{})
+		writers sync.WaitGroup
+	)
+	for w := 0; w < workers; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			for i := 0; i < per; i++ {
+				session := uint64(w*per + i + 1)
+				seq, err := p.Append(&Record{Op: OpConnect, Session: session, Route: route("0.0>5.0")})
+				if errors.Is(err, ErrClosed) {
+					return
+				}
+				if err != nil {
+					t.Errorf("worker %d append %d: %v", w, i, err)
+					return
+				}
+				mu.Lock()
+				acked[seq] = session
+				mu.Unlock()
+				if nAcked.Add(1) == workers*per/2 {
+					close(half)
+				}
+			}
+		}(w)
+	}
+	writersDone := make(chan struct{})
+	go func() {
+		writers.Wait()
+		close(writersDone)
+	}()
+	select {
+	case <-half:
+	case <-writersDone: // every writer failed or finished early
+	}
+	if err := p.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	<-writersDone
+	close(stopSync)
+	syncers.Wait()
+
+	st := p.Stats()
+	if st.Syncs >= st.Appends {
+		t.Errorf("syncs = %d for %d appends: no batch held more than one append", st.Syncs, st.Appends)
+	}
+	var delivered uint64
+	for rec := range followed {
+		if delivered++; rec.Seq != delivered {
+			t.Fatalf("follower record %d has seq %d", delivered, rec.Seq)
+		}
+	}
+	if err := <-followErr; !errors.Is(err, ErrClosed) {
+		t.Errorf("follower ended with %v, want ErrClosed", err)
+	}
+	if delivered != st.LastSeq {
+		t.Errorf("follower delivered %d records, log holds %d", delivered, st.LastSeq)
+	}
+
+	p2, _ := mustOpen(t, dir)
+	defer p2.Close()
+	logged := make(map[uint64]uint64)
+	if _, err := WalkRecords(dir, func(r *Record) bool {
+		logged[r.Seq] = r.Session
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for seq, session := range acked {
+		if got, ok := logged[seq]; !ok || got != session {
+			t.Errorf("acked seq %d (session %d) reopened as session %d, present %v", seq, session, got, ok)
+		}
+	}
+}
+
+// TestAppendTimedReportsItsOwnBatch: every appender released by one
+// group commit reports that batch's fsync/commit split, even when
+// later batches complete before it retakes the lock. The Committer
+// records each batch's last sequence; appends in one batch must report
+// one identical pair, and no pair may appear in two batches.
+func TestAppendTimedReportsItsOwnBatch(t *testing.T) {
+	var (
+		mu    sync.Mutex
+		uptos []uint64
+	)
+	opts := testOptions(t, t.TempDir())
+	opts.Committer = func(upTo uint64) {
+		mu.Lock()
+		uptos = append(uptos, upTo)
+		mu.Unlock()
+	}
+	p, _, err := Open(opts, testMeta())
+	if err != nil {
+		t.Fatal(err)
+	}
+	type split struct{ fsyncD, commitD time.Duration }
+	const workers, per = 64, 20
+	seqs := make([][]uint64, workers)
+	splits := make([][]split, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				seq, fsyncD, commitD, err := p.AppendTimed(&Record{Op: OpConnect, Session: uint64(w*per + i + 1), Route: route("0.0>5.0")})
+				if err != nil {
+					t.Errorf("worker %d append %d: %v", w, i, err)
+					return
+				}
+				seqs[w] = append(seqs[w], seq)
+				splits[w] = append(splits[w], split{fsyncD, commitD})
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sort.Slice(uptos, func(i, j int) bool { return uptos[i] < uptos[j] })
+	byBatch := make(map[int]split)
+	owner := make(map[split]int)
+	for w := range seqs {
+		for i, seq := range seqs[w] {
+			b := sort.Search(len(uptos), func(k int) bool { return uptos[k] >= seq })
+			got := splits[w][i]
+			if want, ok := byBatch[b]; ok && got != want {
+				t.Errorf("seq %d reports %+v, its batch (up to %d) reported %+v", seq, got, uptos[b], want)
+			}
+			byBatch[b] = got
+			if other, ok := owner[got]; ok && other != b {
+				t.Errorf("seq %d reports %+v, the split of the batch up to %d, not of its own up to %d", seq, got, uptos[other], uptos[b])
+			}
+			owner[got] = b
+		}
+	}
+	if len(byBatch) == workers*per {
+		t.Errorf("every append had its own batch: the test exercised no batching")
+	}
+}
+
+// BenchmarkGroupCommit runs b.N appends on one plane from 1, 4, 16 and
+// 64 concurrent appenders and reports ops/s and appends per fsync: the
+// concurrency a closed loop of one connection cannot reach.
+func BenchmarkGroupCommit(b *testing.B) {
+	for _, appenders := range []int{1, 4, 16, 64} {
+		b.Run(fmt.Sprintf("appenders=%d", appenders), func(b *testing.B) {
+			p, _, err := Open(testOptions(b, b.TempDir()), testMeta())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer p.Close()
+			before := p.Stats()
+			var next atomic.Int64
+			var wg sync.WaitGroup
+			b.ResetTimer()
+			for g := 0; g < appenders; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for next.Add(1) <= int64(b.N) {
+						if _, err := p.Append(&Record{Op: OpConnect, Session: 1, Route: route("0.0>5.0")}); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			b.StopTimer()
+			after := p.Stats()
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")
+			b.ReportMetric(float64(after.Appends-before.Appends)/float64(after.Syncs-before.Syncs), "appends/sync")
+		})
 	}
 }
 
@@ -537,16 +746,19 @@ func TestSealAndCleanRecovery(t *testing.T) {
 
 func TestCrashDropsUnackedKeepsAcked(t *testing.T) {
 	dir := t.TempDir()
-	opts := testOptions(t, dir)
-	opts.SyncDelay = time.Second // hold the batch open so the crash hits it
-	p, _, err := Open(opts, testMeta())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The meta record rides the first slow batch; wait it out.
+	p, _ := mustOpen(t, dir)
 	if err := p.Sync(); err != nil {
 		t.Fatal(err)
 	}
+	// Hold the append's batch before its flush so the crash hits a
+	// frame that is buffered but not yet written.
+	held, release := make(chan struct{}), make(chan struct{})
+	p.mu.Lock()
+	p.holdFlush = func() {
+		close(held)
+		<-release
+	}
+	p.mu.Unlock()
 	seqs := make(chan uint64, 1)
 	errs := make(chan error, 1)
 	go func() {
@@ -554,10 +766,9 @@ func TestCrashDropsUnackedKeepsAcked(t *testing.T) {
 		seqs <- seq
 		errs <- err
 	}()
-	// Give the append time to buffer the frame, then crash before the
-	// 1s group-commit window closes.
-	time.Sleep(50 * time.Millisecond)
+	<-held
 	p.Crash()
+	close(release)
 	<-seqs
 	if err := <-errs; !errors.Is(err, ErrCrashed) {
 		t.Fatalf("in-flight append after crash = %v, want ErrCrashed", err)

@@ -67,7 +67,6 @@ func TestBackendMatrixServeRecoverMigrate(t *testing.T) {
 				Fabric:           matrixParams(name),
 				Replicas:         2,
 				DataDir:          t.TempDir(),
-				WALSyncDelay:     -1,
 				SnapshotInterval: -1,
 			}
 			ctl := newTestController(t, cfg)

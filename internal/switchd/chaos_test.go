@@ -393,7 +393,7 @@ func TestPublishAfterRouteDropped(t *testing.T) {
 			p.M, p.X = 1, 1
 			cfg := Config{Fabric: p, Replicas: 1}
 			if durable {
-				cfg.DataDir, cfg.WALSyncDelay, cfg.SnapshotInterval = t.TempDir(), -1, -1
+				cfg.DataDir, cfg.SnapshotInterval = t.TempDir(), -1
 			}
 			ctl := newTestController(t, cfg)
 			defer ctl.Close()

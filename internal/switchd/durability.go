@@ -67,7 +67,6 @@ func (ctl *Controller) openDurable() error {
 	cfg := ctl.cfg
 	opts := durable.Options{
 		Dir:          cfg.DataDir,
-		SyncDelay:    cfg.WALSyncDelay,
 		SegmentBytes: cfg.WALSegmentBytes,
 		OnFsync:      func(d time.Duration) { ctl.metrics.walFsync.observe(d) },
 		Committer:    cfg.WALCommitter,

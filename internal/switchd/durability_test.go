@@ -21,15 +21,13 @@ import (
 	"repro/internal/workload"
 )
 
-// durableConfig is the standard durable test setup: immediate fsync
-// (no group-commit window to wait out) and no background snapshotter,
-// so every test controls its checkpoints explicitly.
+// durableConfig is the standard durable test setup: no background
+// snapshotter, so every test controls its checkpoints explicitly.
 func durableConfig(dir string, replicas int) Config {
 	return Config{
 		Fabric:           testParams(),
 		Replicas:         replicas,
 		DataDir:          dir,
-		WALSyncDelay:     -1,
 		SnapshotInterval: -1,
 	}
 }
@@ -262,7 +260,6 @@ func TestCrashRecoveryUnderChurn(t *testing.T) {
 	)
 	dir := t.TempDir()
 	cfg := durableConfig(dir, replicas)
-	cfg.WALSyncDelay = 0 // default group-commit window
 	cfg.Shards = 8
 	ctl := newTestController(t, cfg)
 	p := ctl.Params()

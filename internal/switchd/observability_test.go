@@ -26,7 +26,7 @@ import (
 // agrees with the registry snapshot on every shared counter.
 func TestPromEndpointCrossCheck(t *testing.T) {
 	cfg := Config{Fabric: testParams(), Replicas: 2,
-		DataDir: t.TempDir(), WALSyncDelay: -1, SnapshotInterval: -1}
+		DataDir: t.TempDir(), SnapshotInterval: -1}
 	ctl := newTestController(t, cfg)
 	srv := httptest.NewServer(ctl.Handler())
 	defer srv.Close()
@@ -133,7 +133,7 @@ func TestPromEndpointCrossCheck(t *testing.T) {
 // with le labels in seconds.
 func TestHistoryMatchesExposition(t *testing.T) {
 	ctl := newTestController(t, Config{Fabric: belowBoundParams(), Replicas: 1,
-		DataDir: t.TempDir(), WALSyncDelay: -1, SnapshotInterval: -1,
+		DataDir: t.TempDir(), SnapshotInterval: -1,
 		HistoryInterval: time.Hour}) // no background scrape during the test
 	defer ctl.Close()
 	ctl.SetFederationProbe(func() []api.FederationPeerHealth {

@@ -87,7 +87,7 @@ func TestPhaseNamesComplete(t *testing.T) {
 // the connect's phases observed.
 func TestPhasesOnlyOnMetrics(t *testing.T) {
 	ctl := newTestController(t, Config{Fabric: testParams(), Replicas: 2,
-		DataDir: t.TempDir(), WALSyncDelay: -1, SnapshotInterval: -1})
+		DataDir: t.TempDir(), SnapshotInterval: -1})
 	srv := httptest.NewServer(ctl.Handler())
 	defer srv.Close()
 

@@ -139,12 +139,10 @@ type Config struct {
 	// acknowledged mutation is journaled to a write-ahead log under this
 	// directory before the request returns, the session table is
 	// checkpointed periodically, and New recovers whatever a previous
-	// process left behind (see durability.go).
+	// process left behind (see durability.go). Appends are group
+	// committed without a timer: a lone mutation is fsynced at once, and
+	// mutations that arrive during an fsync share the next one.
 	DataDir string
-	// WALSyncDelay is the group-commit latency cap: an append waits at
-	// most this long for companions before the batch is fsynced. 0 means
-	// the default (2ms); negative means fsync immediately (tests).
-	WALSyncDelay time.Duration
 	// WALSegmentBytes is the log segment rotation size (default 16MiB).
 	WALSegmentBytes int64
 	// SnapshotInterval is the checkpoint cadence (default 30s); negative
