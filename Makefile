@@ -43,9 +43,13 @@ bench-json:
 cover:
 	$(GO) test -cover ./internal/switchd ./internal/obs
 
+# FuzzRecover runs Open on every input, and Open fsyncs: bound each
+# minimization by executions, or a new input stalls the run for the
+# default 60 s.
 fuzz:
 	$(GO) test -fuzz=FuzzParseConnection -fuzztime=10s ./internal/wdm/
 	$(GO) test -fuzz=FuzzRoutePermutation -fuzztime=10s ./internal/benes/
+	$(GO) test -fuzz=FuzzRecover -fuzztime=10s -fuzzminimizetime=100x ./internal/durable/
 
 # SLO/trace drill (EXPERIMENTS.md § "Trace walkthrough", scripted):
 # start a deliberately sub-bound server, drive one routed and one traced
@@ -191,7 +195,8 @@ crash-demo:
 # drain. The standby is promoted over HTTP, serves the held sessions,
 # and the two shard-1 data directories must agree on `wdmwal inspect
 # -json`'s state_digest: identical replicated session state, zero
-# acknowledged loss.
+# acknowledged loss. The standby's directory, which holds the primary's
+# record bytes as written, must also pass `wdmwal verify`.
 cluster-demo:
 	@$(GO) build -o /tmp/wdm-cluster-serve ./cmd/wdmserve
 	@$(GO) build -o /tmp/wdm-cluster-wal ./cmd/wdmwal
@@ -227,13 +232,15 @@ cluster-demo:
 	echo '--- /v1/health replication row'; \
 	curl -s 127.0.0.1:9065/v1/health; echo; \
 	kill -9 $$sb; wait $$sb 2>/dev/null; \
+	/tmp/wdm-cluster-wal verify /tmp/wdm-cluster-data/s1-standby \
+	    || { echo 'FAILOVER FAILED: standby log does not verify clean'; exit 1; }; \
 	dp=$$(/tmp/wdm-cluster-wal inspect -json /tmp/wdm-cluster-data/s1 | grep state_digest); \
 	ds=$$(/tmp/wdm-cluster-wal inspect -json /tmp/wdm-cluster-data/s1-standby | grep state_digest); \
 	echo "dead primary     $$dp"; \
 	echo "promoted standby $$ds"; \
 	test -n "$$dp" && test "$$dp" = "$$ds" \
 	    || { echo 'FAILOVER FAILED: replicated state digests differ'; exit 1; }; \
-	echo 'failover OK: state digests identical, zero acknowledged loss'
+	echo 'failover OK: standby log clean, state digests identical, zero acknowledged loss'
 
 # Observability drill (EXPERIMENTS.md § "Performance observability",
 # scripted): two cluster shards with aggressive mutex profiling, churn

@@ -7,13 +7,17 @@
 //	wdmwal verify  /var/lib/wdmserve           # read-only integrity check
 //	wdmwal replay  /var/lib/wdmserve           # reinstall every session into fresh fabrics
 //
-// verify walks every segment frame by frame and reports the first
-// integrity failure (torn frame, CRC mismatch, sequence gap) at the
-// exact byte offset recovery would truncate at; exit status 1 marks a
-// dirty log. replay materializes the log's final state and reinstalls
-// each session's recorded route into freshly built fabric replicas of
-// the logged parameters — no router search runs, so a replay that
-// fails indicates a corrupted or hand-edited log, never blocking.
+// Every command reads the directory once, through the same scan a
+// recovering server runs (internal/durable), so inspect's report, its
+// state digest and verify's verdict always agree with one another and
+// with recovery. verify walks every segment frame by frame and reports
+// the first integrity failure (torn frame, CRC mismatch, sequence gap)
+// at the exact byte offset recovery would truncate at; exit status 1
+// marks a dirty log. replay materializes the log's final state and
+// reinstalls each session's recorded route into freshly built replicas
+// of the fabric the log records — its own backend and parameters — so
+// no router search runs, and a replay that fails indicates a corrupted
+// or hand-edited log, never blocking.
 package main
 
 import (
@@ -26,6 +30,7 @@ import (
 	"sort"
 
 	"repro/internal/durable"
+	"repro/internal/fabric/backend"
 	"repro/internal/multistage"
 )
 
@@ -118,19 +123,15 @@ func runInspect(args []string) {
 	withState := fs.Bool("state", false, "include the canonical state payload behind state_digest (JSON mode)")
 	dir := dirArg(fs, args)
 
-	state, meta, rep, err := durable.ReadState(dir)
-	if err != nil {
-		fatal(err)
-	}
 	ops := make(map[string]int)
-	if _, err := durable.WalkRecords(dir, func(r *durable.Record) bool {
+	state, meta, rep, err := durable.ReadState(dir, func(r *durable.Record) {
 		ops[r.Op]++
 		if *records {
 			line, _ := json.Marshal(r)
 			fmt.Println(string(line))
 		}
-		return true
-	}); err != nil {
+	})
+	if err != nil {
 		fatal(err)
 	}
 	out := inspectOut{
@@ -153,8 +154,8 @@ func runInspect(args []string) {
 	}
 	if meta != nil {
 		p := meta.Params
-		fmt.Printf("fabric: model=%s construction=%s n=%d k=%d r=%d m=%d x=%d replicas=%d\n",
-			p.Model, p.Construction, p.N, p.K, p.R, p.M, p.X, meta.Replicas)
+		fmt.Printf("fabric: model=%s backend=%s n=%d k=%d r=%d m=%d x=%d replicas=%d\n",
+			p.Model, meta.BackendName(), p.N, p.K, p.R, p.M, p.X, meta.Replicas)
 	}
 	fmt.Printf("records: %d (last seq %d)\n", rep.Records, rep.LastSeq)
 	opNames := make([]string, 0, len(ops))
@@ -236,7 +237,7 @@ func runReplay(args []string) {
 	jsonOut := fs.Bool("json", false, "print the report as JSON")
 	dir := dirArg(fs, args)
 
-	state, meta, rep, err := durable.ReadState(dir)
+	state, meta, rep, err := durable.ReadState(dir, nil)
 	if err != nil {
 		fatal(err)
 	}
@@ -248,42 +249,9 @@ func runReplay(args []string) {
 		fmt.Fprintf(os.Stderr, "wdmwal: corrupt tail truncated in memory: %s at byte %d: %s\n",
 			t.Segment, t.Offset, t.Reason)
 	}
-	nets := make([]*multistage.Network, meta.Replicas)
-	for i := range nets {
-		net, err := multistage.New(meta.Params)
-		if err != nil {
-			fatal(fmt.Errorf("building fabric replica %d: %w", i, err))
-		}
-		nets[i] = net
-	}
-	for plane, mids := range state.FailedList() {
-		if plane < 0 || plane >= len(nets) {
-			fatal(fmt.Errorf("failed-middle record names fabric %d of %d", plane, len(nets)))
-		}
-		for _, mid := range mids {
-			if err := nets[plane].FailMiddle(mid); err != nil {
-				fatal(fmt.Errorf("fabric %d: marking middle %d failed: %w", plane, mid, err))
-			}
-		}
-	}
-	perFabric := make([]int, len(nets))
-	for _, sr := range state.SessionList() {
-		if sr.Fabric < 0 || sr.Fabric >= len(nets) {
-			fatal(fmt.Errorf("session %d names fabric %d of %d", sr.Session, sr.Fabric, len(nets)))
-		}
-		if _, err := nets[sr.Fabric].Reinstall(sr.Route); err != nil {
-			fatal(fmt.Errorf("session %d failed to reinstall on fabric %d: %w", sr.Session, sr.Fabric, err))
-		}
-		perFabric[sr.Fabric]++
-	}
-	out := replayOut{Sessions: len(state.Sessions), Sealed: state.Sealed}
-	for i, net := range nets {
-		out.Fabrics = append(out.Fabrics, replayFabric{
-			Replica:     i,
-			Sessions:    perFabric[i],
-			Failed:      net.FailedMiddles(),
-			Utilization: net.Utilization(),
-		})
+	out, err := replay(state, meta)
+	if err != nil {
+		fatal(err)
 	}
 	if *jsonOut {
 		enc, _ := json.MarshalIndent(out, "", "  ")
@@ -291,7 +259,7 @@ func runReplay(args []string) {
 		return
 	}
 	fmt.Printf("replayed %d sessions into %d fabric replica(s), zero routing searches\n",
-		out.Sessions, len(nets))
+		out.Sessions, len(out.Fabrics))
 	for _, f := range out.Fabrics {
 		u := f.Utilization
 		fmt.Printf("  fabric %d: %d sessions, in-links %d/%d busy, out-links %d/%d busy",
@@ -304,4 +272,52 @@ func runReplay(args []string) {
 	if state.Sealed {
 		fmt.Println("log is sealed (clean drain)")
 	}
+}
+
+// replay reinstalls a log's final state into freshly built replicas of
+// the fabric the log records — its own backend and parameters — with no
+// router search.
+func replay(state *durable.State, meta *durable.Meta) (*replayOut, error) {
+	desc, err := backend.Get(meta.BackendName())
+	if err != nil {
+		return nil, err
+	}
+	nets := make([]backend.Backend, meta.Replicas)
+	for i := range nets {
+		net, err := desc.New(meta.Params)
+		if err != nil {
+			return nil, fmt.Errorf("building fabric replica %d: %w", i, err)
+		}
+		nets[i] = net
+	}
+	for plane, mids := range state.FailedList() {
+		if plane < 0 || plane >= len(nets) {
+			return nil, fmt.Errorf("failed-middle record names fabric %d of %d", plane, len(nets))
+		}
+		for _, mid := range mids {
+			if err := nets[plane].FailMiddle(mid); err != nil {
+				return nil, fmt.Errorf("fabric %d: marking middle %d failed: %w", plane, mid, err)
+			}
+		}
+	}
+	perFabric := make([]int, len(nets))
+	for _, sr := range state.SessionList() {
+		if sr.Fabric < 0 || sr.Fabric >= len(nets) {
+			return nil, fmt.Errorf("session %d names fabric %d of %d", sr.Session, sr.Fabric, len(nets))
+		}
+		if _, err := nets[sr.Fabric].Reinstall(sr.Route); err != nil {
+			return nil, fmt.Errorf("session %d failed to reinstall on fabric %d: %w", sr.Session, sr.Fabric, err)
+		}
+		perFabric[sr.Fabric]++
+	}
+	out := &replayOut{Sessions: len(state.Sessions), Sealed: state.Sealed}
+	for i, net := range nets {
+		out.Fabrics = append(out.Fabrics, replayFabric{
+			Replica:     i,
+			Sessions:    perFabric[i],
+			Failed:      net.FailedMiddles(),
+			Utilization: net.Utilization(),
+		})
+	}
+	return out, nil
 }

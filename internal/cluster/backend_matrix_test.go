@@ -109,11 +109,11 @@ func TestStandbyApplyAcrossBackends(t *testing.T) {
 
 			ctl.Close()
 			sb.Close()
-			st1, meta1, _, err := durable.ReadState(dir1)
+			st1, meta1, _, err := durable.ReadState(dir1, nil)
 			if err != nil {
 				t.Fatalf("ReadState(primary): %v", err)
 			}
-			st2, meta2, _, err := durable.ReadState(dir2)
+			st2, meta2, _, err := durable.ReadState(dir2, nil)
 			if err != nil {
 				t.Fatalf("ReadState(standby): %v", err)
 			}

@@ -10,7 +10,9 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,6 +21,7 @@ import (
 
 	"repro/internal/durable"
 	"repro/internal/multistage"
+	"repro/internal/obs/span"
 	"repro/internal/switchd"
 	"repro/internal/switchd/api"
 	"repro/internal/switchd/client"
@@ -333,11 +336,11 @@ func TestClusterFailoverZeroLoss(t *testing.T) {
 	if err := sb.Close(); err != nil {
 		t.Fatalf("closing promoted node: %v", err)
 	}
-	st1read, _, _, err := durable.ReadState(dir1)
+	st1read, _, _, err := durable.ReadState(dir1, nil)
 	if err != nil {
 		t.Fatalf("ReadState(primary): %v", err)
 	}
-	st2read, _, _, err := durable.ReadState(dir2)
+	st2read, _, _, err := durable.ReadState(dir2, nil)
 	if err != nil {
 		t.Fatalf("ReadState(replica): %v", err)
 	}
@@ -447,11 +450,11 @@ func TestStandbyTornFrameResume(t *testing.T) {
 
 	p.ctl.Close()
 	sb.Close()
-	st1, _, _, err := durable.ReadState(dir1)
+	st1, _, _, err := durable.ReadState(dir1, nil)
 	if err != nil {
 		t.Fatalf("ReadState(primary): %v", err)
 	}
-	st2, _, _, err := durable.ReadState(dir2)
+	st2, _, _, err := durable.ReadState(dir2, nil)
 	if err != nil {
 		t.Fatalf("ReadState(replica): %v", err)
 	}
@@ -622,11 +625,11 @@ func TestStandbySnapshotBootstrap(t *testing.T) {
 
 	ctl.Close()
 	sb.Close()
-	st1, _, _, err := durable.ReadState(dir1)
+	st1, _, _, err := durable.ReadState(dir1, nil)
 	if err != nil {
 		t.Fatalf("ReadState(primary): %v", err)
 	}
-	st2, _, _, err := durable.ReadState(dir2)
+	st2, _, _, err := durable.ReadState(dir2, nil)
 	if err != nil {
 		t.Fatalf("ReadState(replica): %v", err)
 	}
@@ -701,4 +704,127 @@ func TestServerRejectsDivergentStandby(t *testing.T) {
 	if typ2 == frameReject {
 		t.Fatal("caught-up standby was rejected")
 	}
+}
+
+// TestStandbyLogHoldsPrimaryBytes: the standby frames each record's
+// payload exactly as the primary's appender wrote it, so the two logs
+// hold byte-identical record frames — for every record kind, a traced
+// one included, and although small segments rotate at different points
+// on the two sides.
+func TestStandbyLogHoldsPrimaryBytes(t *testing.T) {
+	dir1, dir2 := t.TempDir(), t.TempDir()
+	srv := NewServer(ServerConfig{Shard: 0, SyncTimeout: 5 * time.Second, Heartbeat: 20 * time.Millisecond, Logger: quietLogger()})
+	ctl, err := switchd.New(switchd.Config{
+		Fabric:           testParams(),
+		Replicas:         2,
+		DataDir:          dir1,
+		SnapshotInterval: -1,
+		WALSegmentBytes:  1024,
+		WALCommitter:     srv.Commit,
+		Logger:           quietLogger(),
+	})
+	if err != nil {
+		t.Fatalf("primary switchd.New: %v", err)
+	}
+	defer ctl.Close()
+	if err := srv.Attach(ctl); err != nil {
+		t.Fatalf("Attach: %v", err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("replication listener: %v", err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	serving := standbyServing()
+	serving.WALSegmentBytes = 1024
+	sb, err := NewStandby(StandbyConfig{
+		Shard:     0,
+		Primary:   ln.Addr().String(),
+		DataDir:   dir2,
+		Serving:   serving,
+		Reconnect: 20 * time.Millisecond,
+		Logger:    quietLogger(),
+	})
+	if err != nil {
+		t.Fatalf("NewStandby: %v", err)
+	}
+	sb.Start()
+	defer sb.Close()
+	waitFor(t, 5*time.Second, "standby to connect", func() bool { return srv.Standbys() == 1 })
+
+	ctx := context.Background()
+	connect := func(ctx context.Context, s string) (uint64, int) {
+		t.Helper()
+		c, err := wdm.ParseConnection(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, plane, err := ctl.Connect(ctx, c, -1)
+		if err != nil {
+			t.Fatalf("connect %s: %v", s, err)
+		}
+		return id, plane
+	}
+	id, plane := connect(ctx, "0.0>4.0,9.0")
+	if err := ctl.AddBranch(ctx, id, wdm.PortWave{Port: 12}); err != nil {
+		t.Fatalf("branch: %v", err)
+	}
+	for i := 0; i < 8; i++ {
+		gone, _ := connect(ctx, "1.0>6.0")
+		if err := ctl.Disconnect(ctx, gone); err != nil {
+			t.Fatalf("disconnect: %v", err)
+		}
+	}
+	if _, err := ctl.FailMiddle(ctx, plane, 0); err != nil {
+		t.Fatalf("fail: %v", err)
+	}
+	if _, err := ctl.RepairMiddle(ctx, plane, 0); err != nil {
+		t.Fatalf("repair: %v", err)
+	}
+	root := span.NewTracer(span.Config{SampleEvery: 1}).Root("test", "")
+	connect(span.ContextWith(ctx, root), "2.0>8.0")
+	root.End()
+
+	last := ctl.WAL().LastSeq()
+	waitFor(t, 5*time.Second, "standby to apply the log", func() bool { return sb.AppliedSeq() >= last })
+
+	primary, segs1 := recordFrames(t, dir1)
+	standby, segs2 := recordFrames(t, dir2)
+	if segs1 < 2 || segs2 < 2 {
+		t.Fatalf("segments: primary %d, standby %d; want rotation on both sides", segs1, segs2)
+	}
+	for _, kind := range []string{`"op":"meta"`, `"op":"connect"`, `"op":"branch"`, `"op":"disconnect"`, `"op":"fail"`, `"op":"repair"`, `"tp":"`} {
+		if !bytes.Contains(primary, []byte(kind)) {
+			t.Errorf("primary log holds no %s record", kind)
+		}
+	}
+	if !bytes.Equal(primary, standby) {
+		t.Errorf("record frames differ: primary %d bytes, standby %d bytes", len(primary), len(standby))
+	}
+}
+
+// recordFrames concatenates the record frames of every log segment in
+// dir, in sequence order, with each segment's magic stripped.
+func recordFrames(t *testing.T, dir string) ([]byte, int) {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(segs) // fixed-width hex first sequences
+	const magic = "WDMWAL1\n"
+	var frames []byte
+	for _, seg := range segs {
+		b, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(b, []byte(magic)) {
+			t.Fatalf("%s: no segment magic", seg)
+		}
+		frames = append(frames, b[len(magic):]...)
+	}
+	return frames, len(segs)
 }

@@ -34,10 +34,11 @@ import (
 
 // Wire protocol: after the standby's handshake, both directions carry
 // [1-byte type][4-byte LE length][JSON payload] frames over one TCP
-// connection. JSON keeps the stream debuggable and reuses the WAL's
-// record encoding; the length prefix keeps framing independent of the
-// payload, so a torn frame is detected by a short read, never by a
-// parse error.
+// connection. A record frame's payload is the WAL record payload
+// verbatim — the JSON the primary's appender wrote to its own log — so
+// the standby frames into its log the bytes the primary wrote. The
+// length prefix keeps framing independent of the payload, so a torn
+// frame is detected by a short read, never by a parse error.
 const (
 	frameHandshake byte = 1 // standby -> primary: who I am, where I am
 	frameSnapshot  byte = 2 // primary -> standby: bootstrap state (resume point pruned)
@@ -80,12 +81,19 @@ type rejectMsg struct {
 	Reason string `json:"reason"`
 }
 
-// writeFrame emits one frame. The caller owns flushing.
+// writeFrame encodes v as JSON and emits it as one frame. The caller
+// owns flushing.
 func writeFrame(w *bufio.Writer, typ byte, v any) error {
 	payload, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("cluster: encode frame %d: %w", typ, err)
 	}
+	return writePayload(w, typ, payload)
+}
+
+// writePayload emits one frame around an already-encoded payload. The
+// caller owns flushing.
+func writePayload(w *bufio.Writer, typ byte, payload []byte) error {
 	if len(payload) > maxFrameBytes {
 		return fmt.Errorf("cluster: frame of %d bytes exceeds limit", len(payload))
 	}
@@ -95,7 +103,7 @@ func writeFrame(w *bufio.Writer, typ byte, v any) error {
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	_, err = w.Write(payload)
+	_, err := w.Write(payload)
 	return err
 }
 

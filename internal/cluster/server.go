@@ -405,8 +405,10 @@ func (s *Server) noteAck(seq uint64) {
 }
 
 // streamRecords ships the WAL from after, bootstrapping with a full
-// state snapshot when the resume point has been compacted away. It
-// flushes opportunistically: whenever the follower has no more records
+// state snapshot when the resume point has been compacted away. Each
+// record frame carries the payload the follower read from the log,
+// byte for byte; nothing here encodes a record. It flushes
+// opportunistically: whenever the follower has no more records
 // immediately available, so batches coalesce under load but a lone
 // record leaves at once.
 func (s *Server) streamRecords(rc *repConn, after uint64) error {
@@ -419,7 +421,7 @@ func (s *Server) streamRecords(rc *repConn, after uint64) error {
 			return durable.ErrFollowerClosed
 		default:
 		}
-		rec, err := fl.Next()
+		_, payload, err := fl.Next()
 		if errors.Is(err, durable.ErrCompacted) {
 			fl.Close()
 			snap := s.ctl.SnapshotState()
@@ -439,7 +441,7 @@ func (s *Server) streamRecords(rc *repConn, after uint64) error {
 		}
 		for err == nil {
 			rc.wmu.Lock()
-			werr := writeFrame(rc.bw, frameRecord, rec)
+			werr := writePayload(rc.bw, frameRecord, payload)
 			if werr == nil && !fl.Pending() {
 				werr = rc.bw.Flush()
 			}
@@ -448,7 +450,7 @@ func (s *Server) streamRecords(rc *repConn, after uint64) error {
 				fl.Close()
 				return werr
 			}
-			rec, err = fl.Next()
+			_, payload, err = fl.Next()
 		}
 		fl.Close()
 		return err

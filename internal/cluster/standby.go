@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/durable"
-	"repro/internal/fabric/backend"
 	"repro/internal/obs"
 	"repro/internal/obs/span"
 	"repro/internal/switchd"
@@ -122,25 +121,13 @@ func NewStandby(cfg StandbyConfig) (*Standby, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
 	}
-	name := cfg.Serving.Backend
-	if name == "" {
-		name = backend.ForConstruction(cfg.Serving.Fabric.Construction)
-	}
-	desc, err := backend.Get(name)
+	meta, err := cfg.Serving.DurableMeta()
 	if err != nil {
 		return nil, fmt.Errorf("cluster: standby fabric: %w", err)
-	}
-	norm, err := desc.Normalize(cfg.Serving.Fabric)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: standby fabric: %w", err)
-	}
-	replicas := cfg.Serving.Replicas
-	if replicas <= 0 {
-		replicas = 1
 	}
 	s := &Standby{
 		cfg:    cfg,
-		meta:   durable.Meta{Params: norm, Replicas: replicas, Backend: desc.Name},
+		meta:   meta,
 		tracer: span.NewTracer(cfg.Serving.Spans),
 		stop:   make(chan struct{}),
 	}
@@ -317,6 +304,12 @@ func (s *Standby) followOnce() error {
 // the batch, so a heartbeat queued behind a record is handled only
 // after that record is synced and acked. Each record keeps its own
 // repl.apply span, ended before the ack that covers it.
+//
+// A payload is decoded once, as input validation: the decode supplies
+// the seq check and the span's traceparent and op, and a payload that
+// does not decode ends the stream unappended, so the log never holds a
+// frame its own recovery would cut. The log then frames the payload
+// itself — the primary's bytes, not a re-encoding.
 func (s *Standby) applyBatch(br *bufio.Reader, payload []byte) (uint64, error) {
 	var batch []*span.Span
 	defer func() {
@@ -342,7 +335,7 @@ func (s *Standby) applyBatch(br *bufio.Reader, payload []byte) (uint64, error) {
 			sp.SetAttr("op", rec.Op)
 			batch = append(batch, sp)
 		}
-		if err := s.applyRecord(&rec); err != nil {
+		if err := s.applyRecord(&rec, payload); err != nil {
 			sp.SetError(err.Error())
 			return 0, err
 		}
@@ -397,10 +390,10 @@ func (s *Standby) ack(bw *bufio.Writer, seq uint64) error {
 	return bw.Flush()
 }
 
-// applyRecord appends one replicated record to the standby's log.
-// Duplicates (already-held sequences, possible across reconnects) are
-// skipped; gaps are stream errors.
-func (s *Standby) applyRecord(rec *durable.Record) error {
+// applyRecord appends one replicated record, rec decoded from payload,
+// to the standby's log. Duplicates (already-held sequences, possible
+// across reconnects) are skipped; gaps are stream errors.
+func (s *Standby) applyRecord(rec *durable.Record, payload []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	last := s.plane.LastSeq()
@@ -410,7 +403,7 @@ func (s *Standby) applyRecord(rec *durable.Record) error {
 	if rec.Seq != last+1 {
 		return fmt.Errorf("cluster: stream gap: got seq %d, have %d", rec.Seq, last)
 	}
-	if err := s.plane.AppendReplica(rec); err != nil {
+	if err := s.plane.AppendReplica(rec, payload); err != nil {
 		err = fmt.Errorf("cluster: standby append: %w", err)
 		s.fatal = err
 		return err

@@ -3,6 +3,8 @@ package cluster
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -161,5 +163,112 @@ func TestStandbyBatchesBufferedRecords(t *testing.T) {
 	}
 	if syncs := plane.Stats().Syncs - before; syncs >= n {
 		t.Errorf("standby fsynced %d times for %d buffered records, want fewer", syncs, n)
+	}
+}
+
+// TestStandbyRefusesUndecodableRecord: a record frame whose payload
+// does not decode ends the stream before anything is appended. The
+// standby acknowledges nothing past the last record it holds, and its
+// log verifies clean there: it never frames bytes its own recovery
+// would cut.
+func TestStandbyRefusesUndecodableRecord(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	defer ln.Close()
+
+	dir := t.TempDir()
+	sb, err := NewStandby(StandbyConfig{
+		Shard:     0,
+		Primary:   ln.Addr().String(),
+		DataDir:   dir,
+		Serving:   standbyServing(),
+		Reconnect: time.Hour, // one connection: the fake serves it once
+		Logger:    quietLogger(),
+	})
+	if err != nil {
+		t.Fatalf("NewStandby: %v", err)
+	}
+	sb.Start()
+	defer sb.Close()
+
+	c, err := ln.Accept()
+	if err != nil {
+		t.Fatalf("accept: %v", err)
+	}
+	defer c.Close()
+	br, bw := bufio.NewReader(c), bufio.NewWriter(c)
+	typ, payload, err := readFrame(br)
+	if err != nil || typ != frameHandshake {
+		t.Fatalf("handshake frame: type %d, err %v", typ, err)
+	}
+	var hs handshakeMsg
+	if err := json.Unmarshal(payload, &hs); err != nil {
+		t.Fatalf("decoding handshake: %v", err)
+	}
+
+	good := hs.HaveSeq + 1
+	if err := writeFrame(bw, frameRecord, durable.Record{Seq: good, Op: durable.OpDisconnect, Session: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	c.SetReadDeadline(time.Now().Add(3 * time.Second))
+	readAck := func() (uint64, error) {
+		for {
+			typ, payload, err := readFrame(br)
+			if err != nil {
+				return 0, err
+			}
+			if typ != frameAck {
+				continue
+			}
+			var ack ackMsg
+			if err := json.Unmarshal(payload, &ack); err != nil {
+				t.Fatalf("decoding ack: %v", err)
+			}
+			return ack.AppliedSeq, nil
+		}
+	}
+	for acked := uint64(0); acked < good; {
+		if acked, err = readAck(); err != nil {
+			t.Fatalf("standby did not ack seq %d: %v", good, err)
+		}
+	}
+
+	// A torn record: the frame is whole, its JSON is not.
+	torn := fmt.Sprintf(`{"seq":%d,"op":"connect","route":{"conn":"0.0>`, good+1)
+	if err := writePayload(bw, frameRecord, []byte(torn)); err != nil {
+		t.Fatal(err)
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		acked, err := readAck()
+		if err == io.EOF {
+			break // the standby dropped the stream
+		}
+		if err != nil {
+			t.Fatalf("standby kept the stream open after an undecodable record: %v", err)
+		}
+		if acked > good {
+			t.Fatalf("standby acked seq %d past its last record %d", acked, good)
+		}
+	}
+	if got := sb.AppliedSeq(); got != good {
+		t.Errorf("AppliedSeq() = %d, want %d", got, good)
+	}
+	if err := sb.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	rep, err := durable.Verify(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Clean || rep.LastSeq != good {
+		t.Errorf("standby log: clean=%v last seq %d (cut %v), want clean at %d", rep.Clean, rep.LastSeq, rep.Truncated, good)
 	}
 }

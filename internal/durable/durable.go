@@ -32,6 +32,15 @@
 // tail does not fail recovery: the log is truncated at the first bad
 // frame, the byte offset is reported, and serving resumes from what
 // was durably acknowledged — exactly the contract fsync gives.
+//
+// A data directory has one reader. Open, Verify and ReadState each run
+// the same scan — report every snapshot, prime the state from the
+// newest valid one, walk the log once — so recovery, the integrity
+// check and offline tools agree on every count and on where a log is
+// cut. A record has one encoding, too: the appender's. A replication
+// stream ships the frame payloads a Follower reads, and a standby's
+// AppendReplica frames them as received, so its log holds the
+// primary's bytes.
 package durable
 
 import (

@@ -74,11 +74,13 @@ func (fl *Follower) Close() {
 	fl.p.mu.Unlock()
 }
 
-// Next blocks until the next record is readable and returns it. It
-// returns ErrClosed once the log has closed (or crashed) and every
-// flushed record has been delivered, ErrCompacted if the resume point
-// has been pruned, and ErrFollowerClosed after Close.
-func (fl *Follower) Next() (*Record, error) {
+// Next blocks until the next record is readable and returns it along
+// with its frame payload: the record's JSON exactly as the appender
+// encoded it, which a replication stream ships as is. It returns
+// ErrClosed once the log has closed (or crashed) and every flushed
+// record has been delivered, ErrCompacted if the resume point has been
+// pruned, and ErrFollowerClosed after Close.
+func (fl *Follower) Next() (*Record, []byte, error) {
 	for {
 		fl.p.mu.Lock()
 		for !fl.done && fl.p.visible < fl.next && !fl.p.closed && fl.p.err == nil {
@@ -90,27 +92,27 @@ func (fl *Follower) Next() (*Record, error) {
 		fl.p.mu.Unlock()
 		if done {
 			fl.closeFile()
-			return nil, ErrFollowerClosed
+			return nil, nil, ErrFollowerClosed
 		}
 		if visible < fl.next {
 			// The plane ended before this sequence was flushed; nothing
 			// more will ever become readable.
 			fl.closeFile()
-			return nil, ErrClosed
+			return nil, nil, ErrClosed
 		}
-		rec, err := fl.readNext(visible)
+		rec, payload, err := fl.readNext(visible)
 		if err == errRetryFollow {
 			if planeDead {
 				// No new flush can resolve the race; treat as EOF.
 				fl.closeFile()
-				return nil, ErrClosed
+				return nil, nil, ErrClosed
 			}
 			// Benign race with rotation or pruning: the segment list or
 			// file content is mid-change. Back off briefly.
 			time.Sleep(200 * time.Microsecond)
 			continue
 		}
-		return rec, err
+		return rec, payload, err
 	}
 }
 
@@ -123,12 +125,12 @@ func (fl *Follower) Pending() bool {
 }
 
 // readNext reads forward until it delivers the record numbered
-// fl.next. Caller guarantees fl.next <= visible.
-func (fl *Follower) readNext(visible uint64) (*Record, error) {
+// fl.next and its frame payload. Caller guarantees fl.next <= visible.
+func (fl *Follower) readNext(visible uint64) (*Record, []byte, error) {
 	for {
 		if fl.f == nil {
 			if err := fl.openSegmentFor(fl.next); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 		payload, n, err := readFrame(fl.br)
@@ -138,10 +140,10 @@ func (fl *Follower) readNext(visible uint64) (*Record, error) {
 			// we raced the rotation; retry.)
 			rotated, rerr := fl.advanceSegment()
 			if rerr != nil {
-				return nil, rerr
+				return nil, nil, rerr
 			}
 			if !rotated {
-				return nil, errRetryFollow
+				return nil, nil, errRetryFollow
 			}
 			continue
 		}
@@ -152,32 +154,32 @@ func (fl *Follower) readNext(visible uint64) (*Record, error) {
 			// under us mid-read) or genuine corruption. Re-open at the
 			// same offset once; a repeat is real.
 			if fl.corruptAt == fl.offset {
-				return nil, fmt.Errorf("durable: follower: corrupt frame in %s at offset %d: %s", fl.path, fl.offset, corrupt.reason)
+				return nil, nil, fmt.Errorf("durable: follower: corrupt frame in %s at offset %d: %s", fl.path, fl.offset, corrupt.reason)
 			}
 			fl.corruptAt = fl.offset
 			if rerr := fl.reopenAtOffset(); rerr != nil {
-				return nil, rerr
+				return nil, nil, rerr
 			}
-			return nil, errRetryFollow
+			return nil, nil, errRetryFollow
 		}
 		if err != nil {
-			return nil, fmt.Errorf("durable: follower: reading %s: %w", fl.path, err)
+			return nil, nil, fmt.Errorf("durable: follower: reading %s: %w", fl.path, err)
 		}
 		fl.offset += n
 		fl.corruptAt = -1
 		var rec Record
 		if derr := json.Unmarshal(payload, &rec); derr != nil {
-			return nil, fmt.Errorf("durable: follower: decoding record in %s: %w", fl.path, derr)
+			return nil, nil, fmt.Errorf("durable: follower: decoding record in %s: %w", fl.path, derr)
 		}
 		if rec.Seq < fl.next {
 			// Resumed mid-segment: skip records already delivered.
 			continue
 		}
 		if rec.Seq != fl.next {
-			return nil, fmt.Errorf("durable: follower: log discontinuity in %s: want seq %d, found %d", fl.path, fl.next, rec.Seq)
+			return nil, nil, fmt.Errorf("durable: follower: log discontinuity in %s: want seq %d, found %d", fl.path, fl.next, rec.Seq)
 		}
 		fl.next++
-		return &rec, nil
+		return &rec, payload, nil
 	}
 }
 

@@ -16,7 +16,7 @@ func collectFollower(fl *Follower) (<-chan *Record, <-chan error) {
 	go func() {
 		defer close(out)
 		for {
-			rec, err := fl.Next()
+			rec, _, err := fl.Next()
 			if err != nil {
 				done <- err
 				return
@@ -112,7 +112,7 @@ func TestFollowerResumeFromSeq(t *testing.T) {
 		fl := p.Follow(after)
 		want := after + 1
 		for want <= lastSeq {
-			rec, err := fl.Next()
+			rec, _, err := fl.Next()
 			if err != nil {
 				t.Fatalf("resume after %d: Next at seq %d: %v", after, want, err)
 			}
@@ -193,14 +193,14 @@ func TestFollowerCompacted(t *testing.T) {
 		t.Skip("pruning removed nothing; nothing to assert")
 	}
 	fl := p.Follow(0)
-	if _, err := fl.Next(); !errors.Is(err, ErrCompacted) {
+	if _, _, err := fl.Next(); !errors.Is(err, ErrCompacted) {
 		t.Fatalf("Next after compaction: %v, want ErrCompacted", err)
 	}
 	fl.Close()
 
 	// A resume inside the retained tail still works.
 	fl2 := p.Follow(segs[0].firstSeq - 1)
-	rec, err := fl2.Next()
+	rec, _, err := fl2.Next()
 	if err != nil {
 		t.Fatalf("retained-tail Next: %v", err)
 	}
@@ -219,7 +219,7 @@ func TestFollowerCloseUnblocks(t *testing.T) {
 	fl := p.Follow(p.LastSeq())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := fl.Next()
+		_, _, err := fl.Next()
 		errc <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -253,20 +253,20 @@ func TestAppendReplicaContiguity(t *testing.T) {
 	src2, _ := mustOpen(t, srcDir)
 	fl := src2.Follow(1)
 	for i := 0; i < 10; i++ {
-		r, err := fl.Next()
+		r, payload, err := fl.Next()
 		if err != nil {
 			t.Fatalf("source Next: %v", err)
 		}
-		if err := dst.AppendReplica(r); err != nil {
+		if err := dst.AppendReplica(r, payload); err != nil {
 			t.Fatalf("AppendReplica seq %d: %v", r.Seq, err)
 		}
 		// Replays and gaps must be rejected.
-		if err := dst.AppendReplica(r); err == nil {
+		if err := dst.AppendReplica(r, payload); err == nil {
 			t.Fatalf("AppendReplica accepted a replay of seq %d", r.Seq)
 		}
 		gap := *r
 		gap.Seq = r.Seq + 2
-		if err := dst.AppendReplica(&gap); err == nil {
+		if err := dst.AppendReplica(&gap, payload); err == nil {
 			t.Fatalf("AppendReplica accepted a gap at seq %d", gap.Seq)
 		}
 	}
@@ -279,11 +279,11 @@ func TestAppendReplicaContiguity(t *testing.T) {
 		t.Fatalf("Close replica: %v", err)
 	}
 
-	srcState, _, _, err := ReadState(srcDir)
+	srcState, _, _, err := ReadState(srcDir, nil)
 	if err != nil {
 		t.Fatalf("ReadState source: %v", err)
 	}
-	dstState, _, _, err := ReadState(dstDir)
+	dstState, _, _, err := ReadState(dstDir, nil)
 	if err != nil {
 		t.Fatalf("ReadState replica: %v", err)
 	}

@@ -20,10 +20,6 @@ type corruptError struct{ reason string }
 
 func (e *corruptError) Error() string { return e.reason }
 
-func readFull(r *bufio.Reader, buf []byte) (int, error) {
-	return io.ReadFull(r, buf)
-}
-
 // readFrame reads one [len][crc32c][payload] frame. It returns io.EOF
 // at a clean end and *corruptError for a torn or bit-flipped frame.
 func readFrame(br *bufio.Reader) ([]byte, int64, error) {
@@ -55,21 +51,13 @@ func readFrame(br *bufio.Reader) ([]byte, int64, error) {
 type walkInfo struct {
 	lastSeq uint64
 	records int
-	sealed  bool
 	// tailIndex/tailEnd locate the end of valid data: segment index in
 	// the scanned slice and byte offset of the first byte past the last
 	// good frame there.
 	tailIndex int
 	tailEnd   int64
 	truncated *Truncation
-	// perSegment mirrors records per segment for reporting.
-	perSegment []segmentReportInternal
-}
-
-type segmentReportInternal struct {
-	info    segmentInfo
-	records int
-	bytes   int64
+	segments  []SegmentReport
 }
 
 // walkLog scans segments in order, invoking fn for every CRC-valid
@@ -80,11 +68,11 @@ type segmentReportInternal struct {
 // a forward sequence jump at a segment boundary is accepted when every
 // skipped record is covered by it (recovery rotates to snapSeq+1 after
 // cutting a corrupted tail that left the log behind the snapshot).
-func walkLog(segs []segmentInfo, snapSeq uint64, fn func(*Record) error) (*walkInfo, error) {
+func walkLog(segs []segmentInfo, snapSeq uint64, fn func(*Record)) (*walkInfo, error) {
 	wi := &walkInfo{tailIndex: -1}
 	var prevSeq uint64
 	for i, si := range segs {
-		rep := segmentReportInternal{info: si}
+		rep := SegmentReport{Name: si.name, FirstSeq: si.firstSeq}
 		f, err := os.Open(si.path)
 		if err != nil {
 			return nil, fmt.Errorf("durable: open segment %s: %w", si.name, err)
@@ -131,27 +119,20 @@ func walkLog(segs []segmentInfo, snapSeq uint64, fn func(*Record) error) (*walkI
 				}
 				first = false
 				if fn != nil {
-					if ferr := fn(&rec); ferr != nil {
-						f.Close()
-						return nil, ferr
-					}
+					fn(&rec)
 				}
 				prevSeq = rec.Seq
 				wi.lastSeq = rec.Seq
 				wi.records++
-				rep.records++
-				wi.sealed = rec.Op == OpSeal
+				rep.Records++
 				offset += n
-				rep.bytes = offset
 			}
 		}
 		f.Close()
 		wi.tailIndex = i
 		wi.tailEnd = offset
-		if rep.bytes == 0 {
-			rep.bytes = offset
-		}
-		wi.perSegment = append(wi.perSegment, rep)
+		rep.Bytes = offset
+		wi.segments = append(wi.segments, rep)
 		if wi.truncated != nil {
 			break
 		}
@@ -159,8 +140,101 @@ func walkLog(segs []segmentInfo, snapSeq uint64, fn func(*Record) error) (*walkI
 	return wi, nil
 }
 
+// scan is the one read of a data directory: Open, Verify and ReadState
+// are each this scan followed by their own use of it. It reports every
+// snapshot, primes a State from the newest valid one, walks the log
+// once, and folds every non-meta record past that snapshot into the
+// state.
+type scan struct {
+	dir       string
+	snapshots []SnapshotReport // newest first
+	// snapMeta and snapSeq come from the snapshot that primed state;
+	// snapMeta is nil when none did and the log replays from its start.
+	snapMeta *Meta
+	snapSeq  uint64
+	// logMeta is the log's meta record, nil when none was read.
+	logMeta *Meta
+	state   *State
+	// replayed counts the records folded into state past snapSeq.
+	replayed int
+	segs     []segmentInfo
+	log      *walkInfo
+}
+
+// scanDir reads dir read-only. fn, when non-nil, sees every valid
+// record in sequence order, including the meta record and records the
+// priming snapshot already covers.
+func scanDir(dir string, fn func(*Record)) (*scan, error) {
+	sc := &scan{dir: dir, state: NewState()}
+	snaps, err := listSnapshots(dir)
+	if err != nil {
+		return nil, fmt.Errorf("durable: %w", err)
+	}
+	// The newest CRC-valid snapshot primes the state; a corrupt newest
+	// snapshot falls back to the previous generation, then to a full
+	// log replay.
+	for _, si := range snaps {
+		sr := SnapshotReport{Name: si.name, LastSeq: si.lastSeq}
+		snap, serr := readSnapshotFile(si.path)
+		if serr != nil {
+			sr.Error = serr.Error()
+		} else {
+			sr.Valid = true
+			sr.Sessions = len(snap.Sessions)
+			if sc.snapMeta == nil {
+				m := snap.Meta
+				sc.snapMeta = &m
+				sc.snapSeq = snap.LastSeq
+				sc.state.LoadSnapshot(snap)
+			}
+		}
+		sc.snapshots = append(sc.snapshots, sr)
+	}
+	if sc.segs, err = listSegments(dir); err != nil {
+		return nil, fmt.Errorf("durable: %w", err)
+	}
+	sc.log, err = walkLog(sc.segs, sc.snapSeq, func(r *Record) {
+		switch {
+		case r.Op == OpMeta:
+			if sc.logMeta == nil {
+				sc.logMeta = r.Meta
+			}
+		case r.Seq > sc.snapSeq:
+			sc.state.Apply(r)
+			sc.replayed++
+		}
+		if fn != nil {
+			fn(r)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return sc, nil
+}
+
+// lastSeq is where the log stands: its last valid record, or the
+// priming snapshot's LastSeq when that is further on.
+func (sc *scan) lastSeq() uint64 { return max(sc.log.lastSeq, sc.snapSeq) }
+
+// report is the scan as Verify's integrity summary.
+func (sc *scan) report() *VerifyReport {
+	return &VerifyReport{
+		Dir:       sc.dir,
+		Segments:  sc.log.segments,
+		Snapshots: sc.snapshots,
+		Records:   sc.log.records,
+		LastSeq:   sc.lastSeq(),
+		Sessions:  len(sc.state.Sessions),
+		Sealed:    sc.state.Sealed,
+		Truncated: sc.log.truncated,
+		Clean:     sc.log.truncated == nil,
+	}
+}
+
 // Open recovers the data directory and returns the live Plane plus
-// what recovery found. meta is the serving configuration's fabric
+// what recovery found: it reads the directory with the scan Verify
+// reports, then acts on it. meta is the serving configuration's fabric
 // identity: a log recorded against different fabric parameters is
 // refused (replaying its routes would corrupt link bookkeeping).
 //
@@ -180,53 +254,27 @@ func Open(opts Options, meta Meta) (*Plane, *Recovery, error) {
 		return nil, nil, fmt.Errorf("durable: %w", err)
 	}
 
-	state := NewState()
-	rec := &Recovery{Meta: meta}
-
-	// Newest CRC-valid snapshot primes the state; a corrupt newest
-	// snapshot falls back to the previous generation, then to a full
-	// log replay.
-	snaps, err := listSnapshots(opts.Dir)
-	if err != nil {
-		return nil, nil, fmt.Errorf("durable: %w", err)
-	}
-	for _, si := range snaps {
-		snap, serr := readSnapshotFile(si.path)
-		if serr != nil {
-			opts.Logger.Warn("snapshot unreadable, falling back",
-				slog.String("snapshot", si.name), slog.String("error", serr.Error()))
-			continue
-		}
-		if !snap.Meta.Compatible(meta) {
-			return nil, nil, fmt.Errorf("durable: data dir %s was recorded for a different fabric (snapshot %s)", opts.Dir, si.name)
-		}
-		state.LoadSnapshot(snap)
-		rec.SnapshotSeq = snap.LastSeq
-		break
-	}
-
-	segs, err := listSegments(opts.Dir)
-	if err != nil {
-		return nil, nil, fmt.Errorf("durable: %w", err)
-	}
-	replayed := 0
-	wi, err := walkLog(segs, rec.SnapshotSeq, func(r *Record) error {
-		if r.Op == OpMeta {
-			if r.Meta != nil && !r.Meta.Compatible(meta) {
-				return fmt.Errorf("durable: data dir %s was recorded for a different fabric (params %+v x%d)", opts.Dir, r.Meta.Params, r.Meta.Replicas)
-			}
-			return nil
-		}
-		if r.Seq <= rec.SnapshotSeq {
-			return nil
-		}
-		state.Apply(r)
-		replayed++
-		return nil
-	})
+	sc, err := scanDir(opts.Dir, nil)
 	if err != nil {
 		return nil, nil, err
 	}
+	// A log recorded for another fabric is refused before any file is
+	// touched.
+	for _, sr := range sc.snapshots {
+		if sr.Valid {
+			if !sc.snapMeta.Compatible(meta) {
+				return nil, nil, fmt.Errorf("durable: data dir %s was recorded for a different fabric (snapshot %s)", opts.Dir, sr.Name)
+			}
+			break
+		}
+		opts.Logger.Warn("snapshot unreadable, falling back",
+			slog.String("snapshot", sr.Name), slog.String("error", sr.Error))
+	}
+	if m := sc.logMeta; m != nil && !m.Compatible(meta) {
+		return nil, nil, fmt.Errorf("durable: data dir %s was recorded for a different fabric (params %+v x%d)", opts.Dir, m.Params, m.Replicas)
+	}
+	rec := &Recovery{Meta: meta, SnapshotSeq: sc.snapSeq}
+	segs, wi := sc.segs, sc.log
 
 	// Cut the corrupted tail and quarantine anything after it.
 	tailRemoved := false
@@ -259,10 +307,7 @@ func Open(opts Options, meta Meta) (*Plane, *Recovery, error) {
 		rec.Truncated = t
 	}
 
-	lastSeq := wi.lastSeq
-	if rec.SnapshotSeq > lastSeq {
-		lastSeq = rec.SnapshotSeq
-	}
+	lastSeq := sc.lastSeq()
 
 	p := &Plane{
 		opts:     opts,
@@ -315,7 +360,7 @@ func Open(opts Options, meta Meta) (*Plane, *Recovery, error) {
 			p.segments--
 		}
 	}
-	p.sealed = state.Sealed
+	p.sealed = sc.state.Sealed
 
 	if wi.records == 0 && rec.SnapshotSeq == 0 {
 		m := meta
@@ -325,12 +370,12 @@ func Open(opts Options, meta Meta) (*Plane, *Recovery, error) {
 		}
 	}
 
-	rec.Sessions = state.SessionList()
-	rec.Failed = state.FailedList()
-	rec.NextSession = state.NextSession
+	rec.Sessions = sc.state.SessionList()
+	rec.Failed = sc.state.FailedList()
+	rec.NextSession = sc.state.NextSession
 	rec.LastSeq = lastSeq
-	rec.Records = replayed
-	rec.Sealed = state.Sealed
+	rec.Records = sc.replayed
+	rec.Sealed = sc.state.Sealed
 	rec.Elapsed = time.Since(start)
 	return p, rec, nil
 }
@@ -371,151 +416,26 @@ type VerifyReport struct {
 // The reported truncation offset, if any, is byte-identical to where
 // Open would cut the log.
 func Verify(dir string) (*VerifyReport, error) {
-	rep := &VerifyReport{Dir: dir}
-	snaps, err := listSnapshots(dir)
-	if err != nil {
-		return nil, fmt.Errorf("durable: %w", err)
-	}
-	var snapSeq uint64
-	havePrimed := false
-	state := NewState()
-	for _, si := range snaps {
-		sr := SnapshotReport{Name: si.name, LastSeq: si.lastSeq}
-		snap, serr := readSnapshotFile(si.path)
-		if serr != nil {
-			sr.Error = serr.Error()
-		} else {
-			sr.Valid = true
-			sr.Sessions = len(snap.Sessions)
-			if !havePrimed {
-				state.LoadSnapshot(snap)
-				snapSeq = snap.LastSeq
-				havePrimed = true
-			}
-		}
-		rep.Snapshots = append(rep.Snapshots, sr)
-	}
-	segs, err := listSegments(dir)
-	if err != nil {
-		return nil, fmt.Errorf("durable: %w", err)
-	}
-	wi, err := walkLog(segs, snapSeq, func(r *Record) error {
-		if r.Op != OpMeta && r.Seq > snapSeq {
-			state.Apply(r)
-		}
-		return nil
-	})
+	sc, err := scanDir(dir, nil)
 	if err != nil {
 		return nil, err
 	}
-	for _, sr := range wi.perSegment {
-		rep.Segments = append(rep.Segments, SegmentReport{
-			Name:     sr.info.name,
-			FirstSeq: sr.info.firstSeq,
-			Records:  sr.records,
-			Bytes:    sr.bytes,
-		})
-	}
-	rep.Records = wi.records
-	rep.LastSeq = wi.lastSeq
-	if snapSeq > rep.LastSeq {
-		rep.LastSeq = snapSeq
-	}
-	rep.Sessions = len(state.Sessions)
-	rep.Sealed = state.Sealed
-	rep.Truncated = wi.truncated
-	rep.Clean = wi.truncated == nil
-	return rep, nil
+	return sc.report(), nil
 }
 
-// ReadState replays a data directory read-only into its materialized
-// state, returning the log's recorded Meta when one is present (from
-// the newest valid snapshot or the meta record). Offline tooling uses
-// this; the serving path uses Open.
-func ReadState(dir string) (*State, *Meta, *VerifyReport, error) {
-	rep := &VerifyReport{Dir: dir}
-	var meta *Meta
-	state := NewState()
-	snaps, err := listSnapshots(dir)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("durable: %w", err)
-	}
-	var snapSeq uint64
-	for _, si := range snaps {
-		snap, serr := readSnapshotFile(si.path)
-		if serr != nil {
-			continue
-		}
-		m := snap.Meta
-		meta = &m
-		state.LoadSnapshot(snap)
-		snapSeq = snap.LastSeq
-		break
-	}
-	segs, err := listSegments(dir)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("durable: %w", err)
-	}
-	wi, err := walkLog(segs, snapSeq, func(r *Record) error {
-		if r.Op == OpMeta {
-			if meta == nil && r.Meta != nil {
-				m := *r.Meta
-				meta = &m
-			}
-			return nil
-		}
-		if r.Seq > snapSeq {
-			state.Apply(r)
-		}
-		return nil
-	})
+// ReadState is Open's scan without Open's writes, for offline tooling:
+// the directory's materialized state, the fabric identity it records
+// (the priming snapshot's meta, else the log's meta record; nil when it
+// holds neither), and the same report Verify gives. fn, when non-nil,
+// sees every valid record in sequence order.
+func ReadState(dir string, fn func(*Record)) (*State, *Meta, *VerifyReport, error) {
+	sc, err := scanDir(dir, fn)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	rep.Records = wi.records
-	rep.LastSeq = wi.lastSeq
-	if snapSeq > rep.LastSeq {
-		rep.LastSeq = snapSeq
+	meta := sc.snapMeta
+	if meta == nil {
+		meta = sc.logMeta
 	}
-	rep.Sealed = state.Sealed
-	rep.Truncated = wi.truncated
-	rep.Clean = wi.truncated == nil
-	return state, meta, rep, nil
-}
-
-// WalkRecords invokes fn for every valid record in sequence order,
-// read-only (offline inspection). It stops early if fn returns false
-// and returns the truncation point, if any.
-func WalkRecords(dir string, fn func(*Record) bool) (*Truncation, error) {
-	segs, err := listSegments(dir)
-	if err != nil {
-		return nil, fmt.Errorf("durable: %w", err)
-	}
-	// The newest valid snapshot's LastSeq legitimizes boundary jumps,
-	// exactly as in Open and Verify.
-	snaps, err := listSnapshots(dir)
-	if err != nil {
-		return nil, fmt.Errorf("durable: %w", err)
-	}
-	var snapSeq uint64
-	for _, si := range snaps {
-		if snap, serr := readSnapshotFile(si.path); serr == nil {
-			snapSeq = snap.LastSeq
-			break
-		}
-	}
-	stop := fmt.Errorf("stop")
-	wi, err := walkLog(segs, snapSeq, func(r *Record) error {
-		if !fn(r) {
-			return stop
-		}
-		return nil
-	})
-	if err == stop {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	return wi.truncated, nil
+	return sc.state, meta, sc.report(), nil
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -42,9 +43,6 @@ func (p *Plane) WriteSnapshot(snap *Snapshot) error {
 // the Plane on top (Open rotates to a fresh segment at LastSeq+1). The
 // caller provides snap.Meta; the directory is created if absent.
 func WriteSnapshotTo(dir string, snap *Snapshot) error {
-	if snap.TakenUnixNs == 0 {
-		snap.TakenUnixNs = time.Now().UnixNano()
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("durable: snapshot: %w", err)
 	}
@@ -141,7 +139,7 @@ func readSnapshotFile(path string) (*Snapshot, error) {
 	defer f.Close()
 	br := bufio.NewReader(f)
 	magic := make([]byte, len(snapshotMagic))
-	if _, err := readFull(br, magic); err != nil {
+	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("durable: snapshot %s: short magic", filepath.Base(path))
 	}
 	if string(magic) != snapshotMagic {

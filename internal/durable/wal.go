@@ -242,13 +242,17 @@ func (p *Plane) AppendTimed(rec *Record) (seq uint64, fsyncD, commitD time.Durat
 }
 
 // AppendReplica frames a record that already carries a sequence number
-// — a primary's, shipped over a replication stream — into the log. The
-// record must extend the log contiguously (rec.Seq == LastSeq()+1); a
-// gap or replay is a protocol error, not a write. Unlike Append it does
-// not block on the group-commit fsync: a standby acknowledges whole
-// batches with an explicit Sync before replying, so per-record waits
-// would only serialize the stream.
-func (p *Plane) AppendReplica(rec *Record) error {
+// — a primary's, shipped over a replication stream — into the log.
+// payload is the record's frame payload exactly as the primary's
+// appender encoded it (Follower.Next hands it out), and it is framed as
+// is, so the replica's log holds the primary's bytes; rec is that
+// payload decoded, which supplies the sequence and op. The record must
+// extend the log contiguously (rec.Seq == LastSeq()+1); a gap or
+// replay is a protocol error, not a write. Unlike Append it does not
+// block on the group-commit fsync: a standby acknowledges whole batches
+// with an explicit Sync before replying, so per-record waits would only
+// serialize the stream.
+func (p *Plane) AppendReplica(rec *Record, payload []byte) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.err != nil {
@@ -259,10 +263,6 @@ func (p *Plane) AppendReplica(rec *Record) error {
 	}
 	if rec.Seq != p.seq+1 {
 		return fmt.Errorf("durable: replica append seq %d does not extend last seq %d", rec.Seq, p.seq)
-	}
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("durable: encode record: %w", err)
 	}
 	if len(payload) > maxRecordBytes {
 		return fmt.Errorf("durable: record of %d bytes exceeds frame limit", len(payload))

@@ -250,9 +250,8 @@ func TestGroupCommitRacesSyncFollowerClose(t *testing.T) {
 	p2, _ := mustOpen(t, dir)
 	defer p2.Close()
 	logged := make(map[uint64]uint64)
-	if _, err := WalkRecords(dir, func(r *Record) bool {
+	if _, _, _, err := ReadState(dir, func(r *Record) {
 		logged[r.Seq] = r.Session
-		return true
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -918,7 +917,10 @@ func TestReadStateOffline(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	state, meta, rep, err := ReadState(dir)
+	var ops []string
+	state, meta, rep, err := ReadState(dir, func(r *Record) {
+		ops = append(ops, r.Op)
+	})
 	if err != nil {
 		t.Fatalf("ReadState: %v", err)
 	}
@@ -930,13 +932,6 @@ func TestReadStateOffline(t *testing.T) {
 	}
 	if !rep.Clean {
 		t.Errorf("clean log reported dirty: %+v", rep.Truncated)
-	}
-	var ops []string
-	if _, err := WalkRecords(dir, func(r *Record) bool {
-		ops = append(ops, r.Op)
-		return true
-	}); err != nil {
-		t.Fatal(err)
 	}
 	want := []string{OpMeta, OpConnect, OpFail}
 	if !reflect.DeepEqual(ops, want) {

@@ -61,9 +61,10 @@ type connMeta struct {
 }
 
 // openDurable opens (or creates) the write-ahead log under
-// cfg.DataDir, reinstalls every recovered session, and starts the
-// snapshotter. Called from New before the controller is published.
-func (ctl *Controller) openDurable() error {
+// cfg.DataDir for the fabric identity meta, reinstalls every recovered
+// session, and starts the snapshotter. Called from New before the
+// controller is published.
+func (ctl *Controller) openDurable(meta durable.Meta) error {
 	cfg := ctl.cfg
 	opts := durable.Options{
 		Dir:          cfg.DataDir,
@@ -72,7 +73,6 @@ func (ctl *Controller) openDurable() error {
 		Committer:    cfg.WALCommitter,
 		Logger:       ctl.logger,
 	}
-	meta := durable.Meta{Params: ctl.params, Replicas: len(ctl.fabrics), Backend: ctl.backendName}
 	sp := ctl.tracer.Root("wal.recover", "")
 	defer sp.End()
 	wal, rec, err := durable.Open(opts, meta)

@@ -262,22 +262,42 @@ type Controller struct {
 	histDone   chan struct{}
 }
 
+// DurableMeta is the fabric identity a controller built from c records
+// in its write-ahead log: the resolved backend, its normalized
+// parameters and the replica count. A cluster standby proves the same
+// identity to its primary.
+func (c Config) DurableMeta() (durable.Meta, error) {
+	_, meta, err := c.withDefaults().resolveFabric()
+	return meta, err
+}
+
+// resolveFabric looks up c's backend (Backend, else the construction's)
+// and normalizes c.Fabric for it. c carries its defaults.
+func (c Config) resolveFabric() (backend.Descriptor, durable.Meta, error) {
+	name := c.Backend
+	if name == "" {
+		name = backend.ForConstruction(c.Fabric.Construction)
+	}
+	desc, err := backend.Get(name)
+	if err != nil {
+		return backend.Descriptor{}, durable.Meta{}, fmt.Errorf("switchd: %w", err)
+	}
+	norm, err := desc.Normalize(c.Fabric)
+	if err != nil {
+		return backend.Descriptor{}, durable.Meta{}, err
+	}
+	return desc, durable.Meta{Params: norm, Replicas: c.Replicas, Backend: desc.Name}, nil
+}
+
 // New builds a controller with cfg.Replicas freshly constructed fabric
 // replicas.
 func New(cfg Config) (*Controller, error) {
 	cfg = cfg.withDefaults()
-	name := cfg.Backend
-	if name == "" {
-		name = backend.ForConstruction(cfg.Fabric.Construction)
-	}
-	desc, err := backend.Get(name)
-	if err != nil {
-		return nil, fmt.Errorf("switchd: %w", err)
-	}
-	norm, err := desc.Normalize(cfg.Fabric)
+	desc, meta, err := cfg.resolveFabric()
 	if err != nil {
 		return nil, err
 	}
+	norm := meta.Params
 	ctl := &Controller{
 		cfg:         cfg,
 		params:      norm,
@@ -307,7 +327,7 @@ func New(cfg Config) (*Controller, error) {
 		ctl.fabrics = append(ctl.fabrics, f)
 	}
 	if cfg.DataDir != "" {
-		if err := ctl.openDurable(); err != nil {
+		if err := ctl.openDurable(meta); err != nil {
 			return nil, err
 		}
 	}
