@@ -166,31 +166,37 @@ func BenchmarkBlockingVsM(b *testing.B) {
 }
 
 // BenchmarkCrossbarRouting measures connection setup/teardown throughput
-// on the gate-level crossbars (one op = one Add + one Release of a
-// fanout-4 multicast).
+// on the crossbars (one op = one Add + one Release of a fanout-4
+// multicast). The per-model sub-benchmarks drive gate-level fabrics,
+// whose gate work dominates; lite/<model> drives the lite switches the
+// multistage networks are built from, so it prices the bookkeeping
+// alone.
 func BenchmarkCrossbarRouting(b *testing.B) {
+	d := wdm.Dim{N: 16, K: 4}
+	c := wdm.Connection{
+		Source: wdm.PortWave{Port: 0, Wave: 0},
+		Dests: []wdm.PortWave{
+			{Port: 1, Wave: 0}, {Port: 5, Wave: 0},
+			{Port: 9, Wave: 0}, {Port: 13, Wave: 0},
+		},
+	}
+	run := func(b *testing.B, s *crossbar.Switch) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			id, err := s.Add(c)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := s.Release(id); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 	for _, m := range wdm.Models {
-		b.Run(m.String(), func(b *testing.B) {
-			d := wdm.Dim{N: 16, K: 4}
-			s := crossbar.New(m, d)
-			c := wdm.Connection{
-				Source: wdm.PortWave{Port: 0, Wave: 0},
-				Dests: []wdm.PortWave{
-					{Port: 1, Wave: 0}, {Port: 5, Wave: 0},
-					{Port: 9, Wave: 0}, {Port: 13, Wave: 0},
-				},
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				id, err := s.Add(c)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := s.Release(id); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		b.Run(m.String(), func(b *testing.B) { run(b, crossbar.New(m, d)) })
+	}
+	for _, m := range wdm.Models {
+		b.Run("lite/"+m.String(), func(b *testing.B) { run(b, crossbar.NewLite(m, d.Shape())) })
 	}
 }
 

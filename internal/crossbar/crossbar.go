@@ -24,10 +24,19 @@
 // matter, NewLite builds a switch without the element graph: routing
 // bookkeeping is identical but Verify is unavailable and Cost comes from
 // the closed forms (which the audited fabrics are tested to match).
+//
+// Slot occupancy is two bitsets, one bit per input slot and one per
+// output slot, indexed by PortWave.Index(k) as the multistage network's
+// own slot tables are. They say only whether a slot is busy: the id of
+// the connection holding it is found by scanning the held connections,
+// which only a busy-slot error asks for. A multistage network holds
+// hundreds of modules, so each keeps its occupancy to In*k + Out*k bits
+// rather than a slot-to-id table.
 package crossbar
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/fabric"
 	"repro/internal/wdm"
@@ -48,11 +57,21 @@ type Switch struct {
 	// converters[slot]: input slots for MSDW, output slots for MAW.
 	converters []fabric.ElemID
 
-	conns   map[int]wdm.Connection
-	nextID  int
-	srcBusy map[wdm.PortWave]int // slot -> connection id
-	dstBusy map[wdm.PortWave]int
+	conns  map[int]wdm.Connection
+	nextID int
+	// srcBusy and dstBusy hold one bit per input and output slot.
+	srcBusy bitset
+	dstBusy bitset
 }
+
+// bitset is a fixed-size set of slot indices.
+type bitset []uint64
+
+func bitsetWords(n int) int { return (n + 63) / 64 }
+
+func (b bitset) has(i int) bool { return b[i>>6]&(1<<(i&63)) != 0 }
+func (b bitset) set(i int)      { b[i>>6] |= 1 << (i & 63) }
+func (b bitset) clear(i int)    { b[i>>6] &^= 1 << (i & 63) }
 
 // New builds a square N x N crossbar switch of the given model. It panics
 // on invalid dimensions (a constructor-time programming error).
@@ -95,12 +114,15 @@ func newSwitch(model wdm.Model, shape wdm.Shape) *Switch {
 	if err := shape.Validate(); err != nil {
 		panic("crossbar: " + err.Error())
 	}
+	// One allocation backs both bitsets.
+	in := bitsetWords(shape.InSlots())
+	busy := make(bitset, in+bitsetWords(shape.OutSlots()))
 	return &Switch{
 		shape:   shape,
 		model:   model,
 		conns:   make(map[int]wdm.Connection),
-		srcBusy: make(map[wdm.PortWave]int),
-		dstBusy: make(map[wdm.PortWave]int),
+		srcBusy: busy[:in:in],
+		dstBusy: busy[in:],
 	}
 }
 
@@ -267,13 +289,35 @@ func (s *Switch) Connection(id int) (wdm.Connection, bool) {
 func (s *Switch) Len() int { return len(s.conns) }
 
 // SourceBusy reports whether an input slot is carrying a connection.
+// It is false for a slot outside the switch.
 func (s *Switch) SourceBusy(slot wdm.PortWave) bool {
-	_, busy := s.srcBusy[slot]
-	return busy
+	return s.shape.InRangeSource(slot) && s.srcBusy.has(slot.Index(s.shape.K))
 }
 
-// DestBusy reports whether an output slot is carrying a connection.
+// DestBusy reports whether an output slot is carrying a connection. It
+// is false for a slot outside the switch.
 func (s *Switch) DestBusy(slot wdm.PortWave) bool {
-	_, busy := s.dstBusy[slot]
-	return busy
+	return s.shape.InRangeDest(slot) && s.dstBusy.has(slot.Index(s.shape.K))
+}
+
+// sourceHolder returns the id of the held connection whose source is
+// slot, or -1.
+func (s *Switch) sourceHolder(slot wdm.PortWave) int {
+	for id, c := range s.conns {
+		if c.Source == slot {
+			return id
+		}
+	}
+	return -1
+}
+
+// destHolder returns the id of the held connection with a destination
+// at slot, or -1.
+func (s *Switch) destHolder(slot wdm.PortWave) int {
+	for id, c := range s.conns {
+		if slices.Contains(c.Dests, slot) {
+			return id
+		}
+	}
+	return -1
 }

@@ -24,12 +24,13 @@ func (s *Switch) Add(c wdm.Connection) (int, error) {
 	if err := s.shape.CheckConnection(s.model, c); err != nil {
 		return 0, err
 	}
-	if id, busy := s.srcBusy[c.Source]; busy {
-		return 0, fmt.Errorf("crossbar: source slot %v already used by connection %d", c.Source, id)
+	k := s.shape.K
+	if s.srcBusy.has(c.Source.Index(k)) {
+		return 0, fmt.Errorf("crossbar: source slot %v already used by connection %d", c.Source, s.sourceHolder(c.Source))
 	}
 	for _, d := range c.Dests {
-		if id, busy := s.dstBusy[d]; busy {
-			return 0, fmt.Errorf("crossbar: destination slot %v already used by connection %d", d, id)
+		if s.dstBusy.has(d.Index(k)) {
+			return 0, fmt.Errorf("crossbar: destination slot %v already used by connection %d", d, s.destHolder(d))
 		}
 	}
 
@@ -42,9 +43,9 @@ func (s *Switch) Add(c wdm.Connection) (int, error) {
 		s.fab.Inject(c.Source, id)
 	}
 	s.conns[id] = c
-	s.srcBusy[c.Source] = id
+	s.srcBusy.set(c.Source.Index(k))
 	for _, d := range c.Dests {
-		s.dstBusy[d] = id
+		s.dstBusy.set(d.Index(k))
 	}
 	return id, nil
 }
@@ -96,9 +97,10 @@ func (s *Switch) Release(id int) error {
 		s.configureFabric(c, false)
 	}
 	delete(s.conns, id)
-	delete(s.srcBusy, c.Source)
+	k := s.shape.K
+	s.srcBusy.clear(c.Source.Index(k))
 	for _, d := range c.Dests {
-		delete(s.dstBusy, d)
+		s.dstBusy.clear(d.Index(k))
 	}
 	if s.fab != nil {
 		// Re-derive injections from the surviving connections.
@@ -154,14 +156,23 @@ func (s *Switch) Verify() (*fabric.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Expected arrivals: destination slot -> connection id.
-	expected := make(map[wdm.PortWave]int)
+	// Expected arrivals: the connection id per destination slot index,
+	// -1 where none is due.
+	k := s.shape.K
+	expected := make([]int, s.shape.OutSlots())
+	for i := range expected {
+		expected[i] = -1
+	}
 	for id, c := range s.conns {
 		for _, d := range c.Dests {
-			expected[d] = id
+			expected[d.Index(k)] = id
 		}
 	}
-	for slot, want := range expected {
+	for i, want := range expected {
+		if want < 0 {
+			continue
+		}
+		slot := wdm.SlotFromIndex(i, k)
 		got, ok := res.Arrived[slot]
 		if !ok {
 			return res, fmt.Errorf("crossbar: connection %d signal missing at %v", want, slot)
@@ -171,7 +182,7 @@ func (s *Switch) Verify() (*fabric.Result, error) {
 		}
 	}
 	for slot, sig := range res.Arrived {
-		if _, ok := expected[slot]; !ok {
+		if !s.shape.InRangeDest(slot) || expected[slot.Index(k)] < 0 {
 			return res, fmt.Errorf("crossbar: stray signal %d arrived at unexpected slot %v", sig.ID, slot)
 		}
 	}

@@ -2,6 +2,7 @@ package crossbar
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/wdm"
@@ -99,6 +100,36 @@ func TestBusyQueries(t *testing.T) {
 	}
 	if !s.DestBusy(pw(1, 0)) || s.DestBusy(pw(1, 1)) {
 		t.Error("DestBusy wrong")
+	}
+}
+
+// TestBusySlotErrorsNameHolder: a busy source or destination slot is
+// refused with the id of the connection holding it, on lite and
+// gate-level switches alike.
+func TestBusySlotErrorsNameHolder(t *testing.T) {
+	sh := wdm.Shape{In: 3, Out: 3, K: 2}
+	for _, lite := range []bool{false, true} {
+		s := NewShape(wdm.MAW, sh)
+		if lite {
+			s = NewLite(wdm.MAW, sh)
+		}
+		first := mustAdd(t, s, conn(pw(0, 0), pw(0, 0)))
+		holder := mustAdd(t, s, conn(pw(1, 1), pw(0, 1), pw(2, 0)))
+		mustAdd(t, s, conn(pw(2, 0), pw(1, 0)))
+		if err := s.Release(first); err != nil {
+			t.Fatal(err)
+		}
+
+		_, err := s.Add(conn(pw(1, 1), pw(1, 1)))
+		want := fmt.Sprintf("crossbar: source slot %v already used by connection %d", pw(1, 1), holder)
+		if err == nil || err.Error() != want {
+			t.Errorf("lite=%v busy source: err %v, want %q", lite, err, want)
+		}
+		_, err = s.Add(conn(pw(0, 0), pw(1, 1), pw(2, 0)))
+		want = fmt.Sprintf("crossbar: destination slot %v already used by connection %d", pw(2, 0), holder)
+		if err == nil || err.Error() != want {
+			t.Errorf("lite=%v busy destination: err %v, want %q", lite, err, want)
+		}
 	}
 }
 

@@ -74,13 +74,14 @@ func (fl *Follower) Close() {
 	fl.p.mu.Unlock()
 }
 
-// Next blocks until the next record is readable and returns it along
-// with its frame payload: the record's JSON exactly as the appender
-// encoded it, which a replication stream ships as is. It returns
-// ErrClosed once the log has closed (or crashed) and every flushed
-// record has been delivered, ErrCompacted if the resume point has been
-// pruned, and ErrFollowerClosed after Close.
-func (fl *Follower) Next() (*Record, []byte, error) {
+// Next blocks until the next record is readable and returns its
+// sequence number and frame payload: the record's JSON exactly as the
+// appender encoded it, which a replication stream ships as is. Only the
+// sequence is decoded. It returns ErrClosed once the log has closed (or
+// crashed) and every flushed record has been delivered, ErrCompacted
+// if the resume point has been pruned, and ErrFollowerClosed after
+// Close.
+func (fl *Follower) Next() (uint64, []byte, error) {
 	for {
 		fl.p.mu.Lock()
 		for !fl.done && fl.p.visible < fl.next && !fl.p.closed && fl.p.err == nil {
@@ -92,27 +93,27 @@ func (fl *Follower) Next() (*Record, []byte, error) {
 		fl.p.mu.Unlock()
 		if done {
 			fl.closeFile()
-			return nil, nil, ErrFollowerClosed
+			return 0, nil, ErrFollowerClosed
 		}
 		if visible < fl.next {
 			// The plane ended before this sequence was flushed; nothing
 			// more will ever become readable.
 			fl.closeFile()
-			return nil, nil, ErrClosed
+			return 0, nil, ErrClosed
 		}
-		rec, payload, err := fl.readNext(visible)
+		seq, payload, err := fl.readNext(visible)
 		if err == errRetryFollow {
 			if planeDead {
 				// No new flush can resolve the race; treat as EOF.
 				fl.closeFile()
-				return nil, nil, ErrClosed
+				return 0, nil, ErrClosed
 			}
 			// Benign race with rotation or pruning: the segment list or
 			// file content is mid-change. Back off briefly.
 			time.Sleep(200 * time.Microsecond)
 			continue
 		}
-		return rec, payload, err
+		return seq, payload, err
 	}
 }
 
@@ -126,11 +127,11 @@ func (fl *Follower) Pending() bool {
 
 // readNext reads forward until it delivers the record numbered
 // fl.next and its frame payload. Caller guarantees fl.next <= visible.
-func (fl *Follower) readNext(visible uint64) (*Record, []byte, error) {
+func (fl *Follower) readNext(visible uint64) (uint64, []byte, error) {
 	for {
 		if fl.f == nil {
 			if err := fl.openSegmentFor(fl.next); err != nil {
-				return nil, nil, err
+				return 0, nil, err
 			}
 		}
 		payload, n, err := readFrame(fl.br)
@@ -140,10 +141,10 @@ func (fl *Follower) readNext(visible uint64) (*Record, []byte, error) {
 			// we raced the rotation; retry.)
 			rotated, rerr := fl.advanceSegment()
 			if rerr != nil {
-				return nil, nil, rerr
+				return 0, nil, rerr
 			}
 			if !rotated {
-				return nil, nil, errRetryFollow
+				return 0, nil, errRetryFollow
 			}
 			continue
 		}
@@ -154,32 +155,36 @@ func (fl *Follower) readNext(visible uint64) (*Record, []byte, error) {
 			// under us mid-read) or genuine corruption. Re-open at the
 			// same offset once; a repeat is real.
 			if fl.corruptAt == fl.offset {
-				return nil, nil, fmt.Errorf("durable: follower: corrupt frame in %s at offset %d: %s", fl.path, fl.offset, corrupt.reason)
+				return 0, nil, fmt.Errorf("durable: follower: corrupt frame in %s at offset %d: %s", fl.path, fl.offset, corrupt.reason)
 			}
 			fl.corruptAt = fl.offset
 			if rerr := fl.reopenAtOffset(); rerr != nil {
-				return nil, nil, rerr
+				return 0, nil, rerr
 			}
-			return nil, nil, errRetryFollow
+			return 0, nil, errRetryFollow
 		}
 		if err != nil {
-			return nil, nil, fmt.Errorf("durable: follower: reading %s: %w", fl.path, err)
+			return 0, nil, fmt.Errorf("durable: follower: reading %s: %w", fl.path, err)
 		}
 		fl.offset += n
 		fl.corruptAt = -1
-		var rec Record
+		// The contiguity check needs the sequence alone; whoever
+		// applies the record decodes the payload in full.
+		var rec struct {
+			Seq uint64 `json:"seq"`
+		}
 		if derr := json.Unmarshal(payload, &rec); derr != nil {
-			return nil, nil, fmt.Errorf("durable: follower: decoding record in %s: %w", fl.path, derr)
+			return 0, nil, fmt.Errorf("durable: follower: decoding record in %s: %w", fl.path, derr)
 		}
 		if rec.Seq < fl.next {
 			// Resumed mid-segment: skip records already delivered.
 			continue
 		}
 		if rec.Seq != fl.next {
-			return nil, nil, fmt.Errorf("durable: follower: log discontinuity in %s: want seq %d, found %d", fl.path, fl.next, rec.Seq)
+			return 0, nil, fmt.Errorf("durable: follower: log discontinuity in %s: want seq %d, found %d", fl.path, fl.next, rec.Seq)
 		}
 		fl.next++
-		return &rec, payload, nil
+		return rec.Seq, payload, nil
 	}
 }
 

@@ -1,12 +1,30 @@
 package durable
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 )
+
+// nextRecord reads fl's next record and decodes its payload in full,
+// checking it against the sequence Next reported.
+func nextRecord(fl *Follower) (*Record, error) {
+	seq, payload, err := fl.Next()
+	if err != nil {
+		return nil, err
+	}
+	var rec Record
+	if err := json.Unmarshal(payload, &rec); err != nil {
+		return nil, err
+	}
+	if rec.Seq != seq {
+		return nil, fmt.Errorf("Next reported seq %d for a record of seq %d", seq, rec.Seq)
+	}
+	return &rec, nil
+}
 
 // collectFollower drains records from fl into a channel until a
 // terminal error, reporting the error on done.
@@ -16,7 +34,7 @@ func collectFollower(fl *Follower) (<-chan *Record, <-chan error) {
 	go func() {
 		defer close(out)
 		for {
-			rec, _, err := fl.Next()
+			rec, err := nextRecord(fl)
 			if err != nil {
 				done <- err
 				return
@@ -112,7 +130,7 @@ func TestFollowerResumeFromSeq(t *testing.T) {
 		fl := p.Follow(after)
 		want := after + 1
 		for want <= lastSeq {
-			rec, _, err := fl.Next()
+			rec, err := nextRecord(fl)
 			if err != nil {
 				t.Fatalf("resume after %d: Next at seq %d: %v", after, want, err)
 			}
@@ -200,7 +218,7 @@ func TestFollowerCompacted(t *testing.T) {
 
 	// A resume inside the retained tail still works.
 	fl2 := p.Follow(segs[0].firstSeq - 1)
-	rec, _, err := fl2.Next()
+	rec, err := nextRecord(fl2)
 	if err != nil {
 		t.Fatalf("retained-tail Next: %v", err)
 	}
@@ -253,9 +271,13 @@ func TestAppendReplicaContiguity(t *testing.T) {
 	src2, _ := mustOpen(t, srcDir)
 	fl := src2.Follow(1)
 	for i := 0; i < 10; i++ {
-		r, payload, err := fl.Next()
+		_, payload, err := fl.Next()
 		if err != nil {
 			t.Fatalf("source Next: %v", err)
+		}
+		r := new(Record)
+		if err := json.Unmarshal(payload, r); err != nil {
+			t.Fatalf("decode source record: %v", err)
 		}
 		if err := dst.AppendReplica(r, payload); err != nil {
 			t.Fatalf("AppendReplica seq %d: %v", r.Seq, err)

@@ -62,7 +62,8 @@ type walkInfo struct {
 
 // walkLog scans segments in order, invoking fn for every CRC-valid
 // record. The first integrity failure (bad magic, torn frame, CRC
-// mismatch, sequence discontinuity) stops the scan and is reported as
+// mismatch, sequence discontinuity, a log whose first record is not
+// the one its segment is named for) stops the scan and is reported as
 // a Truncation at its byte offset; later segments are not read. fn may
 // be nil. snapSeq is the LastSeq of the snapshot priming this scan:
 // a forward sequence jump at a segment boundary is accepted when every
@@ -108,7 +109,14 @@ func walkLog(segs []segmentInfo, snapSeq uint64, fn func(*Record)) (*walkInfo, e
 					corrupt(fmt.Sprintf("undecodable record: %v", derr))
 					break
 				}
-				if prevSeq != 0 && rec.Seq != prevSeq+1 {
+				if prevSeq == 0 {
+					// The log's first record. A segment is named for its
+					// first record, and Append never writes sequence 0.
+					if rec.Seq == 0 || rec.Seq != si.firstSeq {
+						corrupt(fmt.Sprintf("log starts at sequence %d in a segment named for %d", rec.Seq, si.firstSeq))
+						break
+					}
+				} else if rec.Seq != prevSeq+1 {
 					// Only the first record of a segment named for it may
 					// jump forward, and only across a snapshot-covered gap.
 					jump := first && rec.Seq == si.firstSeq && rec.Seq > prevSeq && rec.Seq-1 <= snapSeq
@@ -328,13 +336,23 @@ func Open(opts Options, meta Meta) (*Plane, *Recovery, error) {
 	// check would cut at, destroying records acked after this recovery.
 	// Those cases rotate to a fresh segment at lastSeq+1 instead;
 	// walkLog accepts that jump at a segment boundary when the gap is
-	// snapshot-covered.
+	// snapshot-covered. A tail holding no records gets its first one
+	// here, so it too is reused only when named for it.
 	reuseTail := wi.tailIndex >= 0 && !tailRemoved
-	if reuseTail && (wi.truncated != nil || rec.SnapshotSeq > wi.lastSeq) {
+	emptyTail := wi.tailEnd == int64(len(segmentMagic))
+	if reuseTail && (wi.truncated != nil || rec.SnapshotSeq > wi.lastSeq || emptyTail) {
 		// Still reusable if the tail holds no records and is already
 		// named for the next sequence — it is exactly the fresh segment
 		// rotation would create (and creating one would collide).
-		reuseTail = wi.tailEnd == int64(len(segmentMagic)) && segs[wi.tailIndex].firstSeq == lastSeq+1
+		reuseTail = emptyTail && segs[wi.tailIndex].firstSeq == lastSeq+1
+		if !reuseTail && emptyTail {
+			// Named for another sequence, it must not take the next
+			// record; it holds none, so removing it loses nothing.
+			if err := os.Remove(segs[wi.tailIndex].path); err != nil {
+				return nil, nil, fmt.Errorf("durable: remove empty tail segment: %w", err)
+			}
+			tailRemoved = true
+		}
 	}
 	if reuseTail {
 		tail := segs[wi.tailIndex]

@@ -1,6 +1,9 @@
 package durable
 
 import (
+	"bufio"
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -94,6 +97,96 @@ func seedLog(f *testing.F) []byte {
 	return b[len(segmentMagic):]
 }
 
+// strayFirstRecord is a segment body whose one CRC-valid frame, a
+// connect at sequence seq, is followed by 8 bytes of garbage.
+func strayFirstRecord(t testing.TB, seq uint64) []byte {
+	var b bytes.Buffer
+	w := bufio.NewWriter(&b)
+	if err := writeFrame(w, []byte(fmt.Sprintf(`{"seq":%d,"op":"connect","session":1}`, seq))); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return append(b.Bytes(), "garbage!"...)
+}
+
+// TestOpenCutsFirstRecordOffSegmentName: a segment is named for its
+// first record and Append never writes sequence 0, so a log whose
+// first record carries any other sequence is cut before it. Keeping
+// such a record, Open would rotate to the segment after its sequence,
+// which can be the cut tail's own name, and fail with "file exists" on
+// a directory Verify reports readable.
+func TestOpenCutsFirstRecordOffSegmentName(t *testing.T) {
+	for _, tc := range []struct{ segment, seq uint64 }{{1, 0}, {5, 4}, {2, 7}} {
+		dir := t.TempDir()
+		seg := append([]byte(segmentMagic), strayFirstRecord(t, tc.seq)...)
+		if err := os.WriteFile(filepath.Join(dir, segmentName(tc.segment)), seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := Verify(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cut := rep.Truncated
+		if rep.Records != 0 || rep.LastSeq != 0 || cut == nil || cut.Offset != int64(len(segmentMagic)) {
+			t.Fatalf("segment %d, first record %d: Verify read %d records to seq %d, cut %+v; want none, cut after the magic",
+				tc.segment, tc.seq, rep.Records, rep.LastSeq, cut)
+		}
+		_, _, read, err := ReadState(dir, nil)
+		if err != nil || !reflect.DeepEqual(read, rep) {
+			t.Fatalf("ReadState report %+v (%v), Verify report %+v", read, err, rep)
+		}
+		p, rec, err := Open(testOptions(t, dir), testMeta())
+		if err != nil {
+			t.Fatalf("segment %d, first record %d: Open: %v", tc.segment, tc.seq, err)
+		}
+		if rec.LastSeq != 0 || !reflect.DeepEqual(rec.Truncated, cut) {
+			t.Errorf("Open recovered to seq %d, cut %+v; Verify reported 0, %+v", rec.LastSeq, rec.Truncated, cut)
+		}
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+		after, err := Verify(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !after.Clean || after.Records != 1 || after.LastSeq != 1 || len(after.Segments) != 1 {
+			t.Errorf("recovered log: clean=%v, %d records to seq %d in %d segments (cut %+v); want the meta record alone in one",
+				after.Clean, after.Records, after.LastSeq, len(after.Segments), after.Truncated)
+		}
+	}
+}
+
+// TestOpenSkipsEmptyTailNamedForAnotherSeq: a tail segment holding no
+// records is given the log's next record only when it is named for it,
+// and is removed otherwise. A standby bootstrap leaves an empty segment
+// named for the record after its snapshot; with that snapshot lost, the
+// log restarts at sequence 1 in a fresh segment, so it still starts at
+// its segment's name and the next recovery keeps every record.
+func TestOpenSkipsEmptyTailNamedForAnotherSeq(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, segmentName(11)), []byte(segmentMagic), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p, _, err := Open(testOptions(t, dir), testMeta())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustAppend(t, p, &Record{Op: OpConnect, Session: 1, Route: route("0.0>5.0")})
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Verify(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Clean || rep.Records != 2 || rep.Sessions != 1 || len(rep.Segments) != 1 || rep.Segments[0].FirstSeq != 1 {
+		t.Errorf("log verifies clean=%v with %d records and %d sessions in segments %+v (cut %+v); want clean, meta and one connect in segment 1",
+			rep.Clean, rep.Records, rep.Sessions, rep.Segments, rep.Truncated)
+	}
+}
+
 // FuzzRecover feeds arbitrary bytes after the segment magic to the one
 // scan of a data directory. Verify must report without error and
 // ReadState must give its report; Open must either refuse a foreign
@@ -106,6 +199,7 @@ func FuzzRecover(f *testing.F) {
 	flipped := append([]byte(nil), body...)
 	flipped[len(flipped)/2] ^= 0x10 // a bit inside some middle frame
 	f.Add(flipped)
+	f.Add(strayFirstRecord(f, 0)) // the log's first record off its segment's name
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		dir := t.TempDir()

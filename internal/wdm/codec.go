@@ -19,7 +19,15 @@ import (
 
 // FormatSlot renders a slot as "<port>.<wave>".
 func FormatSlot(pw PortWave) string {
-	return fmt.Sprintf("%d.%d", pw.Port, pw.Wave)
+	var buf [41]byte // two int64s and the dot
+	return string(appendSlot(buf[:0], pw))
+}
+
+// appendSlot appends FormatSlot's form of pw to b.
+func appendSlot(b []byte, pw PortWave) []byte {
+	b = strconv.AppendInt(b, int64(pw.Port), 10)
+	b = append(b, '.')
+	return strconv.AppendInt(b, int64(pw.Wave), 10)
 }
 
 // ParseSlot parses FormatSlot's output.
@@ -44,16 +52,16 @@ func ParseSlot(s string) (PortWave, error) {
 
 // FormatConnection renders a connection as "<src>><dst>,<dst>...".
 func FormatConnection(c Connection) string {
-	var b strings.Builder
-	b.WriteString(FormatSlot(c.Source))
-	b.WriteByte('>')
+	var buf [128]byte // a fanout-16 connection of a 1024-port network fits
+	b := appendSlot(buf[:0], c.Source)
+	b = append(b, '>')
 	for i, d := range c.Dests {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(FormatSlot(d))
+		b = appendSlot(b, d)
 	}
-	return b.String()
+	return string(b)
 }
 
 // ParseConnection parses FormatConnection's output.

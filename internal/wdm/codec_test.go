@@ -1,6 +1,9 @@
 package wdm
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -36,6 +39,43 @@ func TestConnectionRoundTrip(t *testing.T) {
 	}
 	if got.Source != c.Source || len(got.Dests) != 3 || got.Dests[1] != pw(2, 1) {
 		t.Errorf("round trip = %v", got)
+	}
+}
+
+// TestFormatMatchesSprintf: the strconv-built forms are byte for byte
+// the "%d.%d" form, for ports and wavelengths of one to five digits,
+// and parse back to the connection they came from. The longer
+// connections overflow FormatConnection's stack buffer.
+func TestFormatMatchesSprintf(t *testing.T) {
+	values := []int{0, 7, 10, 99, 100, 999, 1000, 9999, 10000, 99999}
+	var slots []PortWave
+	for _, p := range values {
+		for _, w := range values {
+			slot := pw(p, w)
+			if got, want := FormatSlot(slot), fmt.Sprintf("%d.%d", p, w); got != want {
+				t.Errorf("FormatSlot(%v) = %q, want %q", slot, got, want)
+			}
+			slots = append(slots, slot)
+		}
+	}
+	for fanout := 1; fanout < len(slots); fanout += 9 {
+		c := Connection{Source: slots[fanout], Dests: slots[:fanout]}
+		parts := make([]string, fanout)
+		for i, d := range c.Dests {
+			parts[i] = fmt.Sprintf("%d.%d", d.Port, d.Wave)
+		}
+		want := fmt.Sprintf("%d.%d>%s", c.Source.Port, c.Source.Wave, strings.Join(parts, ","))
+		got := FormatConnection(c)
+		if got != want {
+			t.Fatalf("fanout %d: FormatConnection = %q, want %q", fanout, got, want)
+		}
+		back, err := ParseConnection(got)
+		if err != nil {
+			t.Fatalf("fanout %d: ParseConnection(%q): %v", fanout, got, err)
+		}
+		if back.Source != c.Source || !slices.Equal(back.Dests, c.Dests) {
+			t.Fatalf("fanout %d: %q parsed to %v, want %v", fanout, got, back, c)
+		}
 	}
 }
 
