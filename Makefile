@@ -50,6 +50,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseConnection -fuzztime=10s ./internal/wdm/
 	$(GO) test -fuzz=FuzzRoutePermutation -fuzztime=10s ./internal/benes/
 	$(GO) test -fuzz=FuzzRecover -fuzztime=10s -fuzzminimizetime=100x ./internal/durable/
+	$(GO) test -fuzz=FuzzReinstall -fuzztime=10s ./internal/multistage/
 
 # SLO/trace drill (EXPERIMENTS.md § "Trace walkthrough", scripted):
 # start a deliberately sub-bound server, drive one routed and one traced

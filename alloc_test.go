@@ -5,13 +5,14 @@ package repro
 import "testing"
 
 // maxRouteAllocs caps the heap allocations of one Add+Release of a
-// fanout-16 multicast in a loaded 1024-port network. It measures 21:
-// the normalized connection, the route record (four allocations), and
-// the normalized copy each crossbar module keeps of its sub-connection
-// (one input module, two middles and thirteen output modules here). The
-// route search itself allocates nothing. The map-based router measured
-// 1127.
-const maxRouteAllocs = 23
+// fanout-16 multicast in a loaded 1024-port network. It measures 5: the
+// duplicate-port check of the unsorted request, its normalized copy, and
+// the route record (three allocations: the record, its legs and its
+// hops). The route search itself allocates nothing. With a crossbar
+// module per stage mirroring the link tables, each keeping a normalized
+// copy of its sub-connection, it measured 21; the map-based router
+// measured 1127.
+const maxRouteAllocs = 7
 
 // TestRouteAllocationCeiling holds the route search to its allocation
 // budget on the shape of the ladder's multicast-bound workload: N=1024,

@@ -135,7 +135,7 @@ func main() {
 				report.Int(c.Splitters), report.Int(c.Combiners),
 				report.Int(c.Muxes), report.Int(c.Demuxes))
 		}
-		t.Footnote = "costs computed from each backend's live module structure (Cost()); mesh m = N (its failure units are the ring nodes)"
+		t.Footnote = "costs computed by each backend's Cost(); mesh m = N (its failure units are the ring nodes)"
 		t.Fprint(os.Stdout)
 	}
 }

@@ -82,7 +82,6 @@ func main() {
 	replicas := flag.Int("replicas", 4, "independent fabric replicas (planes)")
 	shards := flag.Int("shards", 16, "session-table shards")
 	maxSessions := flag.Int("max-sessions", 0, "admission cap on live sessions, 0 = unlimited")
-	gates := flag.Bool("gates", false, "build gate-level fabrics (slow; default lite routing-only fabrics)")
 	logFormat := flag.String("log-format", "text", "structured log format: text or json")
 	captureTrace := flag.Bool("trace", false, "capture per-fabric serving history, served at /v1/debug/trace (unbounded memory; debugging mode)")
 	blockLog := flag.Int("block-log", 0, "blocking-forensics ring size at /v1/debug/blocking (0 = default 128, negative disables)")
@@ -143,7 +142,7 @@ func main() {
 	cfg := switchd.Config{
 		Fabric: multistage.Params{
 			N: *n, K: *k, R: *r, M: *m, X: *x,
-			Model: model, Lite: !*gates,
+			Model: model, Lite: true,
 		},
 		Backend:      fabName,
 		Replicas:     *replicas,

@@ -62,8 +62,10 @@ type Spec struct {
 	Strategy     multistage.Strategy
 	WavePick     multistage.WavePick
 
-	// Lite builds without gate-level fabrics (no optical verification,
-	// same routing behaviour) — for large sweeps.
+	// Lite skips optical verification: a crossbar is built without its
+	// gate-level fabric, and a three-stage network's Verify does not
+	// build the gate-level model of its modules. Routing behaviour is
+	// the same — for large sweeps.
 	Lite bool
 }
 

@@ -25,9 +25,8 @@ import (
 // Internally the connection is re-routed from scratch: released, then
 // re-added with the enlarged destination set. When the grow fails, the
 // original connection is restored by replaying its recorded route — the
-// exact middle modules, link wavelengths and module sub-connections it
-// held before the release, which Release leaves in the record — rather
-// than by re-routing it. Replay does not consult the router, so
+// exact middle modules and link wavelengths it held before the release,
+// which Release leaves in the record — rather than by re-routing it. Replay does not consult the router, so
 // restoration cannot block no matter how the rest of the network has
 // churned since the connection first routed, how far m sits below the
 // sufficient bound, or which middle modules have since failed.
@@ -85,12 +84,12 @@ func (net *Network) AddBranch(id int, dests ...wdm.PortWave) error {
 }
 
 // reinstall re-materializes a released route exactly as recorded,
-// registering it under the given id: same middle modules, same link
-// wavelengths, same per-module sub-connections. Unlike Add it performs
-// no routing search, so it succeeds whenever the recorded resources are
-// free — which they are immediately after the route is released,
-// regardless of network churn or middle-module failures since the
-// original routing. It is AddBranch's restore path and Reinstall's.
+// registering it under the given id: same middle modules and link
+// wavelengths, hence the same module sub-connections. Unlike Add it
+// performs no routing search, so it succeeds whenever the recorded
+// resources are free — which they are immediately after the route is
+// released, regardless of network churn or middle-module failures since
+// the original routing. It is AddBranch's restore path and Reinstall's.
 func (net *Network) reinstall(id int, rc *routed) error {
 	if _, clash := net.conns[id]; clash {
 		return fmt.Errorf("multistage: reinstall: id %d already live", id)

@@ -77,60 +77,55 @@ func TestVerifyDetectsLeakedSlot(t *testing.T) {
 	t.Fatal("no free slot found to corrupt")
 }
 
-func TestVerifyDetectsModuleFault(t *testing.T) {
-	// Break an SOA gate inside a middle module carrying traffic: the
-	// per-module optical check must flag the middle stage.
-	net := corruptibleNetwork(t)
-	for j, m := range net.midMods {
-		sw, ok := m.(interface {
-			Fabric() *fabric.Fabric
-			Len() int
-		})
-		if !ok || sw.Len() == 0 {
-			continue
-		}
-		fab := sw.Fabric()
-		for _, g := range fab.ElementsOf(fabric.Gate) {
-			if fab.GateOn(g) {
-				fab.SetGate(g, false)
-				err := net.Verify()
-				if err == nil || !strings.Contains(err.Error(), "middle module") {
-					t.Fatalf("middle module %d fault not attributed: %v", j, err)
-				}
-				return
-			}
-		}
+// breakLoadedGate switches off one lit SOA gate in a loaded module of
+// the given stage of the gate-level model Verify builds, and returns the
+// model's verdict.
+func breakLoadedGate(t *testing.T, net *Network, st stage) error {
+	t.Helper()
+	om, err := net.buildOptics()
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatal("no loaded middle module found")
-}
-
-func TestVerifyDetectsOutputStageFault(t *testing.T) {
-	net := corruptibleNetwork(t)
-	for p, m := range net.outMods {
-		if m.Len() == 0 {
-			continue
-		}
+	if err := om.verify(); err != nil {
+		t.Fatalf("intact model: %v", err)
+	}
+	for _, m := range om[st] {
 		fab := m.Fabric()
 		for _, g := range fab.ElementsOf(fabric.Gate) {
 			if fab.GateOn(g) {
 				fab.SetGate(g, false)
-				err := net.Verify()
-				if err == nil || !strings.Contains(err.Error(), "output module") {
-					t.Fatalf("output module %d fault not attributed: %v", p, err)
-				}
-				return
+				return om.verify()
 			}
 		}
 	}
-	t.Fatal("no loaded output module found")
+	t.Fatalf("no loaded %v module found", st)
+	return nil
+}
+
+func TestVerifyDetectsModuleFault(t *testing.T) {
+	// Break an SOA gate inside a middle module carrying traffic: the
+	// per-module optical check must flag the middle stage.
+	net := corruptibleNetwork(t)
+	if err := breakLoadedGate(t, net, middleStage); err == nil || !strings.Contains(err.Error(), "middle module") {
+		t.Fatalf("middle module fault not attributed: %v", err)
+	}
+}
+
+func TestVerifyDetectsOutputStageFault(t *testing.T) {
+	net := corruptibleNetwork(t)
+	if err := breakLoadedGate(t, net, outputStage); err == nil || !strings.Contains(err.Error(), "output module") {
+		t.Fatalf("output module fault not attributed: %v", err)
+	}
 }
 
 func TestVerifyDetectsLostSubConnection(t *testing.T) {
-	net := corruptibleNetwork(t)
-	// Release a middle-module sub-connection behind the router's back.
+	net := mustNetwork(t, fiveStageParams(wdm.MAW, MAWDominant))
+	mustAdd(t, net, conn(pw(0, 0), pw(2, 1), pw(6, 0), pw(13, 1)))
+	mustVerify(t, net)
+	// Release a nested middle sub-connection behind the router's back.
 	for id, rc := range net.conns {
 		for i, cid := range rc.midConn {
-			if err := net.midMods[rc.legs[i].Middle].Release(cid); err != nil {
+			if err := net.mids[rc.legs[i].Middle].Release(cid); err != nil {
 				t.Fatal(err)
 			}
 			err := net.Verify()
@@ -140,4 +135,5 @@ func TestVerifyDetectsLostSubConnection(t *testing.T) {
 			return
 		}
 	}
+	t.Fatal("no nested middle sub-connection found")
 }

@@ -5,52 +5,40 @@ import (
 	"repro/internal/wdm"
 )
 
-// Cost returns the network's total hardware counts by summing its
-// modules' (audited or closed-form) costs.
+// Cost returns the network's closed-form hardware counts (CostFormula).
+// The cost-audit tests hold the formula to the element counts of the
+// gate-level model Verify builds.
 func (net *Network) Cost() crossbar.Cost {
-	var total crossbar.Cost
-	for _, m := range net.inMods {
-		total.Add(m.Cost())
-	}
-	for _, m := range net.midMods {
-		total.Add(m.Cost())
-	}
-	for _, m := range net.outMods {
-		total.Add(m.Cost())
-	}
-	return total
+	c, _ := CostFormula(net.params)
+	return c
 }
 
 // CostFormula returns the closed-form total cost of a three-stage network
 // with the given parameters without building it: r input modules of shape
-// n x m, m middle modules r x r, and r output modules m x n, each costed
-// by the crossbar formulas for its model.
+// n x m, m middle modules r x r (or nested networks when Depth > 3), and
+// r output modules m x n, each costed by the crossbar formulas for its
+// model.
 func CostFormula(p Params) (crossbar.Cost, error) {
 	p, err := p.Normalize()
 	if err != nil {
 		return crossbar.Cost{}, err
 	}
-	n, r, m, k := p.n(), p.R, p.M, p.K
-	s12 := p.Construction.Stage12Model()
 	var total crossbar.Cost
-	total.Add(crossbar.CostFormula(s12, wdm.Shape{In: n, Out: m, K: k}).Scale(r))
+	total.Add(crossbar.CostFormula(p.module(inputStage)).Scale(p.R))
 	if p.Depth > 3 {
-		rn, err := nestedSplit(r, p.Depth-2)
+		np, err := p.nested()
 		if err != nil {
 			return crossbar.Cost{}, err
 		}
-		nested, err := CostFormula(Params{
-			N: r, K: k, R: rn, Model: s12,
-			Construction: p.Construction, Depth: p.Depth - 2,
-		})
+		nested, err := CostFormula(np)
 		if err != nil {
 			return crossbar.Cost{}, err
 		}
-		total.Add(nested.Scale(m))
+		total.Add(nested.Scale(p.M))
 	} else {
-		total.Add(crossbar.CostFormula(p.Construction.MiddleModel(), wdm.Shape{In: r, Out: r, K: k}).Scale(m))
+		total.Add(crossbar.CostFormula(p.module(middleStage)).Scale(p.M))
 	}
-	total.Add(crossbar.CostFormula(p.Model, wdm.Shape{In: m, Out: n, K: k}).Scale(r))
+	total.Add(crossbar.CostFormula(p.module(outputStage)).Scale(p.R))
 	return total, nil
 }
 

@@ -43,11 +43,7 @@ func (net *Network) DumpState(w io.Writer) error {
 	dumpLinks("input-stage links", "input module", net.inLink)
 	dumpLinks("output-stage links", "middle module", net.outLink)
 
-	ids := make([]int, 0, len(net.conns))
-	for id := range net.conns {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
+	ids := net.ids()
 	fmt.Fprintf(w, "live connections (%d):\n", len(ids))
 	for _, id := range ids {
 		rc := net.conns[id]
@@ -77,9 +73,9 @@ func (net *Network) WriteDOT(w io.Writer) error {
 		fmt.Fprintf(w, "  in%d [label=\"IN %d\\n%dx%d %v\"];\n", a, a, p.n(), p.M, s12)
 		fmt.Fprintf(w, "  out%d [label=\"OUT %d\\n%dx%d %v\"];\n", a, a, p.M, p.n(), p.Model)
 	}
-	for j := range net.midMods {
+	for j := range p.M {
 		kind := fmt.Sprintf("%dx%d %v", p.R, p.R, p.Construction.MiddleModel())
-		if _, nested := net.midMods[j].(*Network); nested {
+		if net.mids != nil {
 			kind = fmt.Sprintf("%dx%d %d-stage", p.R, p.R, p.Depth-2)
 		}
 		style := ""

@@ -71,7 +71,7 @@ func (net *Network) Explain(c wdm.Connection) (*Explanation, error) {
 		ex.Available = append(ex.Available, rd.middle)
 	}
 	slices.Sort(ex.Available)
-	for j := range net.midMods {
+	for j := range net.params.M {
 		if !slices.Contains(ex.Available, j) {
 			ex.Unavailable = append(ex.Unavailable, j)
 		}

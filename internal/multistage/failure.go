@@ -17,7 +17,7 @@ import (
 // through it are NOT touched (their light is dark until re-routed); new
 // routing skips the module. Failing an already-failed module is a no-op.
 func (net *Network) FailMiddle(j int) error {
-	if j < 0 || j >= len(net.midMods) {
+	if j < 0 || j >= net.params.M {
 		return fmt.Errorf("multistage: no middle module %d", j)
 	}
 	net.failedMid[j] = true
@@ -26,7 +26,7 @@ func (net *Network) FailMiddle(j int) error {
 
 // RepairMiddle returns a failed middle module to service.
 func (net *Network) RepairMiddle(j int) error {
-	if j < 0 || j >= len(net.midMods) {
+	if j < 0 || j >= net.params.M {
 		return fmt.Errorf("multistage: no middle module %d", j)
 	}
 	net.failedMid[j] = false

@@ -74,7 +74,7 @@ func TestRerouteAroundFailure(t *testing.T) {
 
 	// Fail the busiest middle.
 	busiest, most := -1, -1
-	for j := range net.midMods {
+	for j := range net.params.M {
 		if n := len(net.AffectedBy(j)); n > most {
 			busiest, most = j, n
 		}
@@ -131,7 +131,7 @@ func TestRerouteAroundReportBookkeeping(t *testing.T) {
 		}
 	}
 	busiest, most := -1, -1
-	for j := range net.midMods {
+	for j := range net.params.M {
 		if n := len(net.AffectedBy(j)); n > most {
 			busiest, most = j, n
 		}

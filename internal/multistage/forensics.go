@@ -190,7 +190,7 @@ func (net *Network) blockReport(op string, c wdm.Connection, srcMod int,
 		Utilization: net.Utilization(),
 	}
 	sort.Ints(r.Uncovered)
-	for j := range net.midMods {
+	for j := range net.params.M {
 		r.Middles = append(r.Middles, net.diagnoseMiddle(j, c.Source.Wave, srcMod, lastHopWave, rounds, r.Uncovered))
 	}
 	return r

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/crossbar"
 	"repro/internal/wdm"
 )
 
@@ -158,9 +157,10 @@ type Params struct {
 	// Section 3 describes. Recursion requires the middle module size r to
 	// factor into two parts >= 2 at every level.
 	Depth int
-	// Lite skips gate-level fabrics inside the modules (routing behaviour
-	// is identical; optical verification becomes unavailable). Use for
-	// large parameter sweeps.
+	// Lite makes Verify skip the gate-level model it otherwise builds
+	// from the live routes (one crossbar per module, every signal
+	// propagated). Routing never builds that model, so Lite changes
+	// nothing else; use it for large parameter sweeps.
 	Lite bool
 }
 
@@ -254,50 +254,25 @@ func absInt(v int) int {
 // n returns ports per outer-stage module.
 func (p Params) n() int { return p.N / p.R }
 
-// module is what the router requires of a switching module. A gate-level
-// or lite crossbar satisfies it — and so does Network itself, which is
-// what enables the paper's recursive constructions: "in general, a
-// network can have any odd number of stages and be built in a recursive
-// fashion from these switching modules, which are in fact regarded as
-// networks of a smaller size."
-type module interface {
-	Add(wdm.Connection) (int, error)
-	Release(int) error
-	Connection(int) (wdm.Connection, bool)
-	Cost() crossbar.Cost
-	Len() int
-}
-
-var (
-	_ module = (*crossbar.Switch)(nil)
-	_ module = (*Network)(nil)
-)
-
-// routed records how one network connection is realized across modules:
-// the route RouteRecord exports, plus the module sub-connection ids.
+// routed records how one network connection is realized: the route
+// RouteRecord exports and, when the middles are nested networks, the
+// connection ids they gave the route's middle sub-connections.
 type routed struct {
-	conn     wdm.Connection // normalized
-	srcMod   int
-	inConnID int        // sub-connection id in input module srcMod
-	legs     []RouteLeg // input-stage link claims, ascending by middle
-	hops     []RouteHop // output-stage link claims, ascending by middle, then output module
-	midConn  []int      // midConn[i]: sub-connection id in middle module legs[i].Middle
-	outConn  []int      // outConn[i]: sub-connection id in output module hops[i].Out
+	conn    wdm.Connection // normalized
+	srcMod  int
+	legs    []RouteLeg // input-stage link claims, ascending by middle
+	hops    []RouteHop // output-stage link claims, ascending by middle, then output module
+	midConn []int      // midConn[i]: connection id in nested middle legs[i].Middle; nil at Depth 3
 }
 
 // newRouted allocates the record of a route with the given leg and hop
-// counts; install fills in the module sub-connection ids.
-func newRouted(c wdm.Connection, srcMod, legs, hops int) *routed {
-	ids := make([]int, legs+hops)
-	return &routed{
-		conn:     c,
-		srcMod:   srcMod,
-		inConnID: -1,
-		legs:     make([]RouteLeg, 0, legs),
-		hops:     make([]RouteHop, 0, hops),
-		midConn:  ids[:legs:legs],
-		outConn:  ids[legs:],
+// counts; install fills in midConn.
+func (net *Network) newRouted(c wdm.Connection, srcMod, legs, hops int) *routed {
+	rc := &routed{conn: c, srcMod: srcMod, legs: make([]RouteLeg, 0, legs), hops: make([]RouteHop, 0, hops)}
+	if net.mids != nil {
+		rc.midConn = make([]int, legs)
 	}
+	return rc
 }
 
 // leg returns the wavelength the route claims on the link to middle j.
@@ -307,15 +282,6 @@ func (rc *routed) leg(j int) (wdm.Wavelength, bool) {
 		return 0, false
 	}
 	return rc.legs[i].Wave, true
-}
-
-// hop returns the wavelength the route claims on the link j->p.
-func (rc *routed) hop(j, p int) (wdm.Wavelength, bool) {
-	i, ok := slices.BinarySearchFunc(rc.hops, RouteHop{Middle: j, Out: p}, compareHops)
-	if !ok {
-		return 0, false
-	}
-	return rc.hops[i].Wave, true
 }
 
 // compareLegs and compareHops order a route's link claims by link:
@@ -336,9 +302,10 @@ type Network struct {
 	params Params
 	nPorts int // ports per outer module (the paper's n)
 
-	inMods  []*crossbar.Switch // r modules, shape n x m
-	midMods []module           // m modules, r x r: crossbars, or nested Networks when Depth > 3
-	outMods []*crossbar.Switch // r modules, shape m x n
+	// mids holds the m nested middle networks when Depth > 3; nil at
+	// Depth 3, where the link and slot tables are all the state the
+	// crossbar modules have.
+	mids []*Network
 
 	// Link occupancy: connection id or freeLink.
 	inLink  links // r x m: input module a -> middle j
@@ -381,58 +348,53 @@ func New(p Params) (*Network, error) {
 		return nil, err
 	}
 	n, r, m, k := p.n(), p.R, p.M, p.K
-	mk := func(model wdm.Model, in, out int) *crossbar.Switch {
-		sh := wdm.Shape{In: in, Out: out, K: k}
-		if p.Lite {
-			return crossbar.NewLite(model, sh)
-		}
-		return crossbar.NewShape(model, sh)
-	}
-	s12 := p.Construction.Stage12Model()
-	mid := p.Construction.MiddleModel()
 	net := &Network{
 		params:    p,
 		nPorts:    n,
+		inLink:    newLinks(r, m, k),
+		outLink:   newLinks(m, r, k),
+		waveUse:   make([]int, k),
 		conns:     make(map[int]*routed),
 		srcBusy:   filled(p.N*k, freeSlot),
 		dstBusy:   filled(p.N*k, freeSlot),
 		failedMid: make([]bool, m),
 		scratch:   newRouteScratch(n, r, m),
 	}
-	for a := 0; a < r; a++ {
-		net.inMods = append(net.inMods, mk(s12, n, m))
-		net.outMods = append(net.outMods, mk(p.Model, m, n))
-	}
-	for j := 0; j < m; j++ {
-		if p.Depth > 3 {
-			// Recursive construction: the middle module is itself a
-			// (Depth-2)-stage network of size r x r under the first-two-
-			// stage model, same construction, sized by its own
-			// sufficient bound.
-			rn, err := nestedSplit(r, p.Depth-2)
-			if err != nil {
-				return nil, err
-			}
-			nested, err := New(Params{
-				N: r, K: k, R: rn,
-				Model:        s12,
-				Construction: p.Construction,
-				Strategy:     p.Strategy,
-				Depth:        p.Depth - 2,
-				Lite:         p.Lite,
-			})
+	if p.Depth > 3 {
+		np, err := p.nested()
+		if err != nil {
+			return nil, err
+		}
+		for j := range m {
+			nested, err := New(np)
 			if err != nil {
 				return nil, fmt.Errorf("multistage: nested middle module %d: %w", j, err)
 			}
-			net.midMods = append(net.midMods, nested)
-			continue
+			net.mids = append(net.mids, nested)
 		}
-		net.midMods = append(net.midMods, mk(mid, r, r))
 	}
-	net.inLink = newLinks(r, m, k)
-	net.outLink = newLinks(m, r, k)
-	net.waveUse = make([]int, k)
 	return net, nil
+}
+
+// nested returns the parameters of the network that replaces each middle
+// module when Depth > 3 (the recursive construction of Section 3: "a
+// network can have any odd number of stages and be built in a recursive
+// fashion from these switching modules, which are in fact regarded as
+// networks of a smaller size"): r x r under the first-two-stage model,
+// the same construction, sized by its own sufficient bound.
+func (p Params) nested() (Params, error) {
+	rn, err := nestedSplit(p.R, p.Depth-2)
+	if err != nil {
+		return Params{}, err
+	}
+	return Params{
+		N: p.R, K: p.K, R: rn,
+		Model:        p.Construction.Stage12Model(),
+		Construction: p.Construction,
+		Strategy:     p.Strategy,
+		Depth:        p.Depth - 2,
+		Lite:         p.Lite,
+	}.Normalize()
 }
 
 // filled returns n cells set to v.
@@ -558,8 +520,7 @@ func (net *Network) Utilization() Utilization {
 	return u
 }
 
-// Connection returns the live connection with the given id (satisfying
-// the module interface so a Network can serve as a nested middle module).
+// Connection returns the live connection with the given id.
 func (net *Network) Connection(id int) (wdm.Connection, bool) {
 	rc, ok := net.conns[id]
 	if !ok {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/crossbar"
 	"repro/internal/wdm"
 )
 
@@ -276,6 +277,26 @@ func TestLiteNetworkBehavesLikeFull(t *testing.T) {
 	}
 }
 
+// auditCost counts the elements of the gate-level model Verify builds,
+// recursing into nested middle networks.
+func auditCost(t *testing.T, net *Network) crossbar.Cost {
+	t.Helper()
+	om, err := net.buildOptics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total crossbar.Cost
+	for _, mods := range om {
+		for _, m := range mods {
+			total.Add(m.Cost())
+		}
+	}
+	for _, mid := range net.mids {
+		total.Add(auditCost(t, mid))
+	}
+	return total
+}
+
 func TestCostFormulaMatchesAudit(t *testing.T) {
 	cases := []Params{
 		{N: 4, K: 1, R: 2, Model: wdm.MSW},
@@ -290,7 +311,7 @@ func TestCostFormulaMatchesAudit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := net.Cost(); got != want {
+		if got := auditCost(t, net); got != want {
 			t.Errorf("%+v: audit %+v != formula %+v", p, got, want)
 		}
 	}

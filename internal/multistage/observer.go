@@ -58,9 +58,9 @@ func (net *Network) observeNoAvail(srcWave int) {
 	if net.observer == nil {
 		return
 	}
-	for j := range net.midMods {
+	for j, failed := range net.failedMid {
 		st := MiddleInLinkBusy
-		if net.failedMid[j] {
+		if failed {
 			st = MiddleFailed
 		}
 		net.observer(RouteStep{Middle: j, State: st, Wave: srcWave})

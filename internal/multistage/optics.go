@@ -1,9 +1,6 @@
 package multistage
 
-import (
-	"repro/internal/crossbar"
-	"repro/internal/wdm"
-)
+import "repro/internal/crossbar"
 
 // PredictedWorstLossDB returns the closed-form worst-case optical power
 // loss of a signal path through the three-stage network: the sum of the
@@ -22,23 +19,13 @@ func (net *Network) PredictedWorstLossDB() float64 {
 }
 
 func predictedLoss(p Params) float64 {
-	n, r, m, k := p.n(), p.R, p.M, p.K
-	s12 := p.Construction.Stage12Model()
-	total := crossbar.PredictedWorstLossDB(s12, wdm.Shape{In: n, Out: m, K: k})
+	total := crossbar.PredictedWorstLossDB(p.module(inputStage))
 	if p.Depth > 3 {
-		rn, err := nestedSplit(r, p.Depth-2)
-		if err == nil {
-			nested, nerr := (Params{
-				N: r, K: k, R: rn, Model: s12,
-				Construction: p.Construction, Depth: p.Depth - 2,
-			}).Normalize()
-			if nerr == nil {
-				total += predictedLoss(nested)
-			}
+		if np, err := p.nested(); err == nil {
+			total += predictedLoss(np)
 		}
 	} else {
-		total += crossbar.PredictedWorstLossDB(p.Construction.MiddleModel(), wdm.Shape{In: r, Out: r, K: k})
+		total += crossbar.PredictedWorstLossDB(p.module(middleStage))
 	}
-	total += crossbar.PredictedWorstLossDB(p.Model, wdm.Shape{In: m, Out: n, K: k})
-	return total
+	return total + crossbar.PredictedWorstLossDB(p.module(outputStage))
 }

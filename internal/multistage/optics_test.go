@@ -49,18 +49,13 @@ func TestDeeperMeansLossier(t *testing.T) {
 func TestMeasuredModuleLossWithinBudget(t *testing.T) {
 	net := mustNetwork(t, Params{N: 8, K: 2, R: 4, Model: wdm.MAW})
 	mustAdd(t, net, conn(pw(0, 0), pw(3, 1), pw(6, 0)))
-	p := net.params
-	budgets := []struct {
-		mods  []*crossbar.Switch
-		model wdm.Model
-		shape wdm.Shape
-	}{
-		{net.inMods, p.Construction.Stage12Model(), wdm.Shape{In: p.n(), Out: p.M, K: p.K}},
-		{net.outMods, p.Model, wdm.Shape{In: p.M, Out: p.n(), K: p.K}},
+	om, err := net.buildOptics()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, st := range budgets {
-		budget := crossbar.PredictedWorstLossDB(st.model, st.shape)
-		for i, m := range st.mods {
+	for _, st := range []stage{inputStage, outputStage} {
+		budget := crossbar.PredictedWorstLossDB(net.params.module(st))
+		for i, m := range om[st] {
 			res, err := m.Verify()
 			if err != nil {
 				t.Fatal(err)

@@ -9,16 +9,16 @@ import (
 
 // Exported route-record encoding. A RouteRecord is the externally
 // serializable form of the internal routing bookkeeping AddBranch's
-// restore path replays: the exact middle modules, link wavelengths and
-// (implicitly) module sub-connections a connection occupies. It is what
-// a durable state plane persists per acknowledged session — re-applying
-// the record through Reinstall performs no router search, so a recorded
-// route can always be re-materialized into a fabric whose recorded
-// resources are free, regardless of how much the network has churned or
-// which middle modules have failed since. That turns the paper's
-// "state below the bound is always realizable" insight into crash
-// recovery: replaying records preserves the zero-blocking invariant by
-// construction.
+// restore path replays: the exact middle modules and link wavelengths a
+// connection occupies, from which each module's sub-connection follows.
+// It is what a durable state plane persists per acknowledged session —
+// re-applying the record through Reinstall performs no router search, so
+// a recorded route can always be re-materialized into a fabric whose
+// recorded resources are free, regardless of how much the network has
+// churned or which middle modules have failed since. That turns the
+// paper's "state below the bound is always realizable" insight into
+// crash recovery: replaying records preserves the zero-blocking
+// invariant by construction.
 
 // RouteLeg is one claimed input-stage link wavelength: the link from
 // the connection's input module to middle module Middle carries the
@@ -57,8 +57,10 @@ func (net *Network) RouteRecord(id int) (RouteRecord, bool) {
 	return RouteRecord{Conn: wdm.FormatConnection(rc.conn), In: slices.Clone(rc.legs), Out: slices.Clone(rc.hops)}, true
 }
 
-// decode converts the record back into the internal routing form,
-// validating it against the network's shape.
+// decode converts the record back into the internal routing form and
+// refuses it unless checkRoute passes: a record arrives from outside the
+// program (a log, a snapshot, a replication frame), and nothing else
+// checks what its modules would be asked to carry.
 func (rec RouteRecord) decode(net *Network) (*routed, error) {
 	conn, err := wdm.ParseConnection(rec.Conn)
 	if err != nil {
@@ -69,37 +71,13 @@ func (rec RouteRecord) decode(net *Network) (*routed, error) {
 		return nil, fmt.Errorf("multistage: route record %q: %w", rec.Conn, err)
 	}
 	srcMod, _ := net.splitPort(conn.Source.Port)
-	rc := newRouted(conn, srcMod, len(rec.In), len(rec.Out))
-	for _, leg := range rec.In {
-		if leg.Middle < 0 || leg.Middle >= len(net.midMods) || int(leg.Wave) < 0 || int(leg.Wave) >= net.params.K {
-			return nil, fmt.Errorf("multistage: route record %q: input leg %+v out of range", rec.Conn, leg)
-		}
-	}
+	rc := net.newRouted(conn, srcMod, len(rec.In), len(rec.Out))
 	rc.legs = append(rc.legs, rec.In...)
 	slices.SortFunc(rc.legs, compareLegs)
-	for i := 1; i < len(rc.legs); i++ {
-		if rc.legs[i].Middle == rc.legs[i-1].Middle {
-			return nil, fmt.Errorf("multistage: route record %q: duplicate input leg for middle %d", rec.Conn, rc.legs[i].Middle)
-		}
-	}
-	for _, hop := range rec.Out {
-		if hop.Middle < 0 || hop.Middle >= len(net.midMods) || hop.Out < 0 || hop.Out >= net.params.R ||
-			int(hop.Wave) < 0 || int(hop.Wave) >= net.params.K {
-			return nil, fmt.Errorf("multistage: route record %q: output hop %+v out of range", rec.Conn, hop)
-		}
-	}
 	rc.hops = append(rc.hops, rec.Out...)
 	slices.SortFunc(rc.hops, compareHops)
-	for i, hop := range rc.hops {
-		if i > 0 && hop.Middle == rc.hops[i-1].Middle && hop.Out == rc.hops[i-1].Out {
-			return nil, fmt.Errorf("multistage: route record %q: duplicate output hop %v", rec.Conn, [2]int{hop.Middle, hop.Out})
-		}
-		if _, rides := rc.leg(hop.Middle); !rides {
-			return nil, fmt.Errorf("multistage: route record %q: output hop rides middle %d with no input leg", rec.Conn, hop.Middle)
-		}
-	}
-	if len(rc.legs) == 0 {
-		return nil, fmt.Errorf("multistage: route record %q: no input legs", rec.Conn)
+	if err := net.checkRoute(rc); err != nil {
+		return nil, fmt.Errorf("multistage: route record %q: %w", rec.Conn, err)
 	}
 	return rc, nil
 }

@@ -1,6 +1,7 @@
 package multistage
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -93,24 +94,95 @@ func TestReinstallConflictsDetected(t *testing.T) {
 }
 
 func TestRouteRecordDecodeValidation(t *testing.T) {
-	p := Params{N: 4, K: 1, R: 2, M: 2, X: 1, Model: wdm.MSW, Lite: true}
-	bad := []RouteRecord{
-		{Conn: "not a connection"},
-		{Conn: "0.0>2.0"}, // no input legs
-		{Conn: "0.0>2.0", In: []RouteLeg{{Middle: 9, Wave: 0}}},
-		{Conn: "0.0>2.0", In: []RouteLeg{{Middle: 0, Wave: 5}}},
-		{Conn: "0.0>2.0", In: []RouteLeg{{Middle: 0, Wave: 0}, {Middle: 0, Wave: 0}}},
-		{Conn: "0.0>2.0", In: []RouteLeg{{Middle: 0, Wave: 0}},
-			Out: []RouteHop{{Middle: 1, Out: 1, Wave: 0}}}, // hop with no leg
-		{Conn: "0.0>2.0", In: []RouteLeg{{Middle: 0, Wave: 0}},
-			Out: []RouteHop{{Middle: 0, Out: 7, Wave: 0}}}, // out module range
+	k1 := Params{N: 4, K: 1, R: 2, M: 2, X: 1, Model: wdm.MSW, Lite: true}
+	k2 := Params{N: 4, K: 2, R: 2, M: 2, X: 1, Model: wdm.MSW, Lite: true}
+	leg := func(j, w int) RouteLeg { return RouteLeg{Middle: j, Wave: wdm.Wavelength(w)} }
+	hop := func(j, p, w int) RouteHop { return RouteHop{Middle: j, Out: p, Wave: wdm.Wavelength(w)} }
+	bad := []struct {
+		p   Params
+		rec RouteRecord
+	}{
+		{k1, RouteRecord{Conn: "not a connection"}},
+		{k1, RouteRecord{Conn: "0.0>2.0"}}, // no input legs
+		{k1, RouteRecord{Conn: "0.0>2.0", In: []RouteLeg{leg(9, 0)}}},
+		{k1, RouteRecord{Conn: "0.0>2.0", In: []RouteLeg{leg(0, 5)}}},
+		{k1, RouteRecord{Conn: "0.0>2.0", In: []RouteLeg{leg(0, 0), leg(0, 0)}}},
+		{k1, RouteRecord{Conn: "0.0>2.0", In: []RouteLeg{leg(0, 0)},
+			Out: []RouteHop{hop(1, 1, 0)}}}, // hop with no leg
+		{k1, RouteRecord{Conn: "0.0>2.0", In: []RouteLeg{leg(0, 0)},
+			Out: []RouteHop{hop(0, 7, 0)}}}, // out module range
+		// Never delivers to 1.0: no hop reaches output module 0.
+		{k1, RouteRecord{Conn: "0.0>1.0,2.0", In: []RouteLeg{leg(0, 0)},
+			Out: []RouteHop{hop(0, 1, 0)}}},
+		// An MSW-dominant input module cannot retune λ0 to λ1.
+		{k2, RouteRecord{Conn: "0.0>2.0", In: []RouteLeg{leg(0, 1)},
+			Out: []RouteHop{hop(0, 1, 1)}}},
+		// Middle 1's leg feeds no hop.
+		{k1, RouteRecord{Conn: "0.0>2.0", In: []RouteLeg{leg(0, 0), leg(1, 0)},
+			Out: []RouteHop{hop(0, 1, 0)}}},
+		// Output module 0 holds no destination.
+		{k1, RouteRecord{Conn: "0.0>2.0", In: []RouteLeg{leg(0, 0)},
+			Out: []RouteHop{hop(0, 0, 0), hop(0, 1, 0)}}},
+		// Output module 1 reached from two middles.
+		{k1, RouteRecord{Conn: "0.0>2.0", In: []RouteLeg{leg(0, 0), leg(1, 0)},
+			Out: []RouteHop{hop(0, 1, 0), hop(1, 1, 0)}}},
 	}
-	for i, rec := range bad {
-		net := mustNetwork(t, p)
-		if _, err := net.Reinstall(rec); err == nil {
-			t.Errorf("case %d: bad record %+v reinstalled", i, rec)
+	for i, tc := range bad {
+		net := mustNetwork(t, tc.p)
+		if _, err := net.Reinstall(tc.rec); err == nil {
+			t.Errorf("case %d: bad record %+v reinstalled", i, tc.rec)
 		}
 	}
+}
+
+// FuzzReinstall decodes arbitrary bytes as a route record and reinstalls
+// it into an empty gate-level network of every construction: the record
+// must be refused, or install cleanly (Verify passes) and release
+// without a trace (no live connection, no busy link, Verify passes).
+func FuzzReinstall(f *testing.F) {
+	for _, seed := range []string{
+		`{"conn":"0.0>1.0,2.0","in":[{"middle":0,"wave":0}],"out":[{"middle":0,"out":1,"wave":0}]}`,
+		`{"conn":"0.0>2.0","in":[{"middle":0,"wave":1}],"out":[{"middle":0,"out":1,"wave":1}]}`,
+		`{"conn":"0.0>2.0","in":[{"middle":0,"wave":0},{"middle":1,"wave":0}],"out":[{"middle":0,"out":1,"wave":0}]}`,
+		`{"conn":"0.0>2.0","in":[{"middle":0,"wave":0}],"out":[{"middle":0,"out":0,"wave":0},{"middle":0,"out":1,"wave":0}]}`,
+		`{"conn":"0.0>2.0","in":[{"middle":0,"wave":0},{"middle":1,"wave":0}],"out":[{"middle":0,"out":1,"wave":0},{"middle":1,"out":1,"wave":0}]}`,
+		`{"conn":"0.0>1.0,2.0","in":[{"middle":0,"wave":0}],"out":[{"middle":0,"out":0,"wave":0},{"middle":0,"out":1,"wave":0}]}`,
+		`{"conn":"1.1>0.0,3.1","in":[{"middle":2,"wave":1}],"out":[{"middle":2,"out":0,"wave":1},{"middle":2,"out":1,"wave":0}]}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	var nets []Params
+	for _, model := range wdm.Models {
+		nets = append(nets,
+			Params{N: 4, K: 2, R: 2, M: 3, X: 2, Model: model, Construction: MSWDominant},
+			Params{N: 4, K: 2, R: 2, M: 3, X: 2, Model: model, Construction: MAWDominant})
+	}
+	nets = append(nets, Params{N: 4, K: 2, R: 2, M: 3, X: 2, Model: wdm.MAW, Construction: AWGClos})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var rec RouteRecord
+		if json.Unmarshal(data, &rec) != nil {
+			return
+		}
+		for _, p := range nets {
+			net := mustNetwork(t, p)
+			id, err := net.Reinstall(rec)
+			if err != nil {
+				continue
+			}
+			if err := net.Verify(); err != nil {
+				t.Fatalf("%v/%v: reinstalled %+v fails Verify: %v", p.Construction, p.Model, rec, err)
+			}
+			if err := net.Release(id); err != nil {
+				t.Fatalf("%v/%v: release: %v", p.Construction, p.Model, err)
+			}
+			if u := net.Utilization(); net.Len() != 0 || u.InBusy != 0 || u.OutBusy != 0 {
+				t.Fatalf("%v/%v: after release: %d live, %d+%d busy link wavelengths", p.Construction, p.Model, net.Len(), u.InBusy, u.OutBusy)
+			}
+			if err := net.Verify(); err != nil {
+				t.Fatalf("%v/%v: Verify after release: %v", p.Construction, p.Model, err)
+			}
+		}
+	})
 }
 
 func remove(slots []wdm.PortWave, s wdm.PortWave) []wdm.PortWave {

@@ -20,9 +20,9 @@ func TestFiveStageConstruction(t *testing.T) {
 		if net.Params().Depth != 5 {
 			t.Fatalf("depth = %d", net.Params().Depth)
 		}
-		// A nested middle module must itself be a Network.
-		if _, ok := net.midMods[0].(*Network); !ok {
-			t.Fatalf("%v: middle module is %T, want *Network", constr, net.midMods[0])
+		// Every middle module must be a nested Network.
+		if len(net.mids) != net.Params().M {
+			t.Fatalf("%v: %d nested middle networks, want m=%d", constr, len(net.mids), net.Params().M)
 		}
 	}
 }
@@ -121,7 +121,7 @@ func TestFiveStageCostFormulaMatchesAudit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := net.Cost(); got != want {
+	if got := auditCost(t, net); got != want {
 		t.Errorf("audit %+v != formula %+v", got, want)
 	}
 }

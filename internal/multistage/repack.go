@@ -17,7 +17,7 @@ import (
 // live traffic — the classic strict-sense vs rearrangeable trade-off,
 // quantified by the repack benchmarks.
 //
-// The rearrangement is planned on a scratch (lite) network first and the
+// The rearrangement is planned on a scratch network first and the
 // live network is only touched when the complete plan is known to
 // succeed, so a failed attempt leaves the network exactly as it was and
 // returns the original blocking error. Existing connections keep their
@@ -52,9 +52,7 @@ func (net *Network) AddWithRepack(c wdm.Connection) (int, bool, error) {
 	// Plan on a scratch network with identical routing parameters and
 	// the same middles out of service. The router is deterministic, so a
 	// plan that succeeds here succeeds identically on the live network.
-	scratchParams := net.params
-	scratchParams.Lite = true
-	scratch, err := New(scratchParams)
+	scratch, err := New(net.params)
 	if err != nil {
 		return 0, false, fmt.Errorf("multistage: repack planning: %w", err)
 	}

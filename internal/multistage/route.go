@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/wdm"
 )
@@ -120,7 +119,7 @@ type routeScratch struct {
 	residual []int // destination modules not yet covered, ascending
 	served   []int // backing store of the rounds' serves
 	rounds   []pick
-	subDests []wdm.PortWave // destinations of the module sub-connection being installed
+	subDests []wdm.PortWave // destinations of the module sub-connection subConns hands out
 }
 
 func newRouteScratch(n, r, m int) routeScratch {
@@ -323,8 +322,8 @@ func (net *Network) blockedError(c wdm.Connection, srcMod int, lastHopWave wdm.W
 // input module a can carry a new connection entering on srcWave
 // (Section 3.1), in ascending order.
 func (net *Network) availableMiddles(dst []int, a int, srcWave wdm.Wavelength) []int {
-	for j := range net.midMods {
-		if net.failedMid[j] {
+	for j, failed := range net.failedMid {
+		if failed {
 			continue // out of service
 		}
 		link := net.inLink.link(a, j)
@@ -463,15 +462,15 @@ func (net *Network) freeLinks(rc *routed) {
 
 // commit materializes the chosen rounds: it claims link wavelengths,
 // middles in ascending order and each middle's output hops in ascending
-// order, then installs the module sub-connections, rolling back on any
-// internal inconsistency. It reorders rounds.
+// order, then installs the route, rolling back on any internal
+// inconsistency. It reorders rounds.
 func (net *Network) commit(c wdm.Connection, srcMod int, lastHopWave wdm.Wavelength, rounds []pick) (int, error) {
 	slices.SortFunc(rounds, func(a, b pick) int { return cmp.Compare(a.middle, b.middle) })
 	hops := 0
 	for _, rd := range rounds {
 		hops += len(rd.serves)
 	}
-	rc := newRouted(c, srcMod, len(rounds), hops)
+	rc := net.newRouted(c, srcMod, len(rounds), hops)
 	id := net.nextID
 	for _, rd := range rounds {
 		j := rd.middle
@@ -499,107 +498,62 @@ func (net *Network) commit(c wdm.Connection, srcMod int, lastHopWave wdm.Wavelen
 	return id, nil
 }
 
-// install adds the module sub-connections of a route whose link
-// wavelengths are already claimed, and registers the connection under
-// id. On failure it releases what it added, frees the route's link
-// claims, and names the rejecting module after the given context.
+// install registers a route whose link wavelengths are already claimed
+// under id, first adding its middle sub-connections to the nested middle
+// networks, if any. On failure it releases what it added, frees the
+// route's link claims, and names the rejecting middle after the given
+// context.
 func (net *Network) install(id int, rc *routed, context string) error {
-	s := &net.scratch
-	rc.inConnID = -1
-	for i := range rc.midConn {
-		rc.midConn[i] = -1
-	}
-	for i := range rc.outConn {
-		rc.outConn[i] = -1
-	}
-
-	// Input-module sub-connection: source slot -> one slot per middle.
-	_, srcLocal := net.splitPort(rc.conn.Source.Port)
-	in := wdm.Connection{Source: wdm.PortWave{Port: srcLocal, Wave: rc.conn.Source.Wave}, Dests: s.subDests[:0]}
-	for _, leg := range rc.legs {
-		in.Dests = append(in.Dests, wdm.PortWave{Port: wdm.Port(leg.Middle), Wave: leg.Wave})
-	}
-	cid, err := net.inMods[rc.srcMod].Add(in)
-	if err != nil {
-		net.uninstall(rc)
-		return fmt.Errorf("multistage: %s: input module %d rejected %v: %w", context, rc.srcMod, in, err)
-	}
-	rc.inConnID = cid
-
-	// Middle-module sub-connections: hops are grouped by middle in leg
-	// order.
-	h := 0
-	for i, leg := range rc.legs {
-		mc := wdm.Connection{Source: wdm.PortWave{Port: wdm.Port(rc.srcMod), Wave: leg.Wave}, Dests: s.subDests[:0]}
-		for ; h < len(rc.hops) && rc.hops[h].Middle == leg.Middle; h++ {
-			mc.Dests = append(mc.Dests, wdm.PortWave{Port: wdm.Port(rc.hops[h].Out), Wave: rc.hops[h].Wave})
+	if net.mids != nil {
+		for i := range rc.midConn {
+			rc.midConn[i] = -1
 		}
-		cid, err := net.midMods[leg.Middle].Add(mc)
+		err := net.subConns(rc, func(st stage, j, i int, c wdm.Connection) error {
+			if st != middleStage {
+				return nil
+			}
+			cid, err := net.mids[j].Add(c)
+			if err != nil {
+				return fmt.Errorf("multistage: %s: middle module %d rejected %v: %w", context, j, c, err)
+			}
+			rc.midConn[i] = cid
+			return nil
+		})
 		if err != nil {
-			net.uninstall(rc)
-			return fmt.Errorf("multistage: %s: middle module %d rejected %v: %w", context, leg.Middle, mc, err)
+			_ = net.releaseMids(rc)
+			net.freeLinks(rc)
+			return err
 		}
-		rc.midConn[i] = cid
 	}
-
-	// Output-module sub-connections.
-	for i, hop := range rc.hops {
-		oc := wdm.Connection{
-			Source: wdm.PortWave{Port: wdm.Port(hop.Middle), Wave: hop.Wave},
-			Dests:  net.moduleDests(s.subDests[:0], rc.conn, hop.Out),
-		}
-		cid, err := net.outMods[hop.Out].Add(oc)
-		if err != nil {
-			net.uninstall(rc)
-			return fmt.Errorf("multistage: %s: output module %d rejected %v: %w", context, hop.Out, oc, err)
-		}
-		rc.outConn[i] = cid
-	}
-
 	net.conns[id] = rc
 	net.setSlots(rc.conn, id)
 	return nil
 }
 
-// uninstall undoes a partial install: it releases the module
-// sub-connections already added and frees the route's link claims.
-func (net *Network) uninstall(rc *routed) {
-	if rc.inConnID >= 0 {
-		_ = net.inMods[rc.srcMod].Release(rc.inConnID)
-	}
+// releaseMids releases the route's sub-connections in the nested middle
+// networks (there are none at Depth 3), skipping any not yet added.
+func (net *Network) releaseMids(rc *routed) error {
 	for i, cid := range rc.midConn {
-		if cid >= 0 {
-			_ = net.midMods[rc.legs[i].Middle].Release(cid)
+		if cid < 0 {
+			continue
+		}
+		if err := net.mids[rc.legs[i].Middle].Release(cid); err != nil {
+			return fmt.Errorf("multistage: middle module %d: %w", rc.legs[i].Middle, err)
 		}
 	}
-	for i, cid := range rc.outConn {
-		if cid >= 0 {
-			_ = net.outMods[rc.hops[i].Out].Release(cid)
-		}
-	}
-	net.freeLinks(rc)
+	return nil
 }
 
-// Release tears down a live connection and frees every module slot and
-// link wavelength it occupied. The connection's route record is left
+// Release tears down a live connection and frees every link wavelength
+// and port slot it occupied. The connection's route record is left
 // intact, which is what lets AddBranch replay it.
 func (net *Network) Release(id int) error {
 	rc, ok := net.conns[id]
 	if !ok {
 		return fmt.Errorf("multistage: no connection with id %d", id)
 	}
-	if err := net.inMods[rc.srcMod].Release(rc.inConnID); err != nil {
-		return fmt.Errorf("multistage: input module %d: %w", rc.srcMod, err)
-	}
-	for i, leg := range rc.legs {
-		if err := net.midMods[leg.Middle].Release(rc.midConn[i]); err != nil {
-			return fmt.Errorf("multistage: middle module %d: %w", leg.Middle, err)
-		}
-	}
-	for i, hop := range rc.hops {
-		if err := net.outMods[hop.Out].Release(rc.outConn[i]); err != nil {
-			return fmt.Errorf("multistage: output module %d: %w", hop.Out, err)
-		}
+	if err := net.releaseMids(rc); err != nil {
+		return err
 	}
 	net.freeLinks(rc)
 	delete(net.conns, id)
@@ -609,12 +563,7 @@ func (net *Network) Release(id int) error {
 
 // Reset releases every live connection.
 func (net *Network) Reset() {
-	ids := make([]int, 0, len(net.conns))
-	for id := range net.conns {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
+	for _, id := range net.ids() {
 		if err := net.Release(id); err != nil {
 			panic("multistage: Reset lost track of connection: " + err.Error())
 		}

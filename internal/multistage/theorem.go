@@ -7,11 +7,18 @@
 // A three-stage network (Fig. 8) has r input modules of size n x m, m
 // middle modules of size r x r, and r output modules of size m x n, with
 // N = n*r and exactly one k-wavelength fiber between every pair of
-// modules in consecutive stages. Each module is itself a nonblocking
-// multicast crossbar (package crossbar), under the MSW model in the first
-// two stages for the MSW-dominant construction or under the MAW model for
+// modules in consecutive stages. Each module is a nonblocking multicast
+// crossbar (package crossbar), under the MSW model in the first two
+// stages for the MSW-dominant construction or under the MAW model for
 // the MAW-dominant construction; output-stage modules follow the
-// network's own multicast model.
+// network's own multicast model. A crossbar's only constraint is slot
+// occupancy, and a module's slots are the network's port slots and link
+// wavelengths, so a Network keeps one occupancy record, its link and
+// slot tables and route records, and no per-module state. The
+// sub-connection a route asks of each module follows from the route;
+// Verify builds gate-level crossbars from them to check that the light
+// gets through. Deeper networks (Depth > 3) replace each middle module
+// with a nested Network, which routes for real.
 package multistage
 
 import (

@@ -3,134 +3,234 @@ package multistage
 import (
 	"errors"
 	"fmt"
+	"slices"
 
-	"repro/internal/fabric"
+	"repro/internal/crossbar"
 	"repro/internal/wdm"
 )
 
+// stage names the three stages of modules a route crosses.
+type stage int
+
+const (
+	inputStage stage = iota
+	middleStage
+	outputStage
+)
+
+func (st stage) String() string { return [...]string{"input", "middle", "output"}[st] }
+
+// module returns the model and shape of the modules of stage st: r input
+// modules n x m, m middle modules r x r, r output modules m x n.
+func (p Params) module(st stage) (wdm.Model, wdm.Shape) {
+	switch st {
+	case inputStage:
+		return p.Construction.Stage12Model(), wdm.Shape{In: p.n(), Out: p.M, K: p.K}
+	case middleStage:
+		return p.Construction.MiddleModel(), wdm.Shape{In: p.R, Out: p.R, K: p.K}
+	}
+	return p.Model, wdm.Shape{In: p.M, Out: p.n(), K: p.K}
+}
+
+// subConns calls fn with the sub-connection a route asks of each module
+// it crosses, in stage order: the input module's (i = 0), each middle's
+// (i indexes rc.legs), then each output module's (i indexes rc.hops). A
+// sub-connection's slots are the module's local ports and the link
+// wavelengths the route claims; its Dests live in scratch and are valid
+// only during the call. The hops must be grouped by middle in leg order,
+// as checkRoute requires. The walk stops at fn's first error.
+func (net *Network) subConns(rc *routed, fn func(st stage, mod, i int, c wdm.Connection) error) error {
+	s := &net.scratch
+	_, srcLocal := net.splitPort(rc.conn.Source.Port)
+	c := wdm.Connection{Source: wdm.PortWave{Port: srcLocal, Wave: rc.conn.Source.Wave}, Dests: s.subDests[:0]}
+	for _, leg := range rc.legs {
+		c.Dests = append(c.Dests, wdm.PortWave{Port: wdm.Port(leg.Middle), Wave: leg.Wave})
+	}
+	if err := fn(inputStage, rc.srcMod, 0, c); err != nil {
+		return err
+	}
+	h := 0
+	for i, leg := range rc.legs {
+		c = wdm.Connection{Source: wdm.PortWave{Port: wdm.Port(rc.srcMod), Wave: leg.Wave}, Dests: s.subDests[:0]}
+		for ; h < len(rc.hops) && rc.hops[h].Middle == leg.Middle; h++ {
+			c.Dests = append(c.Dests, wdm.PortWave{Port: wdm.Port(rc.hops[h].Out), Wave: rc.hops[h].Wave})
+		}
+		if err := fn(middleStage, leg.Middle, i, c); err != nil {
+			return err
+		}
+	}
+	for i, hop := range rc.hops {
+		c = wdm.Connection{
+			Source: wdm.PortWave{Port: wdm.Port(hop.Middle), Wave: hop.Wave},
+			Dests:  net.moduleDests(s.subDests[:0], rc.conn, hop.Out),
+		}
+		if err := fn(outputStage, hop.Out, i, c); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkRoute refuses a route its modules could not carry. Every hop must
+// ride a middle that has a leg; every module sub-connection must be
+// admissible under its stage's model and shape, which refuses a link
+// out of range, a leg or hop on a wavelength its stage cannot carry, a
+// leg that feeds no hop and a hop into a module with no destination;
+// and the hops must reach exactly the destination modules, once each.
+func (net *Network) checkRoute(rc *routed) error {
+	for _, hop := range rc.hops {
+		if _, rides := rc.leg(hop.Middle); !rides {
+			return fmt.Errorf("output hop rides middle %d with no input leg", hop.Middle)
+		}
+	}
+	err := net.subConns(rc, func(st stage, mod, _ int, c wdm.Connection) error {
+		model, shape := net.params.module(st)
+		if err := shape.CheckConnection(model, c); err != nil {
+			return fmt.Errorf("%v module %d: %w", st, mod, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	reached := net.scratch.served[:0]
+	for _, hop := range rc.hops {
+		reached = append(reached, hop.Out)
+	}
+	slices.Sort(reached)
+	if want := net.destModules(rc.conn); !slices.Equal(reached, want) {
+		return fmt.Errorf("hops reach output modules %v, destinations are in %v", reached, want)
+	}
+	return nil
+}
+
 // Verify validates the network end to end:
 //
-//  1. every module optically verifies its own live sub-connections
-//     (signals propagate through the module's element graph and arrive
-//     exactly at the intended slots) — unless the network was built Lite;
-//  2. the cross-stage linkage of every network connection is consistent:
-//     the input module emits to exactly the (middle module, wavelength)
-//     pairs the middle modules receive on, the middle modules emit to
-//     exactly the (output module, wavelength) pairs the output modules
-//     receive on, and the output modules deliver exactly the network
-//     connection's destination slots;
-//  3. the link-occupancy and port-slot tables agree with the
-//     per-connection routing records.
+//  1. every live route passes checkRoute, and each nested middle network
+//     holds the middle sub-connection each route asks of it and verifies
+//     itself;
+//  2. the link-occupancy and port-slot tables agree with the routes;
+//  3. unless the network was built Lite, the gate-level model built from
+//     the routes delivers every signal to exactly its intended slots
+//     (see buildOptics).
 //
 // Together these demonstrate that every live multicast is carried as real
 // signal paths through three stages of real switch hardware.
 func (net *Network) Verify() error {
-	if !net.params.Lite {
-		for a, m := range net.inMods {
-			if _, err := m.Verify(); err != nil {
-				return fmt.Errorf("input module %d: %w", a, err)
-			}
-		}
-		for j, m := range net.midMods {
-			switch mod := m.(type) {
-			case interface {
-				Verify() (*fabric.Result, error)
-			}: // a crossbar module
-				if _, err := mod.Verify(); err != nil {
-					return fmt.Errorf("middle module %d: %w", j, err)
-				}
-			case *Network: // a nested network: full recursive verification
-				if err := mod.Verify(); err != nil {
-					return fmt.Errorf("nested middle module %d: %w", j, err)
-				}
-			}
-		}
-		for p, m := range net.outMods {
-			if _, err := m.Verify(); err != nil {
-				return fmt.Errorf("output module %d: %w", p, err)
-			}
+	for id, rc := range net.conns {
+		if err := net.checkRoute(rc); err != nil {
+			return fmt.Errorf("multistage: connection %d: %w", id, err)
 		}
 	}
-	for id, rc := range net.conns {
-		if err := net.verifyLinkage(id, rc); err != nil {
-			return err
-		}
+	if err := net.verifyNested(); err != nil {
+		return err
 	}
 	if err := net.verifyLinkTables(); err != nil {
 		return err
 	}
-	return net.verifySlotTables()
+	if err := net.verifySlotTables(); err != nil {
+		return err
+	}
+	if net.params.Lite {
+		return nil
+	}
+	om, err := net.buildOptics()
+	if err != nil {
+		return err
+	}
+	return om.verify()
 }
 
-// verifyLinkage checks the stage-to-stage consistency of one connection.
-func (net *Network) verifyLinkage(id int, rc *routed) error {
-	// Input module sub-connection: source is the network source's local
-	// slot; destinations are the route's (middle, wavelength) legs.
-	inConn, ok := net.inMods[rc.srcMod].Connection(rc.inConnID)
-	if !ok {
-		return fmt.Errorf("multistage: connection %d: input module %d lost sub-connection", id, rc.srcMod)
+// verifyNested checks that each nested middle network carries the middle
+// sub-connection every route asks of it, then verifies each nested
+// network in turn.
+func (net *Network) verifyNested() error {
+	if net.mids == nil {
+		return nil
 	}
-	_, wantLocal := net.splitPort(rc.conn.Source.Port)
-	if inConn.Source.Port != wantLocal || inConn.Source.Wave != rc.conn.Source.Wave {
-		return fmt.Errorf("multistage: connection %d: input sub-connection source %v != network source %v",
-			id, inConn.Source, rc.conn.Source)
-	}
-	if len(inConn.Dests) != len(rc.legs) {
-		return fmt.Errorf("multistage: connection %d: input module emits to %d middles, routing says %d",
-			id, len(inConn.Dests), len(rc.legs))
-	}
-	for _, d := range inConn.Dests {
-		if w, ok := rc.leg(int(d.Port)); !ok || w != d.Wave {
-			return fmt.Errorf("multistage: connection %d: input module emits %v, not in routing plan", id, d)
-		}
-	}
-
-	// Middle modules: source = (input module, leg wavelength); dests must
-	// match the route's hops.
-	for i, leg := range rc.legs {
-		j := leg.Middle
-		mc, ok := net.midMods[j].Connection(rc.midConn[i])
-		if !ok {
-			return fmt.Errorf("multistage: connection %d: middle module %d lost sub-connection", id, j)
-		}
-		if int(mc.Source.Port) != rc.srcMod || mc.Source.Wave != leg.Wave {
-			return fmt.Errorf("multistage: connection %d: middle %d receives on %v, input stage sends on (p%d,λ%d)",
-				id, j, mc.Source, rc.srcMod, leg.Wave)
-		}
-		for _, d := range mc.Dests {
-			if w, ok := rc.hop(j, int(d.Port)); !ok || w != d.Wave {
-				return fmt.Errorf("multistage: connection %d: middle %d emits %v, not in routing plan", id, j, d)
+	for id, rc := range net.conns {
+		err := net.subConns(rc, func(st stage, j, i int, want wdm.Connection) error {
+			if st != middleStage {
+				return nil
 			}
+			got, ok := net.mids[j].Connection(rc.midConn[i])
+			if !ok {
+				return fmt.Errorf("middle module %d lost sub-connection %d", j, rc.midConn[i])
+			}
+			if got.Source != want.Source || !slices.Equal(got.Dests, want.Dests) {
+				return fmt.Errorf("middle module %d carries %v, route asks %v", j, got, want)
+			}
+			return nil
+		})
+		if err != nil {
+			return fmt.Errorf("multistage: connection %d: %w", id, err)
 		}
 	}
-
-	// Output modules: delivered local slots must reassemble exactly the
-	// network destination set.
-	delivered := make(map[wdm.PortWave]bool)
-	for i, hop := range rc.hops {
-		p := hop.Out
-		oc, ok := net.outMods[p].Connection(rc.outConn[i])
-		if !ok {
-			return fmt.Errorf("multistage: connection %d: output module %d lost sub-connection", id, p)
-		}
-		if w, ok := rc.hop(int(oc.Source.Port), p); !ok || w != oc.Source.Wave {
-			return fmt.Errorf("multistage: connection %d: output module %d receives on %v, not in routing plan",
-				id, p, oc.Source)
-		}
-		for _, d := range oc.Dests {
-			global := wdm.PortWave{Port: wdm.Port(p*net.nPorts) + d.Port, Wave: d.Wave}
-			delivered[global] = true
-		}
-	}
-	if len(delivered) != len(rc.conn.Dests) {
-		return fmt.Errorf("multistage: connection %d: delivers %d slots, wants %d", id, len(delivered), len(rc.conn.Dests))
-	}
-	for _, d := range rc.conn.Dests {
-		if !delivered[d] {
-			return fmt.Errorf("multistage: connection %d: destination %v never delivered", id, d)
+	for j, mid := range net.mids {
+		if err := mid.Verify(); err != nil {
+			return fmt.Errorf("nested middle module %d: %w", j, err)
 		}
 	}
 	return nil
+}
+
+// optics is the gate-level model of a network: a fabric-backed crossbar
+// per module, indexed by stage, then module. The middle stage is empty
+// when the middles are nested networks, which verify themselves.
+type optics [3][]*crossbar.Switch
+
+// buildOptics builds the gate-level model and installs every live
+// route's module sub-connections in it, in connection id order.
+func (net *Network) buildOptics() (*optics, error) {
+	var om optics
+	for st := range om {
+		if stage(st) == middleStage && net.mids != nil {
+			continue
+		}
+		model, shape := net.params.module(stage(st))
+		for range [...]int{net.params.R, net.params.M, net.params.R}[st] {
+			om[st] = append(om[st], crossbar.NewShape(model, shape))
+		}
+	}
+	for _, id := range net.ids() {
+		err := net.subConns(net.conns[id], func(st stage, mod, _ int, c wdm.Connection) error {
+			if len(om[st]) == 0 {
+				return nil
+			}
+			if _, err := om[st][mod].Add(c); err != nil {
+				return fmt.Errorf("%v module %d rejected %v: %w", st, mod, c, err)
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("multistage: connection %d: %w", id, err)
+		}
+	}
+	return &om, nil
+}
+
+// verify propagates every module's signals through its element graph
+// and checks each arrives at exactly its sub-connection's destination
+// slots.
+func (om *optics) verify() error {
+	for st, mods := range om {
+		for i, m := range mods {
+			if _, err := m.Verify(); err != nil {
+				return fmt.Errorf("%v module %d: %w", stage(st), i, err)
+			}
+		}
+	}
+	return nil
+}
+
+// ids returns the live connection ids in ascending order.
+func (net *Network) ids() []int {
+	ids := make([]int, 0, len(net.conns))
+	for id := range net.conns {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // verifyLinkTables cross-checks the link occupancy tables against the

@@ -136,6 +136,45 @@ func TestDurableRecoverAfterCrash(t *testing.T) {
 	}
 }
 
+// TestStatusCountsMatchRegistry holds /v1/status's per-plane routed and
+// blocked counts to the registry's, which /metrics exports: live
+// migrations re-route sessions without routing new ones, and recovery
+// reinstalls sessions it counts as routed.
+func TestStatusCountsMatchRegistry(t *testing.T) {
+	cfg := durableConfig(t.TempDir(), 1)
+	agree := func(ctl *Controller, when string) {
+		t.Helper()
+		st, snap := ctl.Status().Fabrics[0], ctl.Metrics().Snapshot().PerFabric[0]
+		if st.Routed != snap.Routed || st.Blocked != snap.Blocked {
+			t.Fatalf("%s: status routed=%d blocked=%d, registry routed=%d blocked=%d",
+				when, st.Routed, st.Blocked, snap.Routed, snap.Blocked)
+		}
+		if snap.Routed != 2 {
+			t.Fatalf("%s: registry routed=%d, want 2", when, snap.Routed)
+		}
+	}
+	ctl := newTestController(t, cfg)
+	mustConnect(t, ctl, "0.0>5.0", 0)
+	mustConnect(t, ctl, "1.0>6.0", 0)
+	migrated := 0
+	for middle := 0; middle < 2; middle++ {
+		rep, err := ctl.FailMiddle(context.Background(), 0, middle)
+		if err != nil {
+			t.Fatalf("FailMiddle(%d): %v", middle, err)
+		}
+		migrated += len(rep.Migrated)
+	}
+	if migrated < 2 {
+		t.Fatalf("%d migrations, want at least 2", migrated)
+	}
+	agree(ctl, "after migrations")
+	ctl.Crash()
+
+	ctl2 := newTestController(t, cfg)
+	defer ctl2.Close()
+	agree(ctl2, "after restart")
+}
+
 // TestDurableDrainSealsLog checks the clean-shutdown path: Drain
 // journals every disconnect, seals the log, and a reopen recovers an
 // explicitly empty, sealed state that accepts fresh traffic.

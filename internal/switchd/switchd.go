@@ -771,18 +771,19 @@ func (ctl *Controller) Status() Status {
 		Draining:     ctl.draining.Load(),
 	}
 	for i, f := range ctl.fabrics {
-		var fs FabricStatus
+		// Routed and blocked come from the registry, as on /metrics: the
+		// backend's own Stats count the re-Adds of live migrations and
+		// miss the sessions recovery reinstalls.
+		fs := FabricStatus{
+			Replica: i,
+			Routed:  ctl.metrics.perFabric[i].routed.Load(),
+			Blocked: ctl.metrics.perFabric[i].blocked.Load(),
+		}
 		func() {
 			f.mu.Lock()
 			defer f.mu.Unlock()
-			routed, blocked := f.net.Stats()
-			fs = FabricStatus{
-				Replica:     i,
-				Active:      f.net.Len(),
-				Routed:      routed,
-				Blocked:     blocked,
-				Utilization: f.net.Utilization(),
-			}
+			fs.Active = f.net.Len()
+			fs.Utilization = f.net.Utilization()
 		}()
 		st.Fabrics = append(st.Fabrics, fs)
 	}
