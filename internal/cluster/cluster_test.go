@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -12,6 +13,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -802,6 +804,214 @@ func TestStandbyLogHoldsPrimaryBytes(t *testing.T) {
 	}
 	if !bytes.Equal(primary, standby) {
 		t.Errorf("record frames differ: primary %d bytes, standby %d bytes", len(primary), len(standby))
+	}
+}
+
+// TestStandbyHandoffUnderLoad: while several goroutines connect and
+// disconnect, a standby joins from empty, and later rejoins from a
+// mid-log resume point after the primary has rotated segments past it.
+// Each time a Follower catches it up from the segment files and hands
+// the stream to the group-commit leader. A proxy checks that the
+// primary sends every record after the resume point exactly once and
+// in order, across both hand-offs. Then the primary closes while the
+// appenders are still running: Close waits out the in-flight leader,
+// ships its final batch after it, and returns only once the standby
+// holds it. The two logs end byte-identical, and no batch was
+// acknowledged without the standby.
+func TestStandbyHandoffUnderLoad(t *testing.T) {
+	dir1, dir2 := t.TempDir(), t.TempDir()
+	srv := NewServer(ServerConfig{Shard: 0, SyncTimeout: 5 * time.Second, Heartbeat: 20 * time.Millisecond, Logger: quietLogger()})
+	ctl, err := switchd.New(switchd.Config{
+		Fabric:           testParams(),
+		Replicas:         2,
+		DataDir:          dir1,
+		SnapshotInterval: -1,
+		WALSegmentBytes:  2048,
+		WALCommitter:     srv.Commit,
+		Logger:           quietLogger(),
+	})
+	if err != nil {
+		t.Fatalf("primary switchd.New: %v", err)
+	}
+	defer ctl.Close()
+	if err := srv.Attach(ctl); err != nil {
+		t.Fatalf("Attach: %v", err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("replication listener: %v", err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+	proxy, violations := seqCheckingProxy(t, ln.Addr().String())
+
+	var (
+		closing atomic.Bool
+		wg      sync.WaitGroup
+	)
+	ctx := context.Background()
+	for g := 0; g < 4; g++ {
+		c, err := wdm.ParseConnection(fmt.Sprintf("%d.0>%d.0", g, g+8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				id, _, err := ctl.Connect(ctx, c, -1)
+				if err == nil {
+					err = ctl.Disconnect(ctx, id)
+				}
+				if err != nil {
+					if !closing.Load() {
+						t.Errorf("appender %v: %v", c, err)
+					}
+					return
+				}
+			}
+		}()
+	}
+	defer wg.Wait()
+	grow := func(records uint64) {
+		t.Helper()
+		target := ctl.WAL().LastSeq() + records
+		waitFor(t, 10*time.Second, "the log to grow", func() bool { return ctl.WAL().LastSeq() >= target })
+	}
+	follow := func() *Standby {
+		t.Helper()
+		serving := standbyServing()
+		serving.WALSegmentBytes = 2048
+		sb, err := NewStandby(StandbyConfig{Shard: 0, Primary: proxy, DataDir: dir2, Serving: serving, Reconnect: 20 * time.Millisecond, Logger: quietLogger()})
+		if err != nil {
+			t.Fatalf("NewStandby: %v", err)
+		}
+		sb.Start()
+		target := ctl.WAL().LastSeq()
+		waitFor(t, 10*time.Second, "the standby to catch up under load", func() bool { return sb.AppliedSeq() >= target })
+		grow(50) // served by the leaders now
+		return sb
+	}
+
+	grow(100)
+	sb := follow() // from empty
+	if err := sb.Close(); err != nil {
+		t.Fatalf("standby Close: %v", err)
+	}
+	segs := ctl.WAL().Stats().Segments
+	grow(100)
+	if ctl.WAL().Stats().Segments < segs+2 {
+		t.Fatalf("segments %d -> %d: the resume point is not behind a rotation", segs, ctl.WAL().Stats().Segments)
+	}
+	sb = follow() // mid-log resume
+	defer sb.Close()
+
+	closing.Store(true)
+	if err := ctl.Close(); err != nil {
+		t.Fatalf("primary Close: %v", err)
+	}
+	last := ctl.WAL().LastSeq()
+	if got := sb.AppliedSeq(); got != last {
+		t.Errorf("primary Close returned with the standby at seq %d, want its last seq %d", got, last)
+	}
+	wg.Wait()
+	if n := srv.SyncTimeouts(); n != 0 {
+		t.Errorf("%d batches acknowledged without the standby", n)
+	}
+	for _, v := range violations() {
+		t.Error(v)
+	}
+	primary, _ := recordFrames(t, dir1)
+	standby, _ := recordFrames(t, dir2)
+	if !bytes.Equal(primary, standby) {
+		t.Errorf("record frames differ: primary %d bytes, standby %d bytes", len(primary), len(standby))
+	}
+}
+
+// seqCheckingProxy relays standby connections to the primary at
+// upstream. On each it reads the standby's resume point from the
+// handshake and checks that the record frames the primary sends carry
+// every later sequence exactly once, in order; violations returns what
+// it found.
+func seqCheckingProxy(t *testing.T, upstream string) (string, func() []string) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("proxy listener: %v", err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	var (
+		mu    sync.Mutex
+		found []string
+	)
+	report := func(format string, args ...any) {
+		mu.Lock()
+		found = append(found, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+	relay := func(down net.Conn) {
+		defer down.Close()
+		up, err := net.Dial("tcp", upstream)
+		if err != nil {
+			return
+		}
+		defer up.Close()
+		dr := bufio.NewReader(down)
+		typ, payload, err := readFrame(dr)
+		if err != nil || typ != frameHandshake {
+			return
+		}
+		var hs handshakeMsg
+		if err := json.Unmarshal(payload, &hs); err != nil {
+			report("proxy: handshake: %v", err)
+			return
+		}
+		uw := bufio.NewWriter(up)
+		if writePayload(uw, typ, payload) != nil || uw.Flush() != nil {
+			return
+		}
+		go func() {
+			io.Copy(up, dr) // acks
+			up.Close()
+		}()
+		ur, dw := bufio.NewReader(up), bufio.NewWriter(down)
+		next := hs.HaveSeq + 1
+		for {
+			typ, payload, err := readFrame(ur)
+			if err != nil {
+				return
+			}
+			if typ == frameRecord {
+				var rec struct {
+					Seq uint64 `json:"seq"`
+				}
+				if err := json.Unmarshal(payload, &rec); err != nil || rec.Seq != next {
+					report("resume after %d: record frame with seq %d (%v), want %d", hs.HaveSeq, rec.Seq, err, next)
+					return
+				}
+				next++
+			}
+			if writePayload(dw, typ, payload) != nil {
+				return
+			}
+			if ur.Buffered() == 0 && dw.Flush() != nil {
+				return
+			}
+		}
+	}
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go relay(c)
+		}
+	}()
+	return ln.Addr().String(), func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.Clone(found)
 	}
 }
 

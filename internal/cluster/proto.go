@@ -9,6 +9,17 @@
 // through the same multistage.Reinstall path a restarted primary uses,
 // not a state transfer.
 //
+// Who ships a record, and when: a standby that is behind — joining,
+// resuming after a dropped connection, or bootstrapped from a snapshot
+// — is caught up by a per-standby goroutine that reads the segment
+// files (durable.Follower). Once it has sent every published record it
+// hands the stream to the primary's group commit, and from then on the
+// batch leader that flushed a batch writes it to every caught-up
+// standby's socket itself, before its own fsync, so the two fsyncs
+// overlap. Every write to a standby carries a deadline, so a standby
+// that stops reading is dropped rather than stalling the leader; it
+// reconnects and catches up from the segments.
+//
 // Replication is semi-synchronous: the primary's group commit calls
 // into Server.Commit (durable.Options.Committer) after each batch
 // fsync, which waits — bounded by a timeout — for the standby to both

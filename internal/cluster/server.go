@@ -66,24 +66,93 @@ type Server struct {
 	wg sync.WaitGroup
 }
 
-// repConn is one connected standby.
+// repConn is one connected standby. Its writers are the catch-up
+// stream, the group-commit leaders once the stream is caught up (ship),
+// and the heartbeat; every write to the socket carries a deadline
+// (deadlineWriter).
 type repConn struct {
-	c        net.Conn
-	bw       *bufio.Writer
-	wmu      sync.Mutex // serialises record stream vs heartbeat frames
-	follower atomic.Pointer[durable.Follower]
-	done     chan struct{}
-	once     sync.Once
+	c    net.Conn
+	bw   *bufio.Writer
+	wmu  sync.Mutex // serialises the writers' frames
+	done chan struct{}
+	once sync.Once
 }
+
+// errStreamClosed is a write to a standby stream that has been dropped.
+var errStreamClosed = errors.New("cluster: standby stream closed")
 
 func (rc *repConn) shutdown() {
 	rc.once.Do(func() {
 		close(rc.done)
 		rc.c.Close()
-		if fl := rc.follower.Load(); fl != nil {
-			fl.Close()
-		}
 	})
+}
+
+// send writes frames under the write lock, flushing them when flush is
+// set (frames may be nil: flush only). A write that fails, on a
+// dropped stream or past its deadline, drops the standby: it
+// reconnects and catches up from the segment files.
+func (rc *repConn) send(flush bool, frames func(*bufio.Writer) error) error {
+	rc.wmu.Lock()
+	defer rc.wmu.Unlock()
+	select {
+	case <-rc.done:
+		return errStreamClosed
+	default:
+	}
+	var err error
+	if frames != nil {
+		err = frames(rc.bw)
+	}
+	if err == nil && flush {
+		err = rc.bw.Flush()
+	}
+	if err != nil {
+		rc.shutdown()
+	}
+	return err
+}
+
+// ship writes one published batch as record frames and flushes it: the
+// group-commit leader calls it before its fsync once the stream is
+// caught up (durable.Follower.Handoff).
+func (rc *repConn) ship(batch [][]byte) error {
+	return rc.send(true, func(bw *bufio.Writer) error {
+		for _, payload := range batch {
+			if err := writePayload(bw, frameRecord, payload); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// writeChunk bounds the bytes one socket write may carry under one
+// deadline.
+const writeChunk = 1 << 16
+
+// deadlineWriter gives every write to a standby's socket a deadline d
+// away, so a standby that stops draining its socket fails the write
+// instead of stalling the writer: the group-commit leader ships caught-up
+// batches itself and must not wait on one standby. A long write (a
+// snapshot frame) goes out in chunks, each with a fresh deadline, so
+// only a stalled socket fails, not a slow one.
+type deadlineWriter struct {
+	c net.Conn
+	d time.Duration
+}
+
+func (w deadlineWriter) Write(b []byte) (int, error) {
+	n := 0
+	for n < len(b) {
+		w.c.SetWriteDeadline(time.Now().Add(w.d))
+		m, err := w.c.Write(b[n:min(len(b), n+writeChunk)])
+		n += m
+		if err != nil {
+			return n, err
+		}
+	}
+	return n, nil
 }
 
 // NewServer builds a replication server. Call Attach with the shard's
@@ -273,7 +342,14 @@ func (s *Server) handleConn(c net.Conn) {
 		tc.SetNoDelay(true)
 	}
 	br := bufio.NewReaderSize(c, 1<<16)
-	bw := bufio.NewWriterSize(c, 1<<16)
+	// A standby that stops reading fails the writes after one sync
+	// timeout: the primary's semi-sync barrier degrades on that bound
+	// too.
+	wd := s.cfg.SyncTimeout
+	if wd <= 0 {
+		wd = DefaultSyncTimeout
+	}
+	bw := bufio.NewWriterSize(deadlineWriter{c: c, d: wd}, 1<<16)
 
 	c.SetReadDeadline(time.Now().Add(5 * time.Second))
 	typ, payload, err := readFrame(br)
@@ -355,20 +431,13 @@ func (s *Server) handleConn(c net.Conn) {
 			case <-tick.C:
 			}
 			hb := heartbeatMsg{SyncedSeq: s.wal.SyncedSeq(), SentUnixNs: time.Now().UnixNano()}
-			rc.wmu.Lock()
-			err := writeFrame(rc.bw, frameHeartbeat, hb)
-			if err == nil {
-				err = rc.bw.Flush()
-			}
-			rc.wmu.Unlock()
-			if err != nil {
-				rc.shutdown()
+			if rc.send(true, func(bw *bufio.Writer) error { return writeFrame(bw, frameHeartbeat, hb) }) != nil {
 				return
 			}
 		}
 	}()
 
-	if err := s.streamRecords(rc, hs.HaveSeq); err != nil && !errors.Is(err, durable.ErrFollowerClosed) {
+	if err := s.streamRecords(rc, hs.HaveSeq); err != nil && !errors.Is(err, errStreamClosed) {
 		s.cfg.Logger.Warn("replication stream ended", "shard", s.cfg.Shard, "err", err)
 	}
 }
@@ -404,56 +473,54 @@ func (s *Server) noteAck(seq uint64) {
 	s.mu.Unlock()
 }
 
-// streamRecords ships the WAL from after, bootstrapping with a full
-// state snapshot when the resume point has been compacted away. Each
-// record frame carries the payload the follower read from the log,
-// byte for byte; nothing here encodes a record. It flushes
-// opportunistically: whenever the follower has no more records
-// immediately available, so batches coalesce under load but a lone
-// record leaves at once.
+// streamRecords ships the WAL from after to one standby until the
+// stream or the log ends. A standby that is behind is caught up from
+// the segment files by a Follower, after a state snapshot when its
+// resume point has been compacted away. Once the Follower has
+// delivered every published record it hands the stream to the
+// group-commit leader (Handoff), which ships each later batch itself
+// (rc.ship) before its fsync; this goroutine then only waits. Each
+// record frame carries the appender's payload byte for byte; nothing
+// here encodes a record.
 func (s *Server) streamRecords(rc *repConn, after uint64) error {
+	fl := s.wal.Follow(after)
+	defer func() { fl.Close() }()
 	for {
-		fl := s.wal.Follow(after)
-		rc.follower.Store(fl)
 		select {
 		case <-rc.done:
-			fl.Close()
-			return durable.ErrFollowerClosed
+			return errStreamClosed
 		default:
 		}
 		_, payload, err := fl.Next()
-		if errors.Is(err, durable.ErrCompacted) {
+		switch {
+		case err == nil:
+			// Catch-up frames flush when the buffer fills or the
+			// stream catches up.
+			err = rc.send(false, func(bw *bufio.Writer) error { return writePayload(bw, frameRecord, payload) })
+		case errors.Is(err, durable.ErrCaughtUp):
+			if err = rc.send(true, nil); err != nil {
+				break
+			}
+			if end, ok := fl.Handoff(rc.ship); ok {
+				select {
+				case <-rc.done:
+					return errStreamClosed
+				case <-end:
+					return durable.ErrClosed
+				}
+			}
+		case errors.Is(err, durable.ErrCompacted):
 			fl.Close()
 			snap := s.ctl.SnapshotState()
 			s.cfg.Logger.Info("resume point compacted; shipping snapshot",
 				"shard", s.cfg.Shard, "after", after, "snapshot_seq", snap.LastSeq)
-			rc.wmu.Lock()
-			werr := writeFrame(rc.bw, frameSnapshot, snap)
-			if werr == nil {
-				werr = rc.bw.Flush()
-			}
-			rc.wmu.Unlock()
-			if werr != nil {
-				return werr
-			}
+			err = rc.send(true, func(bw *bufio.Writer) error { return writeFrame(bw, frameSnapshot, snap) })
 			after = snap.LastSeq
-			continue
+			fl = s.wal.Follow(after)
 		}
-		for err == nil {
-			rc.wmu.Lock()
-			werr := writePayload(rc.bw, frameRecord, payload)
-			if werr == nil && !fl.Pending() {
-				werr = rc.bw.Flush()
-			}
-			rc.wmu.Unlock()
-			if werr != nil {
-				fl.Close()
-				return werr
-			}
-			_, payload, err = fl.Next()
+		if err != nil {
+			return err
 		}
-		fl.Close()
-		return err
 	}
 }
 

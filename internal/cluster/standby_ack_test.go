@@ -3,6 +3,7 @@ package cluster
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -271,4 +272,100 @@ func TestStandbyRefusesUndecodableRecord(t *testing.T) {
 	if !rep.Clean || rep.LastSeq != good {
 		t.Errorf("standby log: clean=%v last seq %d (cut %v), want clean at %d", rep.Clean, rep.LastSeq, rep.Truncated, good)
 	}
+}
+
+// TestStalledStandbyCannotStallPrimary: a standby that handshakes and
+// then never reads. Every write to its socket carries a deadline, so
+// while the socket fills each append still completes within the sync
+// timeout plus slack, the primary counts each batch it acknowledged
+// without the standby's ack, and once the socket stops draining the
+// primary drops the stream. A standby that connects afterwards catches
+// up from the segment files.
+func TestStalledStandbyCannotStallPrimary(t *testing.T) {
+	const syncTimeout = 50 * time.Millisecond
+	const bound = syncTimeout + 950*time.Millisecond // plus slack for fsync and the race detector
+	srv := NewServer(ServerConfig{Shard: 0, SyncTimeout: syncTimeout, Logger: quietLogger()})
+	meta, err := standbyServing().DurableMeta()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plane, _, err := durable.Open(durable.Options{Dir: t.TempDir(), Committer: srv.Commit, Logger: quietLogger()}, meta)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer plane.Close()
+	srv.wal = plane // the stream needs only the log: no snapshot is shipped here
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	c, _, _, err := dialAndHandshake(ln.Addr().String(), time.Second, handshakeMsg{Shard: 0, HaveSeq: plane.LastSeq(), Meta: meta})
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	waitFor(t, 5*time.Second, "stalled standby to connect", func() bool { return srv.Standbys() == 1 })
+
+	// A fail record that drops many sessions is ~300 KB: a dozen or two
+	// fill the loopback socket buffers.
+	rec := durable.Record{Op: durable.OpFail, Middle: 1, Dropped: make([]uint64, 50000)}
+	for i := range rec.Dropped {
+		rec.Dropped[i] = uint64(10000 + i)
+	}
+	appends := 0
+	for srv.Standbys() > 0 {
+		if appends == 200 {
+			t.Fatalf("%d appends later the stalled stream is still open", appends)
+		}
+		r := rec
+		errc := make(chan error, 1)
+		start := time.Now()
+		go func() {
+			_, err := plane.Append(&r)
+			errc <- err
+		}()
+		select {
+		case err := <-errc:
+			if err != nil {
+				t.Fatalf("append %d: %v", appends, err)
+			}
+		case <-time.After(bound):
+			t.Fatalf("append %d still waiting after %v: the stalled standby stalls the primary", appends, bound)
+		}
+		if d := time.Since(start); d > bound {
+			t.Errorf("append %d took %v, over %v", appends, d, bound)
+		}
+		appends++
+	}
+	t.Logf("%d appends, %d sync timeouts", appends, srv.SyncTimeouts())
+	if n := srv.SyncTimeouts(); n == 0 || n > uint64(appends) {
+		t.Errorf("SyncTimeouts() = %d over %d appends, want between 1 and %d", n, appends, appends)
+	}
+	// The primary closed the stream: draining it ends at EOF.
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.Copy(io.Discard, c); err != nil {
+		var ne net.Error
+		if errors.As(err, &ne) && ne.Timeout() {
+			t.Fatalf("stream still open after the primary dropped the standby: %v", err)
+		}
+	}
+
+	sb, err := NewStandby(StandbyConfig{
+		Shard:     0,
+		Primary:   ln.Addr().String(),
+		DataDir:   t.TempDir(),
+		Serving:   standbyServing(),
+		Reconnect: 20 * time.Millisecond,
+		Logger:    quietLogger(),
+	})
+	if err != nil {
+		t.Fatalf("NewStandby: %v", err)
+	}
+	sb.Start()
+	defer sb.Close()
+	last := plane.LastSeq()
+	waitFor(t, 10*time.Second, "a new standby to catch up from the segments", func() bool { return sb.AppliedSeq() >= last })
 }

@@ -37,10 +37,20 @@
 // the same scan — report every snapshot, prime the state from the
 // newest valid one, walk the log once — so recovery, the integrity
 // check and offline tools agree on every count and on where a log is
-// cut. A record has one encoding, too: the appender's. A replication
-// stream ships the frame payloads a Follower reads, and a standby's
-// AppendReplica frames them as received, so its log holds the
-// primary's bytes.
+// cut. A record has one encoding, too: the appender's. A standby's
+// AppendReplica frames the payloads its stream delivers as received, so
+// its log holds the primary's bytes.
+//
+// Replication streams are fed two ways. A stream that is caught up
+// gets each batch from its group-commit leader: the payloads the
+// appenders marshalled stay in memory until the leader publishes the
+// batch, and the leader ships them to every caught-up stream right
+// after flushing them and before its fsync, so the standby's fsync
+// overlaps the primary's and no stream reads a segment. A stream that
+// is behind (a standby joining, resuming or bootstrapped from a
+// snapshot) is served from the segment files by a Follower, which
+// hands it to the leader (Follower.Handoff) once it has delivered
+// every published record.
 package durable
 
 import (

@@ -10,28 +10,35 @@ import (
 	"time"
 )
 
-// Tail-follow reader. A Follower streams the log's records in sequence
-// order as they become readable, surviving segment rotation and
-// group-commit batching: it blocks until the record it wants has been
-// flushed into a segment file (the Plane's visible watermark), opens
-// segment files with its own descriptors, and re-lists the directory
-// when a segment runs dry to pick up the rotation successor. It is the
-// primary half of log-shipping replication — a replication server holds
-// one Follower per connected standby.
+// Catch-up reader. A Follower serves a replication stream that is
+// behind the log: it streams the log's published records in sequence
+// order from the segment files, with its own descriptors, re-listing
+// the directory when a segment runs dry to pick up the rotation
+// successor. It never waits for an append. Once it has delivered every
+// published record, its stream is caught up and it hands the stream to
+// the group-commit leader (Handoff): from then on each leader ships the
+// batch it flushed, from memory, before its fsync, and the stream never
+// reads a segment again. A replication server runs one Follower per
+// standby that connects or reconnects behind the log.
 //
-// A Follower never reads past the visible watermark, so it cannot see a
-// torn frame in a healthy log: everything at or below the watermark was
-// buffered whole and flushed whole. A short or checksum-failing frame
-// below the watermark therefore gets one retry (the read may have raced
-// pruning) and is then reported as real corruption.
+// A Follower never reads past the published watermark, so it cannot
+// see a torn frame in a healthy log: everything at or below the
+// watermark was buffered whole and flushed whole. A short or
+// checksum-failing frame below the watermark therefore gets one retry
+// (the read may have raced pruning) and is then reported as real
+// corruption.
 
 var (
 	// ErrCompacted reports that the requested resume point has been
 	// pruned into a snapshot; the consumer must bootstrap from a
 	// snapshot instead of the log tail.
 	ErrCompacted = errors.New("durable: requested sequence compacted into a snapshot")
-	// ErrFollowerClosed is returned by Next after Close.
+	// ErrFollowerClosed is returned by Next after Close or Handoff.
 	ErrFollowerClosed = errors.New("durable: follower closed")
+	// ErrCaughtUp is returned by Next once every published record has
+	// been delivered and the log is still open: the stream is caught
+	// up, and Handoff passes it to the group-commit leader.
+	ErrCaughtUp = errors.New("durable: follower caught up with the log")
 )
 
 // errRetryFollow signals an internal transient condition (rotation or
@@ -39,8 +46,7 @@ var (
 var errRetryFollow = errors.New("durable: follower retry")
 
 // Follower is a sequential reader positioned after some sequence
-// number. Not safe for concurrent use; Close may be called from another
-// goroutine to unblock a pending Next.
+// number. Not safe for concurrent use.
 type Follower struct {
 	p    *Plane
 	next uint64 // sequence number of the next record to deliver
@@ -55,7 +61,7 @@ type Follower struct {
 	// a second failure at the same spot is reported instead of retried.
 	corruptAt int64
 
-	done bool // guarded by p.mu; Close broadcasts on p.cond
+	done bool // after Close or Handoff
 }
 
 // Follow returns a Follower that yields records with Seq > afterSeq in
@@ -65,45 +71,39 @@ func (p *Plane) Follow(afterSeq uint64) *Follower {
 	return &Follower{p: p, next: afterSeq + 1, corruptAt: -1}
 }
 
-// Close releases the follower's file handle and unblocks a concurrent
-// Next, which returns ErrFollowerClosed.
+// Close releases the follower's file handle; Next then returns
+// ErrFollowerClosed.
 func (fl *Follower) Close() {
-	fl.p.mu.Lock()
 	fl.done = true
-	fl.p.cond.Broadcast()
-	fl.p.mu.Unlock()
+	fl.closeFile()
 }
 
-// Next blocks until the next record is readable and returns its
-// sequence number and frame payload: the record's JSON exactly as the
-// appender encoded it, which a replication stream ships as is. Only the
-// sequence is decoded. It returns ErrClosed once the log has closed (or
-// crashed) and every flushed record has been delivered, ErrCompacted
-// if the resume point has been pruned, and ErrFollowerClosed after
-// Close.
+// Next returns the next published record's sequence number and frame
+// payload: the record's JSON exactly as the appender encoded it, which a
+// replication stream ships as is. Only the sequence is decoded. Once
+// every published record has been delivered it returns ErrCaughtUp
+// while the log is open and ErrClosed once it has ended (closed,
+// crashed or failed). It returns ErrCompacted if the resume point has
+// been pruned, and ErrFollowerClosed after Close or Handoff.
 func (fl *Follower) Next() (uint64, []byte, error) {
 	for {
-		fl.p.mu.Lock()
-		for !fl.done && fl.p.visible < fl.next && !fl.p.closed && fl.p.err == nil {
-			fl.p.cond.Wait()
-		}
-		done := fl.done
-		visible := fl.p.visible
-		planeDead := fl.p.closed || fl.p.err != nil
-		fl.p.mu.Unlock()
-		if done {
-			fl.closeFile()
+		if fl.done {
 			return 0, nil, ErrFollowerClosed
 		}
+		fl.p.mu.Lock()
+		visible := fl.p.visible
+		ended := fl.p.endedLocked()
+		fl.p.mu.Unlock()
 		if visible < fl.next {
-			// The plane ended before this sequence was flushed; nothing
-			// more will ever become readable.
-			fl.closeFile()
-			return 0, nil, ErrClosed
+			if ended {
+				fl.closeFile()
+				return 0, nil, ErrClosed
+			}
+			return 0, nil, ErrCaughtUp
 		}
 		seq, payload, err := fl.readNext(visible)
 		if err == errRetryFollow {
-			if planeDead {
+			if ended {
 				// No new flush can resolve the race; treat as EOF.
 				fl.closeFile()
 				return 0, nil, ErrClosed
@@ -117,12 +117,34 @@ func (fl *Follower) Next() (uint64, []byte, error) {
 	}
 }
 
-// Pending reports whether a record is already readable without
-// blocking; the replication server uses it to batch stream flushes.
-func (fl *Follower) Pending() bool {
-	fl.p.mu.Lock()
-	defer fl.p.mu.Unlock()
-	return fl.p.visible >= fl.next
+// Handoff hands a caught-up follower's stream to the group-commit
+// leader. Under the log's lock it checks that every published record
+// has been delivered; if so, ship joins the streams the leaders feed,
+// the follower closes, and Handoff returns true with a channel that is
+// closed once the log has ended (closed, crashed or failed) and will
+// publish nothing more. From then on the leader that publishes a batch
+// calls ship with the batch's frame payloads, in sequence order, after
+// flushing them and before their fsync, with no lock held; so the
+// payloads of an Append reach ship before the Append returns. ship must
+// not retain the batch, and it must return within a bounded time (a
+// replication stream writes with a deadline): every later batch waits
+// for it. An error from ship detaches it.
+//
+// Handoff returns false, and the follower stays open, when a batch was
+// published since Next reported ErrCaughtUp or the log has ended: keep
+// reading with Next.
+func (fl *Follower) Handoff(ship func(batch [][]byte) error) (<-chan struct{}, bool) {
+	p := fl.p
+	p.mu.Lock()
+	if fl.done || p.visible >= fl.next || p.endedLocked() {
+		p.mu.Unlock()
+		return nil, false
+	}
+	p.shippers = append(p.shippers, &shipper{ship: ship})
+	end := p.end
+	p.mu.Unlock()
+	fl.Close()
+	return end, true
 }
 
 // readNext reads forward until it delivers the record numbered

@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -26,20 +28,59 @@ func nextRecord(fl *Follower) (*Record, error) {
 	return &rec, nil
 }
 
-// collectFollower drains records from fl into a channel until a
-// terminal error, reporting the error on done.
+// collectFollower streams fl's records into a channel the way a
+// replication server does: it reads with Next until the stream is
+// caught up, hands the stream to the group-commit leader, and forwards
+// each batch the leaders ship. It reports the terminal error on done,
+// ErrClosed once the log has ended, and then closes the channel.
 func collectFollower(fl *Follower) (<-chan *Record, <-chan error) {
-	out := make(chan *Record, 1024)
+	// Room for every record a test appends: a leader shipping into a
+	// full channel would stall the appends the test is waiting on.
+	out := make(chan *Record, 4096)
 	done := make(chan error, 1)
-	go func() {
-		defer close(out)
-		for {
-			rec, err := nextRecord(fl)
-			if err != nil {
-				done <- err
-				return
+	var (
+		mu     sync.Mutex // orders the leaders' sends against the close
+		closed bool
+	)
+	ship := func(batch [][]byte) error {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, payload := range batch {
+			rec := new(Record)
+			if err := json.Unmarshal(payload, rec); err != nil {
+				return err
+			}
+			if closed {
+				return ErrFollowerClosed
 			}
 			out <- rec
+		}
+		return nil
+	}
+	finish := func(err error) {
+		mu.Lock()
+		closed = true
+		close(out)
+		mu.Unlock()
+		done <- err
+	}
+	go func() {
+		for {
+			rec, err := nextRecord(fl)
+			if err == nil {
+				out <- rec
+				continue
+			}
+			if errors.Is(err, ErrCaughtUp) {
+				if end, ok := fl.Handoff(ship); ok {
+					<-end
+					finish(ErrClosed)
+					return
+				}
+				continue
+			}
+			finish(err)
+			return
 		}
 	}()
 	return out, done
@@ -146,8 +187,9 @@ func TestFollowerResumeFromSeq(t *testing.T) {
 	}
 }
 
-// TestFollowerLiveTail checks a follower blocked at the tail wakes for
-// new appends (group-commit visibility) rather than polling stale EOF.
+// TestFollowerLiveTail: a follower positioned at the live tail hands
+// its stream to the group-commit leader at once, and every later append
+// reaches it from the leader, in order, before the append returns.
 func TestFollowerLiveTail(t *testing.T) {
 	dir := t.TempDir()
 	p, _ := mustOpen(t, dir)
@@ -156,30 +198,128 @@ func TestFollowerLiveTail(t *testing.T) {
 	seq := mustAppend(t, p, &Record{Op: OpConnect, Session: 1, Route: route("0.0>1.0")})
 	fl := p.Follow(seq) // positioned at the live tail
 	defer fl.Close()
-	out, done := collectFollower(fl)
-
-	var appendWG sync.WaitGroup
-	appendWG.Add(1)
-	go func() {
-		defer appendWG.Done()
-		time.Sleep(10 * time.Millisecond)
-		for i := 0; i < 10; i++ {
-			mustAppend(t, p, &Record{Op: OpConnect, Session: uint64(100 + i), Route: route("0.0>1.0")})
-		}
-	}()
-	for i := 0; i < 10; i++ {
-		select {
-		case rec := <-out:
-			if rec.Session != uint64(100+i) {
-				t.Fatalf("tail record %d: session %d, want %d", i, rec.Session, 100+i)
+	if _, _, err := fl.Next(); !errors.Is(err, ErrCaughtUp) {
+		t.Fatalf("Next at the tail: %v, want ErrCaughtUp", err)
+	}
+	var (
+		mu      sync.Mutex
+		shipped []*Record
+	)
+	end, ok := fl.Handoff(func(batch [][]byte) error {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, payload := range batch {
+			rec := new(Record)
+			if err := json.Unmarshal(payload, rec); err != nil {
+				return err
 			}
-		case err := <-done:
-			t.Fatalf("follower died: %v", err)
-		case <-time.After(5 * time.Second):
-			t.Fatalf("timeout waiting for tail record %d", i)
+			shipped = append(shipped, rec)
+		}
+		return nil
+	})
+	if !ok {
+		t.Fatal("Handoff refused a caught-up follower")
+	}
+	for i := 0; i < 10; i++ {
+		seq := mustAppend(t, p, &Record{Op: OpConnect, Session: uint64(100 + i), Route: route("0.0>1.0")})
+		mu.Lock()
+		n := len(shipped)
+		last := shipped[n-1]
+		mu.Unlock()
+		if n != i+1 || last.Seq != seq || last.Session != uint64(100+i) {
+			t.Fatalf("after append %d (seq %d): %d shipped, last seq %d session %d", i, seq, n, last.Seq, last.Session)
 		}
 	}
-	appendWG.Wait()
+	select {
+	case <-end:
+		t.Fatal("log reported ended while open")
+	default:
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	<-end
+	if _, _, err := fl.Next(); !errors.Is(err, ErrFollowerClosed) {
+		t.Fatalf("Next after Handoff: %v, want ErrFollowerClosed", err)
+	}
+}
+
+// TestCloseShipsAfterInFlightLeader: a Close that races an in-flight
+// batch leader waits it out. While the leader is still shipping its
+// batch, Close ships nothing; its final batch follows the leader's, and
+// no two shipments overlap.
+func TestCloseShipsAfterInFlightLeader(t *testing.T) {
+	p, _ := mustOpen(t, t.TempDir())
+	fl := p.Follow(p.LastSeq())
+	if _, _, err := fl.Next(); !errors.Is(err, ErrCaughtUp) {
+		t.Fatalf("Next at the tail: %v, want ErrCaughtUp", err)
+	}
+	var (
+		mu       sync.Mutex
+		shipped  [][]uint64
+		shipping atomic.Int32
+	)
+	entered, release := make(chan struct{}), make(chan struct{})
+	ship := func(batch [][]byte) error {
+		if shipping.Add(1) != 1 {
+			t.Error("two batches shipped at once")
+		}
+		defer shipping.Add(-1)
+		var seqs []uint64
+		for _, payload := range batch {
+			var rec Record
+			if err := json.Unmarshal(payload, &rec); err != nil {
+				return err
+			}
+			seqs = append(seqs, rec.Seq)
+		}
+		mu.Lock()
+		shipped = append(shipped, seqs)
+		first := len(shipped) == 1
+		mu.Unlock()
+		if first {
+			close(entered)
+			<-release // the leader is slow to ship
+		}
+		return nil
+	}
+	if _, ok := fl.Handoff(ship); !ok {
+		t.Fatal("Handoff refused a caught-up follower")
+	}
+	appended := make(chan uint64, 2)
+	appendOne := func(session uint64) {
+		seq, err := p.Append(&Record{Op: OpConnect, Session: session, Route: route("0.0>1.0")})
+		if err != nil {
+			t.Errorf("append session %d: %v", session, err)
+		}
+		appended <- seq
+	}
+	go appendOne(1) // leads a batch and stalls in ship
+	<-entered
+	go appendOne(2) // buffers behind the stalled leader
+	deadline := time.Now().Add(5 * time.Second)
+	for p.LastSeq() < p.SyncedSeq()+2 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- p.Close() }()
+	time.Sleep(20 * time.Millisecond) // room for Close to ship too early
+	mu.Lock()
+	early := len(shipped)
+	mu.Unlock()
+	if early != 1 {
+		t.Errorf("%d batches shipped while the leader was still shipping its own, want 1", early)
+	}
+	close(release)
+	if err := <-closed; err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	first, second := <-appended, <-appended
+	mu.Lock()
+	defer mu.Unlock()
+	if len(shipped) != 2 || !slices.Equal(shipped[0], []uint64{min(first, second)}) || !slices.Equal(shipped[1], []uint64{max(first, second)}) {
+		t.Errorf("shipped %v, want the leader's [%d] then Close's [%d]", shipped, min(first, second), max(first, second))
+	}
 }
 
 // TestFollowerCompacted: once pruning has dropped the head of the log,
@@ -228,27 +368,32 @@ func TestFollowerCompacted(t *testing.T) {
 	fl2.Close()
 }
 
-// TestFollowerCloseUnblocks: Close from another goroutine unblocks a
-// Next waiting at the tail.
-func TestFollowerCloseUnblocks(t *testing.T) {
+// TestFollowerNeverWaitsAtTail: Next at the tail returns ErrCaughtUp
+// at once instead of waiting for an append, a batch published after it
+// makes Handoff refuse until Next has delivered it, and after Close,
+// Next returns ErrFollowerClosed and Handoff refuses.
+func TestFollowerNeverWaitsAtTail(t *testing.T) {
 	dir := t.TempDir()
 	p, _ := mustOpen(t, dir)
 	defer p.Close()
 	fl := p.Follow(p.LastSeq())
-	errc := make(chan error, 1)
-	go func() {
-		_, _, err := fl.Next()
-		errc <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
+	if _, _, err := fl.Next(); !errors.Is(err, ErrCaughtUp) {
+		t.Fatalf("Next at the tail: %v, want ErrCaughtUp", err)
+	}
+	seq := mustAppend(t, p, &Record{Op: OpConnect, Session: 1, Route: route("0.0>1.0")})
+	noShip := func([][]byte) error { return errors.New("shipped") }
+	if _, ok := fl.Handoff(noShip); ok {
+		t.Fatal("Handoff accepted a follower one record behind")
+	}
+	if rec, err := nextRecord(fl); err != nil || rec.Seq != seq {
+		t.Fatalf("Next after an append: %+v, %v; want seq %d", rec, err, seq)
+	}
 	fl.Close()
-	select {
-	case err := <-errc:
-		if !errors.Is(err, ErrFollowerClosed) {
-			t.Fatalf("Next after Close: %v, want ErrFollowerClosed", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close did not unblock Next")
+	if _, _, err := fl.Next(); !errors.Is(err, ErrFollowerClosed) {
+		t.Fatalf("Next after Close: %v, want ErrFollowerClosed", err)
+	}
+	if _, ok := fl.Handoff(noShip); ok {
+		t.Fatal("Handoff accepted a closed follower")
 	}
 }
 

@@ -326,6 +326,7 @@ func Open(opts Options, meta Meta) (*Plane, *Recovery, error) {
 		segments: len(segs),
 		snapSeq:  rec.SnapshotSeq,
 		forming:  new(batchSplit),
+		end:      make(chan struct{}),
 	}
 	p.cond = sync.NewCond(&p.mu)
 

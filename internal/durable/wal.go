@@ -10,6 +10,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -100,7 +101,19 @@ type Plane struct {
 
 	seq     uint64 // last assigned sequence number
 	synced  uint64 // last sequence covered by a completed fsync
-	visible uint64 // last sequence flushed to the segment file (readable by followers)
+	visible uint64 // last sequence published: flushed to the segment file, readable by a Follower
+	// batch holds the frame payloads of the records appended since the
+	// last publish (sequences visible+1 on), as their appenders encoded
+	// them: the leader that publishes them ships them to the caught-up
+	// streams from memory. spare is the previous shipped batch's slice,
+	// kept for reuse.
+	batch, spare [][]byte
+	// shippers are the caught-up replication streams (Follower.Handoff)
+	// each publish ships its batch to.
+	shippers []*shipper
+	// end is closed once the log publishes nothing more: after Close's
+	// final batch, at Crash, or when the log fails.
+	end chan struct{}
 	// forming is the split of the batch now buffering: an appender
 	// takes it with its frame, and the leader that flushes the frame
 	// fills it in before releasing the batch, so every appender reads
@@ -121,6 +134,12 @@ type Plane struct {
 	// next batch leader flushes. Tests use it to crash while a frame is
 	// buffered but not yet written.
 	holdFlush func()
+}
+
+// shipper is one caught-up replication stream: ship writes a published
+// batch to it (Follower.Handoff).
+type shipper struct {
+	ship func(batch [][]byte) error
 }
 
 // batchSplit is one group commit's phase split: its fsync duration and
@@ -223,6 +242,7 @@ func (p *Plane) AppendTimed(rec *Record) (seq uint64, fsyncD, commitD time.Durat
 		p.mu.Unlock()
 		return 0, 0, 0, err
 	}
+	p.batch = append(p.batch, payload)
 	n := int64(frameHeader + len(payload))
 	p.size += n
 	p.appended += n
@@ -244,8 +264,8 @@ func (p *Plane) AppendTimed(rec *Record) (seq uint64, fsyncD, commitD time.Durat
 // AppendReplica frames a record that already carries a sequence number
 // — a primary's, shipped over a replication stream — into the log.
 // payload is the record's frame payload exactly as the primary's
-// appender encoded it (Follower.Next hands it out), and it is framed as
-// is, so the replica's log holds the primary's bytes; rec is that
+// appender encoded it, as a replication stream delivers it, and it is
+// framed as is, so the replica's log holds the primary's bytes; rec is that
 // payload decoded, which supplies the sequence and op. The record must
 // extend the log contiguously (rec.Seq == LastSeq()+1); a gap or
 // replay is a protocol error, not a write. Unlike Append it does not
@@ -271,6 +291,7 @@ func (p *Plane) AppendReplica(rec *Record, payload []byte) error {
 		p.failLocked(fmt.Errorf("durable: replica append: %w", werr))
 		return p.err
 	}
+	p.batch = append(p.batch, payload)
 	p.seq = rec.Seq
 	n := int64(frameHeader + len(payload))
 	p.size += n
@@ -282,15 +303,73 @@ func (p *Plane) AppendReplica(rec *Record, payload []byte) error {
 	return nil
 }
 
-// failLocked records the first error and releases every waiter; the
-// log is poisoned from here on (the caller decides whether to keep
-// serving without durability).
+// failLocked records the first error, releases every waiter and ends
+// the caught-up streams; the log is poisoned from here on (the caller
+// decides whether to keep serving without durability).
 func (p *Plane) failLocked(err error) {
 	if p.err == nil {
 		p.err = err
 		p.opts.Logger.Warn("wal failed", slog.String("error", err.Error()))
 	}
+	p.endLocked()
 	p.cond.Broadcast()
+}
+
+// endLocked closes end, once: the log publishes nothing more.
+func (p *Plane) endLocked() {
+	if !p.endedLocked() {
+		close(p.end)
+	}
+}
+
+func (p *Plane) endedLocked() bool {
+	select {
+	case <-p.end:
+		return true
+	default:
+		return false
+	}
+}
+
+// publishLocked publishes every record up to target, which the caller
+// has just flushed to the segment file: a Follower may read it from
+// there on. It returns the batch, those records' payloads, and the
+// streams that were caught up before it, for the caller to ship once it
+// has dropped the lock (nil when there is nothing to ship).
+func (p *Plane) publishLocked(target uint64) ([][]byte, []*shipper) {
+	p.visible = target
+	batch := p.batch
+	if len(p.shippers) == 0 || len(batch) == 0 {
+		clear(batch)
+		p.batch = batch[:0]
+		return nil, nil
+	}
+	p.batch, p.spare = p.spare[:0], nil
+	return batch, p.shippers
+}
+
+// shipBatch writes a published batch to each caught-up stream and
+// returns the ones that failed. Called with the lock dropped, by the
+// one caller between publishLocked and shippedLocked.
+func shipBatch(batch [][]byte, to []*shipper) (failed []*shipper) {
+	for _, sh := range to {
+		if sh.ship(batch) != nil {
+			failed = append(failed, sh)
+		}
+	}
+	return failed
+}
+
+// shippedLocked takes a shipped batch's slice back for reuse and
+// detaches the streams that failed to take it.
+func (p *Plane) shippedLocked(batch [][]byte, failed []*shipper) {
+	if batch != nil {
+		clear(batch)
+		p.spare = batch[:0]
+	}
+	if len(failed) > 0 {
+		p.shippers = slices.DeleteFunc(p.shippers, func(sh *shipper) bool { return slices.Contains(failed, sh) })
+	}
 }
 
 // waitSyncedLocked returns once a group commit has made every record
@@ -309,10 +388,11 @@ func (p *Plane) waitSyncedLocked(seq uint64) {
 }
 
 // commitBatchLocked runs one group commit as its leader: it flushes the
-// buffer, publishes the batch to followers, rotates the segment if due,
-// and runs one fsync for the whole batch with the lock dropped, so
-// appends arriving meanwhile buffer into the next batch while this one
-// hits the disk. Called and returns with p.mu held.
+// buffer, publishes the batch, rotates the segment if due, and with the
+// lock dropped ships the batch to the caught-up streams and runs one
+// fsync for all of it, so appends arriving meanwhile buffer into the
+// next batch while this one hits the disk. Called and returns with p.mu
+// held.
 func (p *Plane) commitBatchLocked() {
 	if hold := p.holdFlush; hold != nil {
 		p.holdFlush = nil
@@ -332,12 +412,9 @@ func (p *Plane) commitBatchLocked() {
 	split := p.forming
 	p.forming = new(batchSplit)
 	// The whole batch is in the segment file now (though not yet
-	// fsynced): publish it to followers so a replication stream can
-	// ship it while the fsync is in flight. Rotation below cannot
-	// strand a follower — every frame <= target landed before the
-	// new segment file exists.
-	p.visible = target
-	p.cond.Broadcast()
+	// fsynced): publish it. Rotation below cannot strand a follower —
+	// every frame <= target landed before the new segment file exists.
+	batch, to := p.publishLocked(target)
 	syncF := p.f
 	var oldF *os.File
 	if p.size >= p.opts.SegmentBytes {
@@ -349,6 +426,10 @@ func (p *Plane) commitBatchLocked() {
 	}
 	p.syncing = true
 	p.mu.Unlock()
+	// Ship before the fsync: the standby's append and fsync then overlap
+	// the primary's. Leaders do not overlap (syncing), so batches reach
+	// every stream in sequence order.
+	failed := shipBatch(batch, to)
 	start := time.Now()
 	serr := syncF.Sync()
 	d := time.Since(start)
@@ -370,6 +451,7 @@ func (p *Plane) commitBatchLocked() {
 	}
 	p.mu.Lock()
 	p.syncing = false
+	p.shippedLocked(batch, failed)
 	if serr != nil {
 		p.failLocked(fmt.Errorf("durable: fsync: %w", serr))
 		return
@@ -418,7 +500,9 @@ func (p *Plane) Seal() error {
 }
 
 // Close flushes, fsyncs, and closes the log. Blocked appenders are
-// released (their records are made durable by the final fsync).
+// released (their records are made durable by the final fsync). A
+// batch leader in flight is waited out first, so the final batch ships
+// to the caught-up streams after the leader's.
 func (p *Plane) Close() error {
 	p.mu.Lock()
 	if p.closed {
@@ -430,38 +514,36 @@ func (p *Plane) Close() error {
 		return nil
 	}
 	p.closed = true
-	// Flush and publish the final records before anything can wake a
-	// follower: one that finds the log closed while its next record is
-	// still unflushed ends its stream short of that record.
-	if p.err == nil {
-		if err := p.w.Flush(); err != nil {
-			p.failLocked(fmt.Errorf("durable: close flush: %w", err))
-		} else {
-			p.visible = p.seq
-		}
-	}
-	p.cond.Broadcast()
 	for p.syncing {
 		p.cond.Wait()
 	}
 	if p.err == nil {
-		if err := p.f.Sync(); err != nil {
-			p.failLocked(fmt.Errorf("durable: close fsync: %w", err))
+		if err := p.w.Flush(); err != nil {
+			p.failLocked(fmt.Errorf("durable: close flush: %w", err))
 		} else {
-			if p.opts.Committer != nil {
-				// Let the replication stream drain the final records
-				// before the appenders they cover are released.
-				target := p.seq
-				p.mu.Unlock()
+			target := p.seq
+			batch, to := p.publishLocked(target)
+			p.mu.Unlock()
+			failed := shipBatch(batch, to)
+			serr := p.f.Sync()
+			if serr == nil && p.opts.Committer != nil {
+				// Let the standby ack the final records before the
+				// appenders they cover are released.
 				p.opts.Committer(target)
-				p.mu.Lock()
 			}
-			p.synced = p.seq
-			p.flushed = p.appended
+			p.mu.Lock()
+			p.shippedLocked(batch, failed)
+			if serr != nil {
+				p.failLocked(fmt.Errorf("durable: close fsync: %w", serr))
+			} else {
+				p.synced = target
+				p.flushed = p.appended
+			}
 		}
 	}
 	err := p.err
 	p.f.Close()
+	p.endLocked()
 	p.cond.Broadcast()
 	p.mu.Unlock()
 	return err

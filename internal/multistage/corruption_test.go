@@ -137,3 +137,20 @@ func TestVerifyDetectsLostSubConnection(t *testing.T) {
 	}
 	t.Fatal("no nested middle sub-connection found")
 }
+
+// TestVerifyDetectsUnownedNestedConnection: a connection added straight
+// to a nested middle network, which no route owns, keeps its links
+// claimed; Verify must refuse it.
+func TestVerifyDetectsUnownedNestedConnection(t *testing.T) {
+	net := mustNetwork(t, fiveStageParams(wdm.MSW, MSWDominant))
+	mustVerify(t, net)
+	if _, err := net.mids[3].Add(conn(pw(1, 0), pw(2, 0))); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.mids[3].Verify(); err != nil {
+		t.Fatalf("the nested network verifies itself: %v", err)
+	}
+	if err := net.Verify(); err == nil || !strings.Contains(err.Error(), "nested middle module 3") {
+		t.Fatalf("unowned nested connection: Verify = %v", err)
+	}
+}

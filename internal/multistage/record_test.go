@@ -127,6 +127,23 @@ func TestRouteRecordDecodeValidation(t *testing.T) {
 		{k1, RouteRecord{Conn: "0.0>2.0", In: []RouteLeg{leg(0, 0), leg(1, 0)},
 			Out: []RouteHop{hop(0, 1, 0), hop(1, 1, 0)}}},
 	}
+	// AWG-Clos: a grating carries 0->1 on λ1 only, and serves one
+	// output module per middle.
+	awg := Params{N: 4, K: 2, R: 2, M: 3, X: 2, Model: wdm.MAW, Construction: AWGClos}
+	bad = append(bad, []struct {
+		p   Params
+		rec RouteRecord
+	}{
+		{awg, RouteRecord{Conn: "0.0>2.0", In: []RouteLeg{leg(0, 0)},
+			Out: []RouteHop{hop(0, 1, 0)}}}, // λ0, not the class λ1
+		{awg, RouteRecord{Conn: "0.0>2.0", In: []RouteLeg{leg(0, 0)},
+			Out: []RouteHop{hop(0, 1, 1)}}}, // leg off λ1
+		// Output modules 0 and 2 share class λ0 from input module 0, but
+		// one grating port cannot feed both.
+		{Params{N: 8, K: 2, R: 4, M: 4, X: 4, Model: wdm.MAW, Construction: AWGClos},
+			RouteRecord{Conn: "0.0>1.0,4.0", In: []RouteLeg{leg(0, 0)},
+				Out: []RouteHop{hop(0, 0, 0), hop(0, 2, 0)}}},
+	}...)
 	for i, tc := range bad {
 		net := mustNetwork(t, tc.p)
 		if _, err := net.Reinstall(tc.rec); err == nil {
@@ -148,6 +165,8 @@ func FuzzReinstall(f *testing.F) {
 		`{"conn":"0.0>2.0","in":[{"middle":0,"wave":0},{"middle":1,"wave":0}],"out":[{"middle":0,"out":1,"wave":0},{"middle":1,"out":1,"wave":0}]}`,
 		`{"conn":"0.0>1.0,2.0","in":[{"middle":0,"wave":0}],"out":[{"middle":0,"out":0,"wave":0},{"middle":0,"out":1,"wave":0}]}`,
 		`{"conn":"1.1>0.0,3.1","in":[{"middle":2,"wave":1}],"out":[{"middle":2,"out":0,"wave":1},{"middle":2,"out":1,"wave":0}]}`,
+		// AWG-Clos routes 0->1 on λ1 only: this record must be refused there.
+		`{"conn":"0.0>2.0","in":[{"middle":0,"wave":0}],"out":[{"middle":0,"out":1,"wave":0}]}`,
 	} {
 		f.Add([]byte(seed))
 	}

@@ -77,10 +77,24 @@ func (net *Network) subConns(rc *routed, fn func(st stage, mod, i int, c wdm.Con
 // out of range, a leg or hop on a wavelength its stage cannot carry, a
 // leg that feeds no hop and a hop into a module with no destination;
 // and the hops must reach exactly the destination modules, once each.
+// An AWG-Clos route must also obey the gratings' laws (awg.go): each
+// middle serves one output module, and both of its links ride the class
+// wavelength λ = (p − a) mod k.
 func (net *Network) checkRoute(rc *routed) error {
-	for _, hop := range rc.hops {
-		if _, rides := rc.leg(hop.Middle); !rides {
+	awg := net.params.Construction == AWGClos
+	for i, hop := range rc.hops {
+		wave, rides := rc.leg(hop.Middle)
+		if !rides {
 			return fmt.Errorf("output hop rides middle %d with no input leg", hop.Middle)
+		}
+		if !awg {
+			continue
+		}
+		if i > 0 && rc.hops[i-1].Middle == hop.Middle {
+			return fmt.Errorf("AWG-Clos middle %d serves output modules %d and %d: a grating does not split", hop.Middle, rc.hops[i-1].Out, hop.Out)
+		}
+		if want := net.awgWave(rc.srcMod, hop.Out); wave != want || hop.Wave != want {
+			return fmt.Errorf("AWG-Clos route %d->%d->%d rides λ%d then λ%d; the gratings route it on λ%d", rc.srcMod, hop.Middle, hop.Out, wave, hop.Wave, want)
 		}
 	}
 	err := net.subConns(rc, func(st stage, mod, _ int, c wdm.Connection) error {
@@ -142,17 +156,19 @@ func (net *Network) Verify() error {
 }
 
 // verifyNested checks that each nested middle network carries the middle
-// sub-connection every route asks of it, then verifies each nested
-// network in turn.
+// sub-connection every route asks of it and nothing else, then verifies
+// each nested network in turn.
 func (net *Network) verifyNested() error {
 	if net.mids == nil {
 		return nil
 	}
+	asked := make([]int, len(net.mids)) // sub-connections the routes ask of each middle
 	for id, rc := range net.conns {
 		err := net.subConns(rc, func(st stage, j, i int, want wdm.Connection) error {
 			if st != middleStage {
 				return nil
 			}
+			asked[j]++
 			got, ok := net.mids[j].Connection(rc.midConn[i])
 			if !ok {
 				return fmt.Errorf("middle module %d lost sub-connection %d", j, rc.midConn[i])
@@ -167,6 +183,9 @@ func (net *Network) verifyNested() error {
 		}
 	}
 	for j, mid := range net.mids {
+		if mid.Len() != asked[j] {
+			return fmt.Errorf("multistage: nested middle module %d holds %d connections, its routes ask for %d", j, mid.Len(), asked[j])
+		}
 		if err := mid.Verify(); err != nil {
 			return fmt.Errorf("nested middle module %d: %w", j, err)
 		}
