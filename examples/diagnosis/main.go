@@ -90,9 +90,13 @@ func main() {
 	if err := net.FailMiddle(victim); err != nil {
 		log.Fatal(err)
 	}
-	restored, dropped, err := net.RerouteAround(victim)
+	migrated, dropped, err := net.RerouteAroundReport(victim)
 	if err != nil {
 		log.Fatal(err)
+	}
+	var restored []int
+	for _, m := range migrated {
+		restored = append(restored, m.ID)
 	}
 	fmt.Printf("\n--- middle module %d failed ---\naffected connections: %v, restored: %v, dropped: %v\n",
 		victim, affected, restored, dropped)

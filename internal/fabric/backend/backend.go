@@ -1,15 +1,19 @@
 // Package backend defines the pluggable fabric-backend interface the
 // serving plane routes through, and the registry of implementations.
 //
-// A Backend is one switching plane: it routes multicast sessions
-// (Add / AddBranch / Release), survives restarts (RouteRecord /
-// Reinstall — the WAL recovery and cluster standby path), explains its
-// rejections (BlockedError forensics flow through the shared
-// multistage vocabulary), migrates sessions around component failures
-// (FailMiddle / RerouteAroundReport), and accounts for itself
-// (Utilization / Stats / Cost). Everything switchd, the durable plane,
-// and the cluster standby depend on is on this interface — they never
-// name a concrete fabric type.
+// A Backend is one switching plane, and the interface holds only what
+// its callers call on it: switchd routes sessions (Add / AddBranch /
+// Release / Connection / Len), journals and recovers them (RouteRecord
+// / Reinstall, also the cluster standby's apply path and wdmwal
+// replay), migrates them around component failures (FailMiddle /
+// RepairMiddle / FailedMiddles / RerouteAroundReport), traces route
+// decisions (SetRouteObserver) and reports occupancy (Utilization,
+// Params); wdmcost prices each backend (Cost), and wdmtrace and the
+// ladder's backend rung read its outcome counts (Stats). Rejections
+// explain themselves through the shared multistage BlockedError
+// vocabulary. None of these callers names a concrete fabric type;
+// introspection that only an example or a test needs stays on the
+// concrete types.
 //
 // Four backends register at init:
 //
@@ -41,20 +45,20 @@ type Backend interface {
 	Add(c wdm.Connection) (int, error)
 	AddBranch(id int, dests ...wdm.PortWave) error
 	Release(id int) error
-	Reset()
 
 	// Durability plane: exact-replay route records.
 	RouteRecord(id int) (multistage.RouteRecord, bool)
 	Reinstall(rec multistage.RouteRecord) (int, error)
 
-	// Introspection.
+	// Introspection. Stats counts logical operations: each Add's
+	// outcome (routed, or blocked) and each blocked AddBranch grow.
+	// Re-routes inside AddBranch and RerouteAroundReport, and
+	// Reinstall, count nothing.
 	Connection(id int) (wdm.Connection, bool)
-	Connections() map[int]wdm.Connection
 	Len() int
 	Stats() (routed, blocked int64)
 	Utilization() multistage.Utilization
 	Params() multistage.Params
-	Shape() wdm.Shape
 	Cost() crossbar.Cost
 	SetRouteObserver(fn func(multistage.RouteStep))
 
@@ -64,8 +68,6 @@ type Backend interface {
 	FailMiddle(j int) error
 	RepairMiddle(j int) error
 	FailedMiddles() []int
-	AffectedBy(j int) []int
-	MiddlesUsed(id int) ([]int, bool)
 	RerouteAroundReport(j int) ([]multistage.Migration, []int, error)
 }
 

@@ -2,10 +2,11 @@
 // must (1) route a full admissible load with zero blocks at its own
 // default (bound-level) provisioning, (2) return to a fresh network's
 // utilization once everything is released, (3) reproduce routes
-// exactly through the RouteRecord/Reinstall durability path, and
-// (4) stay race-clean under concurrent churn (shared instance behind
-// a mutex, per the Backend contract, plus independent per-goroutine
-// instances). `make race` runs this suite with -race -short.
+// exactly through the RouteRecord/Reinstall durability path, (4) stay
+// race-clean under concurrent churn (shared instance behind a mutex,
+// per the Backend contract, plus independent per-goroutine instances),
+// and (5) count only the caller's operations in Stats. `make race`
+// runs this suite with -race -short.
 package backend_test
 
 import (
@@ -110,6 +111,72 @@ func TestConformanceFillAtBoundBlockedZero(t *testing.T) {
 		}
 		if net.Len() != len(conns) {
 			t.Fatalf("Len = %d, want %d", net.Len(), len(conns))
+		}
+	})
+}
+
+// TestConformanceStatsCountLogicalOperations requires Stats to count
+// the caller's operations, not the backend's internal re-routes: a
+// failure migration neither routes nor blocks anew, and a plane rebuilt
+// from route records has routed nothing.
+func TestConformanceStatsCountLogicalOperations(t *testing.T) {
+	eachBackend(t, func(t *testing.T, d backend.Descriptor, p multistage.Params) {
+		net := mustNew(t, d, p)
+		// The Clos backends fail the middle carrying the first session,
+		// which migrates. On the mesh two unicasts cross: the first
+		// passes through the second's source node, which fails, so the
+		// first migrates and the second drops.
+		conns := fillConnections(d.Name, p)[:4]
+		if d.Name == "mesh" {
+			q := p.N / 4
+			conns = []wdm.Connection{
+				{Source: wdm.PortWave{Port: 0}, Dests: []wdm.PortWave{{Port: wdm.Port(2 * q)}}},
+				{Source: wdm.PortWave{Port: wdm.Port(q)}, Dests: []wdm.PortWave{{Port: wdm.Port(3 * q)}}},
+			}
+		}
+		var ids []int
+		for _, c := range conns {
+			id, err := net.Add(c)
+			if err != nil {
+				t.Fatalf("Add(%v): %v", c, err)
+			}
+			ids = append(ids, id)
+		}
+		victim := int(conns[1].Source.Port)
+		if d.Name != "mesh" {
+			rec, _ := net.RouteRecord(ids[0])
+			victim = rec.In[0].Middle
+		}
+		routed0, blocked0 := net.Stats()
+		if err := net.FailMiddle(victim); err != nil {
+			t.Fatalf("FailMiddle(%d): %v", victim, err)
+		}
+		migrated, dropped, err := net.RerouteAroundReport(victim)
+		if err != nil {
+			t.Fatalf("RerouteAroundReport(%d): %v", victim, err)
+		}
+		if len(migrated) == 0 || (d.Name == "mesh" && len(dropped) == 0) {
+			t.Fatalf("failing %d migrated %v and dropped %v: the case needs a migration (and a drop, on the mesh)", victim, migrated, dropped)
+		}
+		if r, b := net.Stats(); r != routed0 || b != blocked0 {
+			t.Errorf("Stats after %d migrations and %d drops = (%d routed, %d blocked), want (%d, %d)", len(migrated), len(dropped), r, b, routed0, blocked0)
+		}
+
+		replay := mustNew(t, d, p)
+		for _, id := range ids {
+			rec, ok := net.RouteRecord(id)
+			if !ok {
+				continue // dropped by the failure
+			}
+			if _, err := replay.Reinstall(rec); err != nil {
+				t.Fatalf("Reinstall(%+v): %v", rec, err)
+			}
+		}
+		if replay.Len() != net.Len() {
+			t.Fatalf("replayed plane holds %d sessions, want %d", replay.Len(), net.Len())
+		}
+		if r, b := replay.Stats(); r != 0 || b != 0 {
+			t.Errorf("Stats of a plane rebuilt by Reinstall = (%d routed, %d blocked), want (0, 0)", r, b)
 		}
 	})
 }

@@ -42,24 +42,20 @@ func (net *Network) AddBranch(id int, dests ...wdm.PortWave) error {
 		}
 	}
 
-	// A grow is one logical operation: neither the internal re-route nor
-	// the restore counts as a fresh routed session, and only a blocked
-	// grow counts as a blocking event.
-	routed0, blocked0 := net.routedCount, net.blockedCount
-
 	if err := net.Release(id); err != nil {
 		return fmt.Errorf("mesh: AddBranch releasing %d: %w", id, err)
 	}
-	newID, err := net.Add(grown)
+	newID, err := net.add(grown)
 	if err == nil {
 		net.remapID(newID, id)
-		net.routedCount, net.blockedCount = routed0, blocked0
 		return nil
 	}
 	if rerr := net.reinstallRouted(id, old); rerr != nil {
 		return fmt.Errorf("mesh: AddBranch: connection %d lost — restore after failed grow: %v (grow: %w)", id, rerr, err)
 	}
-	net.routedCount, net.blockedCount = routed0, blocked0+1
+	// A grow is not a new routed session: Stats counts only a blocked
+	// one, a blocking event.
+	net.count(err)
 	var be *multistage.BlockedError
 	if errors.As(err, &be) && be.Report != nil {
 		be.Report.Op = "branch"

@@ -46,9 +46,9 @@ func (net *Network) FailedMiddles() []int {
 	return out
 }
 
-// AffectedBy returns the ids of live sessions whose light touches node
+// affectedBy returns the ids of live sessions whose light touches node
 // j (as source, destination, or pass-through), in id order.
-func (net *Network) AffectedBy(j int) []int {
+func (net *Network) affectedBy(j int) []int {
 	var out []int
 	for id, rc := range net.conns {
 		for _, node := range rc.nodesTouched() {
@@ -62,9 +62,9 @@ func (net *Network) AffectedBy(j int) []int {
 	return out
 }
 
-// MiddlesUsed lists the nodes a live session's light touches, in order.
+// middlesUsed lists the nodes a live session's light touches, in order.
 // It reports false for an unknown id.
-func (net *Network) MiddlesUsed(id int) ([]int, bool) {
+func (net *Network) middlesUsed(id int) ([]int, bool) {
 	rc, ok := net.conns[id]
 	if !ok {
 		return nil, false
@@ -72,30 +72,23 @@ func (net *Network) MiddlesUsed(id int) ([]int, bool) {
 	return rc.nodesTouched(), true
 }
 
-// RerouteAround releases every session touching node j (typically just
-// failed) and re-routes it around the failure set. Sessions keep their
-// ids; the ids that could not be re-placed are dropped.
-func (net *Network) RerouteAround(j int) (restored, dropped []int, err error) {
-	migrated, dropped, err := net.RerouteAroundReport(j)
-	for _, m := range migrated {
-		restored = append(restored, m.ID)
-	}
-	return restored, dropped, err
-}
-
-// RerouteAroundReport is RerouteAround with per-session migration
-// bookkeeping: old and new node sets per restored session. A session
-// whose source or destination sits ON the failed node is necessarily
-// dropped (no reroute can move an endpoint).
+// RerouteAroundReport releases every session touching node j
+// (typically just failed) and re-routes it around the failure set.
+// Sessions keep their ids; each restored one comes back with its old
+// and new node sets, and the ids that could not be re-placed are
+// dropped. A session whose source or destination sits ON the failed
+// node is necessarily dropped (no reroute can move an endpoint). Stats
+// counts neither a migration nor a drop: the session was counted when
+// it was first added.
 func (net *Network) RerouteAroundReport(j int) (migrated []multistage.Migration, dropped []int, err error) {
-	affected := net.AffectedBy(j)
+	affected := net.affectedBy(j)
 	for _, id := range affected {
-		from, _ := net.MiddlesUsed(id)
+		from, _ := net.middlesUsed(id)
 		conn := net.conns[id].conn.Clone()
 		if err := net.Release(id); err != nil {
 			return migrated, dropped, fmt.Errorf("mesh: releasing %d: %w", id, err)
 		}
-		newID, addErr := net.Add(conn)
+		newID, addErr := net.add(conn)
 		if addErr != nil {
 			if multistage.IsBlocked(addErr) {
 				dropped = append(dropped, id)
@@ -104,7 +97,7 @@ func (net *Network) RerouteAroundReport(j int) (migrated []multistage.Migration,
 			return migrated, dropped, fmt.Errorf("mesh: re-adding %d: %w", id, addErr)
 		}
 		net.remapID(newID, id)
-		to, _ := net.MiddlesUsed(id)
+		to, _ := net.middlesUsed(id)
 		migrated = append(migrated, multistage.Migration{ID: id, From: from, To: to})
 	}
 	return migrated, dropped, nil

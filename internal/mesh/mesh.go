@@ -184,18 +184,11 @@ func (net *Network) MulticastCapable(i int) bool { return i%net.params.R == 0 }
 // Len returns the number of live sessions.
 func (net *Network) Len() int { return len(net.conns) }
 
-// Stats returns how many Add calls succeeded and how many blocked.
+// Stats returns how many Add calls routed and how many blocked, with
+// the blocked AddBranch grows counted as blocked. Re-routes inside
+// AddBranch and RerouteAroundReport, and Reinstall, count nothing.
 func (net *Network) Stats() (routedOK, blocked int64) {
 	return net.routedCount, net.blockedCount
-}
-
-// Connections returns a snapshot of all live connections keyed by id.
-func (net *Network) Connections() map[int]wdm.Connection {
-	out := make(map[int]wdm.Connection, len(net.conns))
-	for id, rc := range net.conns {
-		out[id] = rc.conn.Clone()
-	}
-	return out
 }
 
 // Connection returns the live connection with the given id.
@@ -292,20 +285,6 @@ func (net *Network) freeRoute(rc *routed) {
 func (net *Network) claimRoute(id int, rc *routed) {
 	for _, h := range rc.hops {
 		net.edgeSlot(h)[rc.wave] = id
-	}
-}
-
-// Reset releases every live session.
-func (net *Network) Reset() {
-	ids := make([]int, 0, len(net.conns))
-	for id := range net.conns {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		if err := net.Release(id); err != nil {
-			panic("mesh: Reset lost track of connection: " + err.Error())
-		}
 	}
 }
 

@@ -61,9 +61,9 @@ func TestUnicastRouteAndRelease(t *testing.T) {
 	if u.InBusy != 5 || u.OutBusy != 0 {
 		t.Errorf("unicast 0->5 should hold 5 clockwise edges, got in=%d out=%d", u.InBusy, u.OutBusy)
 	}
-	nodes, ok := net.MiddlesUsed(id)
+	nodes, ok := net.middlesUsed(id)
 	if !ok || !reflect.DeepEqual(nodes, []int{0, 1, 2, 3, 4, 5}) {
-		t.Errorf("MiddlesUsed = %v %v", nodes, ok)
+		t.Errorf("middlesUsed = %v %v", nodes, ok)
 	}
 	if err := net.Release(id); err != nil {
 		t.Fatalf("Release: %v", err)
@@ -246,8 +246,8 @@ func TestFailureRerouteOtherDirection(t *testing.T) {
 	if err := net.FailMiddle(1); err != nil {
 		t.Fatalf("FailMiddle: %v", err)
 	}
-	if got := net.AffectedBy(1); !reflect.DeepEqual(got, []int{id}) {
-		t.Fatalf("AffectedBy = %v", got)
+	if got := net.affectedBy(1); !reflect.DeepEqual(got, []int{id}) {
+		t.Fatalf("affectedBy = %v", got)
 	}
 	migrated, dropped, err := net.RerouteAroundReport(1)
 	if err != nil || len(dropped) != 0 || len(migrated) != 1 {
@@ -256,7 +256,7 @@ func TestFailureRerouteOtherDirection(t *testing.T) {
 	if migrated[0].ID != id {
 		t.Errorf("id changed across reroute: %+v", migrated[0])
 	}
-	nodes, _ := net.MiddlesUsed(id)
+	nodes, _ := net.middlesUsed(id)
 	for _, j := range nodes {
 		if j == 1 {
 			t.Errorf("rerouted session still touches failed node: %v", nodes)
@@ -359,17 +359,24 @@ func TestSourceLocalSession(t *testing.T) {
 
 func TestResetAndStats(t *testing.T) {
 	net := mustNew(t, 12, 2, 3, 2)
+	var ids []int
 	for i := 0; i < 3; i++ {
-		if _, err := net.Add(wdm.Connection{Source: pw(i, 0), Dests: []wdm.PortWave{pw(i+6, 0)}}); err != nil {
+		id, err := net.Add(wdm.Connection{Source: pw(i, 0), Dests: []wdm.PortWave{pw(i+6, 0)}})
+		if err != nil {
 			t.Fatalf("Add %d: %v", i, err)
 		}
+		ids = append(ids, id)
 	}
-	net.Reset()
+	for _, id := range ids {
+		if err := net.Release(id); err != nil {
+			t.Fatalf("Release %d: %v", id, err)
+		}
+	}
 	if net.Len() != 0 {
-		t.Errorf("Len after Reset = %d", net.Len())
+		t.Errorf("Len after releasing every session = %d", net.Len())
 	}
 	if u := net.Utilization(); u.InBusy != 0 || u.OutBusy != 0 {
-		t.Errorf("edges busy after Reset: %+v", u)
+		t.Errorf("edges busy after releasing every session: %+v", u)
 	}
 }
 

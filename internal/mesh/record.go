@@ -81,9 +81,7 @@ func (net *Network) Reinstall(rec multistage.RouteRecord) (int, error) {
 		rc.hops = append(rc.hops, h)
 	}
 
-	id := net.commitRouted(c, rc)
-	net.routedCount++
-	return id, nil
+	return net.commitRouted(c, rc), nil
 }
 
 // commitRouted registers an already-validated route under a fresh id.

@@ -21,6 +21,24 @@ import (
 // sparse-splitting placement structurally refuses the request);
 // otherwise the block is plain occupancy.
 func (net *Network) Add(c wdm.Connection) (int, error) {
+	id, err := net.add(c)
+	net.count(err)
+	return id, err
+}
+
+// count tallies one logical operation's outcome for Stats: routed when
+// err is nil, blocked when the router refused an admissible request.
+func (net *Network) count(err error) {
+	if err == nil {
+		net.routedCount++
+	} else if multistage.IsBlocked(err) {
+		net.blockedCount++
+	}
+}
+
+// add is Add without the Stats tally: the path of the re-routes inside
+// AddBranch and RerouteAroundReport.
+func (net *Network) add(c wdm.Connection) (int, error) {
 	if err := net.Shape().CheckConnection(net.params.Model, c); err != nil {
 		return 0, err
 	}
@@ -50,15 +68,12 @@ func (net *Network) Add(c wdm.Connection) (int, error) {
 	// source node): no edges, no wavelength claim.
 	if len(dests) == 0 {
 		if net.failedNode[src] {
-			net.blockedCount++
 			return 0, &multistage.BlockedError{
 				Detail: fmt.Sprintf("mesh: node %d out of service", src),
 				Report: net.blockReport("add", c, src, nil),
 			}
 		}
-		id := net.commit(c, 0, nil)
-		net.routedCount++
-		return id, nil
+		return net.commit(c, 0, nil), nil
 	}
 
 	for w := 0; w < net.k; w++ {
@@ -71,16 +86,13 @@ func (net *Network) Add(c wdm.Connection) (int, error) {
 				Round: w, Middle: src, State: multistage.MiddleSelected,
 				Wave: w, Serves: dests,
 			})
-			id := net.commit(c, wdm.Wavelength(w), hops)
-			net.routedCount++
-			return id, nil
+			return net.commit(c, wdm.Wavelength(w), hops), nil
 		}
 	}
 
 	// Every wavelength refused. Classify: if an idle ring would route
 	// the request, this is occupancy; otherwise the sparse-splitting
 	// structure itself is incapable.
-	net.blockedCount++
 	for _, dir := range []int{+1, -1} {
 		if _, ok := net.plan(src, dests, 0, dir, true); ok {
 			net.observe(multistage.RouteStep{
@@ -245,21 +257,4 @@ func (net *Network) blockReport(op string, c wdm.Connection, src int, dests []in
 		Uncovered:   append([]int(nil), dests...),
 		Utilization: net.Utilization(),
 	}
-}
-
-// AddAssignment routes all connections of an assignment, rolling back
-// on the first failure.
-func (net *Network) AddAssignment(a wdm.Assignment) ([]int, error) {
-	ids := make([]int, 0, len(a))
-	for i, c := range a {
-		id, err := net.Add(c)
-		if err != nil {
-			for _, rid := range ids {
-				_ = net.Release(rid)
-			}
-			return nil, fmt.Errorf("connection %d: %w", i, err)
-		}
-		ids = append(ids, id)
-	}
-	return ids, nil
 }

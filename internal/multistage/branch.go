@@ -52,19 +52,12 @@ func (net *Network) AddBranch(id int, dests ...wdm.PortWave) error {
 		return err
 	}
 
-	// Stats() counts logical operations: a successful grow is not a new
-	// routed connection and the restoration of the original is not a new
-	// routed connection either, so snapshot the counters and apply only
-	// the one delta that matters — a blocked grow is a blocking event.
-	routed0, blocked0 := net.routedCount, net.blockedCount
-
 	if err := net.Release(id); err != nil {
 		return fmt.Errorf("multistage: AddBranch releasing %d: %w", id, err)
 	}
-	newID, err := net.Add(grown)
+	newID, err := net.add(grown)
 	if err == nil {
 		net.remapID(newID, id)
-		net.routedCount, net.blockedCount = routed0, blocked0
 		return nil
 	}
 	if rerr := net.reinstall(id, rc); rerr != nil {
@@ -73,7 +66,9 @@ func (net *Network) AddBranch(id int, dests ...wdm.PortWave) error {
 		// leaving the caller without its connection silently.
 		return fmt.Errorf("multistage: AddBranch: connection %d lost — restore after failed grow: %v (grow: %w)", id, rerr, err)
 	}
-	net.routedCount, net.blockedCount = routed0, blocked0+1
+	// A grow is not a new routed connection: Stats counts only a
+	// blocked one, a blocking event.
+	net.count(err)
 	// The forensic report was built by the internal re-route; re-tag it
 	// so consumers see the operation that actually blocked.
 	var be *BlockedError

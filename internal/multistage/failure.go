@@ -81,23 +81,14 @@ type Migration struct {
 	To   []int `json:"to"`   // middle modules after
 }
 
-// RerouteAround releases every connection riding the (typically failed)
-// middle module j and re-routes it avoiding failed modules. Re-routed
-// connections keep their ids. It returns the ids it restored and the
-// ids it could not (those connections are dropped — the optical
-// reality: no path, no light).
-func (net *Network) RerouteAround(j int) (restored, dropped []int, err error) {
-	migrated, dropped, err := net.RerouteAroundReport(j)
-	for _, m := range migrated {
-		restored = append(restored, m.ID)
-	}
-	return restored, dropped, err
-}
-
-// RerouteAroundReport is RerouteAround with per-connection migration
-// bookkeeping: each restored connection comes back as a Migration
+// RerouteAroundReport releases every connection riding the (typically
+// failed) middle module j and re-routes it avoiding failed modules.
+// Re-routed connections keep their ids; each comes back as a Migration
 // carrying its old and new middle-module sets, the record a control
-// plane needs to update session tables, trace captures, and spans.
+// plane needs to update session tables, trace captures, and spans. The
+// ids it could not re-route are dropped (the optical reality: no path,
+// no light). Stats counts neither a migration nor a drop: the
+// connection was counted when it was first added.
 func (net *Network) RerouteAroundReport(j int) (migrated []Migration, dropped []int, err error) {
 	affected := net.AffectedBy(j)
 	for _, id := range affected {
@@ -106,7 +97,7 @@ func (net *Network) RerouteAroundReport(j int) (migrated []Migration, dropped []
 		if err := net.Release(id); err != nil {
 			return migrated, dropped, fmt.Errorf("multistage: releasing %d: %w", id, err)
 		}
-		newID, addErr := net.Add(conn)
+		newID, addErr := net.add(conn)
 		if addErr != nil {
 			if IsBlocked(addErr) {
 				dropped = append(dropped, id)

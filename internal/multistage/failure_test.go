@@ -85,15 +85,15 @@ func TestRerouteAroundFailure(t *testing.T) {
 	if err := net.FailMiddle(busiest); err != nil {
 		t.Fatal(err)
 	}
-	restored, dropped, err := net.RerouteAround(busiest)
+	migrated, dropped, err := net.RerouteAroundReport(busiest)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(dropped) != 0 {
 		t.Fatalf("dropped %v despite a spare middle module", dropped)
 	}
-	if len(restored) != most {
-		t.Errorf("restored %d of %d affected", len(restored), most)
+	if len(migrated) != most {
+		t.Errorf("restored %d of %d affected", len(migrated), most)
 	}
 	if got := net.AffectedBy(busiest); len(got) != 0 {
 		t.Errorf("connections still on the failed module: %v", got)

@@ -437,8 +437,11 @@ func (net *Network) Shape() wdm.Shape {
 // Len returns the number of live connections.
 func (net *Network) Len() int { return len(net.conns) }
 
-// Stats returns how many Add calls succeeded and how many were blocked
-// (admissible but unroutable) since construction.
+// Stats returns how many Add and AddWithRepack calls routed and how
+// many were blocked (admissible but unroutable) since construction,
+// with the blocked AddBranch grows counted as blocked. Re-routes inside
+// AddBranch, RerouteAroundReport and AddWithRepack, and Reinstall,
+// count nothing.
 func (net *Network) Stats() (routedOK, blocked int64) {
 	return net.routedCount, net.blockedCount
 }

@@ -23,9 +23,12 @@ import (
 // returns the original blocking error. Existing connections keep their
 // ids across a successful repack.
 //
-// The boolean result reports whether a rearrangement happened.
-func (net *Network) AddWithRepack(c wdm.Connection) (int, bool, error) {
-	id, err := net.Add(c)
+// The boolean result reports whether a rearrangement happened. Stats
+// counts one outcome per call: the re-routes of a repack are not new
+// routed connections.
+func (net *Network) AddWithRepack(c wdm.Connection) (id int, repacked bool, err error) {
+	defer func() { net.count(err) }()
+	id, err = net.add(c)
 	if err == nil || !IsBlocked(err) {
 		return id, false, err
 	}
@@ -57,11 +60,11 @@ func (net *Network) AddWithRepack(c wdm.Connection) (int, bool, error) {
 		return 0, false, fmt.Errorf("multistage: repack planning: %w", err)
 	}
 	copy(scratch.failedMid, net.failedMid)
-	if _, err := scratch.Add(c); err != nil {
+	if _, err := scratch.add(c); err != nil {
 		return 0, false, blockErr
 	}
 	for _, h := range existing {
-		if _, err := scratch.Add(h.conn); err != nil {
+		if _, err := scratch.add(h.conn); err != nil {
 			return 0, false, blockErr
 		}
 	}
@@ -69,12 +72,12 @@ func (net *Network) AddWithRepack(c wdm.Connection) (int, bool, error) {
 	// Apply: rebuild the live network along the planned order, then
 	// restore the original ids so callers' handles stay valid.
 	net.Reset()
-	newID, err := net.Add(c)
+	newID, err := net.add(c)
 	if err != nil {
 		panic("multistage: repack apply diverged from plan: " + err.Error())
 	}
 	for _, h := range existing {
-		rid, err := net.Add(h.conn)
+		rid, err := net.add(h.conn)
 		if err != nil {
 			panic("multistage: repack apply diverged from plan: " + err.Error())
 		}

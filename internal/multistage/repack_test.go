@@ -98,12 +98,17 @@ func TestRepackDeterministicScenario(t *testing.T) {
 	if _, err := net.Add(c); !IsBlocked(err) {
 		t.Fatalf("plain Add should block, got %v", err)
 	}
+	routed0, blocked0 := net.Stats()
 	id, did, err := net.AddWithRepack(c)
 	if err != nil {
 		t.Fatalf("repack failed on a König-colorable demand: %v", err)
 	}
 	if !did {
 		t.Fatal("repack path not taken")
+	}
+	// One call, one outcome: the repack's re-routes are not new routes.
+	if r, b := net.Stats(); r != routed0+1 || b != blocked0 {
+		t.Errorf("Stats after a repacked AddWithRepack = %d routed, %d blocked; want %d, %d", r, b, routed0+1, blocked0)
 	}
 	for _, want := range []int{idA, idD, idB, id} {
 		if _, ok := net.Connection(want); !ok {

@@ -28,6 +28,25 @@ const anyWave = wdm.Wavelength(-1)
 // most X middle modules covers the destination set; other errors indicate
 // an inadmissible request (model violation or busy slot).
 func (net *Network) Add(c wdm.Connection) (int, error) {
+	id, err := net.add(c)
+	net.count(err)
+	return id, err
+}
+
+// count tallies one logical operation's outcome for Stats: routed when
+// err is nil, blocked when the router refused an admissible request.
+func (net *Network) count(err error) {
+	if err == nil {
+		net.routedCount++
+	} else if IsBlocked(err) {
+		net.blockedCount++
+	}
+}
+
+// add is Add without the Stats tally: the path of the re-routes inside
+// AddBranch, RerouteAroundReport and AddWithRepack, and of the
+// sub-connections a nested middle network carries.
+func (net *Network) add(c wdm.Connection) (int, error) {
 	if err := net.admit(c); err != nil {
 		return 0, err
 	}
@@ -46,16 +65,9 @@ func (net *Network) Add(c wdm.Connection) (int, error) {
 		}
 	}
 	if len(cv.residual) > 0 {
-		net.blockedCount++
 		return 0, net.blockedError(c, srcMod, lastHopWave, fanMods, cv)
 	}
-	id, err := net.commit(c, srcMod, lastHopWave, cv.rounds)
-	if err != nil {
-		net.blockedCount++
-		return 0, err
-	}
-	net.routedCount++
-	return id, nil
+	return net.commit(c, srcMod, lastHopWave, cv.rounds)
 }
 
 // admit checks that c is well formed under the network's model and that
@@ -512,7 +524,7 @@ func (net *Network) install(id int, rc *routed, context string) error {
 			if st != middleStage {
 				return nil
 			}
-			cid, err := net.mids[j].Add(c)
+			cid, err := net.mids[j].add(c)
 			if err != nil {
 				return fmt.Errorf("multistage: %s: middle module %d rejected %v: %w", context, j, c, err)
 			}

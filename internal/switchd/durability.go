@@ -123,7 +123,6 @@ func (ctl *Controller) reinstallRecovered(rec *durable.Recovery, sp *span.Span) 
 				return fmt.Errorf("switchd: recovery: marking fabric %d middle %d failed: %w", plane, mid, err)
 			}
 		}
-		f.failedMids.Store(int32(len(mids)))
 		ctl.metrics.perFabric[plane].failedMiddles.Store(int64(len(mids)))
 	}
 	for _, sr := range rec.Sessions {

@@ -92,7 +92,6 @@ func (ctl *Controller) FailMiddle(ctx context.Context, plane, middle int) (api.F
 
 	// Publish the new failed count before touching the session table so
 	// admission and routing stop considering the module immediately.
-	f.failedMids.Store(int32(failedNow))
 	ctl.metrics.perFabric[plane].failedMiddles.Store(int64(failedNow))
 	ctl.recomputeDegradedLocked()
 
@@ -198,7 +197,6 @@ func (ctl *Controller) RepairMiddle(ctx context.Context, plane, middle int) (api
 		sp.SetError(walErr.Error())
 		return api.RepairReport{}, walErr
 	}
-	f.failedMids.Store(int32(failedNow))
 	ctl.metrics.perFabric[plane].failedMiddles.Store(int64(failedNow))
 	ctl.recomputeDegradedLocked()
 	rep := api.RepairReport{Fabric: plane, Middle: middle, Health: ctl.Health()}
@@ -240,7 +238,7 @@ func (ctl *Controller) recomputeDegradedLocked() {
 	derated := false
 	total := 0
 	for i := range ctl.fabrics {
-		failed := int(ctl.fabrics[i].failedMids.Load())
+		failed := int(ctl.metrics.perFabric[i].failedMiddles.Load())
 		if failed > 0 {
 			anyFailed = true
 		}

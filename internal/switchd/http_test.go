@@ -48,7 +48,7 @@ func TestHTTPLifecycle(t *testing.T) {
 		t.Fatalf("connect returned session 0: %+v", cr)
 	}
 
-	var info SessionInfo
+	var info api.SessionInfo
 	if code := do(t, h, "GET", "/v1/session?id=1", "", &info); code != http.StatusOK || info.Fanout != 2 {
 		t.Fatalf("session: code %d info %+v", code, info)
 	}
@@ -60,7 +60,7 @@ func TestHTTPLifecycle(t *testing.T) {
 		t.Fatalf("branch info = %+v, want fanout 3", info)
 	}
 
-	var st Status
+	var st api.Status
 	if code := do(t, h, "GET", "/v1/status", "", &st); code != http.StatusOK {
 		t.Fatalf("status: code %d", code)
 	}
@@ -156,7 +156,7 @@ func TestHTTPStatusMapping(t *testing.T) {
 		t.Fatalf("draining connect: code %d, want 503", code)
 	}
 
-	var st Status
+	var st api.Status
 	if code := do(t, h, "GET", "/v1/status", "", &st); code != http.StatusOK || !st.Draining || st.Active != 0 {
 		t.Fatalf("status after drain: code %d %+v", code, st)
 	}

@@ -97,9 +97,11 @@ func (h *latencyHist) writeProm(w *obs.PromWriter, name, help string, labels ...
 	w.HistogramE(name, help, routeBoundsSeconds, counts, float64(h.sumNs.Load())/1e9, exemplars, labels...)
 }
 
-// fabricMetrics is one replica's counter set. failedMiddles is a gauge
-// mirroring the plane's failed middle-module count; the failure plane
-// updates it under failMu together with the fabric's own copy.
+// fabricMetrics is one replica's counter set. failedMiddles is the
+// plane's failed middle-module count, a gauge and the only stored copy:
+// the failure plane and recovery store it (under failMu), and
+// admission (fabricDead), the degraded-mode derater and Snapshot read
+// it.
 type fabricMetrics struct {
 	routed        atomic.Int64
 	blocked       atomic.Int64

@@ -50,5 +50,5 @@ func (ctl *Controller) handleDebugSpans(w http.ResponseWriter, r *http.Request) 
 		}
 	}
 	kept, dropped := ctl.tracer.Stats()
-	writeJSON(w, http.StatusOK, SpansResponse{Kept: kept, Dropped: dropped, Traces: traces})
+	writeJSON(w, http.StatusOK, api.SpansResponse{Kept: kept, Dropped: dropped, Traces: traces})
 }

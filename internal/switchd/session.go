@@ -3,6 +3,7 @@ package switchd
 import (
 	"sync"
 
+	"repro/internal/switchd/api"
 	"repro/internal/wdm"
 )
 
@@ -19,8 +20,8 @@ type session struct {
 	Migrations int
 }
 
-func (s *session) info() SessionInfo {
-	return SessionInfo{
+func (s *session) info() api.SessionInfo {
+	return api.SessionInfo{
 		ID:         s.ID,
 		Fabric:     s.Fabric,
 		Conn:       wdm.FormatConnection(s.Conn),

@@ -82,16 +82,6 @@ var (
 	ErrStorageFailed = errors.New("switchd: durable log write failed")
 )
 
-// Wire types re-exported from the api package (the /v1 contract shared
-// with the typed client); switchd keeps the old names as aliases.
-type (
-	Status        = api.Status
-	FabricStatus  = api.FabricStatus
-	SessionInfo   = api.SessionInfo
-	SpansResponse = api.SpansResponse
-	Health        = api.Health
-)
-
 // Config parameterizes a Controller.
 type Config struct {
 	// Fabric is the parameter set every replica is built from. It is
@@ -190,16 +180,16 @@ func (c Config) withDefaults() Config {
 
 // fabric is one serialized switching plane. cap, when non-nil, records
 // the plane's serving history; it is guarded by mu like the network.
-// failedMids mirrors len(net.FailedMiddles()) so admission paths can
-// read it without the fabric lock. byConn (guarded by mu) maps live
-// fabric connection ids to their durable-state metadata; it is only
-// populated when the durable log is enabled.
+// byConn (guarded by mu) maps live fabric connection ids to their
+// durable-state metadata; it is only populated when the durable log is
+// enabled. The plane's failed-middle count lives in the metrics
+// registry (fabricMetrics.failedMiddles), where admission reads it
+// without the fabric lock.
 type fabric struct {
-	mu         sync.Mutex
-	net        backend.Backend
-	cap        *traceCap
-	byConn     map[int]*connMeta
-	failedMids atomic.Int32
+	mu     sync.Mutex
+	net    backend.Backend
+	cap    *traceCap
+	byConn map[int]*connMeta
 }
 
 // Controller is the live control plane. All methods are safe for
@@ -387,7 +377,7 @@ func routeSpanObserver(parent *span.Span) func(multistage.RouteStep) {
 
 // fabricDead reports whether plane i has no working middle modules.
 func (ctl *Controller) fabricDead(i int) bool {
-	return int(ctl.fabrics[i].failedMids.Load()) >= ctl.params.M
+	return int(ctl.metrics.perFabric[i].failedMiddles.Load()) >= ctl.params.M
 }
 
 // pickFabric maps a session id to its plane. A non-negative pin selects
@@ -725,21 +715,21 @@ func (ctl *Controller) disconnectLocked(sp *span.Span, pt *phaseTimer, sh *sessi
 }
 
 // Session returns a snapshot of a live session.
-func (ctl *Controller) Session(id uint64) (SessionInfo, bool) {
+func (ctl *Controller) Session(id uint64) (api.SessionInfo, bool) {
 	sh := ctl.sessions.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	s, ok := sh.m[id]
 	if !ok {
-		return SessionInfo{}, false
+		return api.SessionInfo{}, false
 	}
 	return s.info(), true
 }
 
 // Sessions snapshots every live session, ordered by id. Shards are
 // locked briefly in turn; the listing is per-shard consistent.
-func (ctl *Controller) Sessions() []SessionInfo {
-	out := make([]SessionInfo, 0, ctl.sessions.len())
+func (ctl *Controller) Sessions() []api.SessionInfo {
+	out := make([]api.SessionInfo, 0, ctl.sessions.len())
 	for _, sh := range ctl.sessions.shards {
 		sh.mu.Lock()
 		for _, s := range sh.m {
@@ -753,9 +743,9 @@ func (ctl *Controller) Sessions() []SessionInfo {
 
 // Status snapshots every plane. Each fabric is locked briefly in turn;
 // the snapshot is per-plane consistent, not globally atomic.
-func (ctl *Controller) Status() Status {
+func (ctl *Controller) Status() api.Status {
 	p := ctl.params
-	st := Status{
+	st := api.Status{
 		Backend:      ctl.backendName,
 		Model:        p.Model.String(),
 		Construction: p.Construction.String(),
@@ -771,10 +761,11 @@ func (ctl *Controller) Status() Status {
 		Draining:     ctl.draining.Load(),
 	}
 	for i, f := range ctl.fabrics {
-		// Routed and blocked come from the registry, as on /metrics: the
-		// backend's own Stats count the re-Adds of live migrations and
-		// miss the sessions recovery reinstalls.
-		fs := FabricStatus{
+		// Routed and blocked come from the registry, as on /metrics, so
+		// each signal has one source. The registry also counts the
+		// sessions recovery reinstalled as routed; a backend's Stats
+		// counts only the Add and AddBranch outcomes of its plane.
+		fs := api.FabricStatus{
 			Replica: i,
 			Routed:  ctl.metrics.perFabric[i].routed.Load(),
 			Blocked: ctl.metrics.perFabric[i].blocked.Load(),

@@ -50,7 +50,7 @@ func postConnect(t *testing.T, client *http.Client, baseURL, conn, traceparent s
 }
 
 // fetchSpans queries /v1/debug/spans with a raw query string.
-func fetchSpans(t *testing.T, client *http.Client, baseURL, query string) SpansResponse {
+func fetchSpans(t *testing.T, client *http.Client, baseURL, query string) api.SpansResponse {
 	t.Helper()
 	resp, err := client.Get(baseURL + "/v1/debug/spans" + query)
 	if err != nil {
@@ -60,7 +60,7 @@ func fetchSpans(t *testing.T, client *http.Client, baseURL, query string) SpansR
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /v1/debug/spans%s: status %d", query, resp.StatusCode)
 	}
-	var sr SpansResponse
+	var sr api.SpansResponse
 	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
 		t.Fatalf("decode spans response: %v", err)
 	}

@@ -188,7 +188,11 @@ type ArrivalSpec struct {
 //	diurnal[:amp=0.8,period=100]
 //
 // Parameters are optional and default to the bracketed values; dwell
-// and period are in units of the mean holding time.
+// and period are in units of the mean holding time, and neither may be
+// below minTimescale (0.01). The MMPP flips state about 2·duty/dwell
+// times per arrival, and the diurnal rate is NaN once 2πt/period
+// overflows, so a dwell or period near zero stalls the engine rather
+// than shaping its traffic.
 func ParseArrival(s string) (ArrivalSpec, error) {
 	kind, params, err := splitSpec(s)
 	if err != nil {
@@ -214,8 +218,8 @@ func ParseArrival(s string) (ArrivalSpec, error) {
 				return ArrivalSpec{}, fmt.Errorf("traffic: mmpp: unknown parameter %q", k)
 			}
 		}
-		if spec.burst <= 1 || spec.duty <= 0 || spec.duty >= 1 || spec.dwell <= 0 {
-			return ArrivalSpec{}, fmt.Errorf("traffic: mmpp needs burst > 1, 0 < duty < 1, dwell > 0")
+		if spec.burst <= 1 || spec.duty <= 0 || spec.duty >= 1 || spec.dwell < minTimescale {
+			return ArrivalSpec{}, fmt.Errorf("traffic: mmpp needs burst > 1, 0 < duty < 1, dwell >= %g", minTimescale)
 		}
 		return spec, nil
 	case "diurnal":
@@ -230,8 +234,8 @@ func ParseArrival(s string) (ArrivalSpec, error) {
 				return ArrivalSpec{}, fmt.Errorf("traffic: diurnal: unknown parameter %q", k)
 			}
 		}
-		if spec.amp < 0 || spec.amp > 1 || spec.period <= 0 {
-			return ArrivalSpec{}, fmt.Errorf("traffic: diurnal needs 0 <= amp <= 1, period > 0")
+		if spec.amp < 0 || spec.amp > 1 || spec.period < minTimescale {
+			return ArrivalSpec{}, fmt.Errorf("traffic: diurnal needs 0 <= amp <= 1, period >= %g", minTimescale)
 		}
 		return spec, nil
 	default:
@@ -313,7 +317,14 @@ func (s HoldingSpec) String() string {
 	return "exp"
 }
 
-// splitSpec splits "kind:key=val,key=val" into its parts.
+// minTimescale is the shortest MMPP dwell and diurnal period a spec may
+// ask for, in mean holding times (see ParseArrival).
+const minTimescale = 0.01
+
+// splitSpec splits "kind:key=val,key=val" into its parts. It refuses
+// NaN and ±Inf: each parser's range check rejects on a comparison,
+// which NaN never satisfies, and no process loop ends on a non-finite
+// parameter.
 func splitSpec(s string) (kind string, params map[string]float64, err error) {
 	kind, rest, has := strings.Cut(strings.TrimSpace(s), ":")
 	kind = strings.TrimSpace(kind)
@@ -333,6 +344,9 @@ func splitSpec(s string) (kind string, params map[string]float64, err error) {
 		v, err := strconv.ParseFloat(strings.TrimSpace(vs), 64)
 		if err != nil {
 			return "", nil, fmt.Errorf("traffic: spec parameter %q: %v", part, err)
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return "", nil, fmt.Errorf("traffic: spec parameter %q is not finite", part)
 		}
 		params[strings.TrimSpace(k)] = v
 	}

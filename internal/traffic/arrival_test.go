@@ -1,9 +1,14 @@
 package traffic
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
+	"time"
+
+	"repro/internal/multistage"
+	"repro/internal/wdm"
 )
 
 // sampleGaps draws n interarrival gaps from a fresh process under a
@@ -210,22 +215,93 @@ func TestSpecRoundTrips(t *testing.T) {
 	}
 }
 
+// TestSpecParseErrors lists specs each parser refuses. Among them are
+// non-finite values and a dwell or period below minTimescale, each of
+// which would stall an arrival process's loop.
 func TestSpecParseErrors(t *testing.T) {
-	for _, s := range []string{"nope", "poisson:x=1", "mmpp:burst=0.5", "mmpp:q=1", "diurnal:amp=2"} {
+	for _, s := range []string{"nope", "poisson:x=1", "mmpp:burst=0.5", "mmpp:q=1", "diurnal:amp=2",
+		"mmpp:burst=NaN", "mmpp:duty=nan", "mmpp:burst=+Inf", "mmpp:dwell=1e-300", "mmpp:dwell=0.009",
+		"diurnal:amp=NaN", "diurnal:period=Inf", "diurnal:period=5e-324", "diurnal:period=0.009"} {
 		if _, err := ParseArrival(s); err == nil {
 			t.Errorf("ParseArrival(%q) accepted", s)
 		}
 	}
-	for _, s := range []string{"weibull", "pareto:alpha=1", "exp:x=1"} {
+	for _, s := range []string{"weibull", "pareto:alpha=1", "exp:x=1", "pareto:alpha=NaN", "pareto:alpha=inf"} {
 		if _, err := ParseHolding(s); err == nil {
 			t.Errorf("ParseHolding(%q) accepted", s)
 		}
 	}
-	for _, s := range []string{"nope", "geometric:p=1.5", "zipf:s=1", "uniform:x=1", "geometric:q=0.5"} {
+	for _, s := range []string{"nope", "geometric:p=1.5", "zipf:s=1", "uniform:x=1", "geometric:q=0.5",
+		"geometric:p=NaN", "zipf:s=NaN", "zipf:s=+Inf"} {
 		if _, err := ParseFanout(s); err == nil {
 			t.Errorf("ParseFanout(%q) accepted", s)
 		}
 	}
+}
+
+// FuzzTrafficSpecs offers the same string to the arrival, holding and
+// fanout parsers. These specs come from outside the program (wdmload's
+// flags and the curves it replays), so every spec a parser accepts must
+// print a string that parses back and prints the same, and a 20-arrival
+// in-process run under the accepted specs must finish.
+func FuzzTrafficSpecs(f *testing.F) {
+	for _, s := range []string{"poisson", "mmpp", "mmpp:burst=10,duty=0.1,dwell=5", "diurnal:amp=0.8,period=100",
+		"exp", "pareto:alpha=1.5", "geometric:p=0.3", "zipf:s=2", "uniform", "",
+		"mmpp:burst=NaN", "diurnal:amp=NaN", "mmpp:dwell=1e-300", "diurnal:period=5e-324"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		cfg := Config{Seed: 1, Arrivals: 20, Erlangs: 4}
+		accepted := false
+		if a, err := ParseArrival(s); err == nil {
+			again, err := ParseArrival(a.String())
+			if err != nil || again.String() != a.String() {
+				t.Fatalf("arrival %q prints %q, which parses to %q, %v", s, a.String(), again.String(), err)
+			}
+			cfg.Arrival, accepted = a, true
+		}
+		if h, err := ParseHolding(s); err == nil {
+			again, err := ParseHolding(h.String())
+			if err != nil || again.String() != h.String() {
+				t.Fatalf("holding %q prints %q, which parses to %q, %v", s, h.String(), again.String(), err)
+			}
+			cfg.Holding, accepted = h, true
+		}
+		if d, err := ParseFanout(s); err == nil {
+			again, err := ParseFanout(FormatFanout(d))
+			if err != nil || FormatFanout(again) != FormatFanout(d) {
+				t.Fatalf("fanout %q prints %q, which parses to %v, %v", s, FormatFanout(d), again, err)
+			}
+			cfg.Fanout, accepted = d, true
+		}
+		if !accepted {
+			return
+		}
+		net, err := multistage.New(multistage.Params{N: 16, K: 2, R: 4, Model: wdm.MSW, Lite: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Sink = NewNetworkSink(net, net.Params())
+		eng, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A stalled process loop never returns, so wait on the run with
+		// a deadline instead of calling it inline.
+		done := make(chan error, 1)
+		go func() {
+			_, err := eng.Run(context.Background())
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("run under %q: %v", s, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("a 20-arrival run under %q did not finish in 10 s", s)
+		}
+	})
 }
 
 func TestWilsonInterval(t *testing.T) {
