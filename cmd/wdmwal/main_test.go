@@ -2,8 +2,10 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"log/slog"
+	"strings"
 	"testing"
 
 	"repro/internal/durable"
@@ -54,5 +56,37 @@ func TestReplayMeshLog(t *testing.T) {
 	}
 	if got := out.Fabrics[0].Utilization; got != live {
 		t.Errorf("replayed utilization %+v, live %+v", got, live)
+	}
+}
+
+// TestReplayRefusesRouteOnFailedMiddle: a log whose fold leaves a
+// session on a failed middle — a fail record migrating session 1 off
+// middle 0, then session 1's connect record through middle 0 — does not
+// replay, and the error names the session and the middle.
+func TestReplayRefusesRouteOnFailedMiddle(t *testing.T) {
+	meta, err := switchd.Config{Fabric: multistage.Params{N: 16, K: 2, R: 4, Model: wdm.MSW}}.DurableMeta()
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := multistage.New(meta.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := wdm.ParseConnection("0.0>5.0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := net.Add(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	route, _ := net.RouteRecord(id)
+	state := durable.NewState()
+	state.Apply(&durable.Record{Op: durable.OpFail, Middle: route.In[0].Middle})
+	state.Apply(&durable.Record{Op: durable.OpConnect, Session: 1, Route: &route})
+	_, err = replay(state, &meta)
+	want := fmt.Sprintf("failed middle %d", route.In[0].Middle)
+	if err == nil || !strings.Contains(err.Error(), "session 1") || !strings.Contains(err.Error(), want) {
+		t.Fatalf("replay of a route on a failed middle: %v, want an error naming session 1 and %s", err, want)
 	}
 }

@@ -19,13 +19,16 @@
 //	snap-<last-seq, 16 hex>.snap  snapshots: 8-byte magic, one frame
 //
 // Every frame is [4-byte LE payload length][4-byte LE CRC32C][payload],
-// payload JSON of one Record. Appends are group-committed: the hot path
-// buffers the frame, and an appender that finds no fsync in flight
-// leads the batch — it flushes every buffered frame and runs one
-// fsync for all of them — while appends that arrive during that fsync
-// form the next batch. No timer holds a batch open: a lone append pays
-// one fsync at once, and concurrent appenders share one. A record is
-// acknowledged only after the fsync covering it returns.
+// payload JSON of one Record. Appends are group-committed: Enqueue
+// gives a record its sequence number and buffers its frame, and a Wait
+// that finds no fsync in flight leads the batch — it flushes every
+// buffered frame and runs one fsync for all of them — while records
+// enqueued during that fsync form the next batch. No timer holds a
+// batch open: a lone append pays one fsync at once, and concurrent
+// appenders share one. A record is acknowledged only after the fsync
+// covering it returns. A caller that enqueues under its own lock and
+// waits after releasing it gets that lock's order as the log order
+// without holding the lock through an fsync.
 //
 // Recovery loads the newest CRC-valid snapshot, then replays the log
 // tail (records with Seq beyond the snapshot). A corrupted or torn
@@ -74,9 +77,9 @@ const (
 	// OpBranch acknowledges a session grow; Route is the full route
 	// after the grow (not a delta).
 	OpBranch = "branch"
-	// OpDisconnect acknowledges a teardown. It is appended *before* the
-	// fabric release, so a crash between the two recovers to the
-	// acknowledged state (session gone).
+	// OpDisconnect acknowledges a teardown. The writer enqueues it in
+	// the critical section that releases the session's fabric slots, so
+	// it precedes the record of any connect that reuses them.
 	OpDisconnect = "disconnect"
 	// OpFail records a middle-module failure together with the
 	// post-migration routes of every moved session and the ids of
@@ -139,7 +142,7 @@ type SessionRoute struct {
 	Route      multistage.RouteRecord `json:"route"`
 }
 
-// Record is one logical WAL entry. Seq is assigned by Append and is
+// Record is one logical WAL entry. Seq is assigned by Enqueue and is
 // strictly increasing across segments.
 type Record struct {
 	Seq uint64 `json:"seq"`
@@ -246,10 +249,13 @@ func (s *State) Apply(rec *Record) {
 		set[rec.Middle] = true
 		for i := range rec.Migrated {
 			sr := rec.Migrated[i]
-			// Update-if-present only: a migrated session's connect
-			// record always precedes the fail record, so if the id is
-			// absent here a later disconnect removed it and the fail
-			// record must not resurrect it.
+			// Update-if-present only. A writer enqueues every record of
+			// a plane under that plane's lock, in the order it mutates
+			// the fabric, so a migrated session's connect record
+			// precedes the fail record by construction: an absent id
+			// means the snapshot this replay started from already
+			// reflects a later disconnect or drop, and the fail record
+			// must not resurrect it.
 			if _, ok := s.Sessions[sr.Session]; !ok {
 				continue
 			}

@@ -34,7 +34,7 @@ const (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 var (
-	// ErrClosed is returned by Append after Close or Seal.
+	// ErrClosed is returned by Enqueue and Append after Close or Seal.
 	ErrClosed = errors.New("durable: log closed")
 	// ErrCrashed is returned once Crash has simulated a hard stop.
 	ErrCrashed = errors.New("durable: log crashed (fault injection)")
@@ -197,68 +197,76 @@ func (p *Plane) Err() error {
 
 // Append assigns the record the next sequence number, frames it into
 // the active segment, and blocks until the group-commit fsync covering
-// it completes, leading that group commit itself when no fsync is in
-// flight. The assigned sequence is returned; on error the record
-// must be treated as not persisted (though it may still surface after
-// a crash — the usual ambiguous-write caveat).
+// it completes: Enqueue, then Wait. The assigned sequence is returned;
+// on error the record must be treated as not persisted (though it may
+// still surface after a crash — the usual ambiguous-write caveat).
 func (p *Plane) Append(rec *Record) (uint64, error) {
-	seq, _, _, err := p.AppendTimed(rec)
-	return seq, err
+	t, err := p.Enqueue(rec)
+	if err != nil {
+		return 0, err
+	}
+	_, _, err = p.Wait(t)
+	return t.Seq, err
 }
 
-// AppendTimed is Append plus the phase split of the group commit that
-// made the record durable: fsyncD is the batch's fsync duration and
-// commitD the Committer barrier's (replication ack) duration, both 0
-// when the batch had none or Close's final fsync covered the record.
-// The split is per batch, not per record — every appender released by
-// one group commit reports the same pair.
-func (p *Plane) AppendTimed(rec *Record) (seq uint64, fsyncD, commitD time.Duration, err error) {
+// Ticket is an enqueued record's claim on the group commit that will
+// make it durable: its sequence number and the batch it rides.
+type Ticket struct {
+	Seq   uint64
+	split *batchSplit
+}
+
+// Enqueue assigns the record the next sequence number and frames it
+// into the active segment's buffer without waiting for an fsync, so the
+// order of Enqueue calls is the log order: a caller that enqueues under
+// its own lock journals its mutations in that lock's order. On error
+// nothing was framed. Pass the ticket to Wait.
+func (p *Plane) Enqueue(rec *Record) (Ticket, error) {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.err != nil {
-		err = p.err
-		p.mu.Unlock()
-		return 0, 0, 0, err
+		return Ticket{}, p.err
 	}
 	if p.closed {
-		p.mu.Unlock()
-		return 0, 0, 0, ErrClosed
+		return Ticket{}, ErrClosed
 	}
 	p.seq++
 	rec.Seq = p.seq
-	payload, merr := json.Marshal(rec)
-	if merr != nil {
+	payload, err := json.Marshal(rec)
+	if err != nil {
 		p.seq--
-		p.mu.Unlock()
-		return 0, 0, 0, fmt.Errorf("durable: encode record: %w", merr)
+		return Ticket{}, fmt.Errorf("durable: encode record: %w", err)
 	}
 	if len(payload) > maxRecordBytes {
 		p.seq--
-		p.mu.Unlock()
-		return 0, 0, 0, fmt.Errorf("durable: record of %d bytes exceeds frame limit", len(payload))
+		return Ticket{}, fmt.Errorf("durable: record of %d bytes exceeds frame limit", len(payload))
 	}
-	if werr := writeFrame(p.w, payload); werr != nil {
-		p.failLocked(fmt.Errorf("durable: append: %w", werr))
-		err = p.err
-		p.mu.Unlock()
-		return 0, 0, 0, err
+	if err := writeFrame(p.w, payload); err != nil {
+		p.failLocked(fmt.Errorf("durable: append: %w", err))
+		return Ticket{}, p.err
 	}
 	p.batch = append(p.batch, payload)
 	n := int64(frameHeader + len(payload))
 	p.size += n
 	p.appended += n
 	p.appends++
-	if rec.Op == OpSeal {
-		p.sealed = true
-	} else {
-		p.sealed = false
-	}
-	seq = p.seq
-	split := p.forming
-	p.waitSyncedLocked(seq)
-	err = p.err
-	fsyncD, commitD = split.fsyncD, split.commitD
-	p.mu.Unlock()
-	return seq, fsyncD, commitD, err
+	p.sealed = rec.Op == OpSeal
+	return Ticket{Seq: p.seq, split: p.forming}, nil
+}
+
+// Wait blocks until the group commit covering an enqueued record
+// completes — its fsync and the Committer barrier — leading that group
+// commit itself when no fsync is in flight. It returns the batch's
+// phase split: fsyncD is the fsync duration and commitD the Committer
+// barrier's (replication ack), both 0 when the batch had none or
+// Close's final fsync covered the record. The split is per batch, not
+// per record: every ticket one group commit covers reports the same
+// pair.
+func (p *Plane) Wait(t Ticket) (fsyncD, commitD time.Duration, err error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.waitSyncedLocked(t.Seq)
+	return t.split.fsyncD, t.split.commitD, p.err
 }
 
 // AppendReplica frames a record that already carries a sequence number

@@ -262,12 +262,12 @@ func TestGroupCommitRacesSyncFollowerClose(t *testing.T) {
 	}
 }
 
-// TestAppendTimedReportsItsOwnBatch: every appender released by one
-// group commit reports that batch's fsync/commit split, even when
-// later batches complete before it retakes the lock. The Committer
-// records each batch's last sequence; appends in one batch must report
+// TestWaitReportsItsOwnBatch: every ticket released by one group
+// commit reports that batch's fsync/commit split, even when later
+// batches complete before its waiter retakes the lock. The Committer
+// records each batch's last sequence; records in one batch must report
 // one identical pair, and no pair may appear in two batches.
-func TestAppendTimedReportsItsOwnBatch(t *testing.T) {
+func TestWaitReportsItsOwnBatch(t *testing.T) {
 	var (
 		mu    sync.Mutex
 		uptos []uint64
@@ -292,12 +292,17 @@ func TestAppendTimedReportsItsOwnBatch(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				seq, fsyncD, commitD, err := p.AppendTimed(&Record{Op: OpConnect, Session: uint64(w*per + i + 1), Route: route("0.0>5.0")})
+				tk, err := p.Enqueue(&Record{Op: OpConnect, Session: uint64(w*per + i + 1), Route: route("0.0>5.0")})
 				if err != nil {
-					t.Errorf("worker %d append %d: %v", w, i, err)
+					t.Errorf("worker %d enqueue %d: %v", w, i, err)
 					return
 				}
-				seqs[w] = append(seqs[w], seq)
+				fsyncD, commitD, err := p.Wait(tk)
+				if err != nil {
+					t.Errorf("worker %d wait %d: %v", w, i, err)
+					return
+				}
+				seqs[w] = append(seqs[w], tk.Seq)
 				splits[w] = append(splits[w], split{fsyncD, commitD})
 			}
 		}(w)

@@ -5,7 +5,8 @@
 // exactly through the RouteRecord/Reinstall durability path, (4) stay
 // race-clean under concurrent churn (shared instance behind a mutex,
 // per the Backend contract, plus independent per-goroutine instances),
-// and (5) count only the caller's operations in Stats. `make race`
+// (5) count only the caller's operations in Stats, and (6) refuse to
+// reinstall a route that uses a failed middle. `make race`
 // runs this suite with -race -short.
 package backend_test
 
@@ -245,6 +246,47 @@ func TestConformanceReinstallEqualsRoute(t *testing.T) {
 		}
 		if got, want := replay.Utilization(), orig.Utilization(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("replayed utilization = %+v, want %+v", got, want)
+		}
+	})
+}
+
+// TestConformanceReinstallRefusesFailedMiddle: a record whose route
+// uses a failed middle — a Clos leg on a failed middle module, a mesh
+// route touching a failed node: the set RerouteAroundReport moves — is
+// refused, and leaves the plane empty. Recovery marks the failed
+// middles before it reinstalls, so such a record fails it loudly
+// instead of serving light through a dead module. Once the middle is
+// repaired the same record reinstalls.
+func TestConformanceReinstallRefusesFailedMiddle(t *testing.T) {
+	eachBackend(t, func(t *testing.T, d backend.Descriptor, p multistage.Params) {
+		orig := mustNew(t, d, p)
+		c := fillConnections(d.Name, p)[0]
+		id, err := orig.Add(c)
+		if err != nil {
+			t.Fatalf("Add(%v): %v", c, err)
+		}
+		rec, _ := orig.RouteRecord(id)
+		var middle int
+		if d.Name == "mesh" {
+			middle = rec.Out[0].Out // a node the light passes through
+		} else {
+			middle = rec.In[0].Middle
+		}
+		replay := mustNew(t, d, p)
+		if err := replay.FailMiddle(middle); err != nil {
+			t.Fatalf("FailMiddle(%d): %v", middle, err)
+		}
+		if _, err := replay.Reinstall(rec); err == nil {
+			t.Fatalf("Reinstall(%+v) accepted a route on failed middle %d", rec, middle)
+		}
+		if replay.Len() != 0 {
+			t.Fatalf("refused Reinstall left %d sessions", replay.Len())
+		}
+		if err := replay.RepairMiddle(middle); err != nil {
+			t.Fatalf("RepairMiddle(%d): %v", middle, err)
+		}
+		if _, err := replay.Reinstall(rec); err != nil {
+			t.Fatalf("Reinstall(%+v) after repairing middle %d: %v", rec, middle, err)
 		}
 	})
 }

@@ -29,9 +29,10 @@ func (net *Network) RouteRecord(id int) (multistage.RouteRecord, bool) {
 
 // Reinstall re-applies a previously exported record verbatim — the WAL
 // recovery and cluster standby path. The route is validated as a chain
-// of adjacent directed ring edges on one wavelength and claimed exactly
-// as recorded; no routing decisions are re-made, so a reinstalled
-// session is bit-identical to the one that was exported.
+// of adjacent directed ring edges on one wavelength that touches no
+// failed node, and claimed exactly as recorded; no routing decisions
+// are re-made, so a reinstalled session is bit-identical to the one
+// that was exported.
 func (net *Network) Reinstall(rec multistage.RouteRecord) (int, error) {
 	c, err := wdm.ParseConnection(rec.Conn)
 	if err != nil {
@@ -79,6 +80,13 @@ func (net *Network) Reinstall(rec multistage.RouteRecord) (int, error) {
 			}
 		}
 		rc.hops = append(rc.hops, h)
+	}
+	// RerouteAroundReport moves every session touching a failed node,
+	// so no recorded route may touch one either.
+	for _, node := range rc.nodesTouched() {
+		if net.failedNode[node] {
+			return 0, fmt.Errorf("mesh: reinstall: route touches failed node %d", node)
+		}
 	}
 
 	return net.commitRouted(c, rc), nil

@@ -84,15 +84,24 @@ func (rec RouteRecord) decode(net *Network) (*routed, error) {
 
 // Reinstall re-materializes a recorded route exactly as recorded under
 // a fresh connection id, with no router search: it succeeds whenever
-// the recorded slots and link wavelengths are free. It is the crash-
-// recovery primitive — a set of records that coexisted in a fabric is
-// mutually conflict-free, so replaying all of them into an empty fabric
-// of the same parameters cannot fail, and therefore cannot block,
-// whatever the middle-stage provisioning or failure state.
+// the recorded slots and link wavelengths are free and no middle the
+// route rides has failed. It is the crash-recovery primitive — a set of
+// records that coexisted in a fabric is mutually conflict-free, and
+// RerouteAroundReport moves every route off a failed middle, so
+// replaying all of them into an empty fabric of the same parameters and
+// failure state cannot fail, and therefore cannot block, whatever the
+// middle-stage provisioning.
 func (net *Network) Reinstall(rec RouteRecord) (int, error) {
 	rc, err := rec.decode(net)
 	if err != nil {
 		return 0, err
+	}
+	// decode checked that every hop rides a middle with a leg, so the
+	// legs name every middle the route uses.
+	for _, leg := range rc.legs {
+		if net.failedMid[leg.Middle] {
+			return 0, fmt.Errorf("multistage: reinstall %q: route rides failed middle %d", rec.Conn, leg.Middle)
+		}
 	}
 	k := net.params.K
 	if owner := net.srcBusy[rc.conn.Source.Index(k)]; owner != freeSlot {

@@ -3,6 +3,7 @@ package multistage
 import (
 	"encoding/json"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/wdm"
@@ -156,6 +157,8 @@ func TestRouteRecordDecodeValidation(t *testing.T) {
 // it into an empty gate-level network of every construction: the record
 // must be refused, or install cleanly (Verify passes) and release
 // without a trace (no live connection, no busy link, Verify passes).
+// A record that installs must then be refused by a network with exactly
+// one failed middle if and only if its route rides that middle.
 func FuzzReinstall(f *testing.F) {
 	for _, seed := range []string{
 		`{"conn":"0.0>1.0,2.0","in":[{"middle":0,"wave":0}],"out":[{"middle":0,"out":1,"wave":0}]}`,
@@ -167,6 +170,8 @@ func FuzzReinstall(f *testing.F) {
 		`{"conn":"1.1>0.0,3.1","in":[{"middle":2,"wave":1}],"out":[{"middle":2,"out":0,"wave":1},{"middle":2,"out":1,"wave":0}]}`,
 		// AWG-Clos routes 0->1 on λ1 only: this record must be refused there.
 		`{"conn":"0.0>2.0","in":[{"middle":0,"wave":0}],"out":[{"middle":0,"out":1,"wave":0}]}`,
+		// Rides middles 1 and 2: refused while either has failed.
+		`{"conn":"0.0>1.0,2.0","in":[{"middle":1,"wave":0},{"middle":2,"wave":0}],"out":[{"middle":1,"out":0,"wave":0},{"middle":2,"out":1,"wave":0}]}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -190,6 +195,17 @@ func FuzzReinstall(f *testing.F) {
 			}
 			if err := net.Verify(); err != nil {
 				t.Fatalf("%v/%v: reinstalled %+v fails Verify: %v", p.Construction, p.Model, rec, err)
+			}
+			used, _ := net.MiddlesUsed(id)
+			for j := 0; j < p.M; j++ {
+				failed := mustNetwork(t, p)
+				if err := failed.FailMiddle(j); err != nil {
+					t.Fatal(err)
+				}
+				_, err := failed.Reinstall(rec)
+				if rides := slices.Contains(used, j); rides != (err != nil) {
+					t.Fatalf("%v/%v: route on middles %v, middle %d failed: Reinstall err %v", p.Construction, p.Model, used, j, err)
+				}
 			}
 			if err := net.Release(id); err != nil {
 				t.Fatalf("%v/%v: release: %v", p.Construction, p.Model, err)

@@ -2,7 +2,6 @@ package switchd
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
@@ -379,62 +378,78 @@ func TestSpareMarginProperty(t *testing.T) {
 	}
 }
 
-// TestPublishAfterRouteDropped drives, step by step, the window
-// between a connect's route (under the fabric lock) and its publish
-// (under the session shard lock). FailMiddle runs inside it with no
-// spare middle left (m = 1) and drops the fresh route; its table sweep
-// cannot see the unpublished session, so the publish itself must
-// refuse. In memory and durable alike, every listed session must be
-// releasable afterwards and none may stay active.
-func TestPublishAfterRouteDropped(t *testing.T) {
-	for _, durable := range []bool{false, true} {
-		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
+// TestFailMiddleListsEveryAffected races the failure plane against
+// connects and disconnects on one plane. A connect routes and
+// publishes its session in one plane critical section, so every
+// connection the fabric moves or drops belongs to a listed session:
+// each report has
+// Affected == len(Migrated)+len(Dropped), and every dropped session is
+// gone by the time FailMiddle returns. With m=1 every session riding
+// the failed middle drops; one spare above the bound migrates them.
+func TestFailMiddleListsEveryAffected(t *testing.T) {
+	for _, spare := range []bool{false, true} {
+		t.Run(fmt.Sprintf("spare=%v", spare), func(t *testing.T) {
 			p := testParams()
-			p.M, p.X = 1, 1
-			cfg := Config{Fabric: p, Replicas: 1}
-			if durable {
-				cfg.DataDir, cfg.SnapshotInterval = t.TempDir(), -1
+			if spare {
+				p.M = boundFor(p) + 1
+			} else {
+				p.M, p.X = 1, 1
 			}
-			ctl := newTestController(t, cfg)
-			defer ctl.Close()
+			ctl := newTestController(t, Config{Fabric: p, Replicas: 1, Shards: 4})
 			ctx := context.Background()
-			conn, err := wdm.ParseConnection("0.0>4.0")
-			if err != nil {
-				t.Fatal(err)
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			var cycles atomic.Int64
+			for src := 0; src < 8; src += 2 {
+				wg.Add(1)
+				go func(conn wdm.Connection) {
+					defer wg.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						// Refusals (fabric_failed while the only middle is
+						// down) and drops are expected here; the reports
+						// and the final state are what the test checks.
+						if id, _, err := ctl.Connect(ctx, conn, 0); err == nil {
+							cycles.Add(1)
+							ctl.Disconnect(ctx, id)
+						}
+					}
+				}(mustParse(t, fmt.Sprintf("%d.0>%d.0", src, src+8)))
 			}
-
-			// The route half of connect.
-			f := ctl.fabrics[0]
-			f.mu.Lock()
-			connID, err := f.net.Add(conn)
-			f.mu.Unlock()
-			if err != nil {
-				t.Fatalf("route: %v", err)
+			affected := 0
+			for round := 0; affected < 50; round++ {
+				waitForCycles(t, &cycles, cycles.Load()+4)
+				rep, err := ctl.FailMiddle(ctx, 0, 0)
+				if err != nil {
+					t.Fatalf("FailMiddle: %v", err)
+				}
+				if rep.Affected != len(rep.Migrated)+len(rep.Dropped) {
+					t.Fatalf("round %d: report %+v lists %d of %d affected sessions",
+						round, rep, len(rep.Migrated)+len(rep.Dropped), rep.Affected)
+				}
+				for _, id := range rep.Dropped {
+					if _, ok := ctl.Session(id); ok {
+						t.Fatalf("round %d: dropped session %d still listed", round, id)
+					}
+				}
+				affected += rep.Affected
+				if _, err := ctl.RepairMiddle(ctx, 0, 0); err != nil {
+					t.Fatalf("RepairMiddle: %v", err)
+				}
 			}
-			// The failure plane, inside the window.
-			rep, err := ctl.FailMiddle(ctx, 0, 0)
-			if err != nil {
-				t.Fatalf("FailMiddle: %v", err)
-			}
-			if rep.Affected != 1 || len(rep.Migrated)+len(rep.Dropped) != 0 {
-				t.Fatalf("FailMiddle report %+v, want the unpublished route affected and nothing listed", rep)
-			}
-			// The publish half of connect.
-			s := &session{ID: ctl.nextSession.Add(1), Fabric: 0, ConnID: connID, Conn: conn.Normalize()}
-			if err := ctl.commitConnect(nil, nil, f, 0, s); err == nil {
-				ctl.active.Add(1)
-				t.Errorf("publish of a dropped route succeeded")
-			} else if !errors.Is(err, ErrFabricFailed) {
-				t.Errorf("publish of a dropped route: %v, want ErrFabricFailed", err)
-			}
-
+			close(stop)
+			wg.Wait()
 			for _, info := range ctl.Sessions() {
 				if err := ctl.Disconnect(ctx, info.ID); err != nil {
 					t.Errorf("listed session %d cannot be disconnected: %v", info.ID, err)
 				}
 			}
-			if n := ctl.ActiveSessions(); n != 0 {
-				t.Errorf("ActiveSessions() = %d after disconnecting every listed session, want 0", n)
+			if n, live := ctl.ActiveSessions(), ctl.Status().Fabrics[0].Active; n != 0 || live != 0 {
+				t.Errorf("after disconnecting every listed session: %d active, %d live connections; want 0, 0", n, live)
 			}
 		})
 	}

@@ -1,13 +1,13 @@
 package switchd
 
 import (
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/multistage"
 	"repro/internal/obs"
 	"repro/internal/trace"
-	"repro/internal/wdm"
 )
 
 // Blocking forensics and live trace capture. A blocked request at
@@ -22,7 +22,9 @@ import (
 //   - optionally, the full per-fabric serving history in the
 //     internal/trace line format — served at GET /v1/debug/trace — so
 //     a live incident replays offline with wdmtrace against any
-//     parameter set.
+//     parameter set. Each plane records into a trace.Recorder inside
+//     the critical section of the operation it mirrors, so the trace
+//     order is the serialization order the fabric saw.
 
 // BlockIncident is one blocked Connect or AddBranch, as kept in the
 // forensics ring buffer.
@@ -87,93 +89,6 @@ func (ctl *Controller) BlockIncidents() ([]BlockIncident, int64) {
 	return ctl.blockLog.snapshot()
 }
 
-// traceCap captures one fabric's serving history as a replayable trace.
-// It is guarded by the owning fabric's mutex — every event is recorded
-// inside the same critical section as the fabric operation it mirrors,
-// so the trace order IS the serialization order the fabric saw.
-type traceCap struct {
-	trace  trace.Trace
-	ids    map[int]int // fabric connection id -> trace-local id
-	nextID int
-}
-
-func newTraceCap() *traceCap {
-	return &traceCap{ids: make(map[int]int)}
-}
-
-// add records one Add outcome; connID is meaningful only for ok.
-func (tc *traceCap) add(c wdm.Connection, connID int, err error) {
-	if tc == nil {
-		return
-	}
-	ev := trace.Event{Op: trace.Add, Conn: c.Clone()}
-	switch {
-	case err == nil:
-		ev.Outcome = trace.OK
-		ev.ID = tc.nextID
-		tc.ids[connID] = tc.nextID
-		tc.nextID++
-	case multistage.IsBlocked(err):
-		ev.Outcome = trace.Blocked
-	default:
-		ev.Outcome = trace.Rejected
-	}
-	tc.trace.Events = append(tc.trace.Events, ev)
-}
-
-// release records one successful Release.
-func (tc *traceCap) release(connID int) {
-	if tc == nil {
-		return
-	}
-	tc.trace.Events = append(tc.trace.Events, trace.Event{Op: trace.Release, ID: tc.ids[connID]})
-	delete(tc.ids, connID)
-}
-
-// migrate records a failure-plane live migration in add/release
-// vocabulary: the fabric re-routed the connection under a stable id, so
-// the equivalent trace is release old; add same connection ok=new. A
-// replay routes the re-add with the then-current occupancy, which is
-// exactly the failure-plane situation being reproduced.
-func (tc *traceCap) migrate(connID int, c wdm.Connection) {
-	if tc == nil {
-		return
-	}
-	tc.trace.Events = append(tc.trace.Events, trace.Event{Op: trace.Release, ID: tc.ids[connID]})
-	delete(tc.ids, connID)
-	tc.add(c, connID, nil)
-}
-
-// branch records an AddBranch in add/release vocabulary. The fabric
-// implements a branch as release + add(grown) under a stable id,
-// restoring the original on a blocked grow, so the equivalent trace is:
-//
-//	ok:      release old; add grown ok=new
-//	blocked: release old; add grown blocked; add original ok=new
-//
-// (a rejected branch leaves the fabric untouched and records nothing).
-// On the blocked path the fabric reinstalls the exact original route
-// while a replay re-routes the original from scratch; the router is
-// deterministic, but the re-route may differ from the reinstalled
-// route, and Replay's divergence report flags any case where that
-// matters.
-func (tc *traceCap) branch(connID int, original, grown wdm.Connection, err error) {
-	if tc == nil {
-		return
-	}
-	if err != nil && !multistage.IsBlocked(err) {
-		return
-	}
-	tc.trace.Events = append(tc.trace.Events, trace.Event{Op: trace.Release, ID: tc.ids[connID]})
-	delete(tc.ids, connID)
-	if err == nil {
-		tc.add(grown, connID, nil)
-		return
-	}
-	tc.trace.Events = append(tc.trace.Events, trace.Event{Op: trace.Add, Conn: grown.Clone(), Outcome: trace.Blocked})
-	tc.add(original, connID, nil)
-}
-
 // Trace returns a snapshot of a fabric's captured serving history. It
 // reports false when the fabric index is out of range or capture is
 // disabled (Config.CaptureTrace unset).
@@ -182,12 +97,10 @@ func (ctl *Controller) Trace(fabric int) (*trace.Trace, bool) {
 		return nil, false
 	}
 	f := ctl.fabrics[fabric]
-	if f.cap == nil {
+	if f.rec == nil {
 		return nil, false
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	t := &trace.Trace{Events: make([]trace.Event, len(f.cap.trace.Events))}
-	copy(t.Events, f.cap.trace.Events)
-	return t, true
+	return &trace.Trace{Events: slices.Clone(f.rec.Trace().Events)}, true
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/durable"
-	"repro/internal/multistage"
 	"repro/internal/obs/span"
 	"repro/internal/switchd/api"
 	"repro/internal/wdm"
@@ -22,43 +21,34 @@ import (
 // router search runs, so a session set that was conflict-free before
 // the crash reinstalls without blocking by construction.
 //
-// Consistency design. Each operation's WAL append shares a critical
-// section with its table mutation (the session shard lock), so the
-// log order of records matches the order in which the table — and
-// through byConn, any snapshot — observed them. Three orderings carry
-// the correctness argument:
+// One rule orders the log. Every plane mutation changes the fabric,
+// updates the plane's connection -> session index (byConn) and enqueues
+// its record inside one critical section of that plane's lock, and
+// waits for the group commit only after releasing it. So the log holds
+// each plane's mutations in the order the fabric applied them, each
+// record carries the route the fabric held at that moment, and the
+// fold of any log prefix is a state the plane was in: a session's
+// connect record precedes the fail record that migrates it, and a
+// disconnect or drop precedes every connect that reuses its slots.
+// Combined with truncate-at-first-bad-frame recovery (a corrupted
+// record never hides an earlier one), every surviving prefix's final
+// session set is mutually conflict-free and rides no failed middle, so
+// Reinstall cannot fail at startup; a log that breaks this fails New
+// loudly, naming the session.
 //
-//   - Disconnect appends its record *before* releasing the fabric
-//     slots, so any later connect reusing those slots appends after
-//     it. Combined with truncate-at-first-bad-frame recovery (a
-//     corrupted record never hides an earlier one), every surviving
-//     log prefix's final session set is mutually conflict-free and
-//     Reinstall cannot fail at startup.
-//   - FailMiddle appends its record while still holding the fabric
-//     lock, so a connect admitted after the failure (whose route may
-//     reuse slots freed by dropped sessions) appends after the fail
-//     record that freed them.
-//   - Snapshots capture the synced sequence number *before* scanning
-//     fabric state, so the checkpoint is a superset of every record
-//     it claims to cover; tail records replay as idempotent upserts
-//     carrying absolute branch/migration counts.
+// A mutation the poisoned log refuses (lockPlane) changes nothing. Once
+// a mutation has applied it stands in memory; if its enqueue or wait
+// then fails, the caller sees storage_failed. Failure policy is
+// fail-stop: a write or fsync error poisons the log, every subsequent
+// mutating call returns ErrStorageFailed (storage_failed, HTTP 503),
+// and reads keep serving. Restarting the process recovers everything
+// that was acknowledged.
 //
-// Failure policy is fail-stop: a write or fsync error poisons the log,
-// every subsequent mutating call returns ErrStorageFailed
-// (storage_failed, HTTP 503), and reads keep serving. Restarting the
-// process recovers everything that was acknowledged.
-
-// connMeta is the fabric-side view of a session, keyed by fabric
-// connection id under the fabric mutex. It lets FailMiddle and the
-// snapshotter translate connection ids to session ids (and absolute
-// branch/migration counts) without touching the sharded session table,
-// which keeps snapshot capture free of shard locks and keeps the fail
-// record buildable inside the fabric critical section.
-type connMeta struct {
-	session    uint64
-	branches   int
-	migrations int
-}
+// Snapshots capture the synced sequence number before scanning the
+// planes, so a checkpoint is a superset of every record it claims to
+// cover, and are written only once every record the scan reflects is
+// durable; tail records replay as idempotent upserts carrying absolute
+// branch/migration counts.
 
 // openDurable opens (or creates) the write-ahead log under
 // cfg.DataDir for the fabric identity meta, reinstalls every recovered
@@ -138,14 +128,15 @@ func (ctl *Controller) reinstallRecovered(rec *durable.Recovery, sp *span.Span) 
 		if err != nil {
 			return fmt.Errorf("switchd: recovery: session %d connection: %w", sr.Session, err)
 		}
-		ctl.sessions.put(&session{
+		s := &session{
 			ID: sr.Session, Fabric: sr.Fabric, ConnID: connID,
-			Conn: conn.Normalize(), Branches: sr.Branches, Migrations: sr.Migrations,
-		})
-		f.byConn[connID] = &connMeta{session: sr.Session, branches: sr.Branches, migrations: sr.Migrations}
+			Conn: conn.Normalize(), Branches: sr.Branches,
+		}
+		s.Migrations.Store(int64(sr.Migrations))
+		ctl.sessions.shardFor(s.ID).m[s.ID] = s
+		f.byConn[connID] = s
 		ctl.active.Add(1)
 		ctl.admitted.Add(1)
-		ctl.metrics.perFabric[sr.Fabric].active.Add(1)
 		ctl.metrics.perFabric[sr.Fabric].routed.Add(1)
 	}
 	ctl.nextSession.Store(rec.NextSession)
@@ -168,177 +159,95 @@ func (ctl *Controller) reinstallRecovered(rec *durable.Recovery, sp *span.Span) 
 	return nil
 }
 
-// walAppend journals one record and waits for the group commit to make
-// it durable. A failure is wrapped in ErrStorageFailed; the log is
-// poisoned from that point on (fail-stop). pt (nil-safe) receives the
-// wait split into wal_append (frame + batch fsync) and repl_ack (the
-// Committer barrier's slice). When sp is an active sampled span, the
-// record also carries its traceparent, so a replication standby's
-// apply/fsync spans join this trace instead of starting orphans.
-func (ctl *Controller) walAppend(sp *span.Span, pt *phaseTimer, rec *durable.Record) error {
-	if sp.Active() {
-		rec.TP = sp.Traceparent()
-	}
+// lockPlane takes plane f's lock for one mutation, adding the wait to
+// lock_wait. While the durable log is poisoned it refuses instead and
+// leaves the lock free: a mutation refused before its record is
+// enqueued changes nothing.
+func (ctl *Controller) lockPlane(pt *phaseTimer, f *fabric) error {
 	start := time.Now()
-	seq, fsyncD, commitD, err := ctl.wal.AppendTimed(rec)
-	total := time.Since(start)
-	pt.add(phaseReplAck, commitD)
-	pt.add(phaseWALAppend, total-commitD)
-	if sp.Active() {
-		ws := sp.StartChild("wal.append")
-		ws.SetAttr("op", rec.Op)
-		if seq > 0 {
-			ws.SetAttr("seq", seq)
-		}
-		ws.SetAttr("fsync_us", fsyncD.Microseconds())
-		if commitD > 0 {
-			ws.SetAttr("repl_ack_us", commitD.Microseconds())
-		}
-		if err != nil {
-			ws.SetError(err.Error())
-		}
-		ws.End()
+	f.mu.Lock()
+	pt.add(phaseLockWait, time.Since(start))
+	if ctl.wal == nil {
+		return nil
 	}
-	if err != nil {
+	if err := ctl.wal.Err(); err != nil {
+		f.mu.Unlock()
 		return fmt.Errorf("%w: %v", ErrStorageFailed, err)
 	}
 	return nil
 }
 
-// commitConnect publishes a freshly routed session, in memory and
-// durable alike: under the session shard lock it confirms, under a
-// brief nested fabric lock (shard -> fabric is the repo-wide lock
-// order), that the fabric still holds the connection, then inserts the
-// session and, when durable, journals it with the route read at that
-// moment, so the recorded route is exactly what the fabric holds at the
-// record's log position. A FailMiddle that ran between the route and
-// this publish could not see the session in the table; if it dropped
-// the fresh route, the connect fails with ErrFabricFailed instead of
-// publishing a session the fabric no longer holds. On append failure
-// the connection is rolled back and never acknowledged.
-func (ctl *Controller) commitConnect(sp *span.Span, pt *phaseTimer, f *fabric, plane int, s *session) error {
-	sh := ctl.sessions.shardFor(s.ID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	var route multistage.RouteRecord
-	var ok bool
-	f.mu.Lock()
-	if ctl.wal != nil {
-		if route, ok = f.net.RouteRecord(s.ConnID); ok {
-			f.byConn[s.ConnID] = &connMeta{session: s.ID}
-		}
-	} else {
-		_, ok = f.net.Connection(s.ConnID)
-	}
-	f.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: fabric %d dropped connection %d before it was published", ErrFabricFailed, plane, s.ConnID)
-	}
-	sh.m[s.ID] = s
+// enqueue gives rec its log position; the caller holds the lock of the
+// plane rec mutates, so the log order is that plane's mutation order.
+// The time counts as wal_append. Without a data directory nothing is
+// journaled and the zero ticket comes back. When sp is an active
+// sampled span the record carries its traceparent, so a replication
+// standby's apply/fsync spans join this trace instead of starting
+// orphans.
+func (ctl *Controller) enqueue(sp *span.Span, pt *phaseTimer, rec *durable.Record) (durable.Ticket, error) {
 	if ctl.wal == nil {
-		return nil
+		return durable.Ticket{}, nil
 	}
-	err := ctl.walAppend(sp, pt, &durable.Record{
-		Op: durable.OpConnect, Session: s.ID, Fabric: plane, Route: &route,
-	})
-	if err == nil {
-		return nil
+	if sp.Active() {
+		rec.TP = sp.Traceparent()
 	}
-	// Roll back: the session was never acknowledged, so it must not
-	// survive in any state the log cannot reproduce.
-	delete(sh.m, s.ID)
-	f.mu.Lock()
-	delete(f.byConn, s.ConnID)
-	if rerr := f.net.Release(s.ConnID); rerr == nil {
-		f.cap.release(s.ConnID)
-	}
-	f.mu.Unlock()
-	return err
-}
-
-// commitBranch journals a successful AddBranch. The caller holds the
-// session shard lock and has already applied the grow; on append
-// failure the grow stays applied (tearing down a live receiver over a
-// bookkeeping error would be worse) and the caller surfaces
-// storage_failed — the client knows the branch may or may not survive
-// a crash, and every subsequent mutation fails anyway (fail-stop).
-func (ctl *Controller) commitBranch(sp *span.Span, pt *phaseTimer, f *fabric, s *session) error {
-	if ctl.wal == nil {
-		return nil
-	}
-	var route multistage.RouteRecord
-	var ok bool
-	f.mu.Lock()
-	route, ok = f.net.RouteRecord(s.ConnID)
-	if meta := f.byConn[s.ConnID]; meta != nil {
-		meta.branches = s.Branches
-	}
-	f.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("switchd: connection %d vanished before journaling", s.ConnID)
-	}
-	return ctl.walAppend(sp, pt, &durable.Record{
-		Op: durable.OpBranch, Session: s.ID, Fabric: s.Fabric,
-		Branches: s.Branches, Migrations: s.Migrations, Route: &route,
-	})
-}
-
-// commitDisconnect journals a disconnect before the fabric slots are
-// released (see the ordering argument in the package comment: the
-// record must precede any connect record that reuses the slots). The
-// byConn entry is removed first so a concurrent FailMiddle does not
-// journal a migration for a session whose disconnect record is
-// already ahead of it. The caller holds the session shard lock.
-func (ctl *Controller) commitDisconnect(sp *span.Span, pt *phaseTimer, s *session) error {
-	if ctl.wal == nil {
-		return nil
-	}
-	f := ctl.fabrics[s.Fabric]
-	f.mu.Lock()
-	meta := f.byConn[s.ConnID]
-	delete(f.byConn, s.ConnID)
-	f.mu.Unlock()
-	err := ctl.walAppend(sp, pt, &durable.Record{Op: durable.OpDisconnect, Session: s.ID})
+	start := time.Now()
+	t, err := ctl.wal.Enqueue(rec)
+	pt.add(phaseWALAppend, time.Since(start))
 	if err != nil {
-		f.mu.Lock()
-		if meta != nil {
-			f.byConn[s.ConnID] = meta
-		}
-		f.mu.Unlock()
+		return t, fmt.Errorf("%w: %v", ErrStorageFailed, err)
 	}
-	return err
+	return t, nil
 }
 
-// buildFailRecordLocked folds a middle failure into byConn and builds
-// the fail record: post-migration routes with absolute counts for the
-// survivors, session ids for the drops. Caller holds the fabric lock —
-// the record must be appended before the lock is released so no
-// post-failure connect (possibly reusing a dropped session's slots)
-// can journal ahead of it.
-func (ctl *Controller) buildFailRecordLocked(f *fabric, plane, middle int, migrations []multistage.Migration, droppedIDs []int) *durable.Record {
-	rec := &durable.Record{Op: durable.OpFail, Fabric: plane, Middle: middle}
-	for _, mig := range migrations {
-		meta := f.byConn[mig.ID]
-		if meta == nil {
-			continue
-		}
-		meta.migrations++
-		route, ok := f.net.RouteRecord(mig.ID)
-		if !ok {
-			continue
-		}
-		rec.Migrated = append(rec.Migrated, durable.SessionRoute{
-			Session: meta.session, Fabric: plane,
-			Branches: meta.branches, Migrations: meta.migrations, Route: route,
-		})
+// enqueueRoute journals op (connect or branch) for session s with the
+// route the fabric holds for it now. The caller holds s's plane lock.
+func (ctl *Controller) enqueueRoute(sp *span.Span, pt *phaseTimer, f *fabric, op string, s *session) (durable.Ticket, error) {
+	if ctl.wal == nil {
+		return durable.Ticket{}, nil
 	}
-	for _, id := range droppedIDs {
-		if meta := f.byConn[id]; meta != nil {
-			rec.Dropped = append(rec.Dropped, meta.session)
-			delete(f.byConn, id)
+	route, _ := f.net.RouteRecord(s.ConnID)
+	return ctl.enqueue(sp, pt, &durable.Record{
+		Op: op, Session: s.ID, Fabric: s.Fabric,
+		Branches: s.Branches, Migrations: int(s.Migrations.Load()), Route: &route,
+	})
+}
+
+// wait finishes a mutation once its plane lock is released: unless
+// err (the mutation's own outcome) is set, it blocks until the group
+// commit covering t is durable. A wait failure is wrapped in
+// ErrStorageFailed; the log is poisoned from that point on. pt
+// (nil-safe) receives the wait split into wal_append (batch fsync) and
+// repl_ack (the Committer barrier's slice), and an active span gets a
+// wal.append child with the batch's split. An error also marks sp.
+func (ctl *Controller) wait(sp *span.Span, pt *phaseTimer, op string, t durable.Ticket, err error) error {
+	if err == nil && t.Seq != 0 {
+		start := time.Now()
+		fsyncD, commitD, werr := ctl.wal.Wait(t)
+		total := time.Since(start)
+		pt.add(phaseReplAck, commitD)
+		pt.add(phaseWALAppend, total-commitD)
+		if sp.Active() {
+			ws := sp.StartChild("wal.append")
+			ws.SetAttr("op", op)
+			ws.SetAttr("seq", t.Seq)
+			ws.SetAttr("fsync_us", fsyncD.Microseconds())
+			if commitD > 0 {
+				ws.SetAttr("repl_ack_us", commitD.Microseconds())
+			}
+			if werr != nil {
+				ws.SetError(werr.Error())
+			}
+			ws.End()
+		}
+		if werr != nil {
+			err = fmt.Errorf("%w: %v", ErrStorageFailed, werr)
 		}
 	}
-	return rec
+	if err != nil {
+		sp.SetError(err.Error())
+	}
+	return err
 }
 
 // snapshotLoop checkpoints the controller state every interval until
@@ -363,8 +272,13 @@ func (ctl *Controller) snapshotLoop(interval time.Duration) {
 // data directory, then prunes log segments the checkpoint covers. The
 // synced sequence number is captured before the fabric scan, so every
 // record the snapshot claims to cover is reflected in it (records
-// landing during the scan replay idempotently on top). Safe to call
-// concurrently with serving; no session-shard lock is taken.
+// landing during the scan replay idempotently on top). The scan also
+// sees mutations whose records are still waiting for their group
+// commit, so the log is made durable through them before the file is
+// written: a crash right after the checkpoint must not replay an older
+// record, such as a connect on slots a later session now holds, over a
+// state its successors already changed. Safe to call concurrently with
+// serving; no session-shard lock is taken.
 func (ctl *Controller) WriteSnapshot() error {
 	if ctl.wal == nil {
 		return nil
@@ -374,7 +288,10 @@ func (ctl *Controller) WriteSnapshot() error {
 	snap := ctl.SnapshotState()
 	sp.SetAttr("sessions", len(snap.Sessions))
 	sp.SetAttr("last_seq", snap.LastSeq)
-	err := ctl.wal.WriteSnapshot(snap)
+	err := ctl.wal.Sync()
+	if err == nil {
+		err = ctl.wal.WriteSnapshot(snap)
+	}
 	if err != nil {
 		sp.SetError(err.Error())
 	}
@@ -394,14 +311,11 @@ func (ctl *Controller) SnapshotState() *durable.Snapshot {
 	}
 	for plane, f := range ctl.fabrics {
 		f.mu.Lock()
-		for connID, meta := range f.byConn {
-			route, ok := f.net.RouteRecord(connID)
-			if !ok {
-				continue
-			}
+		for connID, s := range f.byConn {
+			route, _ := f.net.RouteRecord(connID)
 			snap.Sessions = append(snap.Sessions, durable.SessionRoute{
-				Session: meta.session, Fabric: plane,
-				Branches: meta.branches, Migrations: meta.migrations, Route: route,
+				Session: s.ID, Fabric: plane,
+				Branches: s.Branches, Migrations: int(s.Migrations.Load()), Route: route,
 			})
 		}
 		if failed := f.net.FailedMiddles(); len(failed) > 0 {

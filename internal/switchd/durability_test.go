@@ -6,12 +6,20 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"log/slog"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/durable"
 	"repro/internal/multistage"
@@ -506,5 +514,232 @@ func fillToBound(t *testing.T, ctl *Controller, replicas int, dim wdm.Dim) {
 	}
 	if filled == 0 {
 		t.Fatal("fill phase found no free slots; churn left the fabric saturated")
+	}
+}
+
+// TestCrashRecoveryUnderFailures is the durable property behind the
+// log's ordering rule: churn workers connect, branch and disconnect on
+// every plane while a loop fails and repairs middles, a last failure
+// stays in place, and the process hard-stops. Every recovered session
+// must carry exactly the route, branch count and migration count it had
+// live at the crash, and no recovered route may ride a failed middle.
+// One spare middle above the bound keeps every request routable with
+// one middle down.
+func TestCrashRecoveryUnderFailures(t *testing.T) {
+	const (
+		replicas   = 2
+		perPlane   = 2
+		iterations = 60
+	)
+	rounds := 6
+	if testing.Short() {
+		rounds = 2
+	}
+	for round := 0; round < rounds; round++ {
+		cfg := durableConfig(t.TempDir(), replicas)
+		cfg.Fabric.M = boundFor(cfg.Fabric) + 1
+		ctl := newTestController(t, cfg)
+		p := ctl.Params()
+		dim := wdm.Dim{N: p.N, K: p.K}
+		ctx := context.Background()
+		rng := rand.New(rand.NewSource(int64(round)))
+
+		var wg sync.WaitGroup
+		errs := make([]error, replicas*perPlane)
+		for g := range errs {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				errs[g] = churnWorker(ctl, dim, g/perPlane, g%perPlane, perPlane, iterations, int64(100*round+g+1))
+			}(g)
+		}
+		stop := make(chan struct{})
+		loopDone := make(chan error, 1)
+		go func() {
+			for {
+				select {
+				case <-stop:
+					loopDone <- nil
+					return
+				default:
+				}
+				plane, mid := rng.Intn(replicas), rng.Intn(p.M)
+				if _, err := ctl.FailMiddle(ctx, plane, mid); err != nil {
+					loopDone <- err
+					return
+				}
+				if _, err := ctl.RepairMiddle(ctx, plane, mid); err != nil {
+					loopDone <- err
+					return
+				}
+			}
+		}()
+		wg.Wait()
+		close(stop)
+		if err := <-loopDone; err != nil {
+			t.Fatalf("round %d: fail/repair loop: %v", round, err)
+		}
+		for g, err := range errs {
+			if err != nil {
+				t.Fatalf("round %d: worker %d: %v", round, g, err)
+			}
+		}
+		if _, err := ctl.FailMiddle(ctx, 0, 0); err != nil {
+			t.Fatalf("round %d: final FailMiddle: %v", round, err)
+		}
+
+		live := ctl.SnapshotState()
+		if len(live.Sessions) == 0 {
+			t.Fatalf("round %d: churn left no live sessions to crash with", round)
+		}
+		ctl.Crash()
+		ctl2 := newTestController(t, cfg)
+		got := ctl2.SnapshotState()
+		if !reflect.DeepEqual(got.Sessions, live.Sessions) || !reflect.DeepEqual(got.Failed, live.Failed) {
+			t.Fatalf("round %d: recovered state diverges from the live state at the crash:\n live %+v %v\n got  %+v %v",
+				round, live.Sessions, live.Failed, got.Sessions, got.Failed)
+		}
+		for _, sr := range got.Sessions {
+			for _, leg := range sr.Route.In {
+				if slices.Contains(got.Failed[sr.Fabric], leg.Middle) {
+					t.Fatalf("round %d: recovered session %d rides failed middle %d on fabric %d", round, sr.Session, leg.Middle, sr.Fabric)
+				}
+			}
+		}
+		if err := ctl2.Close(); err != nil {
+			t.Fatalf("round %d: Close: %v", round, err)
+		}
+	}
+}
+
+// TestRecoveryRefusesRouteOnFailedMiddle replays the log an unordered
+// writer could leave: a fail record that migrates session 1 off middle
+// 0, followed by session 1's connect record with its route through
+// middle 0. The fold keeps the connect's route, which rides the failed
+// middle, so New must refuse the log and name the session and the
+// middle instead of serving light through a dead module.
+func TestRecoveryRefusesRouteOnFailedMiddle(t *testing.T) {
+	cfg := durableConfig(t.TempDir(), 1)
+	meta, err := cfg.DurableMeta()
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := multistage.New(meta.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := net.Add(mustParse(t, "0.0>5.0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, _ := net.RouteRecord(id)
+	if before.In[0].Middle != 0 {
+		t.Fatalf("route %+v does not ride middle 0", before)
+	}
+	net.FailMiddle(0)
+	if _, _, err := net.RerouteAroundReport(0); err != nil {
+		t.Fatal(err)
+	}
+	after, _ := net.RouteRecord(id)
+
+	wal, _, err := durable.Open(durable.Options{Dir: cfg.DataDir}, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []*durable.Record{
+		{Op: durable.OpFail, Middle: 0, Migrated: []durable.SessionRoute{{Session: 1, Migrations: 1, Route: after}}},
+		{Op: durable.OpConnect, Session: 1, Route: &before},
+	} {
+		if _, err := wal.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+	_, err = New(cfg)
+	if err == nil || !strings.Contains(err.Error(), "session 1") || !strings.Contains(err.Error(), "failed middle 0") {
+		t.Fatalf("New on a log with a route on a failed middle: %v, want an error naming session 1 and failed middle 0", err)
+	}
+}
+
+// TestSnapshotNeverAheadOfLog cuts the power right after a checkpoint.
+// A connect's record is fsynced but its group commit is held open (the
+// Committer blocks), and meanwhile the session is disconnected and its
+// slots reused by a new connect, whose records wait behind it. The
+// checkpoint's scan sees only the new session; if it were written
+// before those records were durable, the directory would hold the old
+// connect in the log tail and the new session in the snapshot, and
+// recovery would replay the one over the other and refuse the slot
+// clash. A copy of the directory taken when WriteSnapshot returns must
+// recover.
+func TestSnapshotNeverAheadOfLog(t *testing.T) {
+	dir := t.TempDir()
+	hold := make(chan struct{})
+	var armed atomic.Bool
+	cfg := durableConfig(dir, 1)
+	cfg.WALCommitter = func(uint64) {
+		if armed.Load() {
+			<-hold
+		}
+	}
+	ctl := newTestController(t, cfg)
+	defer ctl.Close()
+	ctx := context.Background()
+	conn := mustParse(t, "0.0>5.0")
+	until := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+
+	armed.Store(true)
+	done := make(chan error, 3)
+	go func() { _, _, err := ctl.Connect(ctx, conn, 0); done <- err }()
+	until("the first connect to publish", func() bool { return len(ctl.Sessions()) == 1 })
+	first := ctl.Sessions()[0].ID
+	go func() { done <- ctl.Disconnect(ctx, first) }()
+	until("the disconnect to release", func() bool { return len(ctl.Sessions()) == 0 })
+	go func() { _, _, err := ctl.Connect(ctx, conn, 0); done <- err }()
+	until("the second connect to publish", func() bool { return len(ctl.Sessions()) == 1 })
+
+	// Release the held group commit a little later: a checkpoint that
+	// waits for durability returns only then, one that does not returns
+	// at once, with the later records still buffered.
+	release := time.AfterFunc(50*time.Millisecond, func() { armed.Store(false); close(hold) })
+	defer release.Stop()
+	if err := ctl.WriteSnapshot(); err != nil {
+		t.Fatalf("WriteSnapshot: %v", err)
+	}
+	cut := t.TempDir()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(cut, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if err := <-done; err != nil {
+			t.Fatalf("mutation behind the held commit: %v", err)
+		}
+	}
+	rec, err := New(durableConfig(cut, 1))
+	if err != nil {
+		t.Fatalf("recovering the directory as WriteSnapshot left it: %v", err)
+	}
+	defer rec.Close()
+	if got := rec.Sessions(); len(got) != 1 || got[0].ID == first {
+		t.Fatalf("recovered %+v, want only the second session", got)
 	}
 }

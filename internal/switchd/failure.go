@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/durable"
-	"repro/internal/multistage"
 	"repro/internal/obs/span"
 	"repro/internal/switchd/api"
 )
@@ -20,8 +19,8 @@ import (
 // FailMiddle spends the budget: it marks the module failed, re-routes
 // every session riding it onto the spares in place — fabric connection
 // ids, and therefore session ids, survive the move — and mirrors the
-// move into the session table, the trace capture, the span tracer, and
-// the metrics. When failures eat through the spare margin the
+// move into the sessions, the trace capture, the span tracer, and the
+// metrics. When failures eat through the spare margin the
 // controller degrades: the admission cap is derated in proportion to
 // the surviving middle capacity of each plane, so the fraction of
 // traffic the weakened fabric can still serve nonblocking is the
@@ -31,8 +30,9 @@ import (
 // failed and live-migrates every session riding it. Sessions that no
 // spare capacity can carry are dropped (released and removed from the
 // table). Failure-plane operations are serialized by failMu; each takes
-// the target plane's fabric lock for the mark-and-migrate itself, so
-// serving on other planes is never stalled.
+// the target plane's fabric lock for the mark-and-migrate and its
+// record (see durability.go), so serving on other planes is never
+// stalled.
 func (ctl *Controller) FailMiddle(ctx context.Context, plane, middle int) (api.FailReport, error) {
 	_, sp := span.Start(ctx, "switchd.fail_middle")
 	defer sp.End()
@@ -48,95 +48,76 @@ func (ctl *Controller) FailMiddle(ctx context.Context, plane, middle int) (api.F
 	defer ctl.failMu.Unlock()
 
 	f := ctl.fabrics[plane]
-	var (
-		migrations []multistage.Migration
-		droppedIDs []int
-		failedNow  int
-		opErr      error
-		walErr     error
-	)
-	func() {
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		if err := f.net.FailMiddle(middle); err != nil {
-			opErr = &api.Error{Code: api.CodeNotFound, Message: err.Error()}
-			return
-		}
-		migrations, droppedIDs, opErr = f.net.RerouteAroundReport(middle)
-		for _, mig := range migrations {
-			if c, ok := f.net.Connection(mig.ID); ok {
-				f.cap.migrate(mig.ID, c)
-			}
-		}
-		for _, id := range droppedIDs {
-			f.cap.release(id)
-		}
-		failedNow = len(f.net.FailedMiddles())
-		// Journal while still holding the fabric lock: a connect
-		// admitted after this failure may reuse slots the dropped
-		// sessions freed, and its record must land after this one.
-		if ctl.wal != nil && opErr == nil {
-			rec := ctl.buildFailRecordLocked(f, plane, middle, migrations, droppedIDs)
-			walErr = ctl.walAppend(sp, nil, rec)
-		}
-	}()
-	if opErr != nil {
-		sp.SetError(opErr.Error())
-		if _, ok := opErr.(*api.Error); ok {
-			return api.FailReport{}, opErr
-		}
+	if err := ctl.lockPlane(nil, f); err != nil {
+		sp.SetError(err.Error())
+		return api.FailReport{}, err
+	}
+	if err := f.net.FailMiddle(middle); err != nil {
+		f.mu.Unlock()
+		apiErr := &api.Error{Code: api.CodeNotFound, Message: err.Error()}
+		sp.SetError(apiErr.Error())
+		return api.FailReport{}, apiErr
+	}
+	migrations, droppedIDs, err := f.net.RerouteAroundReport(middle)
+	if err != nil {
+		f.mu.Unlock()
 		// A re-route bookkeeping failure is a controller invariant
 		// violation, not a client error; surface it loudly.
-		return api.FailReport{}, fmt.Errorf("switchd: re-routing around fabric %d middle %d: %w", plane, middle, opErr)
+		err = fmt.Errorf("switchd: re-routing around fabric %d middle %d: %w", plane, middle, err)
+		sp.SetError(err.Error())
+		return api.FailReport{}, err
 	}
+	// byConn names the session of every connection the fabric moved or
+	// dropped: the report, the trace and the record come from it, so
+	// every affected session is listed.
+	rep := api.FailReport{Fabric: plane, Middle: middle, Affected: len(migrations) + len(droppedIDs)}
+	rec := &durable.Record{Op: durable.OpFail, Fabric: plane, Middle: middle}
+	for _, mig := range migrations {
+		s := f.byConn[mig.ID]
+		s.Migrations.Add(1)
+		f.rec.Migrated(mig.ID, s.Conn)
+		rep.Migrated = append(rep.Migrated, s.ID)
+		route, _ := f.net.RouteRecord(mig.ID)
+		rec.Migrated = append(rec.Migrated, durable.SessionRoute{
+			Session: s.ID, Fabric: plane,
+			Branches: s.Branches, Migrations: int(s.Migrations.Load()), Route: route,
+		})
+		msp := sp.StartChild("session.migrate")
+		msp.SetAttr("session", s.ID)
+		msp.SetAttr("from", mig.From)
+		msp.SetAttr("to", mig.To)
+		msp.End()
+	}
+	dropped := make([]*session, 0, len(droppedIDs))
+	for _, id := range droppedIDs {
+		s := f.byConn[id]
+		delete(f.byConn, id)
+		f.rec.Released(id)
+		dropped = append(dropped, s)
+		rep.Dropped = append(rep.Dropped, s.ID)
+		dsp := sp.StartChild("session.drop")
+		dsp.SetAttr("session", s.ID)
+		dsp.SetError("no spare middle capacity")
+		dsp.End()
+	}
+	rec.Dropped = rep.Dropped
+	failedNow := len(f.net.FailedMiddles())
+	tk, walErr := ctl.enqueue(sp, nil, rec)
+	f.mu.Unlock()
 
-	// Publish the new failed count before touching the session table so
-	// admission and routing stop considering the module immediately.
+	// Admission and the derater stop counting the module.
 	ctl.metrics.perFabric[plane].failedMiddles.Store(int64(failedNow))
 	ctl.recomputeDegradedLocked()
-
-	// Mirror the migration into the session table. The fabric lock is
-	// released; lock order stays shard -> fabric. Fabric connection ids
-	// are never reused, so matching by (plane, ConnID) cannot confuse a
-	// concurrent new session with a migrated or dropped one.
-	migratedSet := make(map[int]*multistage.Migration, len(migrations))
-	for i := range migrations {
-		migratedSet[migrations[i].ID] = &migrations[i]
-	}
-	droppedSet := make(map[int]bool, len(droppedIDs))
-	for _, id := range droppedIDs {
-		droppedSet[id] = true
-	}
-	rep := api.FailReport{Fabric: plane, Middle: middle, Affected: len(migrations) + len(droppedIDs)}
-	for _, sh := range ctl.sessions.shards {
+	// Dropped sessions leave the table. Lock order is shard -> fabric,
+	// so this runs after the plane lock is released and locks only the
+	// dropped sessions' shards; session ids are never reused.
+	for _, s := range dropped {
+		sh := ctl.sessions.shardFor(s.ID)
 		sh.mu.Lock()
-		for id, s := range sh.m {
-			if s.Fabric != plane {
-				continue
-			}
-			if mig, ok := migratedSet[s.ConnID]; ok {
-				s.Migrations++
-				rep.Migrated = append(rep.Migrated, id)
-				msp := sp.StartChild("session.migrate")
-				msp.SetAttr("session", id)
-				msp.SetAttr("from", mig.From)
-				msp.SetAttr("to", mig.To)
-				msp.End()
-				continue
-			}
-			if droppedSet[s.ConnID] {
-				delete(sh.m, id)
-				ctl.active.Add(-1)
-				ctl.admitted.Add(-1)
-				ctl.metrics.perFabric[plane].active.Add(-1)
-				rep.Dropped = append(rep.Dropped, id)
-				dsp := sp.StartChild("session.drop")
-				dsp.SetAttr("session", id)
-				dsp.SetError("no spare middle capacity")
-				dsp.End()
-			}
-		}
+		delete(sh.m, s.ID)
 		sh.mu.Unlock()
+		ctl.active.Add(-1)
+		ctl.admitted.Add(-1)
 	}
 	ctl.metrics.migrated.Add(int64(len(rep.Migrated)))
 	ctl.metrics.dropped.Add(int64(len(rep.Dropped)))
@@ -145,13 +126,11 @@ func (ctl *Controller) FailMiddle(ctx context.Context, plane, middle int) (api.F
 		"fabric", plane, "middle", middle,
 		"migrated", len(rep.Migrated), "dropped", len(rep.Dropped),
 		"health", rep.Health.Status, "effective_max", rep.Health.EffectiveMaxSessions)
-	if walErr != nil {
-		// The failure and migration applied; the durable log did not
-		// record them. Surface storage_failed — the in-memory state is
-		// authoritative until restart, and the poisoned log fails every
-		// later mutation anyway.
-		sp.SetError(walErr.Error())
-		return api.FailReport{}, walErr
+	// The failure and migration stand even when the log did not record
+	// them: the in-memory state is authoritative until restart, and the
+	// poisoned log fails every later mutation anyway.
+	if err := ctl.wait(sp, nil, durable.OpFail, tk, walErr); err != nil {
+		return api.FailReport{}, err
 	}
 	return rep, nil
 }
@@ -173,32 +152,24 @@ func (ctl *Controller) RepairMiddle(ctx context.Context, plane, middle int) (api
 	defer ctl.failMu.Unlock()
 
 	f := ctl.fabrics[plane]
-	var failedNow int
-	var opErr, walErr error
-	func() {
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		if err := f.net.RepairMiddle(middle); err != nil {
-			opErr = &api.Error{Code: api.CodeNotFound, Message: err.Error()}
-			return
-		}
-		failedNow = len(f.net.FailedMiddles())
-		// Journal under the fabric lock so any connect routed through
-		// the repaired module appends after the repair record.
-		if ctl.wal != nil {
-			walErr = ctl.walAppend(sp, nil, &durable.Record{Op: durable.OpRepair, Fabric: plane, Middle: middle})
-		}
-	}()
-	if opErr != nil {
-		sp.SetError(opErr.Error())
-		return api.RepairReport{}, opErr
+	if err := ctl.lockPlane(nil, f); err != nil {
+		sp.SetError(err.Error())
+		return api.RepairReport{}, err
 	}
-	if walErr != nil {
-		sp.SetError(walErr.Error())
-		return api.RepairReport{}, walErr
+	if err := f.net.RepairMiddle(middle); err != nil {
+		f.mu.Unlock()
+		apiErr := &api.Error{Code: api.CodeNotFound, Message: err.Error()}
+		sp.SetError(apiErr.Error())
+		return api.RepairReport{}, apiErr
 	}
+	failedNow := len(f.net.FailedMiddles())
+	tk, walErr := ctl.enqueue(sp, nil, &durable.Record{Op: durable.OpRepair, Fabric: plane, Middle: middle})
+	f.mu.Unlock()
 	ctl.metrics.perFabric[plane].failedMiddles.Store(int64(failedNow))
 	ctl.recomputeDegradedLocked()
+	if err := ctl.wait(sp, nil, durable.OpRepair, tk, walErr); err != nil {
+		return api.RepairReport{}, err
+	}
 	rep := api.RepairReport{Fabric: plane, Middle: middle, Health: ctl.Health()}
 	ctl.logger.Info("middle module repaired",
 		"fabric", plane, "middle", middle,

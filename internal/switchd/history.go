@@ -87,7 +87,7 @@ var (
 // count them, and the connect and branch latency histograms with the
 // observations above the threshold bucket.
 func (m *Metrics) sloCounts() slo.Counts {
-	bad := m.blocked.Load()
+	bad := m.Blocked()
 	c := slo.Counts{Ops: m.connectOK.Load() + m.branchOK.Load() + bad, Bad: bad}
 	for _, h := range [...]*latencyHist{m.connectLat, m.branchLat} {
 		for i := range h.buckets {

@@ -101,12 +101,13 @@ func (h *latencyHist) writeProm(w *obs.PromWriter, name, help string, labels ...
 // plane's failed middle-module count, a gauge and the only stored copy:
 // the failure plane and recovery store it (under failMu), and
 // admission (fabricDead), the degraded-mode derater and Snapshot read
-// it.
+// it. The plane's live connection count has one copy too, its
+// backend's Len, which Snapshot reads through plane.
 type fabricMetrics struct {
 	routed        atomic.Int64
 	blocked       atomic.Int64
-	active        atomic.Int64
 	failedMiddles atomic.Int64
+	plane         *fabric
 }
 
 // Metrics is the controller's counter registry. All counters are
@@ -125,7 +126,6 @@ type Metrics struct {
 	connectOK    atomic.Int64
 	branchOK     atomic.Int64
 	disconnectOK atomic.Int64
-	blocked      atomic.Int64
 	inadmissible atomic.Int64
 	capRejects   atomic.Int64
 	drainRejects atomic.Int64
@@ -176,8 +176,14 @@ func newMetrics(p multistage.Params, replicas int) *Metrics {
 }
 
 // Blocked returns the total blocking events observed (Connect and
-// AddBranch combined, all fabrics).
-func (m *Metrics) Blocked() int64 { return m.blocked.Load() }
+// AddBranch combined): the sum of the per-plane counts.
+func (m *Metrics) Blocked() int64 {
+	var n int64
+	for _, f := range m.perFabric {
+		n += f.blocked.Load()
+	}
+	return n
+}
 
 // Routed returns the total successful Connect count.
 func (m *Metrics) Routed() int64 { return m.connectOK.Load() }
@@ -193,6 +199,7 @@ func (h *latencyHist) snapshot(op string) OpLatency {
 }
 
 // FabricSnapshot is one replica's counters in a metrics Snapshot.
+// Active is the plane's live connection count, read from its backend.
 type FabricSnapshot struct {
 	Routed  int64 `json:"routed"`
 	Blocked int64 `json:"blocked"`
@@ -238,7 +245,8 @@ type Snapshot struct {
 	PerFabric []FabricSnapshot `json:"per_fabric"`
 }
 
-// Snapshot assembles the current counter values.
+// Snapshot assembles the current counter values; it locks each plane
+// briefly to read the plane's live connection count.
 func (m *Metrics) Snapshot() Snapshot {
 	s := Snapshot{
 		Model:            m.model,
@@ -247,7 +255,7 @@ func (m *Metrics) Snapshot() Snapshot {
 		ConnectOK:        m.connectOK.Load(),
 		BranchOK:         m.branchOK.Load(),
 		DisconnectOK:     m.disconnectOK.Load(),
-		Blocked:          m.blocked.Load(),
+		Blocked:          m.Blocked(),
 		Inadmissible:     m.inadmissible.Load(),
 		CapRejects:       m.capRejects.Load(),
 		DrainRejects:     m.drainRejects.Load(),
@@ -265,10 +273,13 @@ func (m *Metrics) Snapshot() Snapshot {
 		}
 	}
 	for _, f := range m.perFabric {
+		f.plane.mu.Lock()
+		active := f.plane.net.Len()
+		f.plane.mu.Unlock()
 		s.PerFabric = append(s.PerFabric, FabricSnapshot{
 			Routed:        f.routed.Load(),
 			Blocked:       f.blocked.Load(),
-			Active:        f.active.Load(),
+			Active:        int64(active),
 			FailedMiddles: int(f.failedMiddles.Load()),
 		})
 	}

@@ -131,9 +131,6 @@ func (ctl *Controller) WriteProm(w *obs.PromWriter) {
 	// goroutines) from runtime/metrics.
 	prof.WriteRuntimeProm(w)
 
-	_, totalIncidents := ctl.blockLog.snapshot()
-	w.Counter("wdm_block_incidents_total", "Blocking incidents recorded by the forensics ring buffer.", float64(totalIncidents))
-
 	if ctl.tracer != nil {
 		kept, dropped := ctl.tracer.Stats()
 		w.Counter("wdm_traces_kept_total", "Completed traces kept by tail sampling.", float64(kept))

@@ -2,13 +2,18 @@ package switchd
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/switchd/api"
 	"repro/internal/wdm"
 )
 
 // session is the controller's record of one live multicast connection.
-// It is guarded by its shard's mutex.
+// Its shard and its plane's byConn index hold the same pointer. ID,
+// Fabric and ConnID never change. Conn and Branches change only under
+// both the shard lock and the plane lock (AddBranch), so either lock
+// reads them; Migrations changes under the plane lock alone (the
+// failure plane), so it is atomic.
 type session struct {
 	ID       uint64
 	Fabric   int // replica index
@@ -17,7 +22,7 @@ type session struct {
 	Branches int // successful AddBranch count
 	// Migrations counts how many times the failure plane moved this
 	// session's route off a failed middle module.
-	Migrations int
+	Migrations atomic.Int64
 }
 
 func (s *session) info() api.SessionInfo {
@@ -27,7 +32,7 @@ func (s *session) info() api.SessionInfo {
 		Conn:       wdm.FormatConnection(s.Conn),
 		Fanout:     s.Conn.Fanout(),
 		Branches:   s.Branches,
-		Migrations: s.Migrations,
+		Migrations: int(s.Migrations.Load()),
 	}
 }
 
@@ -57,13 +62,6 @@ func newSessionTable(shards int) *sessionTable {
 // (an atomic counter), so the modulus spreads them uniformly.
 func (t *sessionTable) shardFor(id uint64) *sessionShard {
 	return t.shards[id%uint64(len(t.shards))]
-}
-
-func (t *sessionTable) put(s *session) {
-	sh := t.shardFor(s.ID)
-	sh.mu.Lock()
-	sh.m[s.ID] = s
-	sh.mu.Unlock()
 }
 
 // len counts live sessions across all shards.

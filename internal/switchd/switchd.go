@@ -33,8 +33,8 @@
 // funnels through a single lock. Lock order is always shard -> fabric;
 // no path takes them in the other order, so the pair cannot deadlock.
 // The failure plane adds failMu, which serializes fail/repair
-// operations against each other only; it is never held together with a
-// shard or fabric lock.
+// operations against each other only; it is taken before any shard or
+// fabric lock and never while holding one.
 package switchd
 
 import (
@@ -54,6 +54,7 @@ import (
 	"repro/internal/obs/span"
 	"repro/internal/obs/tsdb"
 	"repro/internal/switchd/api"
+	"repro/internal/trace"
 	"repro/internal/wdm"
 )
 
@@ -178,18 +179,21 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// fabric is one serialized switching plane. cap, when non-nil, records
-// the plane's serving history; it is guarded by mu like the network.
-// byConn (guarded by mu) maps live fabric connection ids to their
-// durable-state metadata; it is only populated when the durable log is
-// enabled. The plane's failed-middle count lives in the metrics
-// registry (fabricMetrics.failedMiddles), where admission reads it
-// without the fabric lock.
+// fabric is one serialized switching plane. mu guards the network, the
+// trace recorder (nil unless Config.CaptureTrace) and byConn, the
+// plane's connection -> session index: it holds the table's *session
+// for every connection the network holds, because every mutation
+// updates the network and the index in one critical section. The
+// failure plane and the snapshotter translate connection ids to
+// sessions through it without touching the session table. The plane's
+// failed-middle count lives in the metrics registry
+// (fabricMetrics.failedMiddles), where admission reads it without the
+// fabric lock.
 type fabric struct {
 	mu     sync.Mutex
 	net    backend.Backend
-	cap    *traceCap
-	byConn map[int]*connMeta
+	rec    *trace.Recorder
+	byConn map[int]*session
 }
 
 // Controller is the live control plane. All methods are safe for
@@ -221,8 +225,8 @@ type Controller struct {
 	draining atomic.Bool
 
 	// failMu serializes failure-plane operations (FailMiddle /
-	// RepairMiddle) and the degraded-state recompute. It is never held
-	// together with a shard or fabric lock.
+	// RepairMiddle) and the degraded-state recompute. It is taken before
+	// any shard or fabric lock, never while holding one.
 	failMu sync.Mutex
 	// effectiveCap is the admission cap Connect enforces: MaxSessions
 	// normally, derated below it in degraded mode (0 = unlimited).
@@ -310,11 +314,12 @@ func New(cfg Config) (*Controller, error) {
 		if err != nil {
 			return nil, fmt.Errorf("switchd: building fabric replica %d: %w", i, err)
 		}
-		f := &fabric{net: net, byConn: make(map[int]*connMeta)}
+		f := &fabric{net: net, byConn: make(map[int]*session)}
 		if cfg.CaptureTrace {
-			f.cap = newTraceCap()
+			f.rec = trace.NewRecorder(net, multistage.IsBlocked)
 		}
 		ctl.fabrics = append(ctl.fabrics, f)
+		ctl.metrics.perFabric[i].plane = f
 	}
 	if cfg.DataDir != "" {
 		if err := ctl.openDurable(meta); err != nil {
@@ -354,8 +359,12 @@ func (ctl *Controller) Metrics() *Metrics { return ctl.metrics }
 // tracer: every middle-stage decision of one fabric operation becomes a
 // leaf span under parent. Rejection steps (everything but "selected")
 // are marked blocked — they only ever fire on a blocking event, so a
-// blocked trace always carries its per-middle rejection spans.
+// blocked trace always carries its per-middle rejection spans. An
+// unsampled parent gets no observer (nil).
 func routeSpanObserver(parent *span.Span) func(multistage.RouteStep) {
+	if !parent.Active() {
+		return nil
+	}
 	return func(step multistage.RouteStep) {
 		ms := parent.StartChild("route.middle")
 		ms.SetAttr("middle", step.Middle)
@@ -441,13 +450,13 @@ func (ctl *Controller) connect(ctx context.Context, pt *phaseTimer, c wdm.Connec
 		sp.SetError(ErrDraining.Error())
 		return 0, 0, ErrDraining
 	}
-	// Admission control: claim a slot optimistically, release on any
-	// failure. This never lets more than the effective cap through even
-	// under concurrent contention; the price is that a burst of requests
-	// that will fail anyway can transiently hold slots and 429 a request
-	// that would have routed. Slots are tracked separately from the
-	// routed-session count, so in-flight attempts never appear in
-	// ActiveSessions/Status.
+	// Admission control: claim a slot optimistically, release it unless
+	// a session is published. This never lets more than the effective
+	// cap through even under concurrent contention; the price is that a
+	// burst of requests that will fail anyway can transiently hold slots
+	// and 429 a request that would have routed. Slots are tracked
+	// separately from the routed-session count, so in-flight attempts
+	// never appear in ActiveSessions/Status.
 	if cap := ctl.effectiveCap.Load(); cap > 0 {
 		if ctl.admitted.Add(1) > cap {
 			ctl.admitted.Add(-1)
@@ -458,8 +467,9 @@ func (ctl *Controller) connect(ctx context.Context, pt *phaseTimer, c wdm.Connec
 	} else {
 		ctl.admitted.Add(1)
 	}
+	published := false
 	defer func() {
-		if err != nil {
+		if !published {
 			ctl.admitted.Add(-1)
 		}
 	}()
@@ -479,68 +489,80 @@ func (ctl *Controller) connect(ctx context.Context, pt *phaseTimer, c wdm.Connec
 		sp.SetError(cerr.Error())
 		return 0, 0, cerr
 	}
+	f := ctl.fabrics[plane]
+	sh := ctl.sessions.shardFor(id)
+	sh.mu.Lock()
 	pt.add(phaseAdmission, time.Since(admStart))
 
-	f := ctl.fabrics[plane]
-	var connID int
-	var addErr error
-	var elapsed, lockWait time.Duration
+	// Route, publish and enqueue the record in one plane critical
+	// section (see durability.go); wait for durability after it.
 	_, fabSp := span.Start(ctx, "fabric.add")
 	fabSp.SetAttr("fabric", plane)
-	lockStart := time.Now()
-	func() {
-		f.mu.Lock()
-		lockWait = time.Since(lockStart)
-		defer f.mu.Unlock()
-		if fabSp.Active() {
-			f.net.SetRouteObserver(routeSpanObserver(fabSp))
-			defer f.net.SetRouteObserver(nil)
-		}
-		start := time.Now()
-		connID, addErr = f.net.Add(c)
-		elapsed = time.Since(start)
-		f.cap.add(c, connID, addErr)
-	}()
-	pt.add(phaseLockWait, lockWait)
-	pt.add(phaseRouteSearch, elapsed)
-
-	ctl.metrics.connectLat.observeEx(elapsed, sp.TraceID())
-	switch {
-	case addErr == nil:
-		ctl.metrics.perFabric[plane].routed.Add(1)
-		ctl.metrics.perFabric[plane].active.Add(1)
+	if err = ctl.lockPlane(pt, f); err != nil {
+		sh.mu.Unlock()
+		fabSp.SetError(err.Error())
 		fabSp.End()
-	case multistage.IsBlocked(addErr):
-		ctl.metrics.perFabric[plane].blocked.Add(1)
-		ctl.metrics.blocked.Add(1)
-		fabSp.SetBlocked(addErr.Error())
-		fabSp.End()
-		rep, _ := multistage.AsBlockReport(addErr)
-		ctl.blockLog.record(BlockIncident{
-			Time: time.Now(), Op: "connect", Fabric: plane, TraceID: sp.TraceID(),
-			Conn: wdm.FormatConnection(c), Error: addErr.Error(), Report: rep,
-		})
-		return 0, plane, addErr
-	default:
-		ctl.metrics.inadmissible.Add(1)
-		fabSp.SetError(addErr.Error())
-		fabSp.End()
-		return 0, plane, addErr
-	}
-
-	// Publish the session: table insert plus (when durable) the WAL
-	// append, in one shard-lock critical section, so the log's record
-	// order matches the table's. A journaling failure rolls the route
-	// back — the session was never acknowledged.
-	s := &session{ID: id, Fabric: plane, ConnID: connID, Conn: c.Normalize()}
-	if err = ctl.commitConnect(sp, pt, f, plane, s); err != nil {
-		ctl.metrics.perFabric[plane].active.Add(-1)
 		sp.SetError(err.Error())
 		return 0, plane, err
 	}
-	ctl.metrics.connectOK.Add(1)
-	ctl.active.Add(1)
+	f.net.SetRouteObserver(routeSpanObserver(fabSp))
+	start := time.Now()
+	connID, addErr := f.net.Add(c)
+	elapsed := time.Since(start)
+	pt.add(phaseRouteSearch, elapsed)
+	f.net.SetRouteObserver(nil)
+	f.rec.Added(c, connID, addErr)
+	var tk durable.Ticket
+	if addErr == nil {
+		s := &session{ID: id, Fabric: plane, ConnID: connID, Conn: c.Normalize()}
+		f.byConn[connID] = s
+		sh.m[id] = s
+		ctl.active.Add(1)
+		published = true
+		tk, err = ctl.enqueueRoute(sp, pt, f, durable.OpConnect, s)
+	}
+	f.mu.Unlock()
+	sh.mu.Unlock()
+	ctl.routed(sp, fabSp, plane, 0, c, elapsed, addErr)
+	if addErr != nil {
+		return 0, plane, addErr
+	}
+	if err = ctl.wait(sp, pt, durable.OpConnect, tk, err); err != nil {
+		return 0, plane, err
+	}
 	return id, plane, nil
+}
+
+// routed classifies a connect or branch outcome in one place: the
+// operation's latency histogram, the registry's counters, the fabric
+// span, and for a block a forensics incident. session is the branch's
+// session id, 0 for a connect; c is the connection the fabric was asked
+// to route.
+func (ctl *Controller) routed(sp, fabSp *span.Span, plane int, session uint64, c wdm.Connection, elapsed time.Duration, err error) {
+	op, lat := "connect", ctl.metrics.connectLat
+	if session != 0 {
+		op, lat = "branch", ctl.metrics.branchLat
+	}
+	lat.observeEx(elapsed, sp.TraceID())
+	switch {
+	case err == nil && session == 0:
+		ctl.metrics.perFabric[plane].routed.Add(1)
+		ctl.metrics.connectOK.Add(1)
+	case err == nil:
+		ctl.metrics.branchOK.Add(1)
+	case multistage.IsBlocked(err):
+		ctl.metrics.perFabric[plane].blocked.Add(1)
+		fabSp.SetBlocked(err.Error())
+		rep, _ := multistage.AsBlockReport(err)
+		ctl.blockLog.record(BlockIncident{
+			Time: time.Now(), Op: op, Fabric: plane, Session: session, TraceID: sp.TraceID(),
+			Conn: wdm.FormatConnection(c), Error: err.Error(), Report: rep,
+		})
+	default:
+		ctl.metrics.inadmissible.Add(1)
+		fabSp.SetError(err.Error())
+	}
+	fabSp.End()
 }
 
 // AddBranch grows session id by additional destination slots (a new
@@ -572,9 +594,9 @@ func (ctl *Controller) addBranch(ctx context.Context, pt *phaseTimer, id uint64,
 	}
 	sh := ctl.sessions.shardFor(id)
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	s, ok := sh.m[id]
 	if !ok {
+		sh.mu.Unlock()
 		err := fmt.Errorf("%w: %d", ErrUnknownSession, id)
 		sp.SetError(err.Error())
 		return err
@@ -587,60 +609,37 @@ func (ctl *Controller) addBranch(ctx context.Context, pt *phaseTimer, id uint64,
 	grown = grown.Normalize()
 	sp.SetAttr("connection", wdm.FormatConnection(grown))
 	pt.add(phaseAdmission, time.Since(admStart))
-	var err error
-	var elapsed, lockWait time.Duration
+
 	_, fabSp := span.Start(ctx, "fabric.branch")
 	fabSp.SetAttr("fabric", s.Fabric)
-	lockStart := time.Now()
-	func() {
-		f.mu.Lock()
-		lockWait = time.Since(lockStart)
-		defer f.mu.Unlock()
-		if fabSp.Active() {
-			f.net.SetRouteObserver(routeSpanObserver(fabSp))
-			defer f.net.SetRouteObserver(nil)
-		}
-		start := time.Now()
-		err = f.net.AddBranch(s.ConnID, dests...)
-		elapsed = time.Since(start)
-		f.cap.branch(s.ConnID, original, grown, err)
-	}()
-	pt.add(phaseLockWait, lockWait)
-	pt.add(phaseRouteSearch, elapsed)
-	ctl.metrics.branchLat.observeEx(elapsed, sp.TraceID())
-	switch {
-	case err == nil:
-		s.Conn = grown
-		s.Branches++
-		fabSp.End()
-		// Journal the grown route. On failure the grow stays applied —
-		// tearing down a live receiver over a bookkeeping error would be
-		// worse — but the caller sees storage_failed: the branch may not
-		// survive a crash, and the poisoned log fails every later
-		// mutation anyway.
-		if werr := ctl.commitBranch(sp, pt, f, s); werr != nil {
-			sp.SetError(werr.Error())
-			return werr
-		}
-		ctl.metrics.branchOK.Add(1)
-		return nil
-	case multistage.IsBlocked(err):
-		ctl.metrics.perFabric[s.Fabric].blocked.Add(1)
-		ctl.metrics.blocked.Add(1)
-		fabSp.SetBlocked(err.Error())
-		fabSp.End()
-		rep, _ := multistage.AsBlockReport(err)
-		ctl.blockLog.record(BlockIncident{
-			Time: time.Now(), Op: "branch", Fabric: s.Fabric, Session: id, TraceID: sp.TraceID(),
-			Conn: wdm.FormatConnection(grown), Error: err.Error(), Report: rep,
-		})
-		return err
-	default:
-		ctl.metrics.inadmissible.Add(1)
+	err := ctl.lockPlane(pt, f)
+	if err != nil {
+		sh.mu.Unlock()
 		fabSp.SetError(err.Error())
 		fabSp.End()
+		sp.SetError(err.Error())
 		return err
 	}
+	f.net.SetRouteObserver(routeSpanObserver(fabSp))
+	start := time.Now()
+	growErr := f.net.AddBranch(s.ConnID, dests...)
+	elapsed := time.Since(start)
+	pt.add(phaseRouteSearch, elapsed)
+	f.net.SetRouteObserver(nil)
+	f.rec.Branched(s.ConnID, original, grown, growErr)
+	var tk durable.Ticket
+	if growErr == nil {
+		s.Conn = grown
+		s.Branches++
+		tk, err = ctl.enqueueRoute(sp, pt, f, durable.OpBranch, s)
+	}
+	f.mu.Unlock()
+	sh.mu.Unlock()
+	ctl.routed(sp, fabSp, s.Fabric, id, grown, elapsed, growErr)
+	if growErr != nil {
+		return growErr
+	}
+	return ctl.wait(sp, pt, durable.OpBranch, tk, err)
 }
 
 // Disconnect tears down a session and frees every slot and link
@@ -663,55 +662,41 @@ func (ctl *Controller) disconnect(ctx context.Context, pt *phaseTimer, id uint64
 	}
 	sh := ctl.sessions.shardFor(id)
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if err := ctl.disconnectLocked(sp, pt, sh, id); err != nil {
-		sp.SetError(err.Error())
-		return err
-	}
-	return nil
+	tk, err := ctl.disconnectLocked(sp, pt, sh, id)
+	sh.mu.Unlock()
+	return ctl.wait(sp, pt, durable.OpDisconnect, tk, err)
 }
 
-// disconnectLocked is Disconnect's body; the caller holds sh.mu.
-func (ctl *Controller) disconnectLocked(sp *span.Span, pt *phaseTimer, sh *sessionShard, id uint64) error {
+// disconnectLocked releases session id's route, drops it from the
+// plane index and the table, and enqueues its disconnect record, in one
+// plane critical section; the caller holds sh.mu and waits for the
+// ticket. A failed release means controller and fabric bookkeeping have
+// diverged: the session stays visible rather than leaking silently.
+func (ctl *Controller) disconnectLocked(sp *span.Span, pt *phaseTimer, sh *sessionShard, id uint64) (durable.Ticket, error) {
 	s, ok := sh.m[id]
 	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownSession, id)
-	}
-	// Journal before releasing: a connect reusing the freed slots must
-	// append after this record (see durability.go). On failure the
-	// session stays live and visible.
-	if werr := ctl.commitDisconnect(sp, pt, s); werr != nil {
-		return werr
+		return durable.Ticket{}, fmt.Errorf("%w: %d", ErrUnknownSession, id)
 	}
 	f := ctl.fabrics[s.Fabric]
-	var err error
-	var elapsed, lockWait time.Duration
-	lockStart := time.Now()
-	func() {
-		f.mu.Lock()
-		lockWait = time.Since(lockStart)
-		defer f.mu.Unlock()
-		start := time.Now()
-		err = f.net.Release(s.ConnID)
-		elapsed = time.Since(start)
-		if err == nil {
-			f.cap.release(s.ConnID)
-		}
-	}()
-	pt.add(phaseLockWait, lockWait)
+	if err := ctl.lockPlane(pt, f); err != nil {
+		return durable.Ticket{}, err
+	}
+	defer f.mu.Unlock()
+	start := time.Now()
+	err := f.net.Release(s.ConnID)
+	elapsed := time.Since(start)
 	pt.add(phaseRouteSearch, elapsed)
 	ctl.metrics.disconnectLat.observe(elapsed)
 	if err != nil {
-		// A release failure means controller and fabric bookkeeping have
-		// diverged; keep the session visible rather than leaking silently.
-		return fmt.Errorf("switchd: releasing session %d: %w", id, err)
+		return durable.Ticket{}, fmt.Errorf("switchd: releasing session %d: %w", id, err)
 	}
+	f.rec.Released(s.ConnID)
+	delete(f.byConn, s.ConnID)
 	delete(sh.m, id)
 	ctl.active.Add(-1)
 	ctl.admitted.Add(-1)
-	ctl.metrics.perFabric[s.Fabric].active.Add(-1)
 	ctl.metrics.disconnectOK.Add(1)
-	return nil
+	return ctl.enqueue(sp, pt, &durable.Record{Op: durable.OpDisconnect, Session: id})
 }
 
 // Session returns a snapshot of a live session.
@@ -831,7 +816,8 @@ func (ctl *Controller) Drain(ctx context.Context) DrainSummary {
 				if failed[id] {
 					continue
 				}
-				if err := ctl.disconnectLocked(nil, nil, sh, id); err != nil {
+				tk, err := ctl.disconnectLocked(nil, nil, sh, id)
+				if err = ctl.wait(nil, nil, durable.OpDisconnect, tk, err); err != nil {
 					failed[id] = true
 					sum.Errors++
 					if errors.Is(err, ErrStorageFailed) && sum.StorageError == "" {

@@ -64,6 +64,10 @@ type Trace struct {
 }
 
 // Recorder wraps a network and logs every Add/Release with its outcome.
+// A serving plane that applies operations to the network itself records
+// them through the past-tense methods (Added, Released, Branched,
+// Migrated), which translate branches and failure-plane migrations into
+// the add/release vocabulary.
 type Recorder struct {
 	net       Network
 	isBlocked func(error) bool
@@ -95,6 +99,30 @@ func NewRecorder(net Network, isBlocked func(error) bool) *Recorder {
 // is the network's id (use it for Release as usual).
 func (r *Recorder) Add(c wdm.Connection) (int, error) {
 	id, err := r.net.Add(c)
+	r.Added(c, id, err)
+	return id, err
+}
+
+// Release forwards to the network and records the teardown.
+func (r *Recorder) Release(id int) error {
+	err := r.net.Release(id)
+	if err == nil {
+		r.Released(id)
+	}
+	return err
+}
+
+// The methods below record operations the caller already applied to
+// the network itself, as a serving plane that holds the network under
+// its own lock does. Each is a no-op on a nil Recorder, so such a
+// caller keeps one per network and leaves it nil to record nothing.
+
+// Added records the outcome of an Add; id is the network's id and
+// matters only when err is nil.
+func (r *Recorder) Added(c wdm.Connection, id int, err error) {
+	if r == nil {
+		return
+	}
 	ev := Event{Op: Add, Conn: c.Clone()}
 	switch {
 	case err == nil:
@@ -108,17 +136,51 @@ func (r *Recorder) Add(c wdm.Connection) (int, error) {
 		ev.Outcome = Rejected
 	}
 	r.trace.Events = append(r.trace.Events, ev)
-	return id, err
 }
 
-// Release forwards to the network and records the teardown.
-func (r *Recorder) Release(id int) error {
-	err := r.net.Release(id)
-	if err == nil {
-		r.trace.Events = append(r.trace.Events, Event{Op: Release, ID: r.ids[id]})
-		delete(r.ids, id)
+// Released records the teardown of connection id: a Release, or a
+// drop by the network's failure plane.
+func (r *Recorder) Released(id int) {
+	if r == nil {
+		return
 	}
-	return err
+	r.trace.Events = append(r.trace.Events, Event{Op: Release, ID: r.ids[id]})
+	delete(r.ids, id)
+}
+
+// Migrated records a live migration: the network re-routed connection
+// id around a failed component under the same id. The trace has no
+// migrate op, so the equivalent is release old; add c ok=new. A replay
+// routes the re-add with the then-current occupancy, which is exactly
+// the failure-plane situation being reproduced.
+func (r *Recorder) Migrated(id int, c wdm.Connection) {
+	r.Released(id)
+	r.Added(c, id, nil)
+}
+
+// Branched records an AddBranch on connection id that grew original
+// to grown with outcome err. A network implements a branch as release +
+// add(grown) under a stable id, restoring the original on a blocked
+// grow, so the equivalent trace is:
+//
+//	ok:      release old; add grown ok=new
+//	blocked: release old; add grown blocked; add original ok=new
+//
+// A rejected branch leaves the network untouched and records nothing.
+// On the blocked path the network reinstalls the exact original route
+// while a replay routes the original afresh; the router is
+// deterministic, but the re-route may differ from the reinstalled
+// route, and Replay's divergence report flags any case where that
+// matters.
+func (r *Recorder) Branched(id int, original, grown wdm.Connection, err error) {
+	if r == nil || (err != nil && !r.isBlocked(err)) {
+		return
+	}
+	r.Released(id)
+	r.Added(grown, id, err)
+	if err != nil {
+		r.Added(original, id, nil)
+	}
 }
 
 // Trace returns the recorded history (shared storage; copy if you keep
